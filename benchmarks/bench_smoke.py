@@ -2,9 +2,7 @@
 benches, written to ``BENCH_executor.json``.
 
 A fast, CI-friendly subset of the pytest-benchmark suite: it times the
-batching ablation, the dict-vs-arrays backend comparison (the fast path's
->=2x acceptance bar at batch_size >= 4 on the n-gram model), the compiler
-benches (all-encodings compile cost plus the cross-query compilation
+batching ablation, the compiler benches (all-encodings compile cost plus the cross-query compilation
 cache), the compile fast path (trie-guided vs per-token-scan edge
 construction — the >=2x bar — token-automaton minimization, and the
 persistent disk cache's warm start, which must recompile zero
@@ -22,8 +20,9 @@ medians as JSON (written atomically — temp file + ``os.replace``)::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py --out BENCH_executor.json
 
-Exit code is non-zero when the backend speedup bar or the cache hit-rate
-bar is missed, so CI fails loudly instead of silently regressing.
+Exit code is non-zero when a ratio bar (cache hit rate, trie compile
+speedup, scheduler round ratio, ...) is missed, so CI fails loudly instead
+of silently regressing.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.experiments.common import get_environment
 from repro.regex import compile_dfa
 
 #: URL-shaped language: several hundred token edges per state, the shape
-#: the vectorized backend exists for.
+#: the vectorized expansion and the trie-guided compile exist for.
 FANOUT_PATTERN = r"https://www\.([a-zA-Z0-9]|-)+\.([a-zA-Z0-9]|/)+"
 
 #: The A3 batching pattern (small language, exercises frontier batching).
@@ -78,28 +77,6 @@ def bench_batching(env, repeats: int) -> dict:
         assert texts == reference, "batching changed the match set"
         out[f"batch_{batch_size}_ms"] = round(1000 * median, 3)
     return out
-
-
-def bench_backends(env, repeats: int, batch_size: int = 4) -> dict:
-    """dict vs arrays backend on the high-fanout pattern (n-gram XL)."""
-    model = env.model("xl")
-    results = {}
-    streams = {}
-    for backend in ("dict", "arrays"):
-        def run():
-            session = prepare(
-                model, env.tokenizer, SearchQuery(FANOUT_PATTERN),
-                backend=backend, batch_size=batch_size, max_expansions=3000,
-            )
-            return [r.text for r in session]
-        median, texts = _median_time(run, repeats)
-        results[f"{backend}_ms"] = round(1000 * median, 3)
-        streams[backend] = texts
-    assert streams["dict"] == streams["arrays"], "backends diverged"
-    results["batch_size"] = batch_size
-    results["matches"] = len(streams["arrays"])
-    results["speedup"] = round(results["dict_ms"] / results["arrays_ms"], 2)
-    return results
 
 
 def bench_compiler(env, repeats: int) -> dict:
@@ -629,7 +606,6 @@ def main(argv=None) -> int:
         "scale": args.scale,
         "repeats": args.repeats,
         "batching": bench_batching(env, args.repeats),
-        "backend": bench_backends(env, args.repeats),
         "compiler": bench_compiler(env, args.repeats),
         "compile": bench_compile(env, args.repeats),
         "scheduler": bench_scheduler(args.repeats),
@@ -648,10 +624,6 @@ def main(argv=None) -> int:
     print(json.dumps(report, indent=2))
 
     failures = []
-    if report["backend"]["speedup"] < 2.0:
-        failures.append(
-            f"backend speedup {report['backend']['speedup']}x is below the 2x bar"
-        )
     if report["compiler"]["cache_hit_rate"] < 0.9:
         failures.append(
             f"cache hit rate {report['compiler']['cache_hit_rate']} is below 0.9"

@@ -85,51 +85,3 @@ def test_bench_a3_ngram_neutrality(env, benchmark):
         iterations=1,
     )
     assert texts_8 == texts_1
-
-
-_FANOUT_PATTERN = r"https://www\.([a-zA-Z0-9]|-)+\.([a-zA-Z0-9]|/)+"
-
-
-def test_bench_backend_dict_vs_arrays(env, benchmark):
-    """The compile-to-arrays fast path vs the dict reference backend.
-
-    High-fanout automata (URL-shaped languages put several hundred token
-    edges on most states) are where vectorized expansion pays: the dict
-    backend walks every edge in Python and pushes each onto the heap, the
-    arrays backend does a handful of fancy-indexing ops and one lazy heap
-    entry per expansion.  Both must return the identical match stream; the
-    acceptance bar for the fast path is >=2x at batch_size >= 4.
-    """
-    tokenizer = env.tokenizer
-    model = env.model("xl")
-
-    def run(backend):
-        session = prepare(
-            model, tokenizer, SearchQuery(_FANOUT_PATTERN),
-            backend=backend, batch_size=4, max_expansions=3000,
-        )
-        return [r.text for r in session], session.stats
-
-    times = {}
-    streams = {}
-    for backend in ("dict", "arrays"):
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            texts, stats = run(backend)
-            best = min(best, time.perf_counter() - start)
-        times[backend] = best
-        streams[backend] = texts
-    assert streams["dict"] == streams["arrays"]  # bit-identical stream
-    speedup = times["dict"] / times["arrays"]
-    print_table(
-        "Executor backends (n-gram XL, batch_size=4)",
-        ["backend", "best of 3", "matches"],
-        [
-            ["dict (reference)", f"{1000 * times['dict']:.1f} ms", len(streams["dict"])],
-            ["arrays (vectorized)", f"{1000 * times['arrays']:.1f} ms", len(streams["arrays"])],
-            ["speedup", f"{speedup:.1f}x", ""],
-        ],
-    )
-    assert speedup >= 2.0
-    benchmark.pedantic(lambda: run("arrays"), rounds=3, iterations=1)

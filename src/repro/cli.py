@@ -22,6 +22,7 @@ entry point — library users should call :func:`repro.search` directly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -35,104 +36,107 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_query_args(p) -> None:
+        """What a query *is* and its per-query budget: shared by ``query``
+        and its client-side mirror ``submit``."""
+        p.add_argument(
+            "pattern", nargs="+",
+            help="regex pattern(s) (ReLM dialect); several patterns run "
+                 "concurrently through the multi-query scheduler",
+        )
+        p.add_argument("--prefix", default=None, help="prefix regex (conditioned, not decoded)")
+        p.add_argument("--top-k", type=int, default=None, help="top-k decision rule")
+        p.add_argument("--strategy", choices=["shortest", "random", "beam"], default="shortest")
+        p.add_argument("--tokenization", choices=["all", "canonical"], default="all")
+        p.add_argument("--samples", type=int, default=10, help="samples for --strategy random")
+        p.add_argument("--max-matches", type=int, default=10)
+        p.add_argument("--edits", type=int, default=0, help="Levenshtein preprocessor distance")
+        p.add_argument("--require-eos", action="store_true")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--deadline", type=float, default=None,
+            help="per-query wall-clock budget in seconds (enforced by the scheduler)",
+        )
+        p.add_argument(
+            "--max-lm-calls", type=int, default=None,
+            help="per-query LM-call budget (enforced by the scheduler)",
+        )
+        p.add_argument("--log", default=None, help="append matches to this JSONL file")
+
+    def add_engine_args(p, concurrency: int) -> None:
+        """The engine ``query`` and ``serve`` both build (see
+        :func:`_build_engine`) and the scheduler settings they share."""
+        p.add_argument("--model", choices=["xl", "small"], default="xl")
+        p.add_argument("--scale", choices=["test", "full"], default="test")
+        p.add_argument(
+            "--concurrency", type=int, default=concurrency,
+            help="queries serviced per coalesced LM round (for 'query', >1 "
+                 "engages the scheduler)",
+        )
+        p.add_argument(
+            "--fairness",
+            choices=["round_robin", "shortest_frontier", "cheapest_cost"],
+            default="round_robin",
+            help="which waiting queries join a capped scheduler round",
+        )
+        p.add_argument(
+            "--workers", type=int, default=0,
+            help="shard each coalesced LM round across N model-replica "
+                 "processes (for 'query', >1 engages the scheduler; results "
+                 "are unchanged)",
+        )
+        p.add_argument(
+            "--max-retries", type=int, default=2,
+            help="failed-shard re-deliveries before the in-process fallback "
+                 "(worker supervision; negative disables supervision entirely "
+                 "and a worker failure aborts the run)",
+        )
+        p.add_argument(
+            "--shard-timeout", type=float, default=None,
+            help="seconds before an unanswered shard is declared hung and "
+                 "retried on a respawned worker (default: wait forever)",
+        )
+        p.add_argument(
+            "--kv-cache-mb", type=float, default=None,
+            help="prefix-state (KV) cache budget in MiB for models with "
+                 "incremental decoding (default: the model's built-in 64 MiB)",
+        )
+        p.add_argument(
+            "--no-kv-cache", action="store_true",
+            help="disable the prefix-state cache (score every context with a "
+                 "full forward pass)",
+        )
+        p.add_argument(
+            "--compile-cache", default=None, metavar="DIR",
+            help="persistent compile-cache directory: compiled automata are "
+                 "reused across runs, restarts and worker respawns (entries "
+                 "are fingerprinted by query + tokenizer + compiler options; "
+                 "stale or corrupt entries just miss)",
+        )
+        p.add_argument(
+            "--checkpoint", default=None, metavar="PATH",
+            help="snapshot progress to PATH after every completed round "
+                 "batch and on interruption/SIGTERM (atomic; for 'query' it "
+                 "engages the scheduler)",
+        )
+        p.add_argument(
+            "--resume", action="store_true",
+            help="restore completed queries from --checkpoint before running "
+                 "the rest (a missing checkpoint file is a fresh run)",
+        )
+        p.add_argument(
+            "--checkpoint-every", type=int, default=1,
+            help="completed rounds between checkpoint snapshots (cadence vs. "
+                 "overhead; see cookbook §13)",
+        )
+
     query = sub.add_parser("query", help="run a regex query against the built-in model")
-    query.add_argument(
-        "pattern", nargs="+",
-        help="regex pattern(s) (ReLM dialect); several patterns run "
-             "concurrently through the multi-query scheduler",
-    )
-    query.add_argument("--prefix", default=None, help="prefix regex (conditioned, not decoded)")
-    query.add_argument("--top-k", type=int, default=None, help="top-k decision rule")
-    query.add_argument("--strategy", choices=["shortest", "random", "beam"], default="shortest")
-    query.add_argument("--tokenization", choices=["all", "canonical"], default="all")
-    query.add_argument("--samples", type=int, default=10, help="samples for --strategy random")
-    query.add_argument("--max-matches", type=int, default=10)
-    query.add_argument("--edits", type=int, default=0, help="Levenshtein preprocessor distance")
-    query.add_argument("--require-eos", action="store_true")
-    query.add_argument("--seed", type=int, default=0)
-    query.add_argument(
-        "--backend", choices=["arrays", "dict"], default="arrays",
-        help="executor backend: vectorized arrays (default) or the reference dict paths",
-    )
-    query.add_argument(
-        "--kv-cache-mb", type=float, default=None,
-        help="prefix-state (KV) cache budget in MiB for models with "
-             "incremental decoding (default: the model's built-in 64 MiB)",
-    )
-    query.add_argument(
-        "--no-kv-cache", action="store_true",
-        help="disable the prefix-state cache (score every context with a "
-             "full forward pass)",
-    )
-    query.add_argument("--model", choices=["xl", "small"], default="xl")
-    query.add_argument("--scale", choices=["test", "full"], default="test")
-    query.add_argument("--log", default=None, help="append matches to this JSONL file")
-    query.add_argument(
-        "--concurrency", type=int, default=1,
-        help="queries serviced per coalesced LM round (>1 engages the scheduler)",
-    )
-    query.add_argument(
-        "--fairness",
-        choices=["round_robin", "shortest_frontier", "cheapest_cost"],
-        default="round_robin",
-        help="which waiting queries join a capped scheduler round",
-    )
-    query.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-query wall-clock budget in seconds (scheduler mode)",
-    )
-    query.add_argument(
-        "--max-lm-calls", type=int, default=None,
-        help="per-query LM-call budget (scheduler mode)",
-    )
-    query.add_argument(
-        "--workers", type=int, default=0,
-        help="shard each coalesced LM round across N model-replica "
-             "processes (>1 engages the scheduler; results are unchanged)",
-    )
+    add_query_args(query)
+    add_engine_args(query, concurrency=1)
     query.add_argument(
         "--pipeline", action="store_true",
         help="overlap one round's worker compute with the next round's "
              "frontier expansion (scheduler mode; results are unchanged)",
-    )
-    query.add_argument(
-        "--max-retries", type=int, default=2,
-        help="failed-shard re-deliveries before the in-process fallback "
-             "(worker supervision; negative disables supervision entirely "
-             "and a worker failure aborts the run)",
-    )
-    query.add_argument(
-        "--shard-timeout", type=float, default=None,
-        help="seconds before an unanswered shard is declared hung and "
-             "retried on a respawned worker (default: wait forever)",
-    )
-    query.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="snapshot sweep progress to PATH after every completed round "
-             "batch (atomic; engages the scheduler)",
-    )
-    query.add_argument(
-        "--resume", action="store_true",
-        help="restore completed queries from --checkpoint before running "
-             "the rest (a missing checkpoint file is a fresh run)",
-    )
-    query.add_argument(
-        "--checkpoint-every", type=int, default=1,
-        help="completed rounds between checkpoint snapshots (cadence vs. "
-             "overhead; see cookbook §13)",
-    )
-    query.add_argument(
-        "--compile-cache", default=None, metavar="DIR",
-        help="persistent compile-cache directory: compiled automata are "
-             "reused across runs and worker respawns (entries are "
-             "fingerprinted by query + tokenizer + compiler options; "
-             "stale or corrupt entries just miss)",
-    )
-    query.add_argument(
-        "--no-minimize-tokens", action="store_true",
-        help="skip token-automaton minimization and interval-compressed "
-             "arrays (results are unchanged either way; this is a "
-             "debugging/measurement knob)",
     )
     query.add_argument(
         "--compile-ahead", action="store_true",
@@ -235,58 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks a free one; the bound port is announced "
              "on stderr as '# listening HOST:PORT')",
     )
-    serve.add_argument("--model", choices=["xl", "small"], default="xl")
-    serve.add_argument("--scale", choices=["test", "full"], default="test")
-    serve.add_argument(
-        "--concurrency", type=int, default=8,
-        help="queries serviced per coalesced LM round",
-    )
-    serve.add_argument(
-        "--fairness",
-        choices=["round_robin", "shortest_frontier", "cheapest_cost"],
-        default="round_robin",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=0,
-        help="shard LM rounds across N model-replica processes, shared "
-             "by every request the server handles",
-    )
-    serve.add_argument(
-        "--max-retries", type=int, default=2,
-        help="failed-shard re-deliveries before the in-process fallback",
-    )
-    serve.add_argument(
-        "--shard-timeout", type=float, default=None,
-        help="seconds before an unanswered worker shard is retried",
-    )
-    serve.add_argument(
-        "--kv-cache-mb", type=float, default=None,
-        help="prefix-state (KV) cache budget in MiB",
-    )
-    serve.add_argument("--no-kv-cache", action="store_true")
-    serve.add_argument(
-        "--compile-cache", default=None, metavar="DIR",
-        help="persistent compile-cache directory shared across restarts "
-             "(a warm dir means a restarted server recompiles nothing)",
-    )
-    serve.add_argument(
-        "--no-minimize-tokens", action="store_true",
-        help="skip token-automaton minimization (measurement knob)",
-    )
-    serve.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="snapshot in-flight queries here on SIGTERM (and at the "
-             "usual round cadence); with --resume a restarted server "
-             "reproduces their results bit-identically",
-    )
-    serve.add_argument(
-        "--checkpoint-every", type=int, default=1,
-        help="completed rounds between checkpoint snapshots",
-    )
-    serve.add_argument(
-        "--resume", action="store_true",
-        help="restore completed queries from --checkpoint",
-    )
+    add_engine_args(serve, concurrency=8)
     serve.add_argument(
         "--admission-max-cost", type=int, default=None,
         help="reject queries whose static LM-call bound (EXPLAIN cost "
@@ -315,31 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit pattern(s) to a running 'repro serve' and stream "
              "the matches (client-side mirror of 'query')",
     )
-    submit.add_argument(
-        "pattern", nargs="+",
-        help="regex pattern(s) (ReLM dialect); several patterns stream "
-             "concurrently over one connection",
-    )
+    add_query_args(submit)
     submit.add_argument("--host", default="127.0.0.1")
     submit.add_argument("--port", type=int, required=True, help="server port")
-    submit.add_argument("--prefix", default=None, help="prefix regex (conditioned, not decoded)")
-    submit.add_argument("--top-k", type=int, default=None, help="top-k decision rule")
-    submit.add_argument("--strategy", choices=["shortest", "random", "beam"], default="shortest")
-    submit.add_argument("--tokenization", choices=["all", "canonical"], default="all")
-    submit.add_argument("--samples", type=int, default=10, help="samples for --strategy random")
-    submit.add_argument("--max-matches", type=int, default=10)
-    submit.add_argument("--edits", type=int, default=0, help="Levenshtein preprocessor distance")
-    submit.add_argument("--require-eos", action="store_true")
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-query wall-clock budget in seconds (server-side)",
-    )
-    submit.add_argument(
-        "--max-lm-calls", type=int, default=None,
-        help="per-query LM-call budget (server-side)",
-    )
-    submit.add_argument("--log", default=None, help="append matches to this JSONL file")
     submit.add_argument(
         "--window", type=int, default=64,
         help="initial match-delivery window (auto-replenished)",
@@ -381,48 +312,64 @@ def _build_queries(args):
     ]
 
 
-def _build_compiler(args, env):
-    """The compiler a query run uses: the environment's shared one, or a
-    custom one when the compile flags ask for a persistent disk cache or
-    disabled minimization."""
-    if args.compile_cache is None and not args.no_minimize_tokens:
-        return env.compiler
-    from repro.core.compiler import CompilationCache, GraphCompiler
+@contextlib.contextmanager
+def _build_engine(args, env):
+    """Build what ``query`` and ``serve`` run on, once, from the engine
+    flags: yields ``(model, compiler, pool)``.
 
-    return GraphCompiler(
-        env.tokenizer,
-        cache=CompilationCache(max_entries=512),
-        minimize_tokens=not args.no_minimize_tokens,
-        disk_cache=args.compile_cache,
-    )
+    Each knob is applied to the object that owns it: ``--kv-cache-mb`` /
+    ``--no-kv-cache`` to the model, ``--compile-cache`` to the compiler,
+    ``--workers`` / ``--max-retries`` / ``--shard-timeout`` /
+    ``--inject-fault`` to the :class:`WorkerPool` (``None`` without
+    ``--workers N``, N > 1).  The pool lives exactly as long as the
+    ``with`` block — every worker process and pooled shared-memory segment
+    is reclaimed on the way out, Ctrl-C included.
+    """
+    model = env.model(args.model)
+    if args.no_kv_cache:
+        model.disable_prefix_cache()
+    elif args.kv_cache_mb is not None:
+        model.enable_prefix_cache(int(args.kv_cache_mb * (1 << 20)))
+    compiler = env.compiler
+    if args.compile_cache is not None:
+        from repro.core.compiler import CompilationCache, GraphCompiler
 
-
-def _cmd_query_scheduled(args, env, queries) -> int:
-    """Many patterns (or budgets): run through the multi-query scheduler."""
+        compiler = GraphCompiler(
+            env.tokenizer,
+            cache=CompilationCache(max_entries=512),
+            disk_cache=args.compile_cache,
+        )
     from repro.core.faults import FaultPlan
+    from repro.core.parallel import WorkerPool
+
+    specs = getattr(args, "inject_fault", None)  # a 'query'-only flag
+    fault_plan = FaultPlan.parse_all(specs) if specs else None
+    pool_cm = contextlib.nullcontext()
+    if args.workers > 1:
+        pool_cm = WorkerPool(
+            model,
+            args.workers,
+            max_retries=args.max_retries if args.max_retries >= 0 else None,
+            shard_timeout=args.shard_timeout,
+            fault_plan=fault_plan,
+        )
+    with pool_cm as pool:
+        yield model, compiler, pool
+
+
+def _cmd_query_scheduled(args, env, queries, compiler, pool) -> int:
+    """Many patterns (or budgets): run through the multi-query scheduler."""
     from repro.core.logging import MatchWriter
     from repro.core.scheduler import QueryBudget
 
-    if args.resume and args.checkpoint is None:
-        print("error: --resume requires --checkpoint PATH", file=sys.stderr)
-        return 2
-    fault_plan = (
-        FaultPlan.parse_all(args.inject_fault) if args.inject_fault else None
-    )
     scheduler = env.scheduler(
         args.model,
-        compiler=_build_compiler(args, env),
+        compiler=compiler,
         compile_ahead=args.compile_ahead,
         concurrency=args.concurrency,
         fairness=args.fairness,
-        backend=args.backend,
-        kv_cache=not args.no_kv_cache,
-        kv_cache_mb=args.kv_cache_mb,
-        workers=args.workers,
+        worker_pool=pool,
         pipeline=args.pipeline,
-        max_retries=args.max_retries if args.max_retries >= 0 else None,
-        shard_timeout=args.shard_timeout,
-        fault_plan=fault_plan,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -454,8 +401,6 @@ def _cmd_query_scheduled(args, env, queries) -> int:
             file=sys.stderr,
         )
         return 130
-    finally:
-        scheduler.close()
     writer = MatchWriter(args.log) if args.log else None
     for handle in handles:
         flag = f" [truncated: {handle.truncated_reason}]" if (
@@ -523,13 +468,14 @@ def _cmd_query_scheduled(args, env, queries) -> int:
 
 
 def _cmd_query(args) -> int:
-    import repro as relm
-    from repro.core.logging import MatchWriter
     from repro.experiments.common import get_environment
 
+    if args.resume and args.checkpoint is None:
+        print("error: --resume requires --checkpoint PATH", file=sys.stderr)
+        return 2
     env = get_environment(scale=args.scale)
     queries = _build_queries(args)
-    if (
+    scheduled = (
         len(queries) > 1
         or args.concurrency > 1
         or args.deadline is not None
@@ -540,15 +486,22 @@ def _cmd_query(args) -> int:
         or args.resume
         or args.inject_fault
         or args.compile_ahead
-    ):
-        return _cmd_query_scheduled(args, env, queries)
-    query = queries[0]
+    )
+    with _build_engine(args, env) as (model, compiler, pool):
+        if scheduled:
+            return _cmd_query_scheduled(args, env, queries, compiler, pool)
+        return _cmd_query_single(args, env, queries[0], model, compiler)
+
+
+def _cmd_query_single(args, env, query, model, compiler) -> int:
+    """One pattern, no scheduler feature asked for: a plain session."""
+    import repro as relm
+    from repro.core.logging import MatchWriter
+
     session = relm.prepare(
-        env.model(args.model), env.tokenizer, query,
-        compiler=_build_compiler(args, env),
+        model, env.tokenizer, query,
+        compiler=compiler,
         logits_cache=env.logits_cache(args.model),
-        backend=args.backend,
-        kv_cache=not args.no_kv_cache, kv_cache_mb=args.kv_cache_mb,
         max_expansions=50_000, max_attempts=50 * args.samples,
     )
     writer = MatchWriter(args.log) if args.log else None
@@ -895,37 +848,33 @@ def _cmd_serve(args) -> int:
         print("error: --resume requires --checkpoint PATH", file=sys.stderr)
         return 2
     env = get_environment(scale=args.scale)
-    model = env.model(args.model)
-    service = SchedulerService(
-        model,
-        env.tokenizer,
-        compiler=_build_compiler(args, env),
-        logits_cache=env.logits_cache(args.model),
-        concurrency=args.concurrency,
-        fairness=args.fairness,
-        kv_cache=not args.no_kv_cache,
-        kv_cache_mb=args.kv_cache_mb,
-        admission_max_cost=args.admission_max_cost,
-        max_inflight=args.max_inflight,
-        lm_calls_per_minute=args.lm_calls_per_minute,
-        default_window=args.window,
-        progress_every=args.progress_every,
-        workers=args.workers,
-        max_retries=args.max_retries if args.max_retries >= 0 else None,
-        shard_timeout=args.shard_timeout,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        max_expansions=50_000,
-    )
 
     def ready(host: str, port: int) -> None:
         print(f"# listening {host}:{port}", file=sys.stderr, flush=True)
 
-    try:
-        asyncio.run(run_server(service, args.host, args.port, ready=ready))
-    except KeyboardInterrupt:  # signal handler not installable (rare)
-        service.close()
+    with _build_engine(args, env) as (model, compiler, pool):
+        service = SchedulerService(
+            model,
+            env.tokenizer,
+            compiler=compiler,
+            logits_cache=env.logits_cache(args.model),
+            concurrency=args.concurrency,
+            fairness=args.fairness,
+            admission_max_cost=args.admission_max_cost,
+            max_inflight=args.max_inflight,
+            lm_calls_per_minute=args.lm_calls_per_minute,
+            default_window=args.window,
+            progress_every=args.progress_every,
+            worker_pool=pool,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            max_expansions=50_000,
+        )
+        try:
+            asyncio.run(run_server(service, args.host, args.port, ready=ready))
+        except KeyboardInterrupt:  # signal handler not installable (rare)
+            service.close()
     stats = service.stats_snapshot()
     print(
         f"# service: sessions={stats['sessions_opened']} "

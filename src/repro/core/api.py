@@ -29,8 +29,7 @@ from typing import Any, Iterator, Sequence
 
 from repro.core.compiler import CompiledQuery, GraphCompiler
 from repro.core.executor import Executor
-from repro.core.faults import FaultPlan
-from repro.core.parallel import PooledModel, WorkerPool
+from repro.core.parallel import WorkerPool
 from repro.core.query import SimpleSearchQuery
 from repro.core.findings import QueryReport
 from repro.core.results import ExecutionStats, MatchResult
@@ -49,11 +48,9 @@ class SearchSession:
     ``compiler=`` to reuse a caller-owned :class:`GraphCompiler` (and its
     compilation cache) across sessions.
 
-    ``workers=N`` (N > 1) shards each batched LM round across N
-    model-replica processes (see :mod:`repro.core.parallel`); the session
-    then owns a :class:`WorkerPool` — use it as a context manager or call
-    :meth:`close` to reclaim the processes and shared-memory segments.
-    ``min_shard_size`` tunes the adaptive shard sizer's floor.
+    To shard each batched LM round across model-replica processes, pass
+    a :class:`~repro.core.parallel.PooledModel` over a caller-owned
+    :class:`~repro.core.parallel.WorkerPool` as *model*.
     """
 
     def __init__(
@@ -62,13 +59,6 @@ class SearchSession:
         tokenizer: BPETokenizer,
         query: SimpleSearchQuery,
         compiler: GraphCompiler | None = None,
-        kv_cache: bool = True,
-        kv_cache_mb: float | None = None,
-        workers: int = 0,
-        min_shard_size: int = 8,
-        max_retries: int | None = 2,
-        shard_timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
         **executor_kwargs: Any,
     ) -> None:
         if compiler is None:
@@ -76,38 +66,13 @@ class SearchSession:
         elif compiler.tokenizer is not tokenizer:
             raise ValueError("compiler was built for a different tokenizer")
         self.compiler = compiler
-        # Apply the prefix-state (KV) cache knobs to the model before the
-        # executor snapshots the cache's counters.  No-ops on models
-        # without incremental decoding (the n-gram).
-        if not kv_cache:
-            model.disable_prefix_cache()
-        elif kv_cache_mb is not None:
-            model.enable_prefix_cache(int(kv_cache_mb * (1 << 20)))
-        self.pool: WorkerPool | None = None
-        effective_model: LanguageModel = model
-        if workers > 1:
-            if executor_kwargs.get("logits_cache") is not None:
-                raise ValueError(
-                    "a shared logits_cache cannot be combined with workers>1 "
-                    "(the cache wraps the pooled model; build the session "
-                    "without one, or share a WorkerPool via QueryScheduler)"
-                )
-            self.pool = WorkerPool(
-                model,
-                workers,
-                min_shard_size=min_shard_size,
-                max_retries=max_retries,
-                shard_timeout=shard_timeout,
-                fault_plan=fault_plan,
-            )
-            effective_model = PooledModel(model, self.pool)
         cache = compiler.cache
         disk = compiler.disk_cache
         hits_before = cache.hits if cache is not None else 0
         misses_before = cache.misses if cache is not None else 0
         disk_hits_before = disk.hits if disk is not None else 0
         self.compiled: CompiledQuery = compiler.compile(query)
-        self.executor = Executor(effective_model, self.compiled, **executor_kwargs)
+        self.executor = Executor(model, self.compiled, **executor_kwargs)
         if cache is not None:
             self.executor.stats.compilation_cache_hits = cache.hits - hits_before
             self.executor.stats.compilation_cache_misses = cache.misses - misses_before
@@ -116,17 +81,6 @@ class SearchSession:
 
     def __iter__(self) -> Iterator[MatchResult]:
         return self.executor.run()
-
-    def close(self) -> None:
-        """Shut down the session's worker pool, if it owns one."""
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def __enter__(self) -> "SearchSession":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     @property
     def stats(self) -> ExecutionStats:
@@ -172,13 +126,8 @@ def search_many(
     compiler: GraphCompiler | None = None,
     logits_cache: LogitsCache | None = None,
     budget: QueryBudget | None = None,
-    workers: int = 0,
+    worker_pool: WorkerPool | None = None,
     pipeline: bool = False,
-    min_shard_size: int = 8,
-    max_retries: int | None = 2,
-    backoff_base: float = 0.05,
-    shard_timeout: float | None = None,
-    fault_plan: FaultPlan | None = None,
     checkpoint: str | None = None,
     checkpoint_every: int = 1,
     resume: bool = False,
@@ -194,14 +143,13 @@ def search_many(
     ``budget`` (optional) applies to every query; use the scheduler
     directly for per-query budgets.
 
-    ``workers=N`` (N > 1) shards each coalesced round across N
-    model-replica processes, and ``pipeline=True`` overlaps one round's
-    worker compute with the next round's frontier expansion; neither
-    changes any result (see :class:`QueryScheduler`).  The pool is
-    created and torn down inside this call.  Worker failures are
-    supervised by default (``max_retries`` re-deliveries then in-process
-    fallback; ``shard_timeout`` turns hangs into failures; ``fault_plan``
-    injects failures for testing).
+    ``worker_pool`` shards each coalesced round across a caller-owned
+    :class:`~repro.core.parallel.WorkerPool`'s model replicas (``with
+    WorkerPool(model, 4) as pool: search_many(..., worker_pool=pool)``;
+    shard sizing, supervision and fault injection are the pool's own
+    knobs), and ``pipeline=True`` overlaps one round's worker compute with
+    the next round's frontier expansion; neither changes any result (see
+    :class:`QueryScheduler`).
 
     ``checkpoint=PATH`` snapshots progress every ``checkpoint_every``
     completed rounds (and on interruption); ``resume=True`` restores
@@ -221,22 +169,14 @@ def search_many(
         logits_cache=logits_cache,
         concurrency=concurrency,
         fairness=fairness,
-        workers=workers,
+        worker_pool=worker_pool,
         pipeline=pipeline,
-        min_shard_size=min_shard_size,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        shard_timeout=shard_timeout,
-        fault_plan=fault_plan,
         checkpoint_path=checkpoint,
         checkpoint_every=checkpoint_every,
         resume=resume,
         compile_ahead=compile_ahead,
         **executor_kwargs,
     )
-    try:
-        for query in queries:
-            scheduler.submit(query, budget=budget)
-        return scheduler.run()
-    finally:
-        scheduler.close()
+    for query in queries:
+        scheduler.submit(query, budget=budget)
+    return scheduler.run()

@@ -17,7 +17,7 @@ one frontier expansion becomes a handful of fancy-indexing operations
 (``lp[token_ids]``, vectorized finiteness/policy masking, one ``np.exp``
 for sampling) instead of a per-edge loop.  Array order preserves the edge
 dict's insertion order, so tie-breaking in the executor is bit-identical
-to the reference backend.
+to the scalar per-edge loop's.
 
 ``intervals=True`` additionally stores each row as sorted token-id
 *interval runs* (CSR-style, following Koo et al.'s compressed token
@@ -30,11 +30,6 @@ expanded parallel arrays are materialised lazily — with one vectorized
 memoised the first time a traversal touches the state.  Rows that would
 not compress stay eager parallel arrays, so the representation is never
 worse than the plain lowering.
-
-For small automata a dense per-state allowed-token bitmask is also built
-(``state × vocab`` booleans), giving external callers — e.g. guided
-generation that only needs "which tokens are legal here?" — a single-row
-lookup with no per-edge work at all.
 """
 
 from __future__ import annotations
@@ -43,11 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StateRow", "AutomatonArrays", "DENSE_MASK_BUDGET"]
-
-#: Maximum ``num_states * vocab_size`` for which the dense per-state
-#: allowed-token bitmask is materialised (4M booleans ≈ 4 MB).
-DENSE_MASK_BUDGET = 1 << 22
+__all__ = ["StateRow", "AutomatonArrays"]
 
 
 @dataclass(frozen=True)
@@ -132,15 +123,14 @@ class AutomatonArrays:
         edges: dict[int, dict[int, int]],
         prefix_live: frozenset[int],
         vocab_size: int,
-        dense_budget: int = DENSE_MASK_BUDGET,
         intervals: bool = False,
     ) -> None:
         self.vocab_size = vocab_size
         self.intervals = intervals
         self._rows: dict[int, StateRow] = {}
         self._runs: dict[int, _RunRow] = {}
-        #: States with edges, in insertion order (dense-mask row order).
-        order: list[int] = []
+        #: Number of states with at least one outgoing edge.
+        self.num_states = 0
         self.num_edges = 0
         self.interval_runs = 0
         self.states_compressed = 0
@@ -148,7 +138,7 @@ class AutomatonArrays:
         for state, row in edges.items():
             if not row:
                 continue
-            order.append(state)
+            self.num_states += 1
             self.num_edges += len(row)
             if intervals:
                 runs = _compress_row(row)
@@ -185,22 +175,6 @@ class AutomatonArrays:
                 + eager.dst_states.nbytes
                 + eager.is_prefix.nbytes
             )
-        self._order = order
-        self._dense: np.ndarray | None = None
-        self._dense_index: dict[int, int] | None = None
-        if vocab_size > 0 and len(order) * vocab_size <= dense_budget:
-            dense = np.zeros((len(order), vocab_size), dtype=bool)
-            index: dict[int, int] = {}
-            for i, state in enumerate(order):
-                index[state] = i
-                run_row = self._runs.get(state)
-                if run_row is not None:
-                    for start, length in zip(run_row.starts, run_row.lengths):
-                        dense[i, start : start + length] = True
-                else:
-                    dense[i, self._rows[state].token_ids] = True
-            self._dense = dense
-            self._dense_index = index
 
     @staticmethod
     def _lower_row(row: dict[int, int], prefix_live: frozenset[int]) -> StateRow:
@@ -229,28 +203,3 @@ class AutomatonArrays:
         expanded = run_row.expand()
         self._rows[state] = expanded
         return expanded
-
-    @property
-    def num_states(self) -> int:
-        """Number of states with at least one outgoing edge."""
-        return len(self._order)
-
-    @property
-    def has_dense_mask(self) -> bool:
-        """Whether the dense per-state bitmask was materialised."""
-        return self._dense is not None
-
-    def token_mask(self, state: int) -> np.ndarray | None:
-        """Dense ``(vocab_size,)`` boolean mask of tokens leaving *state*.
-
-        Returns ``None`` when the automaton was too large for the dense
-        bitmask; states with no successors get an all-False mask.  The
-        returned row aliases the shared matrix — callers must not write to
-        it.
-        """
-        if self._dense is None or self._dense_index is None:
-            return None
-        i = self._dense_index.get(state)
-        if i is None:
-            return np.zeros(self.vocab_size, dtype=bool)
-        return self._dense[i]

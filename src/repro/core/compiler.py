@@ -58,7 +58,7 @@ class CompileMetrics:
 
     ``token_states``/``token_edges`` describe the automaton as constructed;
     ``minimized_states``/``minimized_edges`` describe what the executor
-    actually traverses (equal to the raw counts when minimization is off).
+    actually traverses (after token-level minimization).
     ``compile_ms`` is the wall-clock of the :meth:`GraphCompiler.compile`
     call that produced this object — near zero on cache hits.  ``source``
     records where the compilation came from: ``"cold"`` (built from
@@ -143,9 +143,10 @@ class TokenAutomaton:
     ) -> AutomatonArrays:
         """The array lowering of this automaton (built once, then memoised).
 
-        ``vocab_size`` sizes the dense per-state bitmask; it is required on
-        the first call (the compiler passes it at compile time) and ignored
-        afterwards.  ``intervals=True`` (first call only) stores each row as
+        ``vocab_size`` (the width of the logits rows the token ids index)
+        is recorded on the first call and ignored afterwards; it defaults
+        to one past the largest token id.  ``intervals=True`` (first call
+        only) stores each row as
         sorted token-id interval runs instead of dense parallel arrays —
         see :class:`~repro.core.arrays.AutomatonArrays`.
         """
@@ -480,11 +481,12 @@ class GraphCompiler:
     share a tokenizer across compilers may pass a shared one instead.
     ``cache=False`` disables caching entirely.
 
-    ``minimize_tokens`` (default on) runs the token-level
-    :meth:`TokenAutomaton.minimized` pass after construction and lowers the
-    result to interval-compressed arrays — a pure state/edge/byte shrink;
-    every match stream is bit-identical either way (the differential grid
-    pins this).  ``disk_cache`` (a directory path or a prebuilt
+    Every compilation runs the token-level :meth:`TokenAutomaton.minimized`
+    pass after construction and lowers the result to interval-compressed
+    arrays — a pure state/edge/byte shrink; every match stream is
+    bit-identical to the unminimized automaton's (the differential grid
+    pins this against hand-built unminimized compilations).
+    ``disk_cache`` (a directory path or a prebuilt
     :class:`~repro.core.compile_cache.CompileDiskCache`) persists
     compilations across processes and runs: worker respawns, ``--resume``
     sweeps, and fresh CLI invocations skip straight to the compiled
@@ -497,12 +499,10 @@ class GraphCompiler:
         enumeration_limit: int = 20000,
         cache: CompilationCache | bool | None = None,
         analyzer: QueryAnalyzer | bool | None = None,
-        minimize_tokens: bool = True,
         disk_cache: CompileDiskCache | str | os.PathLike[str] | None = None,
     ) -> None:
         self.tokenizer = tokenizer
         self.enumeration_limit = enumeration_limit
-        self.minimize_tokens = minimize_tokens
         self._trie = Trie(tokenizer.vocab.ordinary_items())
         if cache is None or cache is True:
             cache = CompilationCache()
@@ -535,7 +535,6 @@ class GraphCompiler:
             tuple(signatures),
             self._fingerprint,
             self.enumeration_limit,
-            self.minimize_tokens,
         )
 
     def compile(self, query: SimpleSearchQuery) -> CompiledQuery:
@@ -622,7 +621,7 @@ class GraphCompiler:
         )
         if compiled.token_automaton.accepts:
             compiled.token_automaton.arrays(
-                vocab_size=len(self.tokenizer), intervals=self.minimize_tokens
+                vocab_size=len(self.tokenizer), intervals=True
             )
         if self.analyzer is not None:
             compiled.report = self.analyzer.rebind(compiled, query)
@@ -668,13 +667,10 @@ class GraphCompiler:
             token_automaton = self.compile_canonical(char_dfa, prefix_closure)
         raw_states = token_automaton.num_states
         raw_edges = token_automaton.num_edges
-        if self.minimize_tokens:
-            token_automaton = token_automaton.minimized()
+        token_automaton = token_automaton.minimized()
         # Lower to arrays now: cached compilations then share the lowering
-        # across every executor/backend that runs this query.
-        token_automaton.arrays(
-            vocab_size=len(self.tokenizer), intervals=self.minimize_tokens
-        )
+        # across every executor that runs this query.
+        token_automaton.arrays(vocab_size=len(self.tokenizer), intervals=True)
         return CompiledQuery(
             query=query,
             tokenizer=self.tokenizer,

@@ -17,19 +17,16 @@ Top-k/top-p pruning happens per expansion: an edge whose token falls
 outside the decision rule is dropped, transitively eliminating every string
 through it — the complexity-control lever §3.3 describes.
 
-Two execution backends implement each traversal:
-
-* ``"arrays"`` (default) — the vectorized fast path: per-state edge arrays
-  (see :mod:`repro.core.arrays`) turn each frontier expansion into a few
-  fancy-indexing operations plus a stable sort, and Dijkstra pushes one
-  lazy heap entry per expansion (see :class:`_LazyGroup`) instead of one
-  per edge.
-* ``"dict"`` — the reference backend: a Python loop over the successor
-  dict, kept as the differential-testing oracle.
-
-Both backends produce bit-identical match streams (same order, same
-log-probabilities): edge costs are the same float64 values, and array
-order mirrors the edge dict's insertion order so tie-breaking agrees.
+Frontier expansion is vectorized: per-state edge arrays (see
+:mod:`repro.core.arrays`) turn each expansion into a few fancy-indexing
+operations plus a stable sort, and Dijkstra pushes one lazy heap entry per
+expansion (see :class:`_LazyGroup`) instead of one per edge.  States with
+at most ``_SCALAR_FANOUT_CUTOFF`` edges take a scalar loop over the edge
+dict instead (shortest path and sampling; array setup costs more than the
+loop there).  The two expansions produce bit-identical match streams (same
+order, same log-probabilities): edge costs are the same float64 values, and
+array order mirrors the edge dict's insertion order so tie-breaking agrees
+— the differential suite pins the cutoff to either extreme to compare them.
 
 Every traversal is implemented as a *stepwise generator* (:meth:`Executor.steps`)
 that yields two kinds of events: :class:`LmRequest` (the traversal needs model
@@ -53,6 +50,7 @@ from typing import Any, Generator, Iterator
 import numpy as np
 
 from repro.automata.walks import WalkCounter
+from repro.core.arrays import StateRow
 from repro.core.compiler import CompiledQuery
 from repro.core.query import QuerySearchStrategy, QueryTokenizationStrategy
 from repro.core.results import ExecutionStats, MatchResult
@@ -85,10 +83,10 @@ class LmRequest:
         self.raw = raw
         self.count_batch = count_batch
 
-#: Below this fan-out the vectorized backend falls back to the scalar edge
-#: loop: array setup (fancy indexing + argsort) costs more than a loop over
-#: a handful of edges.  Both expansions are exactly equivalent, so the
-#: match stream is unaffected by where the line sits.
+#: At or below this fan-out shortest path and sampling expand a state with
+#: the scalar edge loop: array setup (fancy indexing + argsort) costs more
+#: than a loop over a handful of edges.  Both expansions are exactly
+#: equivalent, so the match stream is unaffected by where the line sits.
 _SCALAR_FANOUT_CUTOFF = 16
 
 
@@ -99,7 +97,7 @@ class _LazyGroup:
     group's cheapest member — instead of one entry per edge; popping member
     *i* re-pushes member *i+1*.  Because members are sorted ascending by
     (priority, counter) and their counters are block-reserved at expansion
-    time, the global pop sequence is exactly the eager backend's: at any
+    time, the global pop sequence is exactly the eager scalar loop's: at any
     moment the heap holds each group's minimum, and the overall minimum of
     those is the eager heap's minimum.  This turns the dominant cost on
     high-fanout automata (|edges| heap pushes and tuple constructions per
@@ -132,11 +130,9 @@ class Executor:
     :class:`~repro.core.results.MatchResult` tuples.  ``stats`` accumulates
     counters across the run (lm calls, pruned edges, ...).
 
-    ``backend`` selects the execution strategy (``"arrays"`` vectorized
-    fast path, ``"dict"`` reference loop).  ``logits_cache`` lets several
-    executors over the same model share one logits cache — scored contexts
-    then carry over between queries; when omitted, a private cache of
-    ``cache_size`` entries is created.
+    ``logits_cache`` lets several executors over the same model share one
+    logits cache — scored contexts then carry over between queries; when
+    omitted, a private cache of ``cache_size`` entries is created.
     """
 
     def __init__(
@@ -150,7 +146,6 @@ class Executor:
         max_prefix_chars: int = 128,
         batch_size: int = 1,
         track_elimination: bool = False,
-        backend: str = "arrays",
         logits_cache: LogitsCache | None = None,
     ) -> None:
         self.model = model
@@ -166,9 +161,6 @@ class Executor:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
-        if backend not in ("arrays", "dict"):
-            raise ValueError(f"unknown backend {backend!r} (use 'arrays' or 'dict')")
-        self.backend = backend
         # Process-parallel evaluation: when the model is a
         # :class:`~repro.core.parallel.PooledModel`, batched rounds shard
         # across its pool; stats report this run's share of its counters.
@@ -224,9 +216,7 @@ class Executor:
         self._prefix_base = (
             (prefix.hits, prefix.misses, prefix.evictions) if prefix else (0, 0, 0)
         )
-        self._arrays = (
-            self.automaton.arrays(model.vocab_size) if backend == "arrays" else None
-        )
+        self._arrays = self.automaton.arrays(model.vocab_size)
         q = compiled.query
         if q.top_k_sampling is None and q.top_p_sampling is None and q.temperature == 1.0:
             self.policy: DecodingPolicy | None = None
@@ -376,27 +366,24 @@ class Executor:
     # -- vectorized edge expansion -------------------------------------------------
     def _expand_vectorized(
         self,
-        state: int,
+        row: StateRow,
         tokens: tuple[int, ...],
         lp: np.ndarray,
         mask: np.ndarray,
         prefix_bypass: bool = True,
         count_nonfinite_prunes: bool = True,
         record_eliminations: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """Vectorized expansion of *state*'s edges against (lp, mask).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized expansion of one state's edge *row* against (lp, mask).
 
         Returns ``(token_ids, dst_states, costs, is_prefix)`` arrays for
-        the surviving edges (``None`` when the state has none), updating
-        prune counters exactly as the reference backend does.  The flags
-        mirror per-traversal reference semantics: random sampling treats
+        the surviving edges (empty when none survive), updating
+        prune counters exactly as the scalar loop does.  The flags mirror
+        per-traversal scalar-loop semantics: random sampling treats
         every committed edge as a suffix edge (``prefix_bypass=False``),
         does not count non-finite drops, and only Dijkstra feeds the
         elimination tracker.
         """
-        row = self._arrays.row(state)
-        if row is None:
-            return None
         token_ids = row.token_ids
         lps = lp[token_ids]
         finite = np.isfinite(lps)
@@ -444,11 +431,10 @@ class Executor:
     def _shortest_path(self) -> Iterator[MatchResult]:
         automaton = self.automaton
         eos = self.model.eos_id
-        vectorized = self.backend == "arrays"
         counter = 0
         #: heap items: (priority, tiebreak, state|None, tokens, total, suffix)
-        #: state None marks an EOS-terminated final node.  The vectorized
-        #: backend additionally pushes (priority, tiebreak, _LazyGroup,
+        #: state None marks an EOS-terminated final node.  Vectorized
+        #: expansions additionally push (priority, tiebreak, _LazyGroup,
         #: member_index, 0, 0) entries, materialised at pop time.
         heap: list[tuple] = []
         start_state, start_tokens, start_total = yield from self._fast_forward_prefix()
@@ -462,7 +448,9 @@ class Executor:
         # locally deviate from strict global cost order by at most the
         # batch's priority spread; batch_size=1 is exact Dijkstra.
         while heap:
-            pending: list[tuple[int, tuple[int, ...], float, float, bool]] = []
+            pending: list[
+                tuple[int, StateRow | None, tuple[int, ...], float, float, bool]
+            ] = []
             while heap and len(pending) < self.batch_size:
                 priority, _, state, tokens, total, suffix = heapq.heappop(heap)
                 if type(state) is _LazyGroup:
@@ -488,19 +476,15 @@ class Executor:
                     return
                 if len(tokens) >= self.max_tokens:
                     continue
-                has_successors = (
-                    self._arrays.row(state) is not None
-                    if vectorized
-                    else bool(automaton.successors(state))
-                )
                 needs_eos = self.query.require_eos and state in automaton.accepts
-                if not has_successors and not needs_eos:
+                row = self._arrays.row(state)
+                if row is None and not needs_eos:
                     continue
-                pending.append((state, tokens, total, suffix, needs_eos))
+                pending.append((state, row, tokens, total, suffix, needs_eos))
             if not pending:
                 continue
-            scored = yield LmRequest([node[1] for node in pending])
-            for (state, tokens, total, suffix, needs_eos), (lp, mask) in zip(
+            scored = yield LmRequest([node[2] for node in pending])
+            for (state, row, tokens, total, suffix, needs_eos), (lp, mask) in zip(
                 pending, scored
             ):
                 if needs_eos and mask[eos] and np.isfinite(lp[eos]) and (
@@ -512,18 +496,16 @@ class Executor:
                         (total + cost, counter, None, tokens, total + cost, suffix + cost),
                     )
                     counter += 1
-                row = self._arrays.row(state) if vectorized else None
                 if row is not None and row.num_edges > _SCALAR_FANOUT_CUTOFF:
-                    expanded = self._expand_vectorized(state, tokens, lp, mask)
-                    if expanded is None:
-                        continue
-                    sel_tokens, sel_dsts, costs, sel_prefix = expanded
+                    sel_tokens, sel_dsts, costs, sel_prefix = self._expand_vectorized(
+                        row, tokens, lp, mask
+                    )
                     if not sel_tokens.size:
                         continue
                     new_totals = total + costs
                     new_suffixes = np.where(sel_prefix, suffix, suffix + costs)
                     # Stable sort keeps equal-priority edges in dict order
-                    # (tie-breaking parity with the reference backend); the
+                    # (tie-breaking parity with the scalar loop); the
                     # sorted members share one lazy heap entry, with their
                     # tiebreak counters block-reserved here so cross-group
                     # ties resolve exactly as eager insertion would.
@@ -633,7 +615,6 @@ class Executor:
         automaton = self.automaton
         eos = self.model.eos_id
         width = self.query.beam_width
-        vectorized = self.backend == "arrays"
         #: beam entries: (total_cost, suffix_cost, state, tokens)
         start_state, start_tokens, start_total = yield from self._fast_forward_prefix()
         beam: list[tuple[float, float, int, tuple[int, ...]]] = [
@@ -644,8 +625,7 @@ class Executor:
             if not beam:
                 return
             emitted: list[tuple[float, float, tuple[int, ...]]] = []
-            candidates: list[tuple[float, float, int, tuple[int, ...]]] = []
-            #: arrays backend: per-expansion candidate arrays
+            #: per-expansion candidate arrays
             #: (totals, suffixes, dst_states, token_ids, parent_tokens) —
             #: survivors are materialised into tuples only after selection.
             groups: list[
@@ -665,75 +645,48 @@ class Executor:
                         emitted.append((total, suffix, tokens))
                 if len(tokens) >= self.max_tokens:
                     continue
-                if vectorized:
-                    expanded = self._expand_vectorized(
-                        state, tokens, lp, mask, record_eliminations=False
-                    )
-                    if expanded is None:
-                        continue
-                    sel_tokens, sel_dsts, costs, sel_prefix = expanded
-                    if not sel_tokens.size:
-                        continue
-                    groups.append(
-                        (
-                            total + costs,
-                            np.where(sel_prefix, suffix, suffix + costs),
-                            sel_dsts,
-                            sel_tokens,
-                            tokens,
-                        )
-                    )
+                row = self._arrays.row(state)
+                if row is None:
                     continue
-                for token_id, dst in automaton.successors(state).items():
-                    is_prefix = automaton.is_prefix_edge(dst)
-                    if not is_prefix and not mask[token_id]:
-                        self.stats.pruned_edges += 1
-                        continue
-                    if not np.isfinite(lp[token_id]):
-                        self.stats.pruned_edges += 1
-                        continue
-                    new_tokens = tokens + (token_id,)
-                    if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(new_tokens):
-                        self.stats.pruned_edges += 1
-                        continue
-                    cost = -float(lp[token_id])
-                    candidates.append(
-                        (total + cost, suffix if is_prefix else suffix + cost, dst, new_tokens)
+                sel_tokens, sel_dsts, costs, sel_prefix = self._expand_vectorized(
+                    row, tokens, lp, mask, record_eliminations=False
+                )
+                if not sel_tokens.size:
+                    continue
+                groups.append(
+                    (
+                        total + costs,
+                        np.where(sel_prefix, suffix, suffix + costs),
+                        sel_dsts,
+                        sel_tokens,
+                        tokens,
                     )
+                )
             for total, suffix, tokens in sorted(emitted):
                 yield from self._emit(tokens, suffix, total, seen_texts)
-            if vectorized:
-                if not groups:
-                    beam = []
-                    continue
-                tot_all = np.concatenate([g[0] for g in groups])
-                suf_all = np.concatenate([g[1] for g in groups])
-                dst_all = np.concatenate([g[2] for g in groups])
-                tok_all = np.concatenate([g[3] for g in groups])
-                gid = np.repeat(
-                    np.arange(len(groups)), [g[0].size for g in groups]
-                )
-                # Stable sort over the concatenation = the reference's
-                # stable sort over insertion order: ties keep beam-entry
-                # then edge order.  Only the surviving width get tuples.
-                order = np.argsort(tot_all, kind="stable")
-                if order.size > width:
-                    self.stats.pruned_edges += int(order.size) - width
-                    order = order[:width]
-                beam = [
-                    (
-                        float(tot_all[i]),
-                        float(suf_all[i]),
-                        int(dst_all[i]),
-                        groups[gid[i]][4] + (int(tok_all[i]),),
-                    )
-                    for i in order.tolist()
-                ]
+            if not groups:
+                beam = []
                 continue
-            candidates.sort(key=lambda entry: entry[0])
-            beam = candidates[:width]
-            if len(candidates) > width:
-                self.stats.pruned_edges += len(candidates) - width
+            tot_all = np.concatenate([g[0] for g in groups])
+            suf_all = np.concatenate([g[1] for g in groups])
+            dst_all = np.concatenate([g[2] for g in groups])
+            tok_all = np.concatenate([g[3] for g in groups])
+            gid = np.repeat(np.arange(len(groups)), [g[0].size for g in groups])
+            # Stable sort over the concatenation keeps ties in beam-entry
+            # then edge order.  Only the surviving width get tuples.
+            order = np.argsort(tot_all, kind="stable")
+            if order.size > width:
+                self.stats.pruned_edges += int(order.size) - width
+                order = order[:width]
+            beam = [
+                (
+                    float(tot_all[i]),
+                    float(suf_all[i]),
+                    int(dst_all[i]),
+                    groups[gid[i]][4] + (int(tok_all[i]),),
+                )
+                for i in order.tolist()
+            ]
 
     # -- randomized traversal ----------------------------------------------------
     def _random_sampling(self) -> Iterator[MatchResult]:
@@ -771,7 +724,6 @@ class Executor:
         :class:`MatchResult` or ``None`` as its generator return value)."""
         automaton = self.automaton
         eos = self.model.eos_id
-        vectorized = self.backend == "arrays"
         tokens: list[int] = []
         suffix_logprob = 0.0
         total_logprob = 0.0
@@ -802,23 +754,19 @@ class Executor:
             at_accept = state in automaton.accepts
             if self._dynamic_prune and at_accept:
                 at_accept = self.tokenizer.is_canonical(tuple(tokens))
-            row = self._arrays.row(state) if vectorized else None
-            if vectorized:
-                has_successors = row is not None
-            else:
-                has_successors = bool(automaton.successors(state))
-            if not has_successors and not at_accept:
+            row = self._arrays.row(state)
+            if row is None and not at_accept:
                 return None
-            if not has_successors and at_accept and not self.query.require_eos:
+            if row is None and not self.query.require_eos:
                 # Nothing to disambiguate: the only continuation is to stop.
                 return self._make_result(
                     tuple(tokens), -suffix_logprob, -total_logprob, sampled_prefix
                 )
             (lp, mask), = yield LmRequest([tuple(tokens)], count_batch=False)
             eos_allowed = bool(at_accept and mask[eos] and np.isfinite(lp[eos]))
-            if vectorized and (row is None or row.num_edges > _SCALAR_FANOUT_CUTOFF):
-                expanded = self._expand_vectorized(
-                    state,
+            if row is not None and row.num_edges > _SCALAR_FANOUT_CUTOFF:
+                sel_tokens, sel_dsts, costs, _ = self._expand_vectorized(
+                    row,
                     tuple(tokens),
                     lp,
                     mask,
@@ -826,12 +774,7 @@ class Executor:
                     count_nonfinite_prunes=False,
                     record_eliminations=False,
                 )
-                if expanded is None:  # accepting state with require_eos only
-                    sel_tokens = sel_dsts = np.empty(0, dtype=np.intp)
-                    sel_lps = np.empty(0, dtype=float)
-                else:
-                    sel_tokens, sel_dsts, costs, _ = expanded
-                    sel_lps = -costs
+                sel_lps = -costs
                 num_options = int(sel_lps.size) + (1 if eos_allowed else 0)
                 if num_options == 0:
                     return None

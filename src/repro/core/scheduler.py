@@ -17,8 +17,8 @@ Guarantees:
   scored, never their values: each query's match stream (order, tokens,
   log-probabilities) is bit-identical to a standalone
   :meth:`Executor.run`.  The differential suite pins this for every seeded
-  backend combo at concurrency 1, and the property suite for random
-  multi-query mixes.
+  combo at concurrency 1, and the property suite for random multi-query
+  mixes.
 * **Budgets** — per-query wall-clock deadline, LM-call cap, and result cap
   (:class:`QueryBudget`), enforced at round boundaries: a query over
   budget is stopped before it joins another LM round, keeps the matches it
@@ -53,7 +53,6 @@ from repro.core.analyze_set import QuerySetAnalyzer, SetReport
 from repro.core.checkpoint import QuerySnapshot, RunCheckpoint, query_fingerprint
 from repro.core.compiler import CompiledQuery, GraphCompiler
 from repro.core.executor import Executor, LmRequest
-from repro.core.faults import FaultPlan
 from repro.core.findings import QueryReport
 from repro.core.parallel import RoundTicket, WorkerPool
 from repro.core.query import QuerySearchStrategy, SimpleSearchQuery
@@ -213,26 +212,25 @@ class QueryScheduler:
     property and fairness suites rely on these, but a long-lived scheduler
     would retain every match twice, so recording is off by default
     (aggregate metrics like ``mean_round_size`` are always kept).
-    ``kv_cache`` / ``kv_cache_mb`` control the model's prefix-state (KV)
-    cache (see :mod:`repro.lm.state_cache`): coalesced rounds feed it one
-    batched frontier per round, so all concurrent queries share its
-    incremental-decoding savings; its counters land in
+    When the model carries a prefix-state (KV) cache (see
+    :mod:`repro.lm.state_cache`; sized on the model itself), coalesced
+    rounds feed it one batched frontier per round, so all concurrent
+    queries share its incremental-decoding savings; its counters land in
     ``stats.prefix_hits`` etc.
 
-    ``workers=N`` (N > 1) shards each round's deduped missing-context set
-    across N model-replica processes (:class:`~repro.core.parallel.WorkerPool`);
-    rounds below ``min_shard_size * 2`` contexts evaluate in-process with
-    no IPC.  ``pipeline=True`` double-buffers rounds: round ``R+1`` is
+    ``worker_pool`` (a caller-owned
+    :class:`~repro.core.parallel.WorkerPool` over *model*) shards each
+    round's deduped missing-context set across the pool's model-replica
+    processes; shard sizing, retries and fault injection are the pool's
+    own knobs.  ``pipeline=True`` double-buffers rounds: round ``R+1`` is
     selected and dispatched before round ``R``'s rows are collected, so
-    automaton frontier expansion overlaps worker compute.  Neither knob
+    automaton frontier expansion overlaps worker compute.  Neither
     changes any result — shards are contiguous slices evaluated in the
     same order the serial path would use, and pipelining only reorders
     *when* work happens (the differential grid pins bit-identity for
-    every workers × pipeline combination).  Pass a prebuilt ``worker_pool``
-    to share replicas across schedulers (the scheduler then does not own
-    its shutdown).  A scheduler with workers is a context manager; call
-    :meth:`close` (or leave the ``with`` block) to reclaim the processes
-    and shared-memory segments.
+    every workers × pipeline combination).  The caller owns the pool's
+    lifetime (``with WorkerPool(model, 4) as pool: ...``) and may share
+    it across schedulers.
 
     ``compile_ahead=True`` defers query compilation from :meth:`submit`
     into the drive loop, compiling not-yet-runnable queries while LM
@@ -243,7 +241,7 @@ class QueryScheduler:
     of at submit.
 
     Remaining keyword arguments become per-executor defaults
-    (``backend``, ``batch_size``, ``max_expansions``, ...), overridable
+    (``batch_size``, ``max_expansions``, ...), overridable
     per :meth:`submit`.
     """
 
@@ -258,18 +256,10 @@ class QueryScheduler:
         fairness: str = "round_robin",
         clock: Callable[[], float] = time.monotonic,
         record_history: bool = False,
-        kv_cache: bool = True,
-        kv_cache_mb: float | None = None,
         admission_control: bool = True,
         admission_max_cost: int | None = None,
-        workers: int = 0,
         pipeline: bool = False,
-        min_shard_size: int = 8,
         worker_pool: WorkerPool | None = None,
-        max_retries: int | None = 2,
-        backoff_base: float = 0.05,
-        shard_timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 1,
         checkpoint_cache_mb: float = 64.0,
@@ -292,14 +282,6 @@ class QueryScheduler:
             raise ValueError("checkpoint_every must be >= 1")
         self.model = model
         self.tokenizer = tokenizer
-        # Prefix-state (KV) cache knobs apply to the *model* — one cache
-        # serves every query and round this scheduler drives.  ``kv_cache``
-        # False detaches it; ``kv_cache_mb`` resizes (models without
-        # incremental decoding, like the n-gram, ignore both).
-        if not kv_cache:
-            model.disable_prefix_cache()
-        elif kv_cache_mb is not None:
-            model.enable_prefix_cache(int(kv_cache_mb * (1 << 20)))
         prefix = getattr(model, "prefix_cache", None)
         self._prefix_base = (
             (prefix.hits, prefix.misses, prefix.evictions) if prefix else (0, 0, 0)
@@ -328,24 +310,8 @@ class QueryScheduler:
         self.executor_defaults = executor_defaults
         # Process-parallel evaluation: an attached pool serves each round's
         # missing-context set; ``pipeline`` additionally double-buffers
-        # rounds in :meth:`run`.  ``workers <= 1`` stays fully in-process.
-        if worker_pool is not None:
-            self._pool: WorkerPool | None = worker_pool
-            self._owns_pool = False
-        elif workers > 1:
-            self._pool = WorkerPool(
-                model,
-                workers,
-                min_shard_size=min_shard_size,
-                max_retries=max_retries,
-                backoff_base=backoff_base,
-                shard_timeout=shard_timeout,
-                fault_plan=fault_plan,
-            )
-            self._owns_pool = True
-        else:
-            self._pool = None
-            self._owns_pool = False
+        # rounds in :meth:`run`.  Without one everything stays in-process.
+        self._pool = worker_pool
         # Supervision counters are deltas against the pool's state at
         # attach time (a shared pool may carry earlier schedulers' traffic).
         self._pool_fault_base = (
@@ -515,11 +481,12 @@ class QueryScheduler:
         **Interruption.**  When driving from the main thread, ``run``
         installs a deferred SIGINT handler: the first Ctrl-C finishes the
         round in flight, writes a checkpoint (when ``checkpoint_path`` is
-        set), shuts down an owned worker pool — unlinking every pooled
-        shared-memory segment — and raises ``KeyboardInterrupt``; a second
-        Ctrl-C escalates immediately.  Any other exception escaping the
-        drive loop triggers the same best-effort checkpoint + cleanup
-        before propagating, so a crashed sweep is resumable too.
+        set) and raises ``KeyboardInterrupt`` — which unwinds the caller's
+        ``with WorkerPool(...)`` block, unlinking every pooled
+        shared-memory segment; a second Ctrl-C escalates immediately.  Any
+        other exception escaping the drive loop triggers the same
+        best-effort checkpoint before propagating, so a crashed sweep is
+        resumable too.
         """
         self._maybe_resume()
         self._maybe_plan()
@@ -544,7 +511,11 @@ class QueryScheduler:
             if self.checkpoint_path is not None:
                 self.save_checkpoint()
         except BaseException:
-            self._emergency_stop()
+            if self.checkpoint_path is not None:
+                try:  # best effort: the original exception wins
+                    self.save_checkpoint()
+                except Exception:
+                    pass
             raise
         finally:
             if installed:
@@ -945,37 +916,6 @@ class QueryScheduler:
         else:
             self.stats.queries_completed += 1
 
-    def _emergency_stop(self) -> None:
-        """Best-effort teardown on interruption or crash: checkpoint what
-        completed, then release worker processes and every pooled
-        shared-memory segment (the SIGINT-leak fix — segments are unlinked
-        here, not left for process exit)."""
-        if self.checkpoint_path is not None:
-            try:
-                self.save_checkpoint()
-            except Exception:
-                pass
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- lifecycle ----------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down the worker pool, if this scheduler owns one.
-
-        Idempotent; a scheduler handed a shared ``worker_pool`` leaves it
-        running for its other users.
-        """
-        if self._pool is not None and self._owns_pool:
-            self._pool.shutdown()
-
-    def __enter__(self) -> "QueryScheduler":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
     def _advance(self, sq: ScheduledQuery, payload: Any) -> None:
         """Resume *sq*'s generator until it demands the LM or finishes."""
         if sq._cancelled:
@@ -1065,10 +1005,15 @@ class QueryScheduler:
         # set-analysis planning the rotation runs over the prefix-cluster
         # admission ranks instead of submit indices, keeping cluster
         # members adjacent in the rotation (cache locality) while still
-        # rotating who goes first.
+        # rotating who goes first.  Ranks are a permutation of the indices
+        # known at planning time, so a query submitted after planning keeps
+        # its (larger, still unique) submit index as its position.
         total = len(self.queries)
         rank = self._admission_rank
-        position = (lambda sq: rank[sq.index]) if rank else (lambda sq: sq.index)
+
+        def position(sq: ScheduledQuery) -> int:
+            return rank.get(sq.index, sq.index)
+
         ranked = sorted(
             waiting, key=lambda sq: (position(sq) - self._rr_next) % total
         )

@@ -1,11 +1,11 @@
 """Session layer: bridging the synchronous scheduler to async clients.
 
-:class:`SchedulerService` owns the warm state a long-lived validation
+:class:`SchedulerService` holds the warm state a long-lived validation
 daemon exists to keep: one :class:`~repro.core.compiler.GraphCompiler`
 (in-memory compilation cache, optionally a persistent
 :class:`~repro.core.compile_cache.CompileDiskCache`), one shared
 :class:`~repro.lm.base.LogitsCache`, the model's prefix-state (KV)
-cache, and — with ``workers > 1`` — one
+cache, and — when the caller hands one in — a
 :class:`~repro.core.parallel.WorkerPool` of model replicas.  A dedicated
 **engine thread** drives :class:`~repro.core.scheduler.QueryScheduler`
 rounds over that state; queries arrive from any number of client
@@ -240,12 +240,13 @@ class SchedulerService:
     Construct once per process, :meth:`start` the engine thread, hand
     :meth:`open_session` to each accepted connection, and :meth:`close`
     on shutdown.  ``compiler``/``logits_cache`` default to fresh warm
-    instances; pass prebuilt ones to share with in-process callers.
-    ``compile_cache`` attaches a persistent on-disk compile cache;
-    ``checkpoint_path`` (+ ``resume``) wires the scheduler's
-    checkpoint/resume machinery through drain and restart.  ``workers``
-    builds a shared :class:`WorkerPool` that every scheduler generation
-    reuses.  ``clock`` is injectable for deterministic quota tests.
+    instances; pass prebuilt ones to share with in-process callers (a
+    compiler built with ``disk_cache=`` keeps compilations across
+    restarts).  ``checkpoint_path`` (+ ``resume``) wires the scheduler's
+    checkpoint/resume machinery through drain and restart.
+    ``worker_pool`` is a caller-owned :class:`WorkerPool` that every
+    scheduler generation reuses; it must outlive the service (close the
+    service first).  ``clock`` is injectable for deterministic quota tests.
     """
 
     def __init__(
@@ -255,20 +256,14 @@ class SchedulerService:
         *,
         compiler: GraphCompiler | None = None,
         logits_cache: LogitsCache | None = None,
-        compile_cache: str | None = None,
         concurrency: int = 8,
         fairness: str = "round_robin",
-        kv_cache: bool = True,
-        kv_cache_mb: float | None = None,
         admission_max_cost: int | None = None,
         max_inflight: int = 8,
         lm_calls_per_minute: int | None = None,
         default_window: int = 64,
         progress_every: int = 4,
-        workers: int = 0,
-        min_shard_size: int = 8,
-        max_retries: int | None = 2,
-        shard_timeout: float | None = None,
+        worker_pool: WorkerPool | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 1,
         resume: bool = False,
@@ -287,16 +282,8 @@ class SchedulerService:
             raise ValueError("resume=True requires a checkpoint_path")
         self.model = model
         self.tokenizer = tokenizer
-        if not kv_cache:
-            model.disable_prefix_cache()
-        elif kv_cache_mb is not None:
-            model.enable_prefix_cache(int(kv_cache_mb * (1 << 20)))
         if compiler is None:
-            compiler = GraphCompiler(
-                tokenizer,
-                cache=CompilationCache(max_entries=512),
-                disk_cache=compile_cache,
-            )
+            compiler = GraphCompiler(tokenizer, cache=CompilationCache(max_entries=512))
         elif compiler.tokenizer is not tokenizer:
             raise ValueError("compiler was built for a different tokenizer")
         self.compiler = compiler
@@ -317,15 +304,7 @@ class SchedulerService:
         self.resume = resume
         self.clock = clock
         self.executor_defaults = executor_defaults
-        self._pool: WorkerPool | None = None
-        if workers > 1:
-            self._pool = WorkerPool(
-                model,
-                workers,
-                min_shard_size=min_shard_size,
-                max_retries=max_retries,
-                shard_timeout=shard_timeout,
-            )
+        self._pool = worker_pool
         self.stats = ServiceStats()
         self._cond = threading.Condition()
         self._pending: deque[_Ticket] = deque()
@@ -370,12 +349,10 @@ class SchedulerService:
         return not self._thread.is_alive()
 
     def close(self, timeout: float | None = 60.0) -> None:
-        """Drain, wait for the engine, and release the worker pool."""
+        """Drain and wait for the engine thread to finish."""
         self.drain()
         if not self.join(timeout):  # pragma: no cover - defensive
             warnings.warn("service engine thread did not drain in time", RuntimeWarning)
-        if self._pool is not None:
-            self._pool.shutdown()
 
     def __enter__(self) -> "SchedulerService":
         return self.start()

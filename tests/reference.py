@@ -1,0 +1,153 @@
+"""Test-side references the differential suites compare the engine against.
+
+``src/`` holds one production expansion path per traversal; what the
+engine used to ship as user-selectable forks (``backend="dict"``,
+``GraphCompiler(minimize_tokens=False)``) lives here instead, as oracles:
+
+* :func:`expansion_path` pins *how* frontier edges are expanded for the
+  duration of a ``with`` block — ``"dict"`` is the scalar reference (every
+  state takes the per-edge loop over the edge dict, and beam search runs
+  :func:`reference_beam_search` below), ``"arrays"`` forces the vectorized
+  row expansion for every state, ``"default"`` leaves the production
+  small-fan-out selection alone.  Executors run in the parent process, so
+  the pin holds under worker pools too.
+* :func:`compile_unminimized` hand-builds a compilation that skips token
+  minimization and interval lowering, from the compiler's public stage
+  functions (the same chain ``benchmarks/e2e/tracing.py`` replays), and
+  :func:`unminimized_compiler` seeds a compiler's cache with it so the
+  scheduler can run the unminimized automaton too.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Iterator
+
+import numpy as np
+import pytest
+
+from repro.core import executor as executor_module
+from repro.core.compiler import (
+    CompilationCache,
+    CompiledQuery,
+    CompileMetrics,
+    GraphCompiler,
+    prefixes_of,
+)
+from repro.core.executor import Executor, LmRequest
+from repro.core.query import QueryTokenizationStrategy
+from repro.regex import compile_dfa
+
+#: Expansion-path pins, as ``_SCALAR_FANOUT_CUTOFF`` values (``None`` =
+#: leave the production cutoff in place).
+_CUTOFFS = {"dict": 1 << 30, "arrays": 0, "default": None}
+
+
+def reference_beam_search(self: Executor) -> Iterator:
+    """Scalar beam search: a Python loop per edge, eager candidate tuples,
+    one stable sort per depth.  The oracle for ``Executor._beam_search``."""
+    automaton = self.automaton
+    eos = self.model.eos_id
+    width = self.query.beam_width
+    start_state, start_tokens, start_total = yield from self._fast_forward_prefix()
+    beam = [(start_total, 0.0, start_state, start_tokens)]
+    seen_texts: set[str] = set()
+    for _depth in range(self.max_tokens + 1):
+        if not beam:
+            return
+        emitted = []
+        candidates = []
+        scored = yield LmRequest([entry[3] for entry in beam])
+        for (total, suffix, state, tokens), (lp, mask) in zip(beam, scored):
+            self.stats.nodes_expanded += 1
+            if state in automaton.accepts and (
+                not self._dynamic_prune or self.tokenizer.is_canonical(tokens)
+            ):
+                if self.query.require_eos:
+                    if mask[eos] and np.isfinite(lp[eos]):
+                        cost = -float(lp[eos])
+                        emitted.append((total + cost, suffix + cost, tokens))
+                else:
+                    emitted.append((total, suffix, tokens))
+            if len(tokens) >= self.max_tokens:
+                continue
+            for token_id, dst in automaton.successors(state).items():
+                is_prefix = automaton.is_prefix_edge(dst)
+                if not is_prefix and not mask[token_id]:
+                    self.stats.pruned_edges += 1
+                    continue
+                if not np.isfinite(lp[token_id]):
+                    self.stats.pruned_edges += 1
+                    continue
+                new_tokens = tokens + (token_id,)
+                if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(new_tokens):
+                    self.stats.pruned_edges += 1
+                    continue
+                cost = -float(lp[token_id])
+                candidates.append(
+                    (total + cost, suffix if is_prefix else suffix + cost, dst, new_tokens)
+                )
+        for total, suffix, tokens in sorted(emitted):
+            yield from self._emit(tokens, suffix, total, seen_texts)
+        candidates.sort(key=lambda entry: entry[0])
+        beam = candidates[:width]
+        if len(candidates) > width:
+            self.stats.pruned_edges += len(candidates) - width
+
+
+@contextlib.contextmanager
+def expansion_path(path: str) -> Iterator[None]:
+    """Pin the executor's edge-expansion path (see the module docstring)."""
+    cutoff = _CUTOFFS[path]
+    with pytest.MonkeyPatch.context() as patch:
+        if cutoff is not None:
+            patch.setattr(executor_module, "_SCALAR_FANOUT_CUTOFF", cutoff)
+        if path == "dict":
+            patch.setattr(Executor, "_beam_search", reference_beam_search)
+        yield
+
+
+def compile_unminimized(compiler: GraphCompiler, query) -> CompiledQuery:
+    """*query* compiled without token minimization or interval rows."""
+    char_dfa = compile_dfa(query.query_string.query_str)
+    prefix_dfa = None
+    if query.query_string.prefix_str is not None:
+        prefix_dfa = compile_dfa(query.query_string.prefix_str)
+    for preprocessor in query.preprocessors:
+        char_dfa = preprocessor.apply(char_dfa)
+        if prefix_dfa is not None and preprocessor.applies_to_prefix:
+            prefix_dfa = preprocessor.apply(prefix_dfa)
+    prefix_closure = None
+    if prefix_dfa is not None:
+        prefix_closure = (
+            prefixes_of(prefix_dfa).intersect(prefixes_of(char_dfa)).minimized()
+        )
+    if query.tokenization_strategy is QueryTokenizationStrategy.ALL_TOKENS:
+        automaton = compiler.compile_all_tokens(char_dfa, prefix_closure)
+    else:
+        automaton = compiler.compile_canonical(char_dfa, prefix_closure)
+    automaton.arrays(vocab_size=len(compiler.tokenizer), intervals=False)
+    return CompiledQuery(
+        query=query,
+        tokenizer=compiler.tokenizer,
+        char_dfa=char_dfa,
+        prefix_dfa=prefix_dfa,
+        prefix_closure=prefix_closure,
+        token_automaton=automaton,
+        metrics=CompileMetrics(
+            token_states=automaton.num_states,
+            token_edges=automaton.num_edges,
+            minimized_states=automaton.num_states,
+            minimized_edges=automaton.num_edges,
+        ),
+    )
+
+
+def unminimized_compiler(tokenizer, query) -> GraphCompiler:
+    """A compiler whose cache already answers *query* with the hand-built
+    unminimized compilation (``compile`` rebinds hits to the incoming
+    query, so anything that compiles *query* through it — a session, the
+    scheduler — traverses the unminimized automaton)."""
+    compiler = GraphCompiler(tokenizer, cache=CompilationCache())
+    compiler.cache.put(compiler.cache_key(query), compile_unminimized(compiler, query))
+    return compiler

@@ -1,12 +1,16 @@
-"""Differential tests: the vectorized ``arrays`` backend vs the ``dict``
-reference backend.
+"""Differential tests: vectorized ``arrays`` edge expansion vs the scalar
+``dict`` reference.
 
-The array backend must be an *exact* drop-in: the same match stream, in
-the same order, with the same per-token and total log-probabilities, and
-the same prune/expansion statistics.  We check this across shortest-path,
-beam, and random-sampling traversals, over a grid of seeded query/model
-combinations covering prefixes, top-k, require-eos, canonical
-tokenization, and Levenshtein edits.
+The engine has one production expansion path per traversal; the scalar
+per-edge loop over the edge dict is the reference it is compared to
+(:mod:`tests.reference` pins either path for the duration of a ``with``
+block, and holds the test-side scalar beam search).  The vectorized path
+must be an *exact* drop-in: the same match stream, in the same order, with
+the same per-token and total log-probabilities, and the same
+prune/expansion statistics.  We check this across shortest-path, beam, and
+random-sampling traversals, over a grid of seeded query/model combinations
+covering prefixes, top-k, require-eos, canonical tokenization, and
+Levenshtein edits.
 
 Also here: unit tests for the machinery the fast path is built from —
 :class:`AutomatonArrays`, :meth:`DecodingPolicy.allowed_mask_for`,
@@ -29,6 +33,7 @@ from repro.core.query import (
 )
 from repro.lm.base import LogitsCache
 from repro.lm.decoding import DecodingPolicy
+from tests.reference import expansion_path, unminimized_compiler
 
 SHORTEST = QuerySearchStrategy.SHORTEST_PATH
 RANDOM = QuerySearchStrategy.RANDOM_SAMPLING
@@ -36,7 +41,7 @@ BEAM = QuerySearchStrategy.BEAM
 CANONICAL = QueryTokenizationStrategy.CANONICAL
 
 #: The differential grid: (name, model source, query).  Each row is one
-#: seeded query/model combination; every row is run on both backends.
+#: seeded query/model combination; every row is run on both expansion paths.
 COMBOS = [
     ("shortest_plain", "tiny",
      SearchQuery("The ((cat)|(dog)|(man)|(woman))", seed=0)),
@@ -83,13 +88,16 @@ def _world(name, model, tokenizer, env):
     return env.model("small"), env.tokenizer
 
 
-def _run(model, tokenizer, query, backend, limit=200):
+def _run(model, tokenizer, query, path="default", limit=200, compiler=None):
+    """One serial run with the edge expansion pinned to *path* (``"dict"``
+    scalar reference, ``"arrays"`` vectorized, ``"default"`` production)."""
     matches = []
-    session = prepare(model, tokenizer, query, backend=backend)
-    for match in session:
-        matches.append(match)
-        if len(matches) >= limit:
-            break
+    with expansion_path(path):
+        session = prepare(model, tokenizer, query, compiler=compiler)
+        for match in session:
+            matches.append(match)
+            if len(matches) >= limit:
+                break
     return matches, session.stats
 
 
@@ -100,22 +108,27 @@ class TestBackendsAreBitIdentical:
     def test_match_streams_identical(self, model, tokenizer, env, name, source, query):
         m, tok = _world(source, model, tokenizer, env)
         got_dict, stats_dict = _run(m, tok, query, "dict")
-        got_arr, stats_arr = _run(m, tok, query, "arrays")
-        assert len(got_dict) == len(got_arr)
         assert len(got_dict) > 0, f"combo {name} produced no matches"
-        for a, b in zip(got_dict, got_arr):
-            assert a.text == b.text
-            assert a.tokens == b.tokens
-            assert a.total_logprob == pytest.approx(b.total_logprob, abs=1e-9)
-            assert a.logprob == pytest.approx(b.logprob, abs=1e-9)
-        # The traversal itself must be identical, not just the output.
-        assert stats_dict.pruned_edges == stats_arr.pruned_edges
-        assert stats_dict.lm_calls == stats_arr.lm_calls
-        assert stats_dict.failed_attempts == stats_arr.failed_attempts
+        # Vectorized for every state, and the production small-fan-out mix.
+        for path in ("arrays", "default"):
+            got_arr, stats_arr = _run(m, tok, query, path)
+            assert len(got_dict) == len(got_arr)
+            for a, b in zip(got_dict, got_arr):
+                assert a.text == b.text
+                assert a.tokens == b.tokens
+                assert a.total_logprob == pytest.approx(b.total_logprob, abs=1e-9)
+                assert a.logprob == pytest.approx(b.logprob, abs=1e-9)
+            # The traversal itself must be identical, not just the output.
+            assert stats_dict.pruned_edges == stats_arr.pruned_edges
+            assert stats_dict.lm_calls == stats_arr.lm_calls
+            assert stats_dict.failed_attempts == stats_arr.failed_attempts
 
     def test_unknown_backend_rejected(self, model, tokenizer):
-        with pytest.raises(ValueError, match="backend"):
-            _run(model, tokenizer, SearchQuery("The cat"), "simd")
+        """There is no backend switch any more: the keyword itself is
+        unknown, whatever its value."""
+        for value in ("simd", "dict", "arrays"):
+            with pytest.raises(TypeError, match="backend"):
+                prepare(model, tokenizer, SearchQuery("The cat"), backend=value)
 
 
 class TestAutomatonArrays:
@@ -141,29 +154,6 @@ class TestAutomatonArrays:
             assert list(row.is_prefix) == [
                 d in automaton.prefix_live for d in edges.values()
             ]
-
-    def test_dense_mask_matches_rows(self, compiled, model):
-        arrays = compiled.token_automaton.arrays(model.vocab_size)
-        assert arrays.has_dense_mask  # tiny automaton fits any budget
-        for state in compiled.token_automaton.edges:
-            mask = arrays.token_mask(state)
-            row = arrays.row(state)
-            expect = np.zeros(model.vocab_size, dtype=bool)
-            if row is not None:
-                expect[row.token_ids] = True
-            assert np.array_equal(mask, expect)
-
-    def test_dense_budget_respected(self, compiled):
-        from repro.core.arrays import AutomatonArrays
-
-        small = AutomatonArrays(
-            compiled.token_automaton.edges,
-            compiled.token_automaton.prefix_live,
-            vocab_size=320,
-            dense_budget=1,
-        )
-        assert not small.has_dense_mask
-        assert small.token_mask(0) is None
 
     def test_arrays_memoized_on_automaton(self, compiled, model):
         a1 = compiled.token_automaton.arrays(model.vocab_size)
@@ -283,12 +273,13 @@ class TestCompilationCache:
         assert second.stats.compilation_cache_misses == 0
 
 
-def _run_scheduled(model, tokenizer, query, backend, limit=200):
+def _run_scheduled(model, tokenizer, query, path="default", limit=200):
     from repro.core.scheduler import QueryBudget, QueryScheduler
 
-    scheduler = QueryScheduler(model, tokenizer, concurrency=1, backend=backend)
-    handle = scheduler.submit(query, budget=QueryBudget(max_results=limit))
-    scheduler.run()
+    with expansion_path(path):
+        scheduler = QueryScheduler(model, tokenizer, concurrency=1)
+        handle = scheduler.submit(query, budget=QueryBudget(max_results=limit))
+        scheduler.run()
     return handle.results, handle.stats
 
 
@@ -296,18 +287,20 @@ class TestSchedulerSerialEquivalence:
     """A single query through the scheduler at concurrency 1 is
     byte-identical to :meth:`Executor.run` — same matches, same order, same
     log-probabilities, same traversal statistics — for every seeded combo
-    in the differential grid."""
+    in the differential grid, on the vectorized path and on the scalar
+    reference (whose scheduled run must in turn equal the vectorized
+    serial run: the reference-vs-vectorized grid, through the scheduler)."""
 
     @pytest.mark.parametrize(
         "name,source,query", COMBOS, ids=[c[0] for c in COMBOS]
     )
-    @pytest.mark.parametrize("backend", ["arrays", "dict"])
+    @pytest.mark.parametrize("path", ["arrays", "dict"])
     def test_scheduler_matches_serial_run(
-        self, model, tokenizer, env, name, source, query, backend
+        self, model, tokenizer, env, name, source, query, path
     ):
         m, tok = _world(source, model, tokenizer, env)
-        serial, serial_stats = _run(m, tok, query, backend)
-        sched, sched_stats = _run_scheduled(m, tok, query, backend)
+        serial, serial_stats = _run(m, tok, query, "arrays")
+        sched, sched_stats = _run_scheduled(m, tok, query, path)
         assert len(serial) == len(sched)
         assert len(serial) > 0, f"combo {name} produced no matches"
         for a, b in zip(serial, sched):
@@ -387,13 +380,12 @@ class TestParallelSchedulerDifferential:
 
         m, tok = _world(source, model, tokenizer, env)
         if name not in serial_baseline:
-            serial_baseline[name] = _run_scheduled(m, tok, query, "arrays")
+            serial_baseline[name] = _run_scheduled(m, tok, query)
         serial, serial_stats = serial_baseline[name]
 
         pool = pools(source, workers)
         scheduler = QueryScheduler(
-            m, tok, concurrency=1, backend="arrays",
-            pipeline=pipeline, worker_pool=pool,
+            m, tok, concurrency=1, pipeline=pipeline, worker_pool=pool,
         )
         handle = scheduler.submit(query, budget=QueryBudget(max_results=200))
         scheduler.run()
@@ -428,7 +420,7 @@ class TestSharedLogitsCache:
     def test_shared_cache_across_executors(self, model, tokenizer):
         shared = LogitsCache(model, capacity=4096)
         q = SearchQuery("The ((cat)|(dog))")
-        m1, s1 = _run(model, tokenizer, q, "arrays")
+        m1, s1 = _run(model, tokenizer, q)
         first = prepare(model, tokenizer, q, logits_cache=shared)
         list(first)
         second = prepare(model, tokenizer, q, logits_cache=shared)
@@ -526,8 +518,8 @@ class TestPrefixCacheDifferential:
     )
     def test_match_sets_identical(self, tokenizer, tmodels, name, source, query):
         off, on = tmodels
-        got_off, stats_off = _run(off, tokenizer, query, "arrays", limit=60)
-        got_on, stats_on = _run(on, tokenizer, query, "arrays", limit=60)
+        got_off, stats_off = _run(off, tokenizer, query, limit=60)
+        got_on, stats_on = _run(on, tokenizer, query, limit=60)
         assert len(got_off) == len(got_on)
         assert len(got_off) > 0, f"combo {name} produced no matches"
         for a, b in zip(got_off, got_on):
@@ -575,18 +567,19 @@ class TestPrefixCacheDifferential:
         assert on_stats.prefix_bytes > 0
 
     def test_kv_knobs_through_prepare(self, tokenizer, tmodels):
+        """The KV knobs live on the model; a session over it reports the
+        cache's traffic (and none once the model's cache is detached)."""
         _, on = tmodels
+        on.enable_prefix_cache(4 << 20)
         session = prepare(on, tokenizer,
-                          SearchQuery("The ((cat)|(dog))", seed=3),
-                          kv_cache_mb=4.0)
+                          SearchQuery("The ((cat)|(dog))", seed=3))
         assert on.prefix_cache.max_bytes == 4 << 20
         list(session)
         assert session.stats.prefix_hits + session.stats.prefix_misses > 0
         assert session.stats.as_dict()["prefix_bytes"] > 0
-        # kv_cache=False detaches the cache entirely.
+        on.disable_prefix_cache()
         session = prepare(on, tokenizer,
-                          SearchQuery("The ((cat)|(dog))", seed=3),
-                          kv_cache=False)
+                          SearchQuery("The ((cat)|(dog))", seed=3))
         assert on.prefix_cache is None
         list(session)
         assert session.stats.prefix_hits == 0
@@ -594,36 +587,30 @@ class TestPrefixCacheDifferential:
 
 
 class TestMinimizationDifferential:
-    """The 13-combo grid: minimization + interval arrays on vs off.
+    """The 13-combo grid: minimized (what the compiler always produces) vs
+    a hand-built unminimized compilation.
 
     Token-automaton minimization merges states and the interval lowering
     changes how rows are stored, but the canonical (sorted) edge order
     makes both invisible to every traversal: the same matches, in the
     same order, with bit-identical log-probabilities and identical
-    traversal statistics, on both backends and under workers × pipeline
-    scheduling.
+    traversal statistics, on both expansion paths and under workers ×
+    pipeline scheduling.  The unminimized side is built by hand from the
+    compiler's public stage functions (:func:`tests.reference.compile_unminimized`).
     """
 
-    def _run_min(self, model, tokenizer, query, backend, minimize, limit=200):
-        compiler = GraphCompiler(tokenizer, minimize_tokens=minimize)
-        matches = []
-        session = prepare(model, tokenizer, query, backend=backend, compiler=compiler)
-        for match in session:
-            matches.append(match)
-            if len(matches) >= limit:
-                break
-        return matches, session.stats
-
-    @pytest.mark.parametrize("backend", ["arrays", "dict"])
+    @pytest.mark.parametrize("path", ["arrays", "dict"])
     @pytest.mark.parametrize(
         "name,source,query", COMBOS, ids=[c[0] for c in COMBOS]
     )
     def test_minimize_on_off_bit_identical(
-        self, model, tokenizer, env, name, source, query, backend
+        self, model, tokenizer, env, name, source, query, path
     ):
         m, tok = _world(source, model, tokenizer, env)
-        got_off, stats_off = self._run_min(m, tok, query, backend, minimize=False)
-        got_on, stats_on = self._run_min(m, tok, query, backend, minimize=True)
+        got_off, stats_off = _run(
+            m, tok, query, path, compiler=unminimized_compiler(tok, query)
+        )
+        got_on, stats_on = _run(m, tok, query, path)
         assert len(got_off) == len(got_on)
         assert len(got_off) > 0, f"combo {name} produced no matches"
         for a, b in zip(got_off, got_on):
@@ -640,6 +627,8 @@ class TestMinimizationDifferential:
         assert stats_off.tokens_scored == stats_on.tokens_scored
         assert stats_off.failed_attempts == stats_on.failed_attempts
         assert stats_on.minimized_states <= stats_on.token_states
+        # The hand-built side really is the unminimized machine.
+        assert stats_off.minimized_states == stats_off.token_states == stats_on.token_states
 
     #: workers × pipeline subset: enough to catch a sharding/ordering
     #: interaction without re-running the whole parallel grid twice.
@@ -657,26 +646,29 @@ class TestMinimizationDifferential:
     def test_minimize_under_workers_and_pipeline(
         self, model, tokenizer, env, combo_name, workers, pipeline
     ):
+        from repro.core.parallel import WorkerPool
         from repro.core.scheduler import QueryBudget, QueryScheduler
 
         name, source, query = next(c for c in COMBOS if c[0] == combo_name)
         m, tok = _world(source, model, tokenizer, env)
         streams = {}
-        for minimize in (False, True):
-            compiler = GraphCompiler(tok, cache=True, minimize_tokens=minimize)
-            scheduler = QueryScheduler(
-                m, tok, compiler=compiler, concurrency=1, backend="arrays",
-                workers=workers, pipeline=pipeline, min_shard_size=1,
-            )
-            try:
+        with WorkerPool(m, workers, min_shard_size=1) as pool:
+            for minimize in (False, True):
+                compiler = (
+                    GraphCompiler(tok, cache=True)
+                    if minimize
+                    else unminimized_compiler(tok, query)
+                )
+                scheduler = QueryScheduler(
+                    m, tok, compiler=compiler, concurrency=1,
+                    worker_pool=pool, pipeline=pipeline,
+                )
                 handle = scheduler.submit(query, budget=QueryBudget(max_results=200))
                 scheduler.run()
-            finally:
-                scheduler.close()
-            streams[minimize] = [
-                (mt.tokens, mt.text, mt.logprob, mt.total_logprob)
-                for mt in handle.results
-            ]
+                streams[minimize] = [
+                    (mt.tokens, mt.text, mt.logprob, mt.total_logprob)
+                    for mt in handle.results
+                ]
         assert streams[True] == streams[False]
         assert len(streams[True]) > 0
 
@@ -690,14 +682,6 @@ class TestCliCacheCounters:
         err = capsys.readouterr().err
         assert "logits" in err
         assert "compilation" in err
-
-    def test_dict_backend_flag(self, capsys):
-        from repro.cli import main
-
-        code = main(["query", "The ((cat)|(dog))", "--backend", "dict"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "The cat" in out or "The dog" in out
 
     def test_kv_cache_flags_accepted(self, capsys):
         from repro.cli import main

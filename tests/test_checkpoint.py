@@ -120,15 +120,15 @@ class TestCacheDumpPreload:
 class TestSchedulerCheckpointing:
     def test_cadence_counts_writes(self, model, tokenizer, tmp_path):
         path = str(tmp_path / "run.ckpt")
-        with QueryScheduler(
+        scheduler = QueryScheduler(
             model, tokenizer, checkpoint_path=path, checkpoint_every=4
-        ) as scheduler:
-            for p in PATTERNS:
-                scheduler.submit(SearchQuery(p), budget=QueryBudget(max_results=4))
-            scheduler.run()
-            # one write per 4 completed rounds, plus the final flush.
-            expected = scheduler.stats.rounds // 4 + 1
-            assert scheduler.stats.checkpoints_written in (expected, expected + 1)
+        )
+        for p in PATTERNS:
+            scheduler.submit(SearchQuery(p), budget=QueryBudget(max_results=4))
+        scheduler.run()
+        # one write per 4 completed rounds, plus the final flush.
+        expected = scheduler.stats.rounds // 4 + 1
+        assert scheduler.stats.checkpoints_written in (expected, expected + 1)
         assert os.path.exists(path)
 
     def test_resume_requires_path(self, model, tokenizer):
@@ -193,14 +193,14 @@ class TestSchedulerCheckpointing:
         queries = [SearchQuery(p) for p in PATTERNS]
         search_many(model, tokenizer, queries, budget=budget, checkpoint=path)
         counter = CountingModel(model)
-        with QueryScheduler(
+        scheduler = QueryScheduler(
             counter, tokenizer, checkpoint_path=path, resume=True
-        ) as scheduler:
-            for q in queries:
-                scheduler.submit(q, budget=budget)
-            scheduler.run()
-            assert scheduler.stats.queries_resumed == len(PATTERNS)
-            assert counter.batch_rounds == 0 and counter.single_calls == 0
+        )
+        for q in queries:
+            scheduler.submit(q, budget=budget)
+        scheduler.run()
+        assert scheduler.stats.queries_resumed == len(PATTERNS)
+        assert counter.batch_rounds == 0 and counter.single_calls == 0
 
     def test_unrecognized_queries_run_fresh_alongside_resumed(
         self, model, tokenizer, tmp_path

@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import search_many
+from repro.core.parallel import WorkerPool
 from repro.core.query import SearchQuery
 from repro.core.scheduler import QueryBudget, QueryScheduler
 
@@ -86,7 +87,6 @@ def test_interrupt_any_round_resume_reproduces_run(
                 break
         interrupted.save_checkpoint()
         done_at_cut = {h.name for h in handles if h.done}
-        interrupted.close()
 
         # Resumed leg: same queries, fresh scheduler, restore + finish.
         resumed_scheduler = QueryScheduler(
@@ -94,7 +94,6 @@ def test_interrupt_any_round_resume_reproduces_run(
         )
         resumed = [resumed_scheduler.submit(q, budget=budget) for q in queries]
         resumed_scheduler.run()
-        resumed_scheduler.close()
 
     assert _result_sets(resumed) == _result_sets(baseline)
     assert resumed_scheduler.stats.queries_resumed == len(done_at_cut)
@@ -118,30 +117,28 @@ def test_interrupted_parallel_sweep_resumes_identically(model, tokenizer, tmp_pa
     queries = [SearchQuery(p) for p in PATTERNS]
     baseline = _uninterrupted(model, tokenizer, queries, budget)
     path = str(tmp_path / "run.ckpt")
-    interrupted = QueryScheduler(
-        model,
-        tokenizer,
-        checkpoint_path=path,
-        workers=2,
-        min_shard_size=1,
-        concurrency=4,
-    )
-    for q in queries:
-        interrupted.submit(q, budget=budget)
-    for _ in range(10):
-        if not interrupted.step():
-            break
-    interrupted.save_checkpoint()
-    interrupted.close()
-    resumed = search_many(
-        model,
-        tokenizer,
-        queries,
-        budget=budget,
-        checkpoint=path,
-        resume=True,
-        workers=2,
-        min_shard_size=1,
-        concurrency=4,
-    )
+    with WorkerPool(model, 2, min_shard_size=1) as pool:
+        interrupted = QueryScheduler(
+            model,
+            tokenizer,
+            checkpoint_path=path,
+            worker_pool=pool,
+            concurrency=4,
+        )
+        for q in queries:
+            interrupted.submit(q, budget=budget)
+        for _ in range(10):
+            if not interrupted.step():
+                break
+        interrupted.save_checkpoint()
+        resumed = search_many(
+            model,
+            tokenizer,
+            queries,
+            budget=budget,
+            checkpoint=path,
+            resume=True,
+            worker_pool=pool,
+            concurrency=4,
+        )
     assert _result_sets(resumed) == _result_sets(baseline)

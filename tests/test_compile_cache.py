@@ -13,7 +13,6 @@ from __future__ import annotations
 import pickle
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.core.api import search_many
@@ -27,6 +26,7 @@ from repro.core.query import SearchQuery
 from repro.core.scheduler import QueryScheduler
 
 from .conftest import build_model, build_tokenizer
+from .reference import compile_unminimized
 
 PATTERNS = [
     "The (cat|dog)",
@@ -95,9 +95,9 @@ class TestDiskRoundTrip:
 
     def test_distinct_options_get_distinct_entries(self, tok, tmp_path):
         GraphCompiler(tok, disk_cache=tmp_path).compile(SearchQuery(PATTERNS[0]))
-        c2 = GraphCompiler(tok, disk_cache=tmp_path, minimize_tokens=False)
+        c2 = GraphCompiler(tok, disk_cache=tmp_path, enumeration_limit=7)
         compiled = c2.compile(SearchQuery(PATTERNS[0]))
-        # minimize_tokens is part of the fingerprint: no false sharing.
+        # enumeration_limit is part of the fingerprint: no false sharing.
         assert compiled.metrics.source == "cold"
         assert len(list(tmp_path.glob("*.relmc"))) == 2
 
@@ -265,10 +265,9 @@ class TestCompileMetrics:
 
 class TestIntervalArrays:
     def test_interval_rows_expand_to_plain_rows(self, tok):
-        minimized = GraphCompiler(tok, minimize_tokens=True)
-        plain = GraphCompiler(tok, minimize_tokens=False)
+        compiler = GraphCompiler(tok)
         for pattern in PATTERNS:
-            a = minimized.compile(SearchQuery(pattern))
+            a = compiler.compile(SearchQuery(pattern))
             arr = a.token_automaton.arrays(vocab_size=len(tok))
             assert arr.intervals
             for state, row in a.token_automaton.edges.items():
@@ -278,20 +277,9 @@ class TestIntervalArrays:
                 expanded = arr.row(state)
                 assert list(expanded.token_ids) == list(row.keys())
                 assert list(expanded.dst_states) == list(row.values())
-            b = plain.compile(SearchQuery(pattern))
+            b = compile_unminimized(compiler, SearchQuery(pattern))
             brr = b.token_automaton.arrays(vocab_size=len(tok))
             assert not brr.intervals
-
-    def test_dense_mask_identical_with_intervals(self, tok):
-        from repro.core.arrays import AutomatonArrays
-
-        compiled = GraphCompiler(tok).compile(SearchQuery(PATTERNS[0]))
-        auto = compiled.token_automaton
-        a = AutomatonArrays(auto.edges, auto.prefix_live, len(tok), intervals=True)
-        b = AutomatonArrays(auto.edges, auto.prefix_live, len(tok), intervals=False)
-        if a.has_dense_mask and b.has_dense_mask:
-            for state in auto.edges:
-                np.testing.assert_array_equal(a.token_mask(state), b.token_mask(state))
 
     def test_compression_reduces_bytes_on_runs(self):
         from repro.core.arrays import AutomatonArrays
@@ -319,11 +307,10 @@ class TestIntervalArrays:
 
 class TestTokenMinimization:
     def test_minimized_preserves_match_semantics(self, tok):
-        on = GraphCompiler(tok, minimize_tokens=True)
-        off = GraphCompiler(tok, minimize_tokens=False)
+        on = GraphCompiler(tok)
         for pattern in PATTERNS:
             a = on.compile(SearchQuery(pattern)).token_automaton
-            b = off.compile(SearchQuery(pattern)).token_automaton
+            b = compile_unminimized(on, SearchQuery(pattern)).token_automaton
 
             def paths(auto, limit=2000):
                 out = []
@@ -341,7 +328,7 @@ class TestTokenMinimization:
             assert paths(a) == paths(b)
 
     def test_minimized_state_count_never_larger(self, tok):
-        on = GraphCompiler(tok, minimize_tokens=True)
+        on = GraphCompiler(tok)
         for pattern in PATTERNS:
             m = on.compile(SearchQuery(pattern)).metrics
             assert m.minimized_states <= m.token_states

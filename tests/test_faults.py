@@ -230,32 +230,28 @@ class TestSchedulerUnderFaults:
         ids=["crash_once", "error_every_2nd", "crash_until_degraded"],
     )
     def test_sweep_identical_under_faults(self, model, tokenizer, serial, plan):
-        handles = search_many(
-            model,
-            tokenizer,
-            [SearchQuery(p) for p in PATTERNS],
-            budget=QueryBudget(max_results=6),
-            concurrency=3,
-            workers=2,
-            pipeline=PIPELINE,
-            min_shard_size=1,
-            backoff_base=0.01,
-            fault_plan=plan,
-        )
+        with WorkerPool(
+            model, 2, min_shard_size=1, backoff_base=0.01, fault_plan=plan
+        ) as pool:
+            handles = search_many(
+                model,
+                tokenizer,
+                [SearchQuery(p) for p in PATTERNS],
+                budget=QueryBudget(max_results=6),
+                concurrency=3,
+                worker_pool=pool,
+                pipeline=PIPELINE,
+            )
         assert _result_sets(handles) == serial
 
     def test_supervision_counters_surface_in_stats(self, model, tokenizer):
         plan = FaultPlan.of(FaultSpec("crash", round_index=0, shard=0))
-        with QueryScheduler(
-            model,
-            tokenizer,
-            concurrency=3,
-            workers=2,
-            pipeline=PIPELINE,
-            min_shard_size=1,
-            backoff_base=0.01,
-            fault_plan=plan,
-        ) as scheduler:
+        with WorkerPool(
+            model, 2, min_shard_size=1, backoff_base=0.01, fault_plan=plan
+        ) as pool:
+            scheduler = QueryScheduler(
+                model, tokenizer, concurrency=3, worker_pool=pool, pipeline=PIPELINE
+            )
             for p in PATTERNS:
                 scheduler.submit(SearchQuery(p), budget=QueryBudget(max_results=4))
             scheduler.run()
@@ -268,15 +264,18 @@ class _InterruptingScheduler(QueryScheduler):
     """Delivers a real SIGINT to this process after N completed rounds —
     deterministic, unlike a timer, because the signal fires inside
     :meth:`_complete` and run()'s deferred handler sees it at the next
-    round boundary."""
+    round boundary.  ``segment_names`` records the pool's shared-memory
+    segments alive at that moment (a shut-down pool forgets its names)."""
 
     def __init__(self, *args, interrupt_after: int = 3, **kwargs):
         super().__init__(*args, **kwargs)
         self._interrupt_after = interrupt_after
+        self.segment_names: list[str] = []
 
     def _complete(self, inflight):
         super()._complete(inflight)
         if self.stats.rounds == self._interrupt_after:
+            self.segment_names = self._pool.segment_names()
             os.kill(os.getpid(), signal.SIGINT)
 
 
@@ -285,9 +284,10 @@ class TestInterruptAndResume:
         self, model, tokenizer, tmp_path
     ):
         """The SIGINT-leak fix and the resume contract in one scenario:
-        interrupt mid-sweep -> KeyboardInterrupt raised, checkpoint on
-        disk, zero leaked shared-memory segments; resuming reproduces the
-        uninterrupted sweep bit-identically."""
+        interrupt mid-sweep -> KeyboardInterrupt raised through the
+        caller's ``with WorkerPool`` block, checkpoint on disk, zero leaked
+        shared-memory segments; resuming reproduces the uninterrupted
+        sweep bit-identically."""
         from tests.test_parallel import _segment_exists
 
         budget = QueryBudget(max_results=6)
@@ -295,23 +295,23 @@ class TestInterruptAndResume:
             model, tokenizer, [SearchQuery(p) for p in PATTERNS], budget=budget
         )
         path = str(tmp_path / "sweep.ckpt")
-        scheduler = _InterruptingScheduler(
-            model,
-            tokenizer,
-            concurrency=3,
-            workers=2,
-            pipeline=PIPELINE,
-            min_shard_size=1,
-            checkpoint_path=path,
-            interrupt_after=3,
-        )
-        names = []
         with pytest.raises(KeyboardInterrupt):
-            for p in PATTERNS:
-                scheduler.submit(SearchQuery(p), budget=budget)
-            scheduler.run()
-        names = scheduler._pool.segment_names()
-        assert scheduler._pool.closed
+            with WorkerPool(model, 2, min_shard_size=1) as pool:
+                scheduler = _InterruptingScheduler(
+                    model,
+                    tokenizer,
+                    concurrency=3,
+                    worker_pool=pool,
+                    pipeline=PIPELINE,
+                    checkpoint_path=path,
+                    interrupt_after=3,
+                )
+                for p in PATTERNS:
+                    scheduler.submit(SearchQuery(p), budget=budget)
+                scheduler.run()
+        names = scheduler.segment_names
+        assert names and not pool.segment_names()
+        assert pool.closed
         assert not any(_segment_exists(n) for n in names), "leaked segments"
         assert os.path.exists(path)
         assert scheduler.stats.checkpoints_written >= 1
@@ -328,20 +328,21 @@ class TestInterruptAndResume:
     def test_interrupt_without_checkpoint_still_cleans_up(self, model, tokenizer):
         from tests.test_parallel import _segment_exists
 
-        scheduler = _InterruptingScheduler(
-            model,
-            tokenizer,
-            concurrency=3,
-            workers=2,
-            min_shard_size=1,
-            interrupt_after=2,
-        )
         with pytest.raises(KeyboardInterrupt):
-            for p in PATTERNS:
-                scheduler.submit(SearchQuery(p), budget=QueryBudget(max_results=6))
-            scheduler.run()
-        assert scheduler._pool.closed
-        assert not any(_segment_exists(n) for n in scheduler._pool.segment_names())
+            with WorkerPool(model, 2, min_shard_size=1) as pool:
+                scheduler = _InterruptingScheduler(
+                    model,
+                    tokenizer,
+                    concurrency=3,
+                    worker_pool=pool,
+                    interrupt_after=2,
+                )
+                for p in PATTERNS:
+                    scheduler.submit(SearchQuery(p), budget=QueryBudget(max_results=6))
+                scheduler.run()
+        assert pool.closed
+        assert scheduler.segment_names
+        assert not any(_segment_exists(n) for n in scheduler.segment_names)
 
 
 _DRIVER = """\
@@ -351,9 +352,20 @@ sys.path.insert(0, {src!r})
 
 from repro.core.api import search_many
 from repro.core.faults import FaultPlan, FaultSpec
+from repro.core.parallel import WorkerPool
 from repro.core.query import SearchQuery
 from repro.core.scheduler import QueryBudget
 from tests.conftest import build_model, build_tokenizer  # noqa: E402
+
+
+class RecordingPool(WorkerPool):
+    # Reports, on stderr, the segments it held when it was shut down.
+
+    def shutdown(self):
+        if not self.closed:
+            print("# segments: " + ",".join(self.segment_names()), file=sys.stderr)
+        super().shutdown()
+
 
 mode, ckpt = sys.argv[1], sys.argv[2]
 tokenizer = build_tokenizer()
@@ -362,30 +374,24 @@ patterns = {patterns!r}
 kwargs = dict(
     budget=QueryBudget(max_results=6),
     concurrency=3,
-    workers=2,
     pipeline={pipeline!r},
-    min_shard_size=1,
-    backoff_base=0.01,
-    # round 1's first shard crashes its worker (a real SIGKILL), and every
-    # parallel round's last shard returns late — stretching the sweep so
-    # the parent's SIGINT lands mid-run deterministically.
-    fault_plan=FaultPlan.of(
-        FaultSpec("crash", round_index=1, shard=0),
-        FaultSpec("slow", every=1, shard=-1, seconds=0.05),
-    ),
 )
+# round 1's first shard crashes its worker (a real SIGKILL), and every
+# parallel round's last shard returns late — stretching the sweep so
+# the parent's SIGINT lands mid-run deterministically.
+plan = FaultPlan.of(
+    FaultSpec("crash", round_index=1, shard=0),
+    FaultSpec("slow", every=1, shard=-1, seconds=0.05),
+)
+if mode != "clean":
+    kwargs.update(checkpoint=ckpt, checkpoint_every=2, resume=(mode == "resume"))
 try:
-    if mode == "clean":
-        handles = search_many(model, tokenizer, [SearchQuery(p) for p in patterns], **kwargs)
-    elif mode == "interrupted":
+    with RecordingPool(
+        model, 2, min_shard_size=1, backoff_base=0.01, fault_plan=plan
+    ) as pool:
         handles = search_many(
             model, tokenizer, [SearchQuery(p) for p in patterns],
-            checkpoint=ckpt, checkpoint_every=2, **kwargs,
-        )
-    else:
-        handles = search_many(
-            model, tokenizer, [SearchQuery(p) for p in patterns],
-            checkpoint=ckpt, checkpoint_every=2, resume=True, **kwargs,
+            worker_pool=pool, **kwargs,
         )
 except KeyboardInterrupt:
     sys.exit(130)
@@ -449,6 +455,15 @@ class TestEndToEndChaos:
         # 130 = interrupted mid-run (the designed scenario); 0 means the
         # sweep finished before SIGINT landed — resume still must work.
         assert proc.returncode in (130, 0), err
+        # Either way the caller's ``with`` block shut the pool down before
+        # the process exited: none of its segments may outlive it.
+        from tests.test_parallel import _segment_exists
+
+        reported = [ln for ln in err.splitlines() if ln.startswith("# segments: ")]
+        assert reported, err
+        names = [n for n in reported[-1][len("# segments: "):].split(",") if n]
+        assert names, "the sweep never sharded a round"
+        assert not any(_segment_exists(n) for n in names), "leaked segments"
 
         resumed = self._run(script, "resume", ckpt)
         assert resumed.returncode == 0, resumed.stderr

@@ -283,52 +283,58 @@ class TestBatchDedupe:
 
 
 class TestSchedulerOwnership:
-    def test_owned_pool_closed_with_scheduler(self, model, tokenizer):
-        from repro.core.query import SearchQuery
-        from repro.core.scheduler import QueryScheduler
-
-        scheduler = QueryScheduler(model, tokenizer, workers=2, min_shard_size=1)
-        scheduler.submit(SearchQuery("The ((cat)|(dog))"))
-        scheduler.run()
-        pool = scheduler._pool
-        assert pool is not None and not pool.closed
-        assert scheduler.stats.workers == 2
-        scheduler.close()
-        assert pool.closed
+    """The caller owns the pool: schedulers and sessions only borrow it."""
 
     def test_injected_pool_survives_scheduler_close(self, model, tokenizer):
+        """A scheduler has no ``close`` and never shuts a pool down: one
+        pool serves several schedulers, each finished and dropped."""
         from repro.core.query import SearchQuery
         from repro.core.scheduler import QueryScheduler
 
         with WorkerPool(model, 2, min_shard_size=1) as pool:
-            for _ in range(2):  # the same pool serves several schedulers
+            for _ in range(2):
                 scheduler = QueryScheduler(model, tokenizer, worker_pool=pool)
                 scheduler.submit(SearchQuery("The ((cat)|(dog))"))
                 scheduler.run()
-                scheduler.close()
+                assert scheduler.stats.workers == 2
+                assert not hasattr(scheduler, "close")
+                del scheduler
                 assert not pool.closed
+        assert pool.closed
 
     def test_session_context_manager_reclaims_pool(self, model, tokenizer):
+        """A pooled session is a ``PooledModel`` handed in as the model;
+        the pool's own context manager reclaims processes and segments."""
         from repro.core.api import SearchSession
         from repro.core.query import SearchQuery
 
-        with SearchSession(
-            model, tokenizer, SearchQuery("The ((cat)|(dog))"),
-            workers=2, min_shard_size=1,
-        ) as session:
+        with WorkerPool(model, 2, min_shard_size=1) as pool:
+            session = SearchSession(
+                PooledModel(model, pool), tokenizer, SearchQuery("The ((cat)|(dog))"),
+                batch_size=4,
+            )
             texts = sorted(m.text for m in session)
             assert texts == ["The cat", "The dog"]
-            assert session.pool is not None
-            names = session.pool.segment_names()
-        assert session.pool.closed
+            assert session.stats.workers == 2
+            names = pool.segment_names()
+        assert pool.closed
         assert not any(_segment_exists(n) for n in names)
 
     def test_session_rejects_shared_cache_with_workers(self, model, tokenizer):
+        """A shared logits cache must wrap the pooled model itself — one
+        built over the bare model would silently bypass the workers."""
         from repro.core.api import SearchSession
         from repro.core.query import SearchQuery
 
-        with pytest.raises(ValueError, match="logits_cache"):
-            SearchSession(
-                model, tokenizer, SearchQuery("The cat"),
-                workers=2, logits_cache=LogitsCache(model),
+        with WorkerPool(model, 1) as pool:  # workers=1: no processes spawned
+            pooled = PooledModel(model, pool)
+            with pytest.raises(ValueError, match="different model"):
+                SearchSession(
+                    pooled, tokenizer, SearchQuery("The cat"),
+                    logits_cache=LogitsCache(model),
+                )
+            session = SearchSession(
+                pooled, tokenizer, SearchQuery("The cat"),
+                logits_cache=LogitsCache(pooled),
             )
+            assert [m.text for m in session] == ["The cat"]

@@ -93,3 +93,92 @@ class TestSearchApi:
 
         with pytest.raises(RegexSyntaxError):
             prepare(model, tokenizer, SearchQuery("(unclosed"))
+
+
+#: Every keyword the "one owner per knob" change removed, by the callable
+#: that used to accept it.  Each knob now lives on exactly one object — the
+#: ``WorkerPool`` (shard sizing, supervision, fault injection), the model
+#: (KV cache), the ``GraphCompiler`` (disk cache) — which the layers take
+#: prebuilt.  No alias may creep back: all of these must be ``TypeError``.
+_POOL_KNOBS = (
+    "workers", "min_shard_size", "max_retries", "backoff_base", "shard_timeout", "fault_plan",
+)
+_KV_KNOBS = ("kv_cache", "kv_cache_mb")
+REMOVED_KEYWORDS = {
+    "Executor": ("backend",),
+    "GraphCompiler": ("minimize_tokens",),
+    "AutomatonArrays": ("dense_budget",),
+    "SearchSession": _POOL_KNOBS + _KV_KNOBS + ("backend",),
+    "prepare": _POOL_KNOBS + _KV_KNOBS + ("backend",),
+    "search_many": _POOL_KNOBS + _KV_KNOBS + ("backend",),
+    "QueryScheduler": _POOL_KNOBS + _KV_KNOBS + ("backend",),
+    "SchedulerService": _POOL_KNOBS + _KV_KNOBS + ("backend", "compile_cache"),
+}
+
+
+class TestRemovedKeywords:
+    @pytest.fixture()
+    def calls(self, model, tokenizer):
+        """``name -> callable(**kw)`` running each entry point far enough
+        to bind every keyword (executor kwargs bind at submit/compile)."""
+        from repro.core.api import SearchSession, search_many
+        from repro.core.arrays import AutomatonArrays
+        from repro.core.compiler import GraphCompiler
+        from repro.core.executor import Executor
+        from repro.core.scheduler import QueryScheduler
+        from repro.service import SchedulerService
+
+        query = SearchQuery("The cat")
+        compiled = GraphCompiler(tokenizer).compile(query)
+
+        def service(**kw):
+            # Unnamed keywords are per-executor defaults; the engine thread
+            # hands them to ``Executor`` at the first submit.
+            svc = SchedulerService(model, tokenizer, **kw)
+            Executor(model, compiled, **svc.executor_defaults)
+
+        return {
+            "Executor": lambda **kw: Executor(model, compiled, **kw),
+            "GraphCompiler": lambda **kw: GraphCompiler(tokenizer, **kw),
+            "AutomatonArrays": lambda **kw: AutomatonArrays({}, frozenset(), 8, **kw),
+            "SearchSession": lambda **kw: SearchSession(model, tokenizer, query, **kw),
+            "prepare": lambda **kw: prepare(model, tokenizer, query, **kw),
+            "search_many": lambda **kw: search_many(model, tokenizer, [query], **kw),
+            "QueryScheduler": lambda **kw: QueryScheduler(model, tokenizer, **kw).submit(query),
+            "SchedulerService": service,
+        }
+
+    @pytest.mark.parametrize("name", sorted(REMOVED_KEYWORDS))
+    def test_removed_keywords_raise_type_error(self, calls, name):
+        calls[name]()  # the bare call is fine: only the keyword is at fault
+        for keyword in REMOVED_KEYWORDS[name]:
+            with pytest.raises(TypeError, match=keyword):
+                calls[name](**{keyword: 1})
+
+    def test_surface_sizes(self):
+        """The named-keyword surface of each layer (not counting ``model``
+        / ``tokenizer`` / ``query`` / ``compiled`` and ``**kwargs``)."""
+        import inspect
+
+        from repro.core.api import SearchSession, search_many
+        from repro.core.compiler import GraphCompiler
+        from repro.core.executor import Executor
+        from repro.core.scheduler import QueryScheduler
+        from repro.service import SchedulerService
+
+        def named(fn):
+            return [
+                p.name
+                for p in inspect.signature(fn).parameters.values()
+                if p.kind is not p.VAR_KEYWORD
+                and p.name not in ("self", "model", "tokenizer", "query", "queries", "compiled")
+            ]
+
+        assert len(named(Executor.__init__)) == 8
+        assert len(named(GraphCompiler.__init__)) == 4
+        assert named(SearchSession.__init__) == ["compiler"]
+        assert len(named(search_many)) == 11
+        assert len(named(QueryScheduler.__init__)) == 18
+        assert len(named(SchedulerService.__init__)) == 14
+        for fn in (search_many, QueryScheduler.__init__, SchedulerService.__init__):
+            assert "worker_pool" in named(fn)

@@ -4,7 +4,9 @@ The contract (the PR's acceptance gate): on a query set seeded with exact
 duplicates and strict-subset pairs, ``dedupe=True`` must return
 **bit-identical per-query results** to a plain ``dedupe=False`` run while
 issuing **strictly fewer LM calls** (``SchedulerStats.contexts_serviced``)
-— across both executor backends and workers ∈ {1, 2}.  Safety rails ride
+— on the vectorized expansion path and on the scalar reference (see
+:mod:`tests.reference`), each compared to the *reference's* plain run, and
+workers ∈ {1, 2}.  Safety rails ride
 along: a truncated canonical releases its mirrors to run normally, an
 exhausted analysis budget disables planning without ever changing
 results, and unseeded random-sampling queries are never mirrored.
@@ -17,6 +19,7 @@ import pytest
 from repro.core.analyze_set import QuerySetAnalyzer
 from repro.core.query import QuerySearchStrategy, SearchQuery
 from repro.core.scheduler import QueryBudget, QueryScheduler
+from tests.reference import expansion_path
 
 #: Seeded set: an exact duplicate pair (mirrorable), a respelled
 #: equivalent (RLM007 fires, but mirroring demands *exact* query equality
@@ -43,17 +46,11 @@ def _match_key(m):
     return (m.tokens, m.text, m.logprob, m.total_logprob, m.canonical, m.prefix_text)
 
 
-def _run(model, tokenizer, *, pool=None, backend="arrays", **sched_kwargs):
-    scheduler = QueryScheduler(
-        model,
-        tokenizer,
-        backend=backend,
-        worker_pool=pool,
-        min_shard_size=1,
-        **sched_kwargs,
-    )
-    handles = {name: scheduler.submit(q, name=name) for name, q in _queries()}
-    scheduler.run()
+def _run(model, tokenizer, *, pool=None, path="arrays", **sched_kwargs):
+    with expansion_path(path):
+        scheduler = QueryScheduler(model, tokenizer, worker_pool=pool, **sched_kwargs)
+        handles = {name: scheduler.submit(q, name=name) for name, q in _queries()}
+        scheduler.run()
     results = {
         name: [_match_key(m) for m in handle.results] for name, handle in handles.items()
     }
@@ -72,24 +69,27 @@ def pool(model):
 
 @pytest.fixture(scope="module")
 def baseline(model, tokenizer):
-    """One plain run per backend (workers don't change the stream — the
-    parallel grid in test_backend_differential pins that separately)."""
-    return {
-        backend: _run(model, tokenizer, backend=backend) for backend in ("arrays", "dict")
-    }
+    """One plain run per expansion path (workers don't change the stream
+    — the parallel grid in test_backend_differential pins that
+    separately).  The scalar reference's results are *the* expected
+    results; the vectorized plain run must already agree with them."""
+    runs = {path: _run(model, tokenizer, path=path) for path in ("arrays", "dict")}
+    assert runs["arrays"][:2] == runs["dict"][:2]
+    return runs
 
 
 class TestDedupeDifferential:
-    @pytest.mark.parametrize("backend", ["arrays", "dict"])
+    @pytest.mark.parametrize("path", ["arrays", "dict"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bit_identical_with_fewer_lm_calls(
-        self, model, tokenizer, pool, baseline, backend, workers
+        self, model, tokenizer, pool, baseline, path, workers
     ):
-        base_results, base_flags, base_stats = baseline[backend]
+        base_results, base_flags, _ = baseline["dict"]
+        base_stats = baseline[path][2]
         results, flags, stats = _run(
             model,
             tokenizer,
-            backend=backend,
+            path=path,
             pool=pool if workers == 2 else None,
             dedupe=True,
             subsume=True,
@@ -183,3 +183,23 @@ class TestSafetyRails:
         assert seeded.stats.queries_deduped == 1
         streams = [[_match_key(m) for m in h.results] for h in handles]
         assert streams[0] == streams[1]
+
+    @pytest.mark.parametrize("planning", ["dedupe", "subsume"])
+    def test_query_submitted_after_planning_is_scheduled(
+        self, model, tokenizer, baseline, planning
+    ):
+        """Regression: admission ranks are assigned once, when planning
+        runs before the first round; a query submitted after that had no
+        rank and the capped round-robin selection raised ``KeyError``.
+        A late submission keeps its submit index as its position."""
+        base_results = baseline["arrays"][0]
+        scheduler = QueryScheduler(model, tokenizer, concurrency=2, **{planning: True})
+        queries = _queries()
+        handles = {name: scheduler.submit(q, name=name) for name, q in queries[:4]}
+        assert scheduler.step()  # plans, then services the first capped round
+        for name, q in queries[4:]:
+            handles[name] = scheduler.submit(q, name=name)
+        scheduler.run()
+        assert all(h.done and not h.truncated for h in handles.values())
+        results = {n: [_match_key(m) for m in h.results] for n, h in handles.items()}
+        assert results == base_results

@@ -199,7 +199,8 @@ class TestWarmServer:
         query = SearchQuery("the [a-z]{1,4}")
 
         async def run_once():
-            async with serving(model, tokenizer, compile_cache=cache_dir) as (server, service):
+            compiler = GraphCompiler(tokenizer, disk_cache=cache_dir)
+            async with serving(model, tokenizer, compiler=compiler) as (server, service):
                 async with await ServiceClient.connect(server.host, server.port) as client:
                     await (await client.submit(query)).collect()
                 return service.compiler.disk_cache.stats()
@@ -209,6 +210,84 @@ class TestWarmServer:
         warm = asyncio.run(run_once())  # brand-new compiler, same dir
         assert warm["misses"] == 0
         assert warm["hits"] >= 1
+
+
+# ---------------------------------------------------------------------------
+class TestFaultsThroughTheService:
+    def test_fault_injecting_pool_is_bit_identical_with_one_terminal_frame(
+        self, model, tokenizer
+    ):
+        """Resilience is the pool's business, so faults reach the service
+        through the same door as workers do: a caller-built
+        ``WorkerPool(fault_plan=...)`` handed in as ``worker_pool=``.  A
+        worker SIGKILLed mid-round and clean in-worker errors change
+        wall-clock only — every stream equals the serial run, and every
+        submit still gets exactly one terminal frame."""
+        from repro.core.api import search_many
+        from repro.core.faults import FaultPlan, FaultSpec
+        from repro.core.parallel import WorkerPool
+
+        patterns = [
+            "The ((cat)|(dog)|(man)|(woman))", "The (cat|dog) (ran|sat)", "A (man|woman)",
+        ]
+        budget = QueryBudget(max_results=6)
+        serial = [
+            handle.results
+            for handle in search_many(
+                model, tokenizer, [SearchQuery(p) for p in patterns], budget=budget
+            )
+        ]
+        assert all(serial)
+        plan = FaultPlan.of(
+            FaultSpec("crash", round_index=0, shard=0),
+            FaultSpec("error", every=2, shard=-1),
+        )
+
+        async def scenario(pool):
+            async with serving(
+                model, tokenizer, worker_pool=pool, concurrency=len(patterns)
+            ) as (server, service):
+                reader, writer, _ = await raw_connect(server.host, server.port)
+                for i, pattern in enumerate(patterns):
+                    writer.write(protocol.encode_frame({
+                        "type": "submit",
+                        "id": f"q{i}",
+                        "query": protocol.query_to_wire(SearchQuery(pattern)),
+                        "budget": {"max_results": budget.max_results},
+                    }))
+                await writer.drain()
+                done = set()
+                frames = await read_frames_until(
+                    reader,
+                    lambda f: f["type"] == "done"
+                    and (done.add(f["id"]) or len(done) == len(patterns)),
+                    timeout=120.0,
+                )
+                # Frames are ordered per connection: anything the engine
+                # emitted after the last ``done`` precedes the stats reply.
+                writer.write(protocol.encode_frame({"type": "stats"}))
+                await writer.drain()
+                frames += await read_frames_until(reader, lambda f: f["type"] == "stats")
+                writer.close()
+                assert service.stats_snapshot()["workers"] == 2
+                return frames
+
+        with WorkerPool(
+            model, 2, min_shard_size=1, backoff_base=0.01, fault_plan=plan
+        ) as pool:
+            frames = asyncio.run(scenario(pool))
+            assert pool.faults_injected >= 1 and pool.retries >= 1
+            assert not pool.closed  # the service borrowed it, the caller owns it
+        for i, expected in enumerate(serial):
+            terminal = [f for f in frames if f["type"] == "done" and f["id"] == f"q{i}"]
+            assert len(terminal) == 1
+            assert terminal[0]["status"] in ("ok", "truncated")
+            got = [
+                protocol.match_from_wire(f["match"])
+                for f in frames
+                if f["type"] == "match" and f["id"] == f"q{i}"
+            ]
+            assert got == expected  # full dataclass equality, logprobs included
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +540,6 @@ class TestDrainAndResume:
             SearchQuery(self.QUERY), budget=QueryBudget(max_results=self.MAX_RESULTS)
         )
         scheduler.run()
-        scheduler.close()
         return handle.results
 
     def test_drain_checkpoints_inflight_and_resume_is_bit_identical(
