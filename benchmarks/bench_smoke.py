@@ -386,9 +386,10 @@ def bench_incremental(env, repeats: int) -> dict:
             budget=QueryBudget(max_lm_calls=4000),
         )
     scheduler.run()
-    out["scheduler_hit_rate"] = round(scheduler.stats.prefix_hit_rate, 4)
-    out["scheduler_prefix_hits"] = scheduler.stats.prefix_hits
-    out["scheduler_prefix_misses"] = scheduler.stats.prefix_misses
+    prefix = sched_model.prefix_cache.stats()  # sched_model is fresh: totals are this run's
+    out["scheduler_hit_rate"] = round(prefix["hit_rate"], 4)
+    out["scheduler_prefix_hits"] = prefix["hits"]
+    out["scheduler_prefix_misses"] = prefix["misses"]
 
     # -- n-gram CSR vs dict on the bias-loop rounds -------------------------
     # The bias loop's batched shape: shortest-path enumeration of the

@@ -312,6 +312,66 @@ def _build_queries(args):
     ]
 
 
+#: Which entries of an owner's ``stats()`` / ``as_dict()`` each ``# name:``
+#: stderr line shows, labelled by the owner's own key names.
+_STAT_LINES = {
+    "query": (
+        "matches", "lm_calls", "scheduler_rounds", "pruned_edges",
+        "failed_attempts", "logits_hits", "logits_misses", "compile_source",
+        "latency_ms",
+    ),
+    "compile": (
+        "compile_ms", "source", "token_states", "minimized_states",
+        "token_edges", "minimized_edges",
+    ),
+    "scheduler": (
+        "rounds", "contexts_serviced", "mean_round_size", "max_round_size",
+        "lm_wall_ms", "compile_ms", "queries_compiled_ahead",
+    ),
+    "checkpoint": ("checkpoints_written", "queries_resumed"),
+    "logits cache": ("hits", "misses", "hit_rate", "entries"),
+    "compilation cache": ("hits", "misses", "entries"),
+    "compile disk cache": ("hits", "misses", "writes", "invalid"),
+    "prefix-state cache": ("hits", "misses", "hit_rate", "evictions", "bytes"),
+    "parallel": (
+        "workers", "rounds", "parallel_rounds", "shards_dispatched",
+        "retries", "respawns", "degraded_rounds",
+    ),
+    "service": (
+        "sessions_opened", "queries_submitted", "queries_admitted",
+        "queries_completed", "queries_truncated", "queries_cancelled",
+        "queries_rejected", "queries_interrupted", "matches_streamed",
+        "backpressure_stalls", "frames_malformed", "generations",
+    ),
+}
+
+
+def _stat_line(name, stats, label=None, note="") -> None:
+    """Print the ``# name: key=value ...`` stderr line for *stats* — the
+    one place every counter line is formatted.  *stats* is the dict the
+    counters' owner hands out; keys it does not carry are skipped."""
+    shown = []
+    for key in _STAT_LINES[name]:
+        value = stats.get(key)
+        if value is not None:
+            shown.append(f"{key}={value:.2f}" if isinstance(value, float) else f"{key}={value}")
+    print(f"# {label or name}: {' '.join(shown)}{note}", file=sys.stderr)
+
+
+def _engine_lines(model, compiler, pool, logits_cache) -> None:
+    """One line per shared engine object, each from its own ``stats()``."""
+    owners = {
+        "logits cache": logits_cache,
+        "compilation cache": compiler.cache,
+        "compile disk cache": compiler.disk_cache,
+        "prefix-state cache": model.prefix_cache,
+        "parallel": pool,
+    }
+    for name, owner in owners.items():
+        if owner is not None:
+            _stat_line(name, owner.stats())
+
+
 @contextlib.contextmanager
 def _build_engine(args, env):
     """Build what ``query`` and ``serve`` run on, once, from the engine
@@ -414,55 +474,21 @@ def _cmd_query_scheduled(args, env, queries, compiler, pool) -> int:
     if writer is not None:
         writer.close()
         print(f"# wrote {writer.count} matches to {args.log}", file=sys.stderr)
-    stats = scheduler.stats
-    print(
-        f"# scheduler: rounds={stats.rounds} "
-        f"contexts={stats.contexts_serviced} "
-        f"mean_coalesced={stats.mean_round_size:.2f} "
-        f"max_coalesced={stats.max_round_size}",
-        file=sys.stderr,
-    )
-    print(
-        f"# compile: {stats.compile_ms:.1f}ms "
-        f"cache hits={stats.compile_cache_hits} "
-        f"misses={stats.compile_cache_misses} "
-        f"disk_hits={stats.compile_cache_disk_hits} "
-        f"ahead={stats.queries_compiled_ahead}",
-        file=sys.stderr,
-    )
-    if stats.workers > 1:
-        print(
-            f"# parallel: workers={stats.workers} "
-            f"parallel_rounds={stats.parallel_rounds}/{stats.rounds} "
-            f"shards={stats.shards_dispatched} "
-            f"lm_wall={stats.lm_wall_ms:.1f}ms "
-            f"retries={stats.retries} respawns={stats.respawns} "
-            f"degraded={stats.degraded_rounds}"
-            f"{' pipelined' if args.pipeline else ''}",
-            file=sys.stderr,
-        )
+    stats = scheduler.stats.as_dict()
+    _stat_line("scheduler", stats, note=" pipelined" if args.pipeline else "")
     if args.checkpoint:
-        print(
-            f"# checkpoint: {args.checkpoint} "
-            f"writes={stats.checkpoints_written} "
-            f"resumed={stats.queries_resumed}",
-            file=sys.stderr,
-        )
-    if stats.prefix_hits or stats.prefix_misses:
-        print(
-            f"# prefix-state cache: hits={stats.prefix_hits} "
-            f"misses={stats.prefix_misses} ({stats.prefix_hit_rate:.0%}) "
-            f"evictions={stats.prefix_evictions} "
-            f"bytes={stats.prefix_bytes}",
-            file=sys.stderr,
-        )
+        _stat_line("checkpoint", stats, note=f" path={args.checkpoint}")
+    _engine_lines(scheduler.model, compiler, pool, scheduler.logits_cache)
     for handle in handles:
         latency = handle.latency if handle.latency is not None else 0.0
-        print(
-            f"#   {handle.name}: {len(handle.results)} matches "
-            f"lm_calls={handle.stats.lm_calls} rounds={handle.stats.scheduler_rounds} "
-            f"latency={1000 * latency:.1f}ms",
-            file=sys.stderr,
+        _stat_line(
+            "query",
+            {
+                "matches": len(handle.results),
+                **handle.stats.as_dict(),
+                "latency_ms": 1000 * latency,
+            },
+            label=f"  {handle.name}",
         )
     return 0
 
@@ -498,10 +524,11 @@ def _cmd_query_single(args, env, query, model, compiler) -> int:
     import repro as relm
     from repro.core.logging import MatchWriter
 
+    logits_cache = env.logits_cache(args.model)
     session = relm.prepare(
         model, env.tokenizer, query,
         compiler=compiler,
-        logits_cache=env.logits_cache(args.model),
+        logits_cache=logits_cache,
         max_expansions=50_000, max_attempts=50 * args.samples,
     )
     writer = MatchWriter(args.log) if args.log else None
@@ -516,40 +543,9 @@ def _cmd_query_single(args, env, query, model, compiler) -> int:
     if writer is not None:
         writer.close()
         print(f"# wrote {writer.count} matches to {args.log}", file=sys.stderr)
-    stats = session.stats.as_dict()
-    print(
-        f"# {count} matches; lm_calls={stats['lm_calls']} "
-        f"pruned={stats['pruned_edges']} failed={stats['failed_attempts']}",
-        file=sys.stderr,
-    )
-    print(
-        f"# caches: logits {stats['logits_hits']}"
-        f"/{stats['logits_hits'] + stats['logits_misses']} hits "
-        f"({session.stats.logits_hit_rate:.0%}); "
-        f"compilation hits={stats['compilation_cache_hits']} "
-        f"misses={stats['compilation_cache_misses']}"
-        + (
-            f" disk_hits={stats['compilation_cache_disk_hits']}"
-            if args.compile_cache
-            else ""
-        ),
-        file=sys.stderr,
-    )
-    print(
-        f"# compile: {stats['compile_ms']:.1f}ms "
-        f"states={stats['token_states']}->{stats['minimized_states']} "
-        f"edges={stats['token_edges']}",
-        file=sys.stderr,
-    )
-    if stats["prefix_hits"] or stats["prefix_misses"]:
-        print(
-            f"# prefix-state cache: hits={stats['prefix_hits']} "
-            f"misses={stats['prefix_misses']} "
-            f"({session.stats.prefix_hit_rate:.0%}) "
-            f"evictions={stats['prefix_evictions']} "
-            f"bytes={stats['prefix_bytes']}",
-            file=sys.stderr,
-        )
+    _stat_line("query", {"matches": count, **session.stats.as_dict()})
+    _stat_line("compile", session.compiled.metrics.as_dict())
+    _engine_lines(model, compiler, None, logits_cache)
     return 0
 
 
@@ -876,39 +872,10 @@ def _cmd_serve(args) -> int:
         except KeyboardInterrupt:  # signal handler not installable (rare)
             service.close()
     stats = service.stats_snapshot()
-    print(
-        f"# service: sessions={stats['sessions_opened']} "
-        f"submitted={stats['queries_submitted']} "
-        f"admitted={stats['queries_admitted']} "
-        f"completed={stats['queries_completed']} "
-        f"truncated={stats['queries_truncated']} "
-        f"cancelled={stats['queries_cancelled']} "
-        f"rejected={stats['queries_rejected']} "
-        f"interrupted={stats['queries_interrupted']} "
-        f"matches={stats['matches_streamed']} "
-        f"stalls={stats['backpressure_stalls']} "
-        f"malformed={stats['frames_malformed']} "
-        f"generations={stats['generations']}",
-        file=sys.stderr,
-    )
-    # The admission pre-compile pays disk traffic before the scheduler's
-    # own (memory-hit) compile, so the disk cache's live counters are the
-    # honest numbers — not the scheduler-folded compile_cache_disk_hits.
-    disk = stats.get("compile_disk", {})
-    print(
-        f"# service caches: compile memory_hits={stats.get('compile_memory_hits', 0)} "
-        f"memory_misses={stats.get('compile_memory_misses', 0)} "
-        f"disk_hits={disk.get('hits', 0)} disk_misses={disk.get('misses', 0)}; "
-        f"logits hits={stats['logits_hits']} misses={stats['logits_misses']}",
-        file=sys.stderr,
-    )
+    _stat_line("service", stats)
     if args.checkpoint:
-        print(
-            f"# checkpoint: {args.checkpoint} "
-            f"writes={stats['checkpoints_written']} "
-            f"resumed={stats['queries_resumed']}",
-            file=sys.stderr,
-        )
+        _stat_line("checkpoint", stats, note=f" path={args.checkpoint}")
+    _engine_lines(model, compiler, pool, service.logits_cache)
     return 0
 
 
@@ -960,29 +927,22 @@ def _cmd_submit(args) -> int:
                     if stream.status != "ok" and stream.reason != "max_results"
                     else ""
                 )
-                per_query = stream.stats or {}
-                print(
-                    f"#   {pattern}{flag}: {len(stream.matches)} matches "
-                    f"lm_calls={per_query.get('lm_calls', '?')} "
-                    f"rounds={per_query.get('scheduler_rounds', '?')} "
-                    f"latency={stream.latency_ms if stream.latency_ms is not None else 0.0}ms",
-                    file=sys.stderr,
+                _stat_line(
+                    "query",
+                    {
+                        "matches": len(stream.matches),
+                        **(stream.stats or {}),
+                        "latency_ms": stream.latency_ms,
+                    },
+                    label=f"  {pattern}{flag}",
                 )
                 if stream.status in ("rejected", "interrupted"):
                     failed = True
             if args.stats:
                 stats = await client.stats()
-                disk = stats.get("compile_disk", {})
-                print(
-                    f"# service: sessions={stats['sessions_opened']} "
-                    f"admitted={stats['queries_admitted']} "
-                    f"rejected={stats['queries_rejected']} "
-                    f"matches={stats['matches_streamed']} "
-                    f"stalls={stats['backpressure_stalls']} "
-                    f"compile_hits={stats.get('compile_memory_hits', 0)} "
-                    f"disk_hits={disk.get('hits', 0)}",
-                    file=sys.stderr,
-                )
+                _stat_line("service", stats)
+                if "compile_disk" in stats:
+                    _stat_line("compile disk cache", stats["compile_disk"])
         finally:
             await client.close()
         return 1 if failed else 0

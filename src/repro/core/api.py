@@ -46,7 +46,9 @@ class SearchSession:
     Useful when the caller needs execution statistics or wants to re-run
     the same compiled query with different executor limits.  Pass
     ``compiler=`` to reuse a caller-owned :class:`GraphCompiler` (and its
-    compilation cache) across sessions.
+    compilation cache) across sessions.  ``compiled.metrics`` says what
+    this query's compile cost and where it came from (``source`` is
+    ``"cold"``, ``"memory"`` or ``"disk"``).
 
     To shard each batched LM round across model-replica processes, pass
     a :class:`~repro.core.parallel.PooledModel` over a caller-owned
@@ -66,18 +68,8 @@ class SearchSession:
         elif compiler.tokenizer is not tokenizer:
             raise ValueError("compiler was built for a different tokenizer")
         self.compiler = compiler
-        cache = compiler.cache
-        disk = compiler.disk_cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
-        disk_hits_before = disk.hits if disk is not None else 0
         self.compiled: CompiledQuery = compiler.compile(query)
         self.executor = Executor(model, self.compiled, **executor_kwargs)
-        if cache is not None:
-            self.executor.stats.compilation_cache_hits = cache.hits - hits_before
-            self.executor.stats.compilation_cache_misses = cache.misses - misses_before
-        if disk is not None:
-            self.executor.stats.compilation_cache_disk_hits = disk.hits - disk_hits_before
 
     def __iter__(self) -> Iterator[MatchResult]:
         return self.executor.run()

@@ -97,16 +97,13 @@ class RunCheckpoint:
     ``cache_rows`` is an oldest-first list of ``(context_key, row)``
     pairs from the shared :class:`~repro.lm.base.LogitsCache` (bounded by
     the scheduler's ``checkpoint_cache_mb``); preloading it on resume is
-    what makes re-running interrupted queries cheap.  ``scheduler_stats``
-    is informational (the interrupted run's aggregate counters), kept for
-    post-mortems rather than restored.
+    what makes re-running interrupted queries cheap.
     """
 
     version: int = CHECKPOINT_VERSION
     rounds_completed: int = 0
     queries: list[QuerySnapshot] = field(default_factory=list)
     cache_rows: list[tuple[tuple[int, ...], np.ndarray]] = field(default_factory=list)
-    scheduler_stats: dict[str, Any] = field(default_factory=dict)
 
 
 def save_checkpoint(path: str, checkpoint: RunCheckpoint) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Hashable, Iterable
 
 from repro.automata.dfa import DFA
@@ -75,15 +75,8 @@ class CompileMetrics:
     source: str = "cold"
 
     def as_dict(self) -> dict[str, int | float | str]:
-        """Plain-dict view for JSON reports."""
-        return {
-            "token_states": self.token_states,
-            "token_edges": self.token_edges,
-            "minimized_states": self.minimized_states,
-            "minimized_edges": self.minimized_edges,
-            "compile_ms": self.compile_ms,
-            "source": self.source,
-        }
+        """Plain-dict view for JSON reports: exactly the fields."""
+        return asdict(self)
 
 
 @dataclass

@@ -161,30 +161,6 @@ class Executor:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
-        # Process-parallel evaluation: when the model is a
-        # :class:`~repro.core.parallel.PooledModel`, batched rounds shard
-        # across its pool; stats report this run's share of its counters.
-        pool = getattr(model, "pool", None)
-        self._pool = pool
-        self._pool_base = (
-            (
-                pool.shards_dispatched,
-                pool.parallel_rounds,
-                pool.retries,
-                pool.respawns,
-                pool.degraded_rounds,
-            )
-            if pool is not None
-            else (0, 0, 0, 0, 0)
-        )
-        self.stats.workers = pool.workers if pool is not None else 1
-        # Compile-time shape/cost of this query (see CompileMetrics);
-        # surfaced in stats so every layer reports it uniformly.
-        if compiled.metrics is not None:
-            self.stats.token_states = compiled.metrics.token_states
-            self.stats.token_edges = compiled.metrics.token_edges
-            self.stats.minimized_states = compiled.metrics.minimized_states
-            self.stats.compile_ms = compiled.metrics.compile_ms
         #: Statically-empty language (RLM001): the traversal short-circuits
         #: to an immediate clean finish, so skip cache and array setup.
         self.language_empty = compiled.is_empty
@@ -192,8 +168,6 @@ class Executor:
             if logits_cache is not None and logits_cache.model is not model:
                 raise ValueError("shared logits_cache was built for a different model")
             self._cache = logits_cache
-            self._cache_hits_base = self._cache_misses_base = 0
-            self._prefix_base = (0, 0, 0)
             self._arrays = None
             self.policy = None
             self.max_tokens = 0
@@ -208,14 +182,6 @@ class Executor:
             self._cache = logits_cache
         else:
             self._cache = LogitsCache(model, capacity=cache_size)
-        # Shared caches carry counts from earlier executors; stats report
-        # the delta attributable to this run.
-        self._cache_hits_base = self._cache.hits
-        self._cache_misses_base = self._cache.misses
-        prefix = self._cache.prefix_cache
-        self._prefix_base = (
-            (prefix.hits, prefix.misses, prefix.evictions) if prefix else (0, 0, 0)
-        )
         self._arrays = self.automaton.arrays(model.vocab_size)
         q = compiled.query
         if q.top_k_sampling is None and q.top_p_sampling is None and q.temperature == 1.0:
@@ -242,27 +208,6 @@ class Executor:
         self._dynamic_prune = self.automaton.dynamic_canonical
 
     # -- shared helpers -----------------------------------------------------------
-    def _sync_cache_stats(self) -> None:
-        """Mirror the logits-cache counters into :attr:`stats`."""
-        if self._cache is None:
-            return
-        self.stats.logits_hits = self._cache.hits - self._cache_hits_base
-        self.stats.logits_misses = self._cache.misses - self._cache_misses_base
-        prefix = self._cache.prefix_cache
-        if prefix is not None:
-            h0, m0, e0 = self._prefix_base
-            self.stats.prefix_hits = prefix.hits - h0
-            self.stats.prefix_misses = prefix.misses - m0
-            self.stats.prefix_evictions = prefix.evictions - e0
-            self.stats.prefix_bytes = prefix.bytes
-        if self._pool is not None:
-            s0, p0, r0, w0, d0 = self._pool_base
-            self.stats.shards_dispatched = self._pool.shards_dispatched - s0
-            self.stats.parallel_rounds = self._pool.parallel_rounds - p0
-            self.stats.retries = self._pool.retries - r0
-            self.stats.respawns = self._pool.respawns - w0
-            self.stats.degraded_rounds = self._pool.degraded_rounds - d0
-
     def finish_request(self, request: LmRequest, rows: list[np.ndarray]) -> list:
         """Post-process one serviced :class:`LmRequest`.
 
@@ -343,8 +288,9 @@ class Executor:
         """Execute the query; yields matches per the traversal strategy.
 
         Drives :meth:`steps` against the executor's own logits cache: each
-        ``LmRequest`` is serviced with one (cached) batched lookup, exactly
-        as the pre-scheduler engine did.
+        ``LmRequest`` is serviced with one (cached) batched lookup — a
+        one-group :meth:`~repro.lm.base.LogitsCache.logprobs_round`, whose
+        per-request hit/miss tallies stay exact on a shared cache.
         """
         gen = self.steps()
         payload = None
@@ -355,10 +301,11 @@ class Executor:
                 return
             if isinstance(event, LmRequest):
                 started = time.perf_counter()
-                rows = self._cache.logprobs_batch(event.contexts)
+                rows, hits, misses = self._cache.logprobs_round([event.contexts])
                 self.stats.lm_wall_ms += (time.perf_counter() - started) * 1e3
-                self._sync_cache_stats()
-                payload = self.finish_request(event, rows)
+                self.stats.logits_hits += hits[0]
+                self.stats.logits_misses += misses[0]
+                payload = self.finish_request(event, rows[0])
             else:
                 yield event
                 payload = None

@@ -531,6 +531,27 @@ class WorkerPool:
         """Names of every shared-memory segment the pool has created."""
         return self._segments.names()
 
+    def stats(self) -> dict[str, int | float]:
+        """Plain-dict counter view for logging/reporting.
+
+        Counters are pool-lifetime totals; a caller sharing the pool and
+        wanting one run's share subtracts two snapshots.
+        """
+        return {
+            "workers": self.workers,
+            "rounds": self.rounds,
+            "parallel_rounds": self.parallel_rounds,
+            "inline_rounds": self.inline_rounds,
+            "shards_dispatched": self.shards_dispatched,
+            "contexts_evaluated": self.contexts_evaluated,
+            "wall_ms": self.wall_ms,
+            "retries": self.retries,
+            "respawns": self.respawns,
+            "degraded_shards": self.degraded_shards,
+            "degraded_rounds": self.degraded_rounds,
+            "faults_injected": self.faults_injected,
+        }
+
     # -- evaluation ----------------------------------------------------------
     def logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> list[np.ndarray]:
         """Synchronous sharded evaluation of one context batch."""

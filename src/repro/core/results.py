@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any
 
 __all__ = ["MatchResult", "ExecutionStats", "SchedulerStats"]
 
@@ -39,6 +41,15 @@ class ExecutionStats:
     These power the throughput/efficiency measurements of §4.1: ``lm_calls``
     is the analogue of GPU batch submissions, ``tokens_scored`` of decoded
     tokens, ``pruned_edges`` of test vectors eliminated by decision rules.
+
+    Only what the query's own traversal (or the driver servicing it)
+    increments lives here.  Everything else is read from the object that
+    owns it: compile shape, cost and cache provenance from
+    ``compiled.metrics`` (:class:`~repro.core.compiler.CompileMetrics`),
+    prefix-state (KV) cache traffic from ``model.prefix_cache.stats()``,
+    sharding and supervision counters from ``pool.stats()``.  Those owners
+    are shared between queries; a window over one is two snapshots
+    subtracted.
     """
 
     lm_calls: int = 0
@@ -49,50 +60,17 @@ class ExecutionStats:
     matches_yielded: int = 0
     failed_attempts: int = 0
     duplicates_suppressed: int = 0
-    #: Logits-cache traffic attributable to this run (deltas when the
-    #: cache is shared between executors).
+    #: This query's own logits-cache lookups (per-occurrence attribution,
+    #: see :meth:`~repro.lm.base.LogitsCache.logprobs_round`), exact even
+    #: when the cache is shared: ``logits_hits + logits_misses == lm_calls``.
     logits_hits: int = 0
     logits_misses: int = 0
-    #: Compilation-cache traffic for this query's compile (set by the
-    #: session layer; 0/0 when compiled without a cache).  ``disk_hits``
-    #: counts compiles served from the persistent cross-run cache.
-    compilation_cache_hits: int = 0
-    compilation_cache_misses: int = 0
-    compilation_cache_disk_hits: int = 0
-    #: Compile-time shape of this query's token automaton: states/edges as
-    #: constructed, states after minimization+trimming (equal to
-    #: ``token_states`` when minimization is off), and compile wall-clock
-    #: (near-zero on cache hits).  Copied from ``CompiledQuery.metrics``.
-    token_states: int = 0
-    token_edges: int = 0
-    minimized_states: int = 0
-    compile_ms: float = 0.0
     #: Coalesced scheduler rounds this query participated in (0 when the
     #: query ran serially through :meth:`Executor.run`).
     scheduler_rounds: int = 0
-    #: Prefix-state (KV) cache traffic observed while this query ran
-    #: (deltas against the cache's counters at executor construction —
-    #: the cache lives on the model and is shared by every query using
-    #: it).  All zero when the model has no prefix cache.
-    prefix_hits: int = 0
-    prefix_misses: int = 0
-    prefix_evictions: int = 0
-    #: Resident payload bytes in the prefix cache when the run last
-    #: synced (a gauge, not a delta — eviction makes deltas meaningless).
-    prefix_bytes: int = 0
-    #: Process-parallel evaluation (see :mod:`repro.core.parallel`):
-    #: worker count behind this run (1 = in-process), shards dispatched,
-    #: rounds that actually ran sharded, and LM-round wall-clock.
-    workers: int = 1
-    shards_dispatched: int = 0
-    parallel_rounds: int = 0
+    #: LM-round wall-clock spent inside :meth:`Executor.run` (0 under a
+    #: scheduler, which times whole rounds in ``SchedulerStats.lm_wall_ms``).
     lm_wall_ms: float = 0.0
-    #: Supervision activity while this run held the pool (deltas): shard
-    #: re-deliveries after worker failures, worker process respawns, and
-    #: rounds containing a shard that fell back to in-process evaluation.
-    retries: int = 0
-    respawns: int = 0
-    degraded_rounds: int = 0
 
     @property
     def mean_batch_size(self) -> float:
@@ -107,46 +85,14 @@ class ExecutionStats:
         total = self.logits_hits + self.logits_misses
         return self.logits_hits / total if total else 0.0
 
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fraction of prefix-state lookups that found a cached ancestor
-        (0 when the model has no prefix cache)."""
-        total = self.prefix_hits + self.prefix_misses
-        return self.prefix_hits / total if total else 0.0
-
     def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for logging/reporting."""
-        return {
-            "lm_calls": self.lm_calls,
-            "lm_batches": self.lm_batches,
-            "tokens_scored": self.tokens_scored,
-            "nodes_expanded": self.nodes_expanded,
-            "pruned_edges": self.pruned_edges,
-            "matches_yielded": self.matches_yielded,
-            "failed_attempts": self.failed_attempts,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "logits_hits": self.logits_hits,
-            "logits_misses": self.logits_misses,
-            "compilation_cache_hits": self.compilation_cache_hits,
-            "compilation_cache_misses": self.compilation_cache_misses,
-            "compilation_cache_disk_hits": self.compilation_cache_disk_hits,
-            "token_states": self.token_states,
-            "token_edges": self.token_edges,
-            "minimized_states": self.minimized_states,
-            "compile_ms": self.compile_ms,
-            "scheduler_rounds": self.scheduler_rounds,
-            "prefix_hits": self.prefix_hits,
-            "prefix_misses": self.prefix_misses,
-            "prefix_evictions": self.prefix_evictions,
-            "prefix_bytes": self.prefix_bytes,
-            "workers": self.workers,
-            "shards_dispatched": self.shards_dispatched,
-            "parallel_rounds": self.parallel_rounds,
-            "lm_wall_ms": self.lm_wall_ms,
-            "retries": self.retries,
-            "respawns": self.respawns,
-            "degraded_rounds": self.degraded_rounds,
-        }
+        """Plain-dict view for logging/reporting: exactly the fields."""
+        return asdict(self)
+
+
+#: ``SchedulerStats`` fields that grow with every round; recorded only under
+#: ``record_history=True`` and left out of :meth:`SchedulerStats.as_dict`.
+_HISTORY_FIELDS = ("round_sizes", "round_members", "round_wall_ms")
 
 
 @dataclass
@@ -162,6 +108,11 @@ class SchedulerStats:
     and ``round_members`` (which queries shared each round, what the
     fairness policies act on) — grow with every round, so the scheduler
     only fills them when constructed with ``record_history=True``.
+
+    Worker-pool, prefix-state-cache and compilation-cache counters are not
+    mirrored here: read ``pool.stats()``, ``model.prefix_cache.stats()``,
+    ``compiler.cache.stats()`` / ``compiler.disk_cache.stats()`` and each
+    handle's ``compiled.metrics``.
     """
 
     rounds: int = 0
@@ -171,49 +122,33 @@ class SchedulerStats:
     queries_truncated: int = 0
     queries_cancelled: int = 0
     #: Queries admission control refused at submit time — error-level
-    #: analyzer findings or a cost estimate beyond the admission cap.
-    #: Rejected queries never issue an LM call.
+    #: analyzer findings or a cost estimate beyond the admission cap —
+    #: plus queries whose compile failed.  Neither ever issues an LM call.
     queries_rejected: int = 0
     max_round_size: int = 0
-    round_sizes: list = field(default_factory=list)
-    round_members: list = field(default_factory=list)
+    round_sizes: list[int] = field(default_factory=list)
+    round_members: list[tuple[str, ...]] = field(default_factory=list)
     #: Per-round LM-service wall-clock (milliseconds), recorded only under
     #: ``record_history=True`` like the other per-round logs.
-    round_wall_ms: list = field(default_factory=list)
-    #: Process-parallel evaluation: worker processes behind the scheduler
-    #: (1 = in-process), shards dispatched across all rounds, rounds that
-    #: actually ran sharded, and total LM-service wall-clock.
-    workers: int = 1
-    shards_dispatched: int = 0
-    parallel_rounds: int = 0
+    round_wall_ms: list[float] = field(default_factory=list)
+    #: Total LM-service wall-clock across all rounds.
     lm_wall_ms: float = 0.0
-    #: Supervision activity (see :mod:`repro.core.parallel`): shard
-    #: re-deliveries after worker failures, worker process respawns, and
-    #: rounds containing a shard that exhausted its retries and fell back
-    #: to in-process evaluation (slow, never wrong).
-    retries: int = 0
-    respawns: int = 0
-    degraded_rounds: int = 0
     #: Checkpoint/resume activity (see :mod:`repro.core.checkpoint`):
     #: snapshots written this run, and queries restored from a snapshot at
     #: resume instead of being re-run.
     checkpoints_written: int = 0
     queries_resumed: int = 0
-    #: Compile activity across every submitted query: total compile
-    #: wall-clock, in-memory compilation-cache traffic, compiles served
-    #: from the persistent disk cache, and queries whose compilation was
-    #: overlapped with an in-flight LM round (``compile_ahead=True``).
+    #: Compile wall-clock summed over every query this scheduler compiled,
+    #: and queries whose compilation was overlapped with an in-flight LM
+    #: round (``compile_ahead=True``).
     compile_ms: float = 0.0
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    compile_cache_disk_hits: int = 0
     queries_compiled_ahead: int = 0
     #: Static-analyzer verdict (``"ok"``/``"warning"``/``"error"``) per
     #: query name, recorded at submit (absent when analysis is disabled).
-    per_query_verdict: dict = field(default_factory=dict)
+    per_query_verdict: dict[str, str] = field(default_factory=dict)
     #: Wall-clock seconds from submit to completion, keyed by query name
     #: (the scheduler de-duplicates names at submit, so keys never collide).
-    per_query_latency: dict = field(default_factory=dict)
+    per_query_latency: dict[str, float] = field(default_factory=dict)
     #: Set-analysis planning (``dedupe=True``): queries answered by
     #: mirroring a language-equivalent canonical execution (RLM007),
     #: queries answered by filtering a superset's match stream (RLM008),
@@ -223,64 +158,21 @@ class SchedulerStats:
     queries_deduped: int = 0
     queries_subsumed: int = 0
     set_analysis_ms: float = 0.0
-    per_query_dedupe: dict = field(default_factory=dict)
-    per_query_subsumed: dict = field(default_factory=dict)
-    #: Prefix-state (KV) cache traffic across every round the scheduler
-    #: drove (global aggregates — one cache on the model serves all
-    #: queries, so these are not attributable per query the way logits
-    #: hits are).  All zero when the model has no prefix cache.
-    prefix_hits: int = 0
-    prefix_misses: int = 0
-    prefix_evictions: int = 0
-    prefix_bytes: int = 0
+    per_query_dedupe: dict[str, str] = field(default_factory=dict)
+    per_query_subsumed: dict[str, str] = field(default_factory=dict)
 
     @property
     def mean_round_size(self) -> float:
         """Average coalesced contexts per round (0 when no rounds ran)."""
         return self.contexts_serviced / self.rounds if self.rounds else 0.0
 
-    @property
-    def prefix_hit_rate(self) -> float:
-        """Fraction of prefix-state lookups that found a cached ancestor
-        (0 when the model has no prefix cache)."""
-        total = self.prefix_hits + self.prefix_misses
-        return self.prefix_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict view for logging/reporting."""
-        return {
-            "rounds": self.rounds,
-            "contexts_serviced": self.contexts_serviced,
-            "queries_submitted": self.queries_submitted,
-            "queries_completed": self.queries_completed,
-            "queries_truncated": self.queries_truncated,
-            "queries_cancelled": self.queries_cancelled,
-            "queries_rejected": self.queries_rejected,
-            "mean_round_size": self.mean_round_size,
-            "max_round_size": self.max_round_size,
-            "workers": self.workers,
-            "shards_dispatched": self.shards_dispatched,
-            "parallel_rounds": self.parallel_rounds,
-            "lm_wall_ms": self.lm_wall_ms,
-            "retries": self.retries,
-            "respawns": self.respawns,
-            "degraded_rounds": self.degraded_rounds,
-            "checkpoints_written": self.checkpoints_written,
-            "queries_resumed": self.queries_resumed,
-            "compile_ms": self.compile_ms,
-            "compile_cache_hits": self.compile_cache_hits,
-            "compile_cache_misses": self.compile_cache_misses,
-            "compile_cache_disk_hits": self.compile_cache_disk_hits,
-            "queries_compiled_ahead": self.queries_compiled_ahead,
-            "queries_deduped": self.queries_deduped,
-            "queries_subsumed": self.queries_subsumed,
-            "set_analysis_ms": self.set_analysis_ms,
-            "per_query_dedupe": dict(self.per_query_dedupe),
-            "per_query_subsumed": dict(self.per_query_subsumed),
-            "per_query_latency": dict(self.per_query_latency),
-            "per_query_verdict": dict(self.per_query_verdict),
-            "prefix_hits": self.prefix_hits,
-            "prefix_misses": self.prefix_misses,
-            "prefix_evictions": self.prefix_evictions,
-            "prefix_bytes": self.prefix_bytes,
+    def as_dict(self) -> dict[str, Any]:
+        """Plain-dict view for logging/reporting: every field except the
+        per-round history lists, plus the derived ``mean_round_size``."""
+        out = {
+            f.name: copy(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in _HISTORY_FIELDS
         }
+        out["mean_round_size"] = self.mean_round_size
+        return out

@@ -124,6 +124,9 @@ class ScheduledQuery:
         self.truncated = False
         self.truncated_reason: str | None = None
         self.latency: float | None = None
+        #: The exception a deferred (compile-ahead) compile raised; such a
+        #: query is ``done`` with ``truncated_reason == "rejected"``.
+        self.error: Exception | None = None
         #: The compiled artifact (automata + report) — what the query-set
         #: analyzer relates across queries under ``dedupe=True``.
         self.compiled: CompiledQuery | None = None
@@ -215,8 +218,8 @@ class QueryScheduler:
     When the model carries a prefix-state (KV) cache (see
     :mod:`repro.lm.state_cache`; sized on the model itself), coalesced
     rounds feed it one batched frontier per round, so all concurrent
-    queries share its incremental-decoding savings; its counters land in
-    ``stats.prefix_hits`` etc.
+    queries share its incremental-decoding savings; it owns its counters
+    (``model.prefix_cache.stats()``).
 
     ``worker_pool`` (a caller-owned
     :class:`~repro.core.parallel.WorkerPool` over *model*) shards each
@@ -230,7 +233,8 @@ class QueryScheduler:
     *when* work happens (the differential grid pins bit-identity for
     every workers × pipeline combination).  The caller owns the pool's
     lifetime (``with WorkerPool(model, 4) as pool: ...``) and may share
-    it across schedulers.
+    it across schedulers; sharding and supervision counters are the
+    pool's (``pool.stats()``).
 
     ``compile_ahead=True`` defers query compilation from :meth:`submit`
     into the drive loop, compiling not-yet-runnable queries while LM
@@ -282,10 +286,6 @@ class QueryScheduler:
             raise ValueError("checkpoint_every must be >= 1")
         self.model = model
         self.tokenizer = tokenizer
-        prefix = getattr(model, "prefix_cache", None)
-        self._prefix_base = (
-            (prefix.hits, prefix.misses, prefix.evictions) if prefix else (0, 0, 0)
-        )
         if compiler is None:
             compiler = GraphCompiler(tokenizer, cache=True)
         elif compiler.tokenizer is not tokenizer:
@@ -312,13 +312,6 @@ class QueryScheduler:
         # missing-context set; ``pipeline`` additionally double-buffers
         # rounds in :meth:`run`.  Without one everything stays in-process.
         self._pool = worker_pool
-        # Supervision counters are deltas against the pool's state at
-        # attach time (a shared pool may carry earlier schedulers' traffic).
-        self._pool_fault_base = (
-            (self._pool.retries, self._pool.respawns, self._pool.degraded_rounds)
-            if self._pool is not None
-            else (0, 0, 0)
-        )
         self.pipeline = bool(pipeline)
         # Checkpoint/resume state (see :mod:`repro.core.checkpoint`): a
         # snapshot is written after every ``checkpoint_every`` completed
@@ -367,7 +360,6 @@ class QueryScheduler:
         self._rounds_since_checkpoint = 0
         self._interrupt_requested = False
         self.stats = SchedulerStats()
-        self.stats.workers = self._pool.workers if self._pool is not None else 1
         self.queries: list[ScheduledQuery] = []
         #: Every match in global yield order, as ``(query_name, match)`` —
         #: the merged stream the property suite checks is a permutation of
@@ -394,6 +386,11 @@ class QueryScheduler:
         inside :meth:`step` / :meth:`run`.  With ``compile_ahead=True``
         compilation (and admission control) is deferred into the drive
         loop, where it overlaps in-flight LM rounds.
+
+        A query that fails to compile (e.g. a regex syntax error) raises
+        here with nothing registered; under ``compile_ahead`` it instead
+        finishes as ``"rejected"`` when its turn to compile comes, with the
+        exception kept on ``handle.error``, and the sweep continues.
         """
         index = len(self.queries)
         # Names key per-query latency (and the merged stream), so they must
@@ -405,7 +402,6 @@ class QueryScheduler:
         while unique in self._names:
             unique = f"{base}#{suffix}"
             suffix += 1
-        self._names.add(unique)
         handle = ScheduledQuery(
             index=index,
             name=unique,
@@ -417,42 +413,43 @@ class QueryScheduler:
         kwargs = dict(self.executor_defaults)
         kwargs.update(executor_overrides)
         handle._executor_kwargs = kwargs
+        if not self.compile_ahead:
+            self._attach_executor(handle)  # raises before anything is registered
+        self._names.add(unique)
         self.queries.append(handle)
         self.stats.queries_submitted += 1
         if not self.compile_ahead:
-            self._attach_executor(handle)
+            self._admit(handle)
         return handle
 
-    def _attach_executor(self, sq: ScheduledQuery, ahead: bool = False) -> None:
-        """Compile *sq*'s query, bind its executor, and run admission.
-
-        Shared by eager :meth:`submit` and the drive loop's deferred
-        (compile-ahead) path; cache traffic is attributed to the query as
-        deltas, and aggregated into the scheduler's compile stats.
-        """
-        cache = self.compiler.cache
-        disk = self.compiler.disk_cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
-        disk_hits_before = disk.hits if disk is not None else 0
+    def _attach_executor(self, sq: ScheduledQuery) -> None:
+        """Compile *sq*'s query and bind its executor.  A compile error
+        propagates with *sq* and the scheduler untouched."""
         compiled = self.compiler.compile(sq.query)
         executor = Executor(
             self.model, compiled, logits_cache=self.logits_cache, **sq._executor_kwargs
         )
-        if cache is not None:
-            executor.stats.compilation_cache_hits = cache.hits - hits_before
-            executor.stats.compilation_cache_misses = cache.misses - misses_before
-        if disk is not None:
-            executor.stats.compilation_cache_disk_hits = disk.hits - disk_hits_before
         sq.compiled = compiled
         sq.attach(executor, compiled.report)
-        self.stats.compile_ms += executor.stats.compile_ms
-        self.stats.compile_cache_hits += executor.stats.compilation_cache_hits
-        self.stats.compile_cache_misses += executor.stats.compilation_cache_misses
-        self.stats.compile_cache_disk_hits += executor.stats.compilation_cache_disk_hits
+        if compiled.metrics is not None:
+            self.stats.compile_ms += compiled.metrics.compile_ms
+
+    def _attach_deferred(self, sq: ScheduledQuery, ahead: bool = False) -> None:
+        """The drive loop's (compile-ahead) compile of a registered query:
+        a compile error rejects just this query, then admission runs."""
+        try:
+            self._attach_executor(sq)
+        except Exception as exc:
+            sq.error = exc
+            self._finish(sq, truncated=True, reason="rejected")
+            return
         if ahead:
             self.stats.queries_compiled_ahead += 1
-        report = compiled.report
+        self._admit(sq)
+
+    def _admit(self, sq: ScheduledQuery) -> None:
+        """Admission control on a freshly compiled query."""
+        report = sq.report
         if report is not None:
             self.stats.per_query_verdict[sq.name] = report.verdict
             if self.admission_control:
@@ -578,7 +575,7 @@ class QueryScheduler:
         started = time.perf_counter()
         for sq in self.queries:
             if not sq.done and sq.compiled is None:
-                self._attach_executor(sq)
+                self._attach_deferred(sq)
         live = [sq for sq in self.queries if not sq.done and sq.compiled is not None]
         if len(live) >= 2:
             analyzer = self._set_analyzer or QuerySetAnalyzer()
@@ -737,8 +734,8 @@ class QueryScheduler:
                     break
                 if sq.done or sq.executor is not None:
                     continue
-                self._attach_executor(sq, ahead=ahead)
-                if not sq.done:  # admission may have rejected it
+                self._attach_deferred(sq, ahead=ahead)
+                if not sq.done:  # rejected: compile error or admission
                     active += 1
         for sq in self.queries:
             if sq._mirror_of is not None or sq._subsumed_by is not None:
@@ -786,26 +783,10 @@ class QueryScheduler:
         self.stats.contexts_serviced += size
         self.stats.max_round_size = max(self.stats.max_round_size, size)
         self.stats.lm_wall_ms += wall_ms
-        ticket = inflight.ticket
-        if ticket is not None and ticket.parallel:
-            self.stats.parallel_rounds += 1
-            self.stats.shards_dispatched += len(ticket.shards)
-        if self._pool is not None:
-            r0, w0, d0 = self._pool_fault_base
-            self.stats.retries = self._pool.retries - r0
-            self.stats.respawns = self._pool.respawns - w0
-            self.stats.degraded_rounds = self._pool.degraded_rounds - d0
         if self.record_history:
             self.stats.round_sizes.append(size)
             self.stats.round_members.append(tuple(sq.name for sq in chosen))
             self.stats.round_wall_ms.append(wall_ms)
-        prefix = getattr(self.model, "prefix_cache", None)
-        if prefix is not None:
-            h0, m0, e0 = self._prefix_base
-            self.stats.prefix_hits = prefix.hits - h0
-            self.stats.prefix_misses = prefix.misses - m0
-            self.stats.prefix_evictions = prefix.evictions - e0
-            self.stats.prefix_bytes = prefix.bytes
         for sq, group_rows, h, m in zip(chosen, rows, hits, misses):
             request = sq._pending
             sq._pending = None
@@ -855,7 +836,6 @@ class QueryScheduler:
                 rounds_completed=self.stats.rounds,
                 queries=snapshots,
                 cache_rows=self.logits_cache.dump_rows(budget_bytes),
-                scheduler_stats=self.stats.as_dict(),
             ),
         )
         self.stats.checkpoints_written += 1

@@ -62,8 +62,7 @@ class LanguageModel(ABC):
     #: Optional :class:`~repro.lm.state_cache.PrefixStateCache` holding
     #: per-prefix recurrent state (the transformer's K/V arrays).  Models
     #: whose per-step cost does not grow with context length (the n-gram)
-    #: leave it ``None``; the executor and scheduler surface its counters
-    #: when present.
+    #: leave it ``None``.  It owns its counters: read ``prefix_cache.stats()``.
     prefix_cache = None
 
     def enable_prefix_cache(self, max_bytes: int | None = None) -> Any | None:
@@ -410,15 +409,15 @@ class LogitsCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    @property
-    def prefix_cache(self) -> Any | None:
-        """The underlying model's prefix-state (KV) cache, if any.
-
-        Exposed so drivers holding only the logits cache (the executor,
-        the scheduler) can read the incremental-decoding counters without
-        reaching around it to the model.
-        """
-        return getattr(self.model, "prefix_cache", None)
+    def stats(self) -> dict[str, int | float]:
+        """Plain-dict counter view for logging/reporting."""
+        return {
+            "entries": len(self._store),
+            "capacity": self.capacity,
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hit_rate,
+        }
 
 
 class CountingModel(LanguageModel):

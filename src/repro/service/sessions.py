@@ -49,7 +49,7 @@ import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.core.compiler import CompilationCache, GraphCompiler
@@ -79,8 +79,8 @@ _STATUS_BY_REASON = {
 class ServiceStats:
     """Service-lifetime counters (the ``# service:`` line / ``stats`` frame).
 
-    Scheduler-generation aggregates (rounds, compile-cache traffic,
-    checkpoint writes) are folded in when a generation retires;
+    Scheduler-generation aggregates (:data:`_GENERATION_FIELDS`) are
+    folded in when a generation retires;
     :meth:`SchedulerService.stats_snapshot` adds the live generation and
     the shared caches' own counters on top.
     """
@@ -102,38 +102,24 @@ class ServiceStats:
     contexts_serviced: int = 0
     lm_wall_ms: float = 0.0
     compile_ms: float = 0.0
-    compile_cache_hits: int = 0
-    compile_cache_misses: int = 0
-    compile_cache_disk_hits: int = 0
     checkpoints_written: int = 0
     queries_resumed: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-dict view (what the ``stats`` frame carries)."""
-        return {
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "queries_submitted": self.queries_submitted,
-            "queries_admitted": self.queries_admitted,
-            "queries_completed": self.queries_completed,
-            "queries_truncated": self.queries_truncated,
-            "queries_cancelled": self.queries_cancelled,
-            "queries_rejected": self.queries_rejected,
-            "queries_interrupted": self.queries_interrupted,
-            "matches_streamed": self.matches_streamed,
-            "backpressure_stalls": self.backpressure_stalls,
-            "frames_malformed": self.frames_malformed,
-            "generations": self.generations,
-            "rounds": self.rounds,
-            "contexts_serviced": self.contexts_serviced,
-            "lm_wall_ms": self.lm_wall_ms,
-            "compile_ms": self.compile_ms,
-            "compile_cache_hits": self.compile_cache_hits,
-            "compile_cache_misses": self.compile_cache_misses,
-            "compile_cache_disk_hits": self.compile_cache_disk_hits,
-            "checkpoints_written": self.checkpoints_written,
-            "queries_resumed": self.queries_resumed,
-        }
+        return asdict(self)
+
+
+#: The :class:`SchedulerStats` aggregates each scheduler generation adds to
+#: the same-named :class:`ServiceStats` totals.
+_GENERATION_FIELDS = (
+    "rounds",
+    "contexts_serviced",
+    "lm_wall_ms",
+    "compile_ms",
+    "checkpoints_written",
+    "queries_resumed",
+)
 
 
 @dataclass
@@ -439,16 +425,9 @@ class SchedulerService:
         return {"type": "stats", "stats": self.stats_snapshot()}
 
     @staticmethod
-    def _fold_into(snapshot: dict[str, Any], sched: SchedulerStats) -> None:
-        snapshot["rounds"] += sched.rounds
-        snapshot["contexts_serviced"] += sched.contexts_serviced
-        snapshot["lm_wall_ms"] += sched.lm_wall_ms
-        snapshot["compile_ms"] += sched.compile_ms
-        snapshot["compile_cache_hits"] += sched.compile_cache_hits
-        snapshot["compile_cache_misses"] += sched.compile_cache_misses
-        snapshot["compile_cache_disk_hits"] += sched.compile_cache_disk_hits
-        snapshot["checkpoints_written"] += sched.checkpoints_written
-        snapshot["queries_resumed"] += sched.queries_resumed
+    def _fold_into(totals: dict[str, Any], sched: SchedulerStats) -> None:
+        for name in _GENERATION_FIELDS:
+            totals[name] += getattr(sched, name)
 
     def _retire_generation(self) -> None:
         """Fold the live generation's aggregates into the service totals
@@ -461,17 +440,9 @@ class SchedulerService:
                 sched.save_checkpoint()
             except Exception as exc:  # pragma: no cover - disk full etc.
                 warnings.warn(f"final generation checkpoint failed: {exc}", RuntimeWarning)
-        stats = self.stats
-        stats.generations += 1
-        stats.rounds += sched.stats.rounds
-        stats.contexts_serviced += sched.stats.contexts_serviced
-        stats.lm_wall_ms += sched.stats.lm_wall_ms
-        stats.compile_ms += sched.stats.compile_ms
-        stats.compile_cache_hits += sched.stats.compile_cache_hits
-        stats.compile_cache_misses += sched.stats.compile_cache_misses
-        stats.compile_cache_disk_hits += sched.stats.compile_cache_disk_hits
-        stats.checkpoints_written += sched.stats.checkpoints_written
-        stats.queries_resumed += sched.stats.queries_resumed
+        if sched.queries:  # a generation whose only submit failed to compile drained nothing
+            self.stats.generations += 1
+        self._fold_into(vars(self.stats), sched.stats)
         self._scheduler = None
 
     # -- the engine thread -----------------------------------------------------------
@@ -525,7 +496,8 @@ class SchedulerService:
         return False
 
     def _admit(self, ticket: _Ticket) -> None:
-        """Quota + compile gate, then hand the query to the scheduler."""
+        """Quota gate, then hand the query to the scheduler (whose submit
+        compiles it; a compile error is a terminal ``rejected``)."""
         session = ticket.session
         with self._cond:
             if session.closed:
@@ -552,17 +524,15 @@ class SchedulerService:
                 if sum(n for _, n in usage) >= self.lm_calls_per_minute:
                     self._emit_done(ticket, "rejected", "quota_lm_rate")
                     return
-        # Compile outside the lock: the warm compiler makes the scheduler's
-        # own compile (inside submit) a cache hit, and a syntax error is
-        # rejected here without ever touching the scheduler.
+        # Compile (inside submit) outside the lock; a failed submit leaves
+        # nothing registered in the scheduler.
+        sched = self._ensure_scheduler()
         try:
-            self.compiler.compile(ticket.query)
+            handle = sched.submit(ticket.query, budget=ticket.budget, name=ticket.name)
         except Exception as exc:
             with self._cond:
                 self._emit_done(ticket, "rejected", f"compile: {exc}")
             return
-        sched = self._ensure_scheduler()
-        handle = sched.submit(ticket.query, budget=ticket.budget, name=ticket.name)
         with self._cond:
             ticket.handle = handle
             if ticket.cancelled and not handle.done:
@@ -669,7 +639,13 @@ class SchedulerService:
         self._active = still_active
 
     def _emit_done(self, ticket: _Ticket, status: str, reason: str | None) -> None:
-        """Send the terminal frame and account the outcome.  Lock held."""
+        """Send the terminal frame and account the outcome.  Lock held.
+
+        For a query that reached the scheduler the frame's ``stats`` carry
+        its own counters plus ``compile_source`` — where its one compile
+        came from (:attr:`CompileMetrics.source`: ``"cold"``, ``"memory"``
+        or ``"disk"``; ``None`` when a checkpoint answered it uncompiled).
+        """
         ticket.done_sent = True
         counters = {
             "ok": "queries_completed",
@@ -689,14 +665,17 @@ class SchedulerService:
         if reason is not None:
             frame["reason"] = reason
         if handle is not None:
+            compiled = handle.compiled
             frame["stats"] = {
                 "lm_calls": handle.stats.lm_calls,
                 "scheduler_rounds": handle.stats.scheduler_rounds,
                 "logits_hits": handle.stats.logits_hits,
                 "logits_misses": handle.stats.logits_misses,
-                "compile_cache_hits": handle.stats.compilation_cache_hits,
-                "compile_cache_misses": handle.stats.compilation_cache_misses,
-                "compile_cache_disk_hits": handle.stats.compilation_cache_disk_hits,
+                "compile_source": (
+                    compiled.metrics.source
+                    if compiled is not None and compiled.metrics is not None
+                    else None
+                ),
                 "resumed": bool(
                     handle.done
                     and handle.latency is not None

@@ -88,9 +88,10 @@ def _world(name, model, tokenizer, env):
     return env.model("small"), env.tokenizer
 
 
-def _run(model, tokenizer, query, path="default", limit=200, compiler=None):
+def _run_session(model, tokenizer, query, path="default", limit=200, compiler=None):
     """One serial run with the edge expansion pinned to *path* (``"dict"``
-    scalar reference, ``"arrays"`` vectorized, ``"default"`` production)."""
+    scalar reference, ``"arrays"`` vectorized, ``"default"`` production);
+    returns the matches and the session that produced them."""
     matches = []
     with expansion_path(path):
         session = prepare(model, tokenizer, query, compiler=compiler)
@@ -98,6 +99,12 @@ def _run(model, tokenizer, query, path="default", limit=200, compiler=None):
             matches.append(match)
             if len(matches) >= limit:
                 break
+    return matches, session
+
+
+def _run(model, tokenizer, query, path="default", limit=200, compiler=None):
+    """:func:`_run_session`, returning ``(matches, session.stats)``."""
+    matches, session = _run_session(model, tokenizer, query, path, limit, compiler)
     return matches, session.stats
 
 
@@ -266,11 +273,11 @@ class TestCompilationCache:
     def test_session_records_cache_deltas(self, model, tokenizer):
         compiler = GraphCompiler(tokenizer, cache=True)
         first = prepare(model, tokenizer, SearchQuery("The cat"), compiler=compiler)
+        assert first.compiled.metrics.source == "cold"
+        assert (compiler.cache.hits, compiler.cache.misses) == (0, 1)
         second = prepare(model, tokenizer, SearchQuery("The cat"), compiler=compiler)
-        assert first.stats.compilation_cache_misses == 1
-        assert first.stats.compilation_cache_hits == 0
-        assert second.stats.compilation_cache_hits == 1
-        assert second.stats.compilation_cache_misses == 0
+        assert second.compiled.metrics.source == "memory"
+        assert (compiler.cache.hits, compiler.cache.misses) == (1, 1)
 
 
 def _run_scheduled(model, tokenizer, query, path="default", limit=200):
@@ -384,6 +391,9 @@ class TestParallelSchedulerDifferential:
         serial, serial_stats = serial_baseline[name]
 
         pool = pools(source, workers)
+        # The pool is shared across the grid: this run's share of its
+        # counters is two snapshots subtracted.
+        before = pool.stats() if pool is not None else {}
         scheduler = QueryScheduler(
             m, tok, concurrency=1, pipeline=pipeline, worker_pool=pool,
         )
@@ -407,13 +417,16 @@ class TestParallelSchedulerDifferential:
         assert handle.stats.logits_hits == serial_stats.logits_hits
         assert handle.stats.logits_misses == serial_stats.logits_misses
         stats = scheduler.stats
-        assert stats.workers == (workers if workers > 1 else 1)
         if workers > 1:
+            after = pool.stats()
+            assert after["workers"] == workers
+            parallel_rounds = after["parallel_rounds"] - before["parallel_rounds"]
+            shards = after["shards_dispatched"] - before["shards_dispatched"]
             # min_shard_size=1: every multi-context round must have sharded.
-            assert stats.parallel_rounds > 0 or stats.rounds == 0 or (
+            assert parallel_rounds > 0 or stats.rounds == 0 or (
                 stats.contexts_serviced <= stats.rounds  # all 1-context rounds
             )
-            assert stats.shards_dispatched >= stats.parallel_rounds
+            assert shards >= parallel_rounds
 
 
 class TestSharedLogitsCache:
@@ -431,6 +444,43 @@ class TestSharedLogitsCache:
         assert second.stats.logits_hits > 0
         assert second.stats.logits_hit_rate == 1.0
         assert first.stats.logits_hits + first.stats.logits_misses <= shared.hits + shared.misses
+
+    def test_sessions_prepared_together_are_charged_their_own_lookups(
+        self, model, tokenizer
+    ):
+        """Two sessions over one cache, both prepared before either runs:
+        each is charged exactly its own lookups, not whatever the cache's
+        counters moved by since its construction."""
+        shared = LogitsCache(model, capacity=4096)
+        a = prepare(model, tokenizer, SearchQuery("the [a-z]{1,3}"), logits_cache=shared)
+        b = prepare(model, tokenizer, SearchQuery("The ((cat)|(dog))"), logits_cache=shared)
+        list(a)
+        list(b)
+        for session in (a, b):
+            stats = session.stats
+            assert stats.lm_calls > 0
+            assert stats.logits_hits + stats.logits_misses == stats.lm_calls
+        assert shared.hits + shared.misses == a.stats.lm_calls + b.stats.lm_calls
+        assert shared.stats()["misses"] == a.stats.logits_misses + b.stats.logits_misses
+
+    def test_session_sharing_a_cache_with_a_scheduler(self, model, tokenizer):
+        from repro.core.scheduler import QueryScheduler
+
+        shared = LogitsCache(model, capacity=4096)
+        session = prepare(
+            model, tokenizer, SearchQuery("The ((cat)|(dog))"), logits_cache=shared
+        )
+        scheduler = QueryScheduler(model, tokenizer, logits_cache=shared)
+        handles = [
+            scheduler.submit(SearchQuery(p)) for p in ("the [a-z]{1,3}", "The ((man)|(woman))")
+        ]
+        scheduler.run()
+        list(session)
+        everyone = [session.stats] + [h.stats for h in handles]
+        for stats in everyone:
+            assert stats.lm_calls > 0
+            assert stats.logits_hits + stats.logits_misses == stats.lm_calls
+        assert shared.hits + shared.misses == sum(s.lm_calls for s in everyone)
 
     def test_wrong_model_rejected(self, model, tokenizer, env):
         shared = LogitsCache(env.model("small"))
@@ -518,6 +568,7 @@ class TestPrefixCacheDifferential:
     )
     def test_match_sets_identical(self, tokenizer, tmodels, name, source, query):
         off, on = tmodels
+        prefix_before = on.prefix_cache.stats()
         got_off, stats_off = _run(off, tokenizer, query, limit=60)
         got_on, stats_on = _run(on, tokenizer, query, limit=60)
         assert len(got_off) == len(got_on)
@@ -531,10 +582,14 @@ class TestPrefixCacheDifferential:
         assert stats_off.pruned_edges == stats_on.pruned_edges
         assert stats_off.lm_calls == stats_on.lm_calls
         assert stats_off.failed_attempts == stats_on.failed_attempts
-        # The cache-off run must not touch a prefix cache; the cache-on
-        # run's counters must be surfaced in its stats.
-        assert stats_off.prefix_hits == 0 and stats_off.prefix_misses == 0
-        assert stats_on.prefix_hits + stats_on.prefix_misses > 0
+        # The cache-off model has no prefix cache to touch; the cache-on
+        # run's traffic shows on the model's cache, which owns the counters.
+        assert off.prefix_cache is None
+        prefix_after = on.prefix_cache.stats()
+        assert (
+            prefix_after["hits"] + prefix_after["misses"]
+            > prefix_before["hits"] + prefix_before["misses"]
+        )
 
     def test_scheduler_matches_with_cache_on(self, tokenizer, tmodels):
         """Coalesced rounds over a shared prefix cache produce the same
@@ -549,40 +604,44 @@ class TestPrefixCacheDifferential:
                         top_k=25, seed=2),
         ]
         results = {}
+        before = on.prefix_cache.stats()
         for label, model in (("off", off), ("on", on)):
             scheduler = QueryScheduler(model, tokenizer, concurrency=3)
             handles = [scheduler.submit(q) for q in queries]
             scheduler.run()
-            results[label] = (handles, scheduler.stats)
-        for a, b in zip(results["off"][0], results["on"][0]):
+            results[label] = handles
+        for a, b in zip(results["off"], results["on"]):
             assert [m.text for m in a.results] == [m.text for m in b.results]
             assert [m.tokens for m in a.results] == [m.tokens for m in b.results]
             for x, y in zip(a.results, b.results):
                 assert x.total_logprob == pytest.approx(y.total_logprob, abs=1e-9)
-        off_stats, on_stats = results["off"][1], results["on"][1]
-        assert off_stats.prefix_hits == 0 and off_stats.prefix_misses == 0
-        assert on_stats.prefix_hits > 0
+        assert off.prefix_cache is None
+        after = on.prefix_cache.stats()
+        hits = after["hits"] - before["hits"]
+        misses = after["misses"] - before["misses"]
+        assert hits > 0
         # Frontier children are parents + one token: reuse dominates.
-        assert on_stats.prefix_hit_rate > 0.5
-        assert on_stats.prefix_bytes > 0
+        assert hits / (hits + misses) > 0.5
+        assert after["bytes"] > 0
 
     def test_kv_knobs_through_prepare(self, tokenizer, tmodels):
-        """The KV knobs live on the model; a session over it reports the
-        cache's traffic (and none once the model's cache is detached)."""
+        """The KV knobs live on the model, and so do the cache's counters:
+        a session over it shows up in ``model.prefix_cache.stats()`` (and
+        nowhere once the model's cache is detached)."""
         _, on = tmodels
         on.enable_prefix_cache(4 << 20)
         session = prepare(on, tokenizer,
                           SearchQuery("The ((cat)|(dog))", seed=3))
         assert on.prefix_cache.max_bytes == 4 << 20
         list(session)
-        assert session.stats.prefix_hits + session.stats.prefix_misses > 0
-        assert session.stats.as_dict()["prefix_bytes"] > 0
+        stats = on.prefix_cache.stats()
+        assert stats["hits"] + stats["misses"] > 0
+        assert stats["bytes"] > 0
         on.disable_prefix_cache()
         session = prepare(on, tokenizer,
                           SearchQuery("The ((cat)|(dog))", seed=3))
         assert on.prefix_cache is None
-        list(session)
-        assert session.stats.prefix_hits == 0
+        assert list(session)
         on.enable_prefix_cache(16 << 20)  # restore for other tests
 
 
@@ -607,10 +666,12 @@ class TestMinimizationDifferential:
         self, model, tokenizer, env, name, source, query, path
     ):
         m, tok = _world(source, model, tokenizer, env)
-        got_off, stats_off = _run(
+        got_off, session_off = _run_session(
             m, tok, query, path, compiler=unminimized_compiler(tok, query)
         )
-        got_on, stats_on = _run(m, tok, query, path)
+        got_on, session_on = _run_session(m, tok, query, path)
+        stats_off, stats_on = session_off.stats, session_on.stats
+        shape_off, shape_on = session_off.compiled.metrics, session_on.compiled.metrics
         assert len(got_off) == len(got_on)
         assert len(got_off) > 0, f"combo {name} produced no matches"
         for a, b in zip(got_off, got_on):
@@ -626,9 +687,9 @@ class TestMinimizationDifferential:
         assert stats_off.lm_calls == stats_on.lm_calls
         assert stats_off.tokens_scored == stats_on.tokens_scored
         assert stats_off.failed_attempts == stats_on.failed_attempts
-        assert stats_on.minimized_states <= stats_on.token_states
+        assert shape_on.minimized_states <= shape_on.token_states
         # The hand-built side really is the unminimized machine.
-        assert stats_off.minimized_states == stats_off.token_states == stats_on.token_states
+        assert shape_off.minimized_states == shape_off.token_states == shape_on.token_states
 
     #: workers × pipeline subset: enough to catch a sharding/ordering
     #: interaction without re-running the whole parallel grid twice.

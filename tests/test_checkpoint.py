@@ -202,6 +202,29 @@ class TestSchedulerCheckpointing:
         assert scheduler.stats.queries_resumed == len(PATTERNS)
         assert counter.batch_rounds == 0 and counter.single_calls == 0
 
+    def test_resumes_a_checkpoint_carrying_since_removed_stats_fields(
+        self, model, tokenizer, tmp_path
+    ):
+        """Checkpoints written before the mirrored stats fields were
+        deleted carry extra per-query keys and a ``scheduler_stats``
+        payload; both are ignored and the sweep resumes identically."""
+        budget = QueryBudget(max_results=4)
+        path = str(tmp_path / "run.ckpt")
+        queries = [SearchQuery(p) for p in PATTERNS]
+        clean = search_many(model, tokenizer, queries, budget=budget, checkpoint=path)
+        old = load_checkpoint(path)
+        for snap in old.queries:
+            snap.stats.update(workers=2, prefix_hits=7, compilation_cache_hits=1, compile_ms=3.5)
+        old.scheduler_stats = {"rounds": old.rounds_completed, "workers": 2}
+        save_checkpoint(path, old)
+        resumed = search_many(
+            model, tokenizer, queries, budget=budget, checkpoint=path, resume=True
+        )
+        assert _result_sets(resumed) == _result_sets(clean)
+        for c, r in zip(clean, resumed):
+            assert r.stats.as_dict() == c.stats.as_dict()
+            assert not hasattr(r.stats, "prefix_hits")
+
     def test_unrecognized_queries_run_fresh_alongside_resumed(
         self, model, tokenizer, tmp_path
     ):

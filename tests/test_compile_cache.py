@@ -170,9 +170,11 @@ class TestSchedulerIntegration:
             return s
 
         first = sweep()
-        assert first.stats.compile_cache_disk_hits == 0
+        assert first.compiler.disk_cache.hits == 0
+        assert all(q.compiled.metrics.source == "cold" for q in first.queries)
         second = sweep()
-        assert second.stats.compile_cache_disk_hits == len(PATTERNS)
+        assert second.compiler.disk_cache.hits == len(PATTERNS)
+        assert all(q.compiled.metrics.source == "disk" for q in second.queries)
         for a, b in zip(first.queries, second.queries):
             assert [(m.tokens, m.text) for m in a.results] == [
                 (m.tokens, m.text) for m in b.results
@@ -220,7 +222,7 @@ class TestSchedulerIntegration:
         assert all(h.done for h in handles)
         # Queries beyond the first concurrency slots compiled mid-run.
         assert s.stats.queries_compiled_ahead >= 1
-        assert s.stats.compile_cache_misses == len(PATTERNS)
+        assert s.compiler.cache.misses == len(PATTERNS)
 
     def test_compile_ahead_admission_still_rejects(self, tok, lm):
         from repro.core.preprocessors import FilterPreprocessor
@@ -242,16 +244,17 @@ class TestSchedulerIntegration:
 
 
 class TestCompileMetrics:
-    def test_metrics_reach_execution_stats(self, tok, lm):
+    def test_metrics_reach_the_session(self, tok, lm):
         from repro.core.api import prepare
 
         session = prepare(lm, tok, SearchQuery(PATTERNS[0]))
-        stats = session.stats
-        assert stats.token_states > 0
-        assert stats.token_edges > 0
-        assert 0 < stats.minimized_states <= stats.token_states
-        assert stats.compile_ms > 0.0
-        assert "token_states" in stats.as_dict()
+        metrics = session.compiled.metrics
+        assert metrics.token_states > 0
+        assert metrics.token_edges > 0
+        assert 0 < metrics.minimized_states <= metrics.token_states
+        assert metrics.compile_ms > 0.0
+        assert metrics.source == "cold"
+        assert "token_states" in metrics.as_dict()
 
     def test_scheduler_aggregates_compile_ms(self, tok, lm):
         s = QueryScheduler(lm, tok)
@@ -259,7 +262,7 @@ class TestCompileMetrics:
             s.submit(SearchQuery(p))
         s.run()
         assert s.stats.compile_ms > 0.0
-        assert s.stats.compile_cache_misses == len(PATTERNS)
+        assert s.compiler.cache.misses == len(PATTERNS)
         assert "compile_ms" in s.stats.as_dict()
 
 

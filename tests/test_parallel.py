@@ -296,7 +296,7 @@ class TestSchedulerOwnership:
                 scheduler = QueryScheduler(model, tokenizer, worker_pool=pool)
                 scheduler.submit(SearchQuery("The ((cat)|(dog))"))
                 scheduler.run()
-                assert scheduler.stats.workers == 2
+                assert pool.stats()["workers"] == 2
                 assert not hasattr(scheduler, "close")
                 del scheduler
                 assert not pool.closed
@@ -315,7 +315,7 @@ class TestSchedulerOwnership:
             )
             texts = sorted(m.text for m in session)
             assert texts == ["The cat", "The dog"]
-            assert session.stats.workers == 2
+            assert pool.parallel_rounds > 0 and pool.shards_dispatched > 0
             names = pool.segment_names()
         assert pool.closed
         assert not any(_segment_exists(n) for n in names)

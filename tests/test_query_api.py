@@ -115,6 +115,27 @@ REMOVED_KEYWORDS = {
     "SchedulerService": _POOL_KNOBS + _KV_KNOBS + ("backend", "compile_cache"),
 }
 
+#: Stats fields deleted because another object owns the counter — read it
+#: there (``pool.stats()``, ``model.prefix_cache.stats()``,
+#: ``compiler.cache.stats()``, ``compiled.metrics``).  No compatibility
+#: property may creep back: all of these must be ``AttributeError``.
+_POOL_MIRRORS = (
+    "workers", "shards_dispatched", "parallel_rounds", "retries", "respawns",
+    "degraded_rounds",
+)
+_PREFIX_MIRRORS = (
+    "prefix_hits", "prefix_misses", "prefix_evictions", "prefix_bytes", "prefix_hit_rate",
+)
+_COMPILE_CACHE_MIRRORS = ("compile_cache_hits", "compile_cache_misses", "compile_cache_disk_hits")
+REMOVED_STATS_FIELDS = {
+    "ExecutionStats": _POOL_MIRRORS + _PREFIX_MIRRORS + (
+        "compilation_cache_hits", "compilation_cache_misses", "compilation_cache_disk_hits",
+        "token_states", "token_edges", "minimized_states", "compile_ms",
+    ),
+    "SchedulerStats": _POOL_MIRRORS + _PREFIX_MIRRORS + _COMPILE_CACHE_MIRRORS,
+    "ServiceStats": _COMPILE_CACHE_MIRRORS,
+}
+
 
 class TestRemovedKeywords:
     @pytest.fixture()
@@ -182,3 +203,40 @@ class TestRemovedKeywords:
         assert len(named(SchedulerService.__init__)) == 14
         for fn in (search_many, QueryScheduler.__init__, SchedulerService.__init__):
             assert "worker_pool" in named(fn)
+
+        # Stats objects carry only what their owner increments; a counter
+        # another object owns (pool, prefix cache, compilation caches,
+        # CompileMetrics) is read there, never mirrored here.
+        import dataclasses
+
+        from repro.core.results import ExecutionStats, SchedulerStats
+        from repro.service import ServiceStats
+
+        for cls, size in ((ExecutionStats, 12), (SchedulerStats, 23), (ServiceStats, 19)):
+            assert len(dataclasses.fields(cls)) == size, cls.__name__
+            for removed in REMOVED_STATS_FIELDS[cls.__name__]:
+                with pytest.raises(AttributeError):
+                    getattr(cls(), removed)
+
+    def test_as_dict_enumerates_every_field(self):
+        """Each report's ``as_dict()`` is its dataclass fields (plus the
+        documented derived keys) — a new field cannot be forgotten."""
+        import dataclasses
+
+        from repro.core.compiler import CompileMetrics
+        from repro.core.results import ExecutionStats, SchedulerStats
+        from repro.service import ServiceStats
+
+        def field_names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        for cls in (ExecutionStats, ServiceStats, CompileMetrics):
+            assert set(cls().as_dict()) == field_names(cls), cls.__name__
+        history = {"round_sizes", "round_members", "round_wall_ms"}
+        assert set(SchedulerStats().as_dict()) == (
+            field_names(SchedulerStats) - history
+        ) | {"mean_round_size"}
+        # A copy, not a view: mutating the report never touches the stats.
+        stats = SchedulerStats()
+        stats.as_dict()["per_query_latency"]["q0"] = 1.0
+        assert stats.per_query_latency == {}

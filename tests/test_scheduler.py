@@ -27,6 +27,7 @@ from repro.core.executor import LmRequest
 from repro.core.query import SearchQuery
 from repro.core.scheduler import FAIRNESS_POLICIES, QueryBudget, QueryScheduler
 from repro.lm.base import CountingModel, LanguageModel, LogitsCache
+from repro.regex.parser import RegexSyntaxError
 
 WIDE = "The ((cat)|(dog)|(man)|(woman))"
 
@@ -359,6 +360,52 @@ class TestFairness:
         assert streams["round_robin"] == streams["shortest_frontier"]
 
 
+class TestCompileErrors:
+    """A query that does not compile never strands the sweep."""
+
+    BAD = "The ((cat"
+    GOOD = ["The ((cat)|(dog))", "The ((man)|(woman))"]
+
+    def test_eager_submit_raises_with_nothing_registered(self, model, tokenizer):
+        scheduler = QueryScheduler(model, tokenizer)
+        good = scheduler.submit(SearchQuery(self.GOOD[0]))
+        with pytest.raises(RegexSyntaxError):
+            scheduler.submit(SearchQuery(self.BAD), name="bad")
+        assert scheduler.queries == [good]
+        assert scheduler.stats.queries_submitted == 1
+        assert scheduler.run() == [good]
+        assert good.done and not good.truncated
+        assert scheduler.stats.queries_completed == 1
+        assert scheduler.step() is False
+        # The failed submit did not even reserve its name.
+        assert scheduler.submit(SearchQuery(self.GOOD[1]), name="bad").name == "bad"
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"pipeline": True}, {"dedupe": True}],
+        ids=["plain", "pipeline", "planned"],
+    )
+    def test_deferred_compile_error_rejects_only_that_query(
+        self, model, tokenizer, kwargs
+    ):
+        scheduler = QueryScheduler(
+            model, tokenizer, compile_ahead=True, concurrency=2, **kwargs
+        )
+        first = scheduler.submit(SearchQuery(self.GOOD[0]))
+        bad = scheduler.submit(SearchQuery(self.BAD))
+        second = scheduler.submit(SearchQuery(self.GOOD[1]))
+        scheduler.run()
+        assert bad.done and bad.truncated and bad.truncated_reason == "rejected"
+        assert isinstance(bad.error, RegexSyntaxError)
+        assert bad.results == [] and bad.stats.lm_calls == 0
+        for handle, pattern in zip((first, second), self.GOOD):
+            assert handle.done and not handle.truncated and handle.error is None
+            assert handle.results == _serial_matches(model, tokenizer, SearchQuery(pattern))
+        stats = scheduler.stats
+        assert (stats.queries_submitted, stats.queries_completed) == (3, 2)
+        assert stats.queries_rejected == 1
+
+
 class TestSchedulerSurface:
     def test_constructor_validation(self, model, tokenizer, env):
         with pytest.raises(ValueError, match="concurrency"):
@@ -403,12 +450,13 @@ class TestSchedulerSurface:
         assert len(scheduler.stats.per_query_latency) == 2
         assert scheduler.stats.per_query_latency[second.name] == second.latency
 
-    def test_submit_records_compilation_cache_deltas(self, model, tokenizer):
+    def test_submit_records_compile_source(self, model, tokenizer):
         scheduler = QueryScheduler(model, tokenizer)
         first = scheduler.submit(SearchQuery("The cat"))
         second = scheduler.submit(SearchQuery("The cat"))
-        assert first.stats.compilation_cache_misses == 1
-        assert second.stats.compilation_cache_hits == 1
+        assert first.compiled.metrics.source == "cold"
+        assert second.compiled.metrics.source == "memory"
+        assert scheduler.compiler.cache.stats()["hits"] == 1
 
     def test_search_many_api(self, model, tokenizer):
         queries = [SearchQuery(WIDE, seed=i) for i in range(2)]

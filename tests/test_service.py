@@ -406,6 +406,45 @@ class TestQuotas:
 
 
 # ---------------------------------------------------------------------------
+class TestCompileErrors:
+    def test_syntax_error_is_rejected_and_service_keeps_serving(self, model, tokenizer):
+        """A pattern that does not compile is a terminal ``rejected`` —
+        nothing is left in the scheduler to spin on — and the service
+        compiles each query exactly once (``compile_source`` is honest)."""
+        good = SearchQuery("The ((cat)|(dog))")
+        reference = list(search(model, tokenizer, good))
+
+        async def scenario():
+            async with serving(model, tokenizer) as (server, service):
+                async with await ServiceClient.connect(server.host, server.port) as client:
+                    bad = await client.submit(SearchQuery("The ((cat"))
+                    assert await bad.collect() == []
+                    assert bad.status == "rejected"
+                    assert bad.reason.startswith("compile: ")
+                    assert bad.stats is None  # never reached the scheduler
+                    lookups = service.compiler.cache.stats()
+                    first = await client.submit(good)
+                    assert await first.collect() == reference
+                    assert first.status == "ok"
+                    assert first.stats["compile_source"] == "cold"
+                    second = await client.submit(good)
+                    assert await second.collect() == reference
+                    assert second.stats["compile_source"] == "memory"
+                    stats = await client.stats()
+                after = service.compiler.cache.stats()
+                # One compile per service query: two lookups, not four.
+                assert after["misses"] - lookups["misses"] == 1
+                assert after["hits"] - lookups["hits"] == 1
+                return stats
+
+        stats = asyncio.run(scenario())
+        assert stats["queries_rejected"] == 1
+        assert stats["queries_completed"] == 2
+        assert stats["queries_admitted"] == 2
+        assert not any(key.startswith("compile_cache_") for key in stats)
+
+
+# ---------------------------------------------------------------------------
 class TestProtocolFuzz:
     GARBAGE = [
         b"\xff\xfe\x00garbage\n",
