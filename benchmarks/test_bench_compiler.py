@@ -17,6 +17,7 @@ import pytest
 from conftest import print_table
 from repro.core.compiler import GraphCompiler
 from repro.regex import compile_dfa
+from tests.reference import compile_all_tokens_scan
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ def test_bench_a2_trie_vs_scan(env, compiler, benchmark):
         lambda: compiler.compile_all_tokens(dfa, None), rounds=5, iterations=1
     )
     start = time.perf_counter()
-    scan_result = compiler.compile_all_tokens_scan(dfa, None)
+    scan_result = compile_all_tokens_scan(compiler, dfa, None)
     scan_time = time.perf_counter() - start
     start = time.perf_counter()
     compiler.compile_all_tokens(dfa, None)

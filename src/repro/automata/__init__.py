@@ -1,5 +1,6 @@
-"""Formal-language substrate: alphabets, NFAs, DFAs, tries, transducers,
-Levenshtein automata, and walk counting.
+"""Formal-language substrate: alphabets, NFAs, DFAs, the partition-refinement
+minimization kernel, tries, transducers, Levenshtein automata, and walk
+counting.
 
 This package is the classical-automata layer of the reproduction; it knows
 nothing about tokens or language models.  :mod:`repro.core` lowers these

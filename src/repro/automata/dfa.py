@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.automata.nfa import NFA
+from repro.automata.partition import refine
 
 __all__ = ["DFA", "ProductBudgetExceeded"]
 
@@ -259,86 +260,29 @@ class DFA:
         return DFA(start=remap[self.start], accepts=accepts, transitions=transitions)
 
     def minimized(self) -> "DFA":
-        """Return the Hopcroft-minimised equivalent DFA (trim, partial)."""
+        """Return the minimal equivalent DFA (trim, partial).
+
+        The state partition comes from :func:`repro.automata.partition.refine`;
+        each block is named by its id (ids ascend with the block's minimum
+        member) and takes that member's transitions.  A quotient of a trim
+        automaton is trim, so the result needs no further trimming.
+        """
         dfa = self.trimmed()
-        states = dfa.states
         if not dfa.accepts:
             return dfa
-        # Work over the completed automaton: add an implicit dead state -1.
-        all_chars = set()
-        for row in dfa.transitions.values():
-            all_chars.update(row)
-        dead = -1
-        full_states = set(states) | {dead}
-
-        def step(q: int, ch: str) -> int:
-            if q == dead:
-                return dead
-            return dfa.transitions.get(q, {}).get(ch, dead)
-
-        accepting = frozenset(dfa.accepts)
-        non_accepting = frozenset(full_states - accepting)
-        partition: set[frozenset[int]] = {accepting}
-        if non_accepting:
-            partition.add(non_accepting)
-        worklist: list[frozenset[int]] = [accepting]
-        if non_accepting and len(non_accepting) <= len(accepting):
-            worklist = [non_accepting]
-        # Precompute reverse transitions per char.
-        reverse: dict[str, dict[int, set[int]]] = {ch: {} for ch in all_chars}
-        for q in full_states:
-            for ch in all_chars:
-                reverse[ch].setdefault(step(q, ch), set()).add(q)
-        while worklist:
-            splitter = worklist.pop()
-            for ch in all_chars:
-                pre: set[int] = set()
-                for q in splitter:
-                    pre |= reverse[ch].get(q, set())
-                if not pre:
-                    continue
-                for block in list(partition):
-                    inter = block & pre
-                    diff = block - pre
-                    if not inter or not diff:
-                        continue
-                    partition.remove(block)
-                    partition.add(frozenset(inter))
-                    partition.add(frozenset(diff))
-                    if block in worklist:
-                        worklist.remove(block)
-                        worklist.append(frozenset(inter))
-                        worklist.append(frozenset(diff))
-                    else:
-                        worklist.append(
-                            frozenset(inter) if len(inter) <= len(diff) else frozenset(diff)
-                        )
-        block_of: dict[int, frozenset[int]] = {}
-        for block in partition:
-            for q in block:
-                block_of[q] = block
-        ordered = sorted(
-            (b for b in partition if b != block_of.get(dead) or any(q != dead for q in b)),
-            key=lambda b: min(b),
+        block_of, representatives = refine(
+            dfa.transitions, {q: q in dfa.accepts for q in dfa.states}
         )
-        ids = {block: i for i, block in enumerate(ordered)}
         transitions: dict[int, dict[str, int]] = {}
-        accepts: set[int] = set()
-        for block, bid in ids.items():
-            rep = min(block)
-            if rep == dead:
-                rep = max(block)
-            if rep in dfa.accepts:
-                accepts.add(bid)
-            row: dict[str, int] = {}
-            for ch, dst in dfa.transitions.get(rep, {}).items():
-                dst_block = block_of[dst]
-                if dst_block in ids:
-                    row[ch] = ids[dst_block]
+        for block, rep in enumerate(representatives):
+            row = dfa.transitions.get(rep)
             if row:
-                transitions[bid] = row
-        start = ids[block_of[dfa.start]]
-        return DFA(start=start, accepts=frozenset(accepts), transitions=transitions).trimmed()
+                transitions[block] = {ch: block_of[dst] for ch, dst in row.items()}
+        return DFA(
+            start=block_of[dfa.start],
+            accepts=frozenset(block_of[q] for q in dfa.accepts),
+            transitions=transitions,
+        )
 
     # -- canonical form ------------------------------------------------------
     def canonical_form(self) -> tuple:

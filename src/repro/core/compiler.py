@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Hashable, Iterable
 
 from repro.automata.dfa import DFA
+from repro.automata.partition import refine
 from repro.automata.trie import Trie
 from repro.core.analyze import QueryAnalyzer
 from repro.core.arrays import AutomatonArrays
@@ -207,102 +208,39 @@ class TokenAutomaton:
         )
 
     def minimized(self) -> "TokenAutomaton":
-        """Hopcroft-minimised equivalent automaton (trim, partial).
+        """The minimal equivalent automaton (trim, partial).
 
-        Partition refinement over the token alphabet with an implicit dead
-        state, mirroring :meth:`repro.automata.dfa.DFA.minimized`.  The
-        initial partition additionally separates prefix-region states from
-        ordinary ones, so ``is_prefix_edge`` answers (and therefore the
-        §3.3 decoding-rule bypass) survive merging.  The token language is
-        unchanged, and because compiled edge rows are canonically sorted by
-        token id, every traversal order — heap tie-breaks, beam argsorts,
-        the sampling RNG stream — is bit-identical to the unminimized
-        automaton's.
+        The state partition comes from :func:`repro.automata.partition.refine`
+        — the kernel :meth:`repro.automata.dfa.DFA.minimized` uses — seeded
+        with (accepting, prefix-live) labels, so ``is_prefix_edge`` answers
+        (and therefore the §3.3 decoding-rule bypass) survive merging.
+        Each block is named by its id (ids ascend with the block's minimum
+        member) and takes that member's edges in ascending token id.  The
+        token language is unchanged, and because compiled edge rows are
+        canonically sorted by token id, every traversal order — heap
+        tie-breaks, beam argsorts, the sampling RNG stream — is
+        bit-identical to the unminimized automaton's.  A quotient of a trim
+        automaton is trim, so the result needs no further trimming.
         """
         base = self.trimmed()
         if not base.accepts:
             return base
-        states = sorted(base._reachable() | {base.start} | set(base.accepts))
-        all_tokens = sorted({tok for row in base.edges.values() for tok in row})
-        dead = -1
-        full_states = set(states) | {dead}
-
-        def step(q: int, tok: int) -> int:
-            if q == dead:
-                return dead
-            return base.edges.get(q, {}).get(tok, dead)
-
-        # Initial partition: (accepting, prefix-live) classes.  Splitting on
-        # prefix-liveness up front keeps merged states' prefix-region
-        # labelling well-defined.
-        groups: dict[tuple[bool, bool], set[int]] = {}
-        for q in full_states:
-            signature = (q in base.accepts, q in base.prefix_live)
-            groups.setdefault(signature, set()).add(q)
-        partition: set[frozenset[int]] = {frozenset(g) for g in groups.values()}
-        worklist: list[frozenset[int]] = sorted(partition, key=min)
-        reverse: dict[int, dict[int, set[int]]] = {tok: {} for tok in all_tokens}
-        for q in full_states:
-            for tok in all_tokens:
-                reverse[tok].setdefault(step(q, tok), set()).add(q)
-        while worklist:
-            splitter = worklist.pop()
-            for tok in all_tokens:
-                pre: set[int] = set()
-                for q in splitter:
-                    pre |= reverse[tok].get(q, set())
-                if not pre:
-                    continue
-                for block in list(partition):
-                    inter = block & pre
-                    diff = block - pre
-                    if not inter or not diff:
-                        continue
-                    partition.remove(block)
-                    partition.add(frozenset(inter))
-                    partition.add(frozenset(diff))
-                    if block in worklist:
-                        worklist.remove(block)
-                        worklist.append(frozenset(inter))
-                        worklist.append(frozenset(diff))
-                    else:
-                        worklist.append(
-                            frozenset(inter) if len(inter) <= len(diff) else frozenset(diff)
-                        )
-        block_of: dict[int, frozenset[int]] = {}
-        for block in partition:
-            for q in block:
-                block_of[q] = block
-        ordered = sorted(
-            (b for b in partition if any(q != dead for q in b)),
-            key=lambda b: min(b),
+        block_of, representatives = refine(
+            base.edges,
+            {q: (q in base.accepts, q in base.prefix_live) for q in base._reachable()},
         )
-        ids = {block: i for i, block in enumerate(ordered)}
         edges: dict[int, dict[int, int]] = {}
-        accepts: set[int] = set()
-        prefix_live: set[int] = set()
-        for block, bid in ids.items():
-            rep = min(block)
-            if rep == dead:
-                rep = max(block)
-            if rep in base.accepts:
-                accepts.add(bid)
-            if rep in base.prefix_live:
-                prefix_live.add(bid)
-            row: dict[int, int] = {}
-            for tok, dst in sorted(base.edges.get(rep, {}).items()):
-                dst_block = block_of[dst]
-                if dst_block in ids:
-                    row[tok] = ids[dst_block]
+        for block, rep in enumerate(representatives):
+            row = base.edges.get(rep)
             if row:
-                edges[bid] = row
+                edges[block] = {tok: block_of[row[tok]] for tok in sorted(row)}
         return TokenAutomaton(
-            start=ids[block_of[base.start]],
-            accepts=frozenset(accepts),
+            start=block_of[base.start],
+            accepts=frozenset(block_of[q] for q in base.accepts),
             edges=edges,
-            prefix_live=frozenset(prefix_live),
+            prefix_live=frozenset(block_of[q] for q in base.prefix_live),
             dynamic_canonical=base.dynamic_canonical,
-        ).trimmed()
+        )
 
 
 @dataclass
@@ -697,36 +635,6 @@ class GraphCompiler:
                 # states' rows identical (the minimizer's bit-identity
                 # precondition), matches the reference scan's natural
                 # order, and maximises the interval-run compression below.
-                edges[state] = dict(sorted(row.items()))
-        return TokenAutomaton(
-            start=product.start,
-            accepts=product.accepts,
-            edges=edges,
-            prefix_live=prefix_live,
-        )
-
-    def compile_all_tokens_scan(self, char_dfa: DFA, prefix_closure: DFA | None) -> TokenAutomaton:
-        """Appendix-B reference algorithm: per-token DFS scan.
-
-        Literal transcription of the paper's Algorithm 1/2 — for every
-        vocabulary token, walk its characters from every state and add a
-        shortcut edge on success (O(V·k·m_max)).  Semantically identical to
-        :meth:`compile_all_tokens`; kept for the compiler ablation
-        benchmark and as a differential-testing target.
-        """
-        product, prefix_live = _prefix_product(char_dfa, prefix_closure)
-        edges: dict[int, dict[int, int]] = {}
-        for state in product.states:
-            row: dict[int, int] = {}
-            for word, token_id in self.tokenizer.vocab.ordinary_items():
-                q = state
-                for ch in word:
-                    q = product.transitions.get(q, {}).get(ch)
-                    if q is None:
-                        break
-                else:
-                    row[token_id] = q
-            if row:
                 edges[state] = dict(sorted(row.items()))
         return TokenAutomaton(
             start=product.start,

@@ -13,6 +13,7 @@ runtime for similar reasons).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -94,6 +95,18 @@ class FilterPreprocessor(Preprocessor):
         return ("filter", self.forbidden)
 
 
+@functools.lru_cache(maxsize=16)
+def _completion_language(forbidden: tuple[str, ...], trailing: tuple[str, ...]) -> DFA:
+    """Minimal DFA of ``{word + tail}``.
+
+    The same for every context a :class:`SuffixFilterPreprocessor` is built
+    with (LAMBADA: one stop-word list, ~100 contexts), so it is built once
+    per ``(forbidden, trailing)`` instead of once per query.  The cached
+    automaton is shared: callers copy, never mutate.
+    """
+    return DFA.from_strings({word + tail for word in forbidden for tail in trailing})
+
+
 @dataclass(frozen=True)
 class SuffixFilterPreprocessor(Preprocessor):
     """Remove strings whose *completion after a literal prefix* is
@@ -124,12 +137,22 @@ class SuffixFilterPreprocessor(Preprocessor):
     def apply(self, dfa: DFA) -> DFA:
         if not self.forbidden:
             return dfa
-        variants = {
-            self.prefix + word + tail
-            for word in self.forbidden
-            for tail in self.trailing
+        # ``prefix`` as a chain of fresh states 0..len(prefix)-1 leading into
+        # the shared completion automaton, whose ids shift up to make room.
+        suffix = _completion_language(self.forbidden, self.trailing)
+        shift = len(self.prefix)
+        transitions = {
+            src + shift: {ch: dst + shift for ch, dst in row.items()}
+            for src, row in suffix.transitions.items()
         }
-        return dfa.difference(DFA.from_strings(variants)).minimized()
+        for i, ch in enumerate(self.prefix):
+            transitions[i] = {ch: i + 1 if i + 1 < shift else suffix.start + shift}
+        variants = DFA(
+            start=0 if shift else suffix.start,
+            accepts=frozenset(q + shift for q in suffix.accepts),
+            transitions=transitions,
+        )
+        return dfa.difference(variants).minimized()
 
     def cache_signature(self) -> tuple:
         return ("suffix_filter", self.prefix, self.forbidden, self.trailing)

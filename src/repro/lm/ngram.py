@@ -18,7 +18,7 @@ probability everywhere (GPT-2's language is likewise support-complete,
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -50,9 +50,14 @@ class NGramModel(LanguageModel):
         self.order = order
         self.alpha = alpha
         self.max_sequence_length = max_sequence_length
-        #: counts[k] maps a length-k context tuple to a Counter of next
-        #: tokens; counts[0] holds the unigram counter under the key ().
-        self._counts: list[dict[tuple[int, ...], Counter[int]]] = [
+        #: counts[k] maps a length-k context tuple to the counts of next
+        #: tokens; counts[0] holds the unigram counts under the key ().  The
+        #: inner tables are plain ``dict``s of ints, not ``Counter``s: CPython
+        #: leaves such dicts out of the cyclic collector, whereas tens of
+        #: thousands of ``Counter`` instances (re-created for every replica)
+        #: make each full collection walk every count — ~25 ms that lands in
+        #: whatever allocates next, usually a compile.
+        self._counts: list[dict[tuple[int, ...], dict[int, int]]] = [
             {} for _ in range(order)
         ]
         self._totals: list[dict[tuple[int, ...], int]] = [{} for _ in range(order)]
@@ -89,9 +94,8 @@ class NGramModel(LanguageModel):
                     context = tuple(tokens[i - k : i])
                     counter = self._counts[k].get(context)
                     if counter is None:
-                        counter = Counter()
-                        self._counts[k][context] = counter
-                    counter[tok] += 1
+                        counter = self._counts[k][context] = {}
+                    counter[tok] = counter.get(tok, 0) + 1
                     self._totals[k][context] = self._totals[k].get(context, 0) + 1
         self._cache.clear()
         self._trained = True

@@ -16,22 +16,33 @@ engine used to ship as user-selectable forks (``backend="dict"``,
   functions (the same chain ``benchmarks/e2e/tracing.py`` replays), and
   :func:`unminimized_compiler` seeds a compiler's cache with it so the
   scheduler can run the unminimized automaton too.
+* :func:`compile_all_tokens_scan` is the paper's Appendix-B per-token scan,
+  the differential target for the trie-guided ``compile_all_tokens``.
+* :func:`reference_partition` is the set-based Hopcroft (implicit dead
+  state, full ``reverse`` table) that ``DFA.minimized`` and
+  ``TokenAutomaton.minimized`` each used to carry a copy of, with
+  :func:`reference_minimized_dfa` / :func:`reference_minimized_tokens`
+  applying the quotient rule on top — the oracle for
+  ``repro.automata.partition.refine``.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator
+from typing import Hashable, Iterator, Mapping
 
 import numpy as np
 import pytest
 
+from repro.automata.dfa import DFA
 from repro.core import executor as executor_module
 from repro.core.compiler import (
     CompilationCache,
     CompiledQuery,
     CompileMetrics,
     GraphCompiler,
+    TokenAutomaton,
+    _prefix_product,
     prefixes_of,
 )
 from repro.core.executor import Executor, LmRequest
@@ -151,3 +162,143 @@ def unminimized_compiler(tokenizer, query) -> GraphCompiler:
     compiler = GraphCompiler(tokenizer, cache=CompilationCache())
     compiler.cache.put(compiler.cache_key(query), compile_unminimized(compiler, query))
     return compiler
+
+
+def compile_all_tokens_scan(
+    compiler: GraphCompiler, char_dfa: DFA, prefix_closure: DFA | None
+) -> TokenAutomaton:
+    """Appendix-B reference algorithm: per-token DFS scan.
+
+    Literal transcription of the paper's Algorithm 1/2 — for every
+    vocabulary token, walk its characters from every state and add a
+    shortcut edge on success (O(V·k·m_max)).  Semantically identical to
+    :meth:`GraphCompiler.compile_all_tokens`.
+    """
+    product, prefix_live = _prefix_product(char_dfa, prefix_closure)
+    edges: dict[int, dict[int, int]] = {}
+    for state in product.states:
+        row: dict[int, int] = {}
+        for word, token_id in compiler.tokenizer.vocab.ordinary_items():
+            q = state
+            for ch in word:
+                q = product.transitions.get(q, {}).get(ch)
+                if q is None:
+                    break
+            else:
+                row[token_id] = q
+        if row:
+            edges[state] = dict(sorted(row.items()))
+    return TokenAutomaton(
+        start=product.start,
+        accepts=product.accepts,
+        edges=edges,
+        prefix_live=prefix_live,
+    )
+
+
+def reference_partition(
+    rows: Mapping[int, Mapping[Hashable, int]], labels: Mapping[int, Hashable]
+) -> set[frozenset[int]]:
+    """Set-based Hopcroft over the completed automaton (dead state ``-1``).
+
+    Quadratic in practice — every (splitter, symbol) intersects the
+    preimage with every block — which is why it lives here and not in
+    ``src/``.  States must be non-negative.  Returns the blocks of real
+    states (the dead state's block is dropped).
+    """
+    dead = -1
+    symbols = {symbol for row in rows.values() for symbol in row}
+    full_states = set(labels) | {dead}
+
+    def step(q: int, symbol: Hashable) -> int:
+        if q == dead:
+            return dead
+        return rows.get(q, {}).get(symbol, dead)
+
+    groups: dict[Hashable, set[int]] = {}
+    for q, label in labels.items():
+        groups.setdefault((label,), set()).add(q)
+    groups[()] = {dead}
+    partition: set[frozenset[int]] = {frozenset(g) for g in groups.values()}
+    worklist: list[frozenset[int]] = sorted(partition, key=min)
+    reverse: dict[Hashable, dict[int, set[int]]] = {symbol: {} for symbol in symbols}
+    for q in full_states:
+        for symbol in symbols:
+            reverse[symbol].setdefault(step(q, symbol), set()).add(q)
+    while worklist:
+        splitter = worklist.pop()
+        for symbol in symbols:
+            pre: set[int] = set()
+            for q in splitter:
+                pre |= reverse[symbol].get(q, set())
+            if not pre:
+                continue
+            for block in list(partition):
+                inter = block & pre
+                diff = block - pre
+                if not inter or not diff:
+                    continue
+                partition.remove(block)
+                partition.add(frozenset(inter))
+                partition.add(frozenset(diff))
+                if block in worklist:
+                    worklist.remove(block)
+                    worklist.append(frozenset(inter))
+                    worklist.append(frozenset(diff))
+                else:
+                    worklist.append(
+                        frozenset(inter) if len(inter) <= len(diff) else frozenset(diff)
+                    )
+    return {block for block in partition if dead not in block}
+
+
+def _reference_quotient(
+    rows: Mapping[int, Mapping[Hashable, int]], partition: set[frozenset[int]]
+) -> tuple[dict[int, int], dict[int, dict[Hashable, int]]]:
+    """The quotient rule both ``minimized()`` methods keep: blocks numbered
+    by minimum member, each taking its minimum member's row (in that row's
+    own order).  Returns ``(state -> block id, block id -> row)``."""
+    ids = {block: i for i, block in enumerate(sorted(partition, key=min))}
+    block_of = {q: ids[block] for block in partition for q in block}
+    quotient = {
+        bid: {symbol: block_of[dst] for symbol, dst in rows.get(min(block), {}).items()}
+        for block, bid in ids.items()
+    }
+    return block_of, {bid: row for bid, row in quotient.items() if row}
+
+
+def reference_minimized_dfa(dfa: DFA) -> DFA:
+    """``DFA.minimized()`` as it was before the shared kernel (including the
+    trailing ``trimmed()`` the kernel's callers dropped)."""
+    dfa = dfa.trimmed()
+    if not dfa.accepts:
+        return dfa
+    partition = reference_partition(
+        dfa.transitions, {q: q in dfa.accepts for q in dfa.states}
+    )
+    block_of, transitions = _reference_quotient(dfa.transitions, partition)
+    return DFA(
+        start=block_of[dfa.start],
+        accepts=frozenset(block_of[q] for q in dfa.accepts),
+        transitions=transitions,
+    ).trimmed()
+
+
+def reference_minimized_tokens(automaton: TokenAutomaton) -> TokenAutomaton:
+    """``TokenAutomaton.minimized()`` as it was before the shared kernel:
+    (accepting, prefix-live) initial labels, rows in ascending token id."""
+    base = automaton.trimmed()
+    if not base.accepts:
+        return base
+    partition = reference_partition(
+        base.edges,
+        {q: (q in base.accepts, q in base.prefix_live) for q in base._reachable()},
+    )
+    block_of, edges = _reference_quotient(base.edges, partition)
+    return TokenAutomaton(
+        start=block_of[base.start],
+        accepts=frozenset(block_of[q] for q in base.accepts),
+        edges={bid: dict(sorted(row.items())) for bid, row in edges.items()},
+        prefix_live=frozenset(block_of[q] for q in base.prefix_live),
+        dynamic_canonical=base.dynamic_canonical,
+    ).trimmed()

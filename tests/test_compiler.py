@@ -200,3 +200,70 @@ class TestPrefixesOf:
 
         closure = prefixes_of(DFA.from_strings([]))
         assert closure.accepts_string("")
+
+
+class TestTrieVsScan:
+    """The trie-guided construction against the paper's per-token scan
+    (``tests/reference.py``): identical automata, row order included."""
+
+    @pytest.mark.parametrize(
+        "pattern,prefix",
+        [
+            (r"https://www\.([a-z]|-)+\.([a-z]|/)+", None),
+            ("The ((cat)|(dog)) sat", "The "),
+            ("[0-9]{1,3}(\\.[0-9]+)?", None),
+        ],
+    )
+    def test_edge_identical(self, tokenizer, pattern, prefix):
+        from tests.reference import compile_all_tokens_scan
+
+        compiler = GraphCompiler(tokenizer, cache=False)
+        char_dfa = compile_dfa(pattern)
+        closure = None
+        if prefix is not None:
+            closure = (
+                prefixes_of(compile_dfa(prefix)).intersect(prefixes_of(char_dfa)).minimized()
+            )
+        trie = compiler.compile_all_tokens(char_dfa, closure)
+        scan = compile_all_tokens_scan(compiler, char_dfa, closure)
+        assert (trie.start, trie.accepts, trie.prefix_live) == (
+            scan.start, scan.accepts, scan.prefix_live
+        )
+        assert trie.edges == scan.edges
+        assert [list(row) for row in trie.edges.values()] == [
+            list(row) for row in scan.edges.values()
+        ]
+
+
+class TestMinimizationCounts:
+    """What token-level minimization does, as counts rather than timings."""
+
+    def test_lambada_queries_are_already_minimal(self, env):
+        """A minimal char DFA under a vocabulary holding every base
+        character gives a minimal token automaton: the pass is a fixed
+        point on the §4.4 cloze queries, and has to be cheap there."""
+        from repro.experiments.lambada_eval import STRATEGIES, build_query
+
+        compiler = GraphCompiler(env.tokenizer, cache=False, analyzer=False)
+        item = env.lambada.items[0]
+        for strategy in STRATEGIES:
+            metrics = compiler.compile(build_query(item, strategy)).metrics
+            assert metrics.token_states > 0
+            assert metrics.minimized_states == metrics.token_states, strategy
+            assert metrics.minimized_edges == metrics.token_edges, strategy
+
+    def test_vocabulary_missing_a_base_character_still_merges(self):
+        """Why the pass stays: ``b`` is not a token, so after ``x`` and
+        after ``y`` only ``c`` can be read — the two char states, distinct
+        in the char DFA, are one token state."""
+        tok = BPETokenizer(vocab=Vocabulary.build(["x", "y", "c"]), merges=[])
+        compiled = GraphCompiler(tok, cache=False, analyzer=False).compile(
+            SearchQuery("x(b|c)|yc")
+        )
+        assert len(compiled.char_dfa.states) == 4
+        assert (compiled.metrics.token_states, compiled.metrics.minimized_states) == (4, 3)
+        automaton = compiled.token_automaton
+        ids = [tok.vocab.id_of(t) for t in "xyc"]
+        assert automaton.accepts_tokens([ids[0], ids[2]])
+        assert automaton.accepts_tokens([ids[1], ids[2]])
+        assert automaton.edges[automaton.start][ids[0]] == automaton.edges[automaton.start][ids[1]]

@@ -192,3 +192,18 @@ class TestLogprobsLruCache:
         m.logprobs([5, 6])  # should evict [3, 4], not [1, 2]
         assert m._context_key([1, 2]) in m._cache
         assert m._context_key([3, 4]) not in m._cache
+
+
+class TestCountTablesStayOutOfTheCollector:
+    def test_count_tables_are_untracked_in_the_model_and_its_replicas(self, lm):
+        """The per-context count tables are plain int→int dicts, which
+        CPython keeps out of the cyclic collector; as ``Counter`` instances
+        every full collection walked all of them (tens of thousands per
+        replica at full scale), a pause that landed in whatever allocated
+        next — usually a compile."""
+        import gc
+
+        for model in (lm, lm.spec().build()):
+            tables = [table for level in model._counts for table in level.values()]
+            assert tables
+            assert not any(gc.is_tracked(table) for table in tables)

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.automata.dfa import DFA
 from repro.automata.transducer import replace_fst
 from repro.core.preprocessors import (
     FilterPreprocessor,
     LevenshteinPreprocessor,
     SuffixFilterPreprocessor,
     TransducerPreprocessor,
+    _completion_language,
 )
-from repro.regex import compile_dfa
+from repro.regex import compile_dfa, escape
 
 
 class TestLevenshteinPreprocessor:
@@ -62,6 +64,42 @@ class TestSuffixFilterPreprocessor:
         prep = SuffixFilterPreprocessor(prefix="ctx ", forbidden=["the"])
         out = prep.apply(dfa)
         assert sorted(out.enumerate_strings()) == ["alt the"]
+
+    @pytest.mark.parametrize(
+        "prefix,forbidden,trailing",
+        [
+            ("", ("the", "a"), ("", ".")),  # empty prefix: no chain at all
+            ("ctx ", ("the", "a", "an"), ("",)),  # trailing=("",): bare words
+            ("ctx ", ("the", "then", "there"), ("", ".", '."')),  # word prefixes a word
+            ("a.b (c)* [d]? ", ("the", "a"), ("", "!")),  # regex metacharacters
+        ],
+    )
+    def test_cached_completions_equal_the_per_query_trie(self, prefix, forbidden, trailing):
+        """The cached ``word + tail`` automaton behind a context chain
+        removes exactly what the old per-query build — one trie of every
+        ``prefix + word + tail`` — removed."""
+        words = "|".join(f"({escape(w)})" for w in (*forbidden, "cat", "thence"))
+        dfa = compile_dfa(f"{escape(prefix)}({words})(\\.|!)?(\")?")
+        got = SuffixFilterPreprocessor(prefix, forbidden, trailing).apply(dfa)
+        variants = {prefix + word + tail for word in forbidden for tail in trailing}
+        want = dfa.difference(DFA.from_strings(variants)).minimized()
+        assert got.canonical_form() == want.canonical_form()
+        assert got.accepts_string(prefix + "cat")
+        assert not got.accepts_string(prefix + forbidden[0] + trailing[-1])
+
+    def test_empty_forbidden_returns_the_input(self):
+        dfa = compile_dfa("ctx the")
+        assert SuffixFilterPreprocessor("ctx ", ()).apply(dfa) is dfa
+
+    def test_items_sharing_forbidden_and_trailing_share_one_build(self):
+        forbidden, trailing = ("the", "of", "and"), ("", "?")
+        _completion_language.cache_clear()
+        for context in ("first context ", "a second, longer context "):
+            dfa = compile_dfa(f"{escape(context)}((the)|(cat))(\\?)?")
+            out = SuffixFilterPreprocessor(context, forbidden, trailing).apply(dfa)
+            assert sorted(out.enumerate_strings()) == [context + "cat", context + "cat?"]
+        info = _completion_language.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestTransducerPreprocessor:
