@@ -45,4 +45,4 @@ WHITESPACE: frozenset[str] = frozenset(" \t\n")
 
 def is_alphabet_string(text: str) -> bool:
     """Return ``True`` iff every character of *text* is in the alphabet."""
-    return all(ch in ALPHABET_SET for ch in text)
+    return ALPHABET_SET.issuperset(text)

@@ -51,9 +51,9 @@ class _Node:
 class PrefixStateCache:
     """Byte-budgeted LRU trie of per-prefix model states.
 
-    ``get``/``longest_prefix`` look up the deepest stored ancestor of a
-    context; ``put`` stores the state computed for a context so its
-    children can decode incrementally.  Counters:
+    ``get``/``longest_prefix``/``peek`` look up the deepest stored
+    ancestor of a context; ``put`` stores the state computed for a context
+    so its children can decode incrementally.  Counters:
 
     * ``hits`` / ``misses`` — lookups that found / did not find a usable
       cached prefix (a lookup that finds *any* non-empty prefix is a hit:
@@ -78,17 +78,11 @@ class PrefixStateCache:
         return len(self._lru)
 
     # -- lookup -------------------------------------------------------------------
-    def longest_prefix(
-        self, context: Sequence[int], max_len: int | None = None
-    ) -> tuple[int, Any]:
-        """Deepest stored prefix of *context* no longer than *max_len*.
-
-        Returns ``(m, state)`` where ``m`` is the matched prefix length
-        (0 when nothing usable is cached, with ``state None``).
-        Incremental scorers pass ``max_len=len(context) - 1``: re-scoring
-        a context must always process at least its final token, so an
-        exact-key entry is not a usable ancestor.
-        """
+    def _deepest(
+        self, context: Sequence[int], max_len: int | None
+    ) -> tuple[int, _Node | None]:
+        """The trie walk behind :meth:`peek` and :meth:`longest_prefix`:
+        ``(matched length, payload node)``, no side effects."""
         key = tuple(context)
         limit = len(key) if max_len is None else min(max_len, len(key))
         node = self._root
@@ -101,6 +95,29 @@ class PrefixStateCache:
             if node.key is not None:
                 best_len = depth + 1
                 best = node
+        return best_len, best
+
+    def peek(self, context: Sequence[int], max_len: int | None = None) -> int:
+        """Length :meth:`longest_prefix` would match, without charging a
+        hit or miss and without touching the LRU order."""
+        return self._deepest(context, max_len)[0]
+
+    def longest_prefix(
+        self, context: Sequence[int], max_len: int | None = None
+    ) -> tuple[int, Any]:
+        """Deepest stored prefix of *context* no longer than *max_len*.
+
+        Returns ``(m, state)`` where ``m`` is the matched prefix length
+        (0 when nothing usable is cached, with ``state None``).
+        Incremental scorers pass ``max_len=len(context) - 1``: re-scoring
+        a context must always process at least its final token, so an
+        exact-key entry is not a usable ancestor.
+
+        Every call charges exactly one hit or miss, so a scorer that wants
+        ``hits + misses == contexts scored`` calls this once per context,
+        when it commits to the ancestor, and plans with :meth:`peek`.
+        """
+        best_len, best = self._deepest(context, max_len)
         if best is None:
             self.misses += 1
             return 0, None

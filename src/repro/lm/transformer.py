@@ -49,10 +49,10 @@ class TransformerConfig:
 def _layer_norm_forward(
     x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5
 ) -> tuple[np.ndarray, tuple]:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     rstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * rstd
+    xhat = centred * rstd
     return g * xhat + b, (xhat, rstd, g)
 
 
@@ -76,7 +76,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 is a libm pow per element
     t = np.tanh(inner)
     return 0.5 * x * (1.0 + t), (x, t)
 
@@ -197,61 +197,60 @@ class TransformerModel(LanguageModel):
         return logits, caches
 
     def _forward_infer(
-        self, idx: np.ndarray, past: list | None = None
-    ) -> tuple[np.ndarray, list]:
-        """Inference-only forward over a (B, S) *chunk* continuing cached
-        per-layer K/V state for ``m`` earlier positions.
+        self, idx: np.ndarray, kv: np.ndarray, depths: np.ndarray
+    ) -> np.ndarray:
+        """Inference-only forward over a (B, S) *chunk*, each row continuing
+        its own cached prefix of ``depths[b]`` positions.
 
-        ``past`` is a per-layer list of ``(K, V)`` arrays of shape
-        ``(B, H, m, head_dim)`` — the attention state of the shared prefix
-        already processed — or ``None`` for a from-scratch forward
-        (``m = 0``, in which case this computes exactly what
-        :meth:`_forward` computes, minus the backprop caches).  Each new
-        position attends to all ``m`` cached positions plus the causal
-        part of the chunk, so the arithmetic per output row is identical
-        to the full forward; only BLAS summation shapes differ (last-ulp).
+        ``kv`` is the round's K/V slab ``(n_layer, 2, B, H, m_max + S,
+        head_dim)``: row *b*'s cached keys/values sit right-aligned in the
+        first ``m_max`` slots (zeros before them), and every layer writes
+        the chunk's K/V into the last ``S`` slots in place, so afterwards
+        ``kv[:, :, b, :, m_max - depths[b]:]`` is row *b*'s state for all
+        ``depths[b] + S`` positions.  Padding slots are masked to ``-inf``
+        and hold zeros, so they add exact zeros to the softmax sums: a row
+        scores the same alone or beside deeper mates, up to BLAS summation
+        shape (last-ulp), and the same as :meth:`_forward`.  Queries are
+        never padded, so no softmax row is all ``-inf``.
 
-        Returns ``(last_logits, new_kv)``: the unnormalised logits of the
-        final chunk position — the next-token distribution for the whole
-        sequence — and the per-layer ``(K, V)`` covering all ``m + S``
-        positions, ready to be cached for this sequence's children.
+        Returns the unnormalised logits of the final chunk position.
         """
         c = self.config
         B, S = idx.shape
-        m = 0 if past is None else past[0][0].shape[2]
-        if m + S > c.block_size:
-            raise ValueError(
-                f"sequence length {m + S} exceeds block size {c.block_size}"
-            )
+        T = kv.shape[4]
+        m_max = T - S
+        if T > c.block_size:
+            raise ValueError(f"sequence length {T} exceeds block size {c.block_size}")
         P = self.params
         H, hd = c.n_head, c.n_embd // c.n_head
-        x = P["wte"][idx] + P["wpe"][m : m + S]
-        # Chunk row i (absolute position m+i) may attend to absolute
-        # positions 0..m+i: all cached ones plus the chunk's causal part.
-        mask = np.triu(np.full((S, m + S), -np.inf), k=1 + m)
-        new_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        x = P["wte"][idx] + P["wpe"][depths[:, None] + np.arange(S)]
+        # Chunk row i of batch row b (absolute position depths[b] + i) may
+        # attend to b's cached slots plus the chunk's causal part.
+        mask: np.ndarray | None = None
+        if S > 1:
+            mask = np.zeros((S, T))
+            mask[:, m_max:] = np.triu(np.full((S, S), -np.inf), k=1)
+        if (depths < m_max).any():
+            padded = np.arange(T) < (m_max - depths)[:, None]
+            pad = np.where(padded, -np.inf, 0.0)[:, None, None, :]
+            mask = pad if mask is None else mask + pad
         for layer in range(c.n_layer):
             p = f"h{layer}_"
             ln1, _ = _layer_norm_forward(x, P[p + "ln1_g"], P[p + "ln1_b"])
             qkv = ln1 @ P[p + "qkv_w"] + P[p + "qkv_b"]
-            q, k, v = np.split(qkv, 3, axis=-1)
-            qh = q.reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-            kh = k.reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-            vh = v.reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-            if past is not None:
-                pk, pv = past[layer]
-                kh = np.concatenate([pk, kh], axis=2)
-                vh = np.concatenate([pv, vh], axis=2)
-            att = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(hd) + mask
-            attp = _softmax(att)
-            ctx_merged = (attp @ vh).transpose(0, 2, 1, 3).reshape(B, S, c.n_embd)
-            x = x + ctx_merged @ P[p + "proj_w"] + P[p + "proj_b"]
+            # (3, B, H, S, hd): q, then the chunk's k and v.
+            qkv = qkv.reshape(B, S, 3, H, hd).transpose(2, 0, 3, 1, 4)
+            kv[layer, :, :, :, m_max:] = qkv[1:]
+            att = qkv[0] @ kv[layer, 0].transpose(0, 1, 3, 2) / math.sqrt(hd)
+            if mask is not None:
+                att += mask
+            ctx = (_softmax(att) @ kv[layer, 1]).transpose(0, 2, 1, 3)
+            x = x + ctx.reshape(B, S, c.n_embd) @ P[p + "proj_w"] + P[p + "proj_b"]
             ln2, _ = _layer_norm_forward(x, P[p + "ln2_g"], P[p + "ln2_b"])
             act, _ = _gelu_forward(ln2 @ P[p + "fc_w"] + P[p + "fc_b"])
             x = x + act @ P[p + "out_w"] + P[p + "out_b"]
-            new_kv.append((kh, vh))
         final, _ = _layer_norm_forward(x[:, -1], P["lnf_g"], P["lnf_b"])
-        return final @ P["wte"].T, new_kv
+        return final @ P["wte"].T
 
     def _backward(self, dlogits: np.ndarray, caches: dict) -> dict[str, np.ndarray]:
         """Backprop from d(loss)/d(logits); returns gradients per
@@ -422,16 +421,6 @@ class TransformerModel(LanguageModel):
             self.prefix_cache = PrefixStateCache(max_bytes)
         return self.prefix_cache
 
-    def _cache_state(self, key: tuple[int, ...], new_kv: list, row: int) -> None:
-        """Store sequence *row*'s per-layer K/V slices under *key*.
-
-        Rows are copied out of the batch arrays so one cached sequence
-        never pins the whole round's stacked K/V in memory.
-        """
-        state = [(kh[row].copy(), vh[row].copy()) for kh, vh in new_kv]
-        nbytes = sum(k.nbytes + v.nbytes for k, v in state)
-        self.prefix_cache.put(key, state, nbytes)  # type: ignore[union-attr]
-
     # -- LanguageModel interface ------------------------------------------------
     def _clip_context(self, context: Sequence[int]) -> list[int]:
         ctx = list(context)[-(self.config.block_size - 1) :]
@@ -439,52 +428,38 @@ class TransformerModel(LanguageModel):
 
     def logprobs(self, context: Sequence[int]) -> np.ndarray:
         """``log p(next | context)`` using the last ``block_size - 1``
-        context tokens.
-
-        With the prefix cache attached, the deepest cached ancestor's K/V
-        state is reused and only the remaining suffix (one token, in
-        steady-state traversal) runs through attention.
-        """
-        cache = self.prefix_cache
-        if cache is None:
-            idx = np.asarray([self._clip_context(context)], dtype=np.int64)
-            logits, _ = self._forward(idx)
-            last = logits[0, -1]
-            last = last - last.max()
-            return last - math.log(np.exp(last).sum())
-        ctx = self._clip_context(context)
-        key = tuple(ctx)
-        # Scoring always processes at least the final token, so only
-        # proper prefixes are usable ancestors.
-        m, state = cache.longest_prefix(key, max_len=len(key) - 1)
-        idx = np.asarray([ctx[m:]], dtype=np.int64)
-        past = [(k[None], v[None]) for k, v in state] if m else None
-        logits, new_kv = self._forward_infer(idx, past)
-        self._cache_state(key, new_kv, 0)
-        last = logits[0]
+        context tokens (a one-context :meth:`logprobs_batch` round when
+        the prefix cache is attached)."""
+        if self.prefix_cache is not None:
+            return self.logprobs_batch([context])[0]
+        idx = np.asarray([self._clip_context(context)], dtype=np.int64)
+        logits, _ = self._forward(idx)
+        last = logits[0, -1]
         last = last - last.max()
         return last - math.log(np.exp(last).sum())
 
     def logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> list[np.ndarray]:
-        """True batched forward: contexts are grouped by length and each
-        group runs as one (B, T) forward pass — the GPU-style batching the
-        ReLM executor exploits (§3.3).
+        """True batched forward — the GPU-style batching the ReLM executor
+        exploits (§3.3).
 
-        With the prefix cache attached, each length group gathers its
-        members' cached ancestor states, stacks them, and runs one
-        incremental chunk step per (length, ancestor-depth) subgroup —
-        for a traversal frontier (every context = a parent scored last
-        round + one token) the whole round is a single-token step.
-        Length groups run shortest-first so a chain of prefixes within
-        one call (the prefix fast-forward) feeds its own ancestors.
+        Without the prefix cache, contexts are grouped by length and each
+        group runs as one (B, T) full forward.  With it, each distinct
+        context continues from its deepest cached proper prefix, and the
+        round runs in *waves*: the rows with the smallest uncached chunk
+        ``S`` share one :meth:`_forward_infer` over a depth-padded K/V
+        slab, their states are stored, and the rest look again.  A
+        traversal frontier (every context = a parent scored earlier + one
+        token, at any mix of depths) is one wave with ``S = 1``; a chain
+        of prefixes within one call (the prefix fast-forward) resolves
+        shortest-first, each wave feeding the next.
         """
         clipped = [self._clip_context(c) for c in contexts]
-        out: list[np.ndarray | None] = [None] * len(clipped)
-        by_length: dict[int, list[int]] = {}
-        for i, ctx in enumerate(clipped):
-            by_length.setdefault(len(ctx), []).append(i)
         cache = self.prefix_cache
         if cache is None:
+            out: list[np.ndarray | None] = [None] * len(clipped)
+            by_length: dict[int, list[int]] = {}
+            for i, ctx in enumerate(clipped):
+                by_length.setdefault(len(ctx), []).append(i)
             for length, indices in by_length.items():
                 idx = np.asarray([clipped[i] for i in indices], dtype=np.int64)
                 logits, _ = self._forward(idx)
@@ -494,36 +469,35 @@ class TransformerModel(LanguageModel):
                 for row, i in enumerate(indices):
                     out[i] = last[row]
             return out  # type: ignore[return-value]
-        n_layer = self.config.n_layer
-        for length in sorted(by_length):
-            indices = by_length[length]
-            # Ancestor lookup happens per group (not up front) so states
-            # stored by shorter groups in this same call are visible.
-            lookups = [
-                cache.longest_prefix(tuple(clipped[i]), max_len=length - 1)
-                for i in indices
-            ]
-            by_depth: dict[int, list[int]] = {}
-            for pos, (m, _) in enumerate(lookups):
-                by_depth.setdefault(m, []).append(pos)
-            for m, members in by_depth.items():
-                idx = np.asarray(
-                    [clipped[indices[pos]][m:] for pos in members], dtype=np.int64
-                )
-                past = None
-                if m:
-                    past = [
-                        (
-                            np.stack([lookups[pos][1][layer][0] for pos in members]),
-                            np.stack([lookups[pos][1][layer][1] for pos in members]),
-                        )
-                        for layer in range(n_layer)
-                    ]
-                logits, new_kv = self._forward_infer(idx, past)
-                last = logits - logits.max(axis=-1, keepdims=True)
-                last = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
-                for row, pos in enumerate(members):
-                    i = indices[pos]
-                    self._cache_state(tuple(clipped[i]), new_kv, row)
-                    out[i] = last[row]
-        return out  # type: ignore[return-value]
+        c = self.config
+        keys = [tuple(ctx) for ctx in clipped]
+        rows: dict[tuple[int, ...], np.ndarray] = {}
+        pending = list(dict.fromkeys(keys))  # each distinct context scored once
+        while pending:
+            # Scoring always processes at least the final token, so only
+            # proper prefixes are usable ancestors.  peek() plans the wave;
+            # longest_prefix() charges each row once, as it joins.
+            chunks = [len(key) - cache.peek(key, len(key) - 1) for key in pending]
+            S = min(chunks)
+            wave = [key for key, chunk in zip(pending, chunks) if chunk == S]
+            pending = [key for key, chunk in zip(pending, chunks) if chunk != S]
+            states = [cache.longest_prefix(key, len(key) - 1)[1] for key in wave]
+            depths = np.asarray([len(key) - S for key in wave])
+            m_max = int(depths.max())
+            kv = np.zeros(
+                (c.n_layer, 2, len(wave), c.n_head, m_max + S, c.n_embd // c.n_head)
+            )
+            for b, state in enumerate(states):
+                if state is not None:
+                    kv[:, :, b, :, m_max - depths[b] : m_max] = state
+            idx = np.asarray([key[len(key) - S :] for key in wave], dtype=np.int64)
+            logits = self._forward_infer(idx, kv, depths)
+            last = logits - logits.max(axis=-1, keepdims=True)
+            last = last - np.log(np.exp(last).sum(axis=-1, keepdims=True))
+            for b, key in enumerate(wave):
+                # One contiguous (n_layer, 2, H, len(key), hd) copy, so a
+                # cached sequence never pins the whole round's slab.
+                state = kv[:, :, b, :, m_max - depths[b] :].copy()
+                cache.put(key, state, state.nbytes)
+                rows[key] = last[b]
+        return [rows[key] for key in keys]

@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.alphabet import ALPHABET
+from repro.automata.alphabet import ALPHABET, is_alphabet_string
 from repro.tokenizers.bpe import BPETokenizer, pretokenize, train_bpe
 from repro.tokenizers.vocab import EOS_TOKEN, Vocabulary
 
 _TEXT = st.text(alphabet="".join(ALPHABET), max_size=40)
+
+
+class TestAlphabetCheck:
+    def test_empty_full_and_one_foreign_character(self):
+        assert is_alphabet_string("")
+        assert is_alphabet_string("".join(ALPHABET))
+        assert not is_alphabet_string("caf\N{LATIN SMALL LETTER E WITH ACUTE}")
+        assert not is_alphabet_string("tab\there")
 
 
 class TestPretokenize:

@@ -85,6 +85,18 @@ class TestEviction:
         assert cache.get((1,)) is not None
         assert cache.get((2,)) is None
 
+    def test_peek_neither_charges_nor_refreshes(self):
+        cache = PrefixStateCache(30)
+        put(cache, (1,), nbytes=10)
+        put(cache, (2,), nbytes=10)
+        put(cache, (3,), nbytes=10)
+        assert cache.peek((1, 9)) == 1
+        assert cache.peek((1,), max_len=0) == 0
+        assert cache.peek((8, 9)) == 0
+        assert (cache.hits, cache.misses) == (0, 0)
+        put(cache, (4,), nbytes=10)  # (1,) was only peeked: still the LRU
+        assert cache.peek((1, 9)) == 0
+
     def test_replace_in_place_accounts_bytes_once(self):
         cache = PrefixStateCache(100)
         put(cache, (1, 2), nbytes=40)
