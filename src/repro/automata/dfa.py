@@ -78,6 +78,11 @@ class DFA:
         """Return True iff the language is empty."""
         return not self._coaccessible_states()
 
+    def is_trim(self) -> bool:
+        """Return True iff every state lies on a path from the start state
+        to an accepting state."""
+        return len(self._coaccessible_states()) == len(self.states)
+
     def has_cycle(self) -> bool:
         """Return True iff any cycle is reachable (i.e. the language may be
         infinite)."""

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-__all__ = ["Trie"]
+__all__ = ["Trie", "SharedWalk"]
 
 
-@dataclass
+@dataclass(eq=False)  # identity-hashed: SharedWalk keys its memo by node
 class _TrieNode:
     children: dict[str, "_TrieNode"] = field(default_factory=dict)
     #: token ids terminating at this node (a string may name several ids only
@@ -80,28 +80,51 @@ class Trie:
                 if child.children:
                     stack.append((child, nxt))
 
-    def walk_dfa_into(
-        self, transitions: dict[int, dict[str, int]], state: int, row_out: dict[int, int]
-    ) -> None:
-        """Fill ``row_out[token_id] = landing_state`` for every token whose
-        character walk exists in *transitions* starting at *state*.
 
-        Loop-level equivalent of :meth:`walk_dfa` without generator
-        resumption overhead — the compiler calls this once per automaton
-        state, so the saving is proportional to the edge count.  Traversal
-        (and therefore insertion) order is identical to :meth:`walk_dfa`.
-        """
-        stack: list[tuple[_TrieNode, int]] = [(self.root, state)]
-        while stack:
-            node, q = stack.pop()
-            row = transitions.get(q)
-            if row is None:
-                continue
-            for ch, child in node.children.items():
-                nxt = row.get(ch)
-                if nxt is None:
-                    continue
+class SharedWalk:
+    """:meth:`Trie.walk_dfa` for many states of one automaton, sharing what
+    the states have in common.
+
+    The tokens readable below trie node ``n`` from automaton state ``q``
+    depend only on ``(n, q)``, and most characters send most source states
+    to the same few landing states, so that sub-result is computed once per
+    ``(n, q)`` and merged wherever it recurs instead of being re-walked per
+    source state.  ``memo`` holds one entry per expanded (node below the
+    root, state) pair and lives as long as this object; the compiler makes
+    one per construction and drops it on return.
+    """
+
+    def __init__(self, trie: Trie, transitions: dict[int, dict[str, int]]) -> None:
+        self._root = trie.root
+        self._transitions = transitions
+        self.memo: dict[tuple[_TrieNode, int], dict[int, int]] = {}
+
+    def row(self, state: int) -> dict[int, int]:
+        """``{token_id: landing_state}`` for every token whose character
+        walk exists from *state* — ``dict(trie.walk_dfa(transitions,
+        state))`` up to insertion order."""
+        return self._expand(self._root, state)
+
+    def _expand(self, node: _TrieNode, state: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        row = self._transitions.get(state)
+        if row is None:
+            return out
+        children = node.children
+        memo = self.memo
+        # Iterate the smaller side: a literal chain state has one
+        # out-character, the trie root one child per base character.
+        small, large = (row, children) if len(row) < len(children) else (children, row)
+        for ch in small:
+            if ch in large:
+                child = children[ch]
+                nxt = row[ch]
                 for token_id in child.token_ids:
-                    row_out[token_id] = nxt
+                    out[token_id] = nxt
                 if child.children:
-                    stack.append((child, nxt))
+                    key = (child, nxt)
+                    below = memo.get(key)
+                    if below is None:
+                        below = memo[key] = self._expand(child, nxt)
+                    out.update(below)
+        return out

@@ -81,8 +81,9 @@ class SearchSession:
 
     @property
     def report(self) -> QueryReport | None:
-        """The static analyzer's verdict on this query (``None`` when the
-        compiler was built with ``analyzer=False``)."""
+        """The static analyzer's verdict on this query, computed on first
+        read (``None`` when the compiler was built with
+        ``analyzer=False``)."""
         return self.compiled.report
 
 

@@ -66,7 +66,11 @@ class CompileCacheEntry:
 
     @classmethod
     def from_compiled(cls, compiled: "CompiledQuery") -> "CompileCacheEntry":
-        """Snapshot *compiled* for persistence (array lowering stripped)."""
+        """Snapshot *compiled* for persistence (array lowering stripped).
+
+        The report is persisted only if somebody has already read it — a
+        snapshot never computes one; loading re-analyzes from ``None``.
+        """
         return cls(
             version=COMPILE_CACHE_VERSION,
             fingerprint="",
@@ -74,7 +78,7 @@ class CompileCacheEntry:
             prefix_dfa=compiled.prefix_dfa,
             prefix_closure=compiled.prefix_closure,
             token_automaton=replace(compiled.token_automaton, _arrays=None),
-            report=compiled.report,
+            report=compiled._report,
             metrics=compiled.metrics,
         )
 

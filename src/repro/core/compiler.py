@@ -6,8 +6,8 @@ produces the *LLM Automaton*, whose edges are vocabulary token ids:
 
 * **All encodings** (unconditional generation): every token whose character
   string is readable between two states becomes a "shortcut" edge — the
-  Appendix-B algorithm, implemented as one (vocabulary-trie × automaton)
-  DFS per state.  Every ambiguous tokenization of every matching string is
+  Appendix-B algorithm, implemented as one memoised (vocabulary-trie ×
+  automaton) walk shared by all states.  Every ambiguous tokenization of every matching string is
   a path.
 * **Canonical encodings** (conditional generation): only the tokenizer's
   canonical encoding of each string is kept.  Finite, small languages are
@@ -31,7 +31,7 @@ from typing import Hashable, Iterable
 
 from repro.automata.dfa import DFA
 from repro.automata.partition import refine
-from repro.automata.trie import Trie
+from repro.automata.trie import SharedWalk, Trie
 from repro.core.analyze import QueryAnalyzer
 from repro.core.arrays import AutomatonArrays
 from repro.core.compile_cache import CompileCacheEntry, CompileDiskCache
@@ -100,6 +100,10 @@ class TokenAutomaton:
     _arrays: AutomatonArrays | None = field(
         default=None, repr=False, compare=False
     )
+    #: Set by :meth:`GraphCompiler.compile_all_tokens` when it has proved
+    #: this automaton is already its own :meth:`minimized`; not part of
+    #: identity.
+    _minimal: bool = field(default=False, repr=False, compare=False)
 
     def successors(self, state: int) -> dict[int, int]:
         """Token edges leaving *state* (empty dict if none)."""
@@ -221,7 +225,12 @@ class TokenAutomaton:
         tie-breaks, beam argsorts, the sampling RNG stream — is
         bit-identical to the unminimized automaton's.  A quotient of a trim
         automaton is trim, so the result needs no further trimming.
+
+        An automaton :meth:`GraphCompiler.compile_all_tokens` proved minimal
+        on its character-level product is returned unchanged.
         """
+        if self._minimal:
+            return self
         base = self.trimmed()
         if not base.accepts:
             return base
@@ -243,6 +252,33 @@ class TokenAutomaton:
         )
 
 
+class _LazyReport:
+    """The descriptor behind :attr:`CompiledQuery.report`: computed when
+    somebody first reads it, cached, and assignable.
+
+    As a dataclass field default it reads ``None`` at class level, and the
+    generated ``__init__`` routes ``report=`` through :meth:`__set__`.
+    """
+
+    def __get__(
+        self, compiled: "CompiledQuery | None", owner: type | None = None
+    ) -> QueryReport | None:
+        if compiled is None:
+            return None
+        analyzer = compiled._analyzer
+        if compiled._report is None and analyzer is not None:
+            shared = compiled._rebind_from
+            compiled._report = (
+                analyzer.analyze_compiled(compiled)
+                if shared is None
+                else analyzer.rebind(shared, compiled.query)
+            )
+        return compiled._report
+
+    def __set__(self, compiled: "CompiledQuery", report: QueryReport | None) -> None:
+        compiled._report = report
+
+
 @dataclass
 class CompiledQuery:
     """Everything the executor needs to run a query (Figure 2's pipeline
@@ -261,17 +297,25 @@ class CompiledQuery:
     prefix_dfa: DFA | None
     prefix_closure: DFA | None
     token_automaton: TokenAutomaton
-    #: Static-analysis verdict (``None`` when the compiler's analyzer is
-    #: disabled).  Cache hits recompute query-dependent findings only.
-    report: QueryReport | None = None
+    #: Static-analysis verdict, computed on first read — by ``lint`` /
+    #: ``explain``, :attr:`SearchSession.report`, the scheduler's admission
+    #: control; a ``prepare(...)`` → first-match run never pays for it.
+    #: ``None`` when the compiler's analyzer is disabled and for hand-built
+    #: compilations nobody assigned one to.
+    report: QueryReport | None = _LazyReport()  # type: ignore[assignment]
     #: Compile-time measurements (``None`` for hand-built compilations).
     metrics: CompileMetrics | None = None
+    #: What computes ``report``: the compiler's analyzer and, on a cache
+    #: hit, the shared compilation whose report is re-bound to ``query``
+    #: (only ``RLM003`` and the cost horizon depend on the query object).
+    _analyzer: QueryAnalyzer | None = field(default=None, repr=False, compare=False)
+    _rebind_from: "CompiledQuery | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def is_empty(self) -> bool:
         """True iff no token path reaches acceptance (RLM001 territory)."""
-        if self.report is not None:
-            return "RLM001" in self.report.codes
         automaton = self.token_automaton
         seen = {automaton.start}
         stack = [automaton.start]
@@ -412,11 +456,14 @@ class GraphCompiler:
     share a tokenizer across compilers may pass a shared one instead.
     ``cache=False`` disables caching entirely.
 
-    Every compilation runs the token-level :meth:`TokenAutomaton.minimized`
-    pass after construction and lowers the result to interval-compressed
-    arrays — a pure state/edge/byte shrink; every match stream is
-    bit-identical to the unminimized automaton's (the differential grid
-    pins this against hand-built unminimized compilations).
+    Every compilation is minimized (:meth:`TokenAutomaton.minimized`; the
+    token-level pass is skipped only when :meth:`compile_all_tokens` has
+    proved the automaton minimal on its character-level product) and
+    lowered to interval-compressed arrays — a pure state/edge/byte shrink;
+    every match stream is bit-identical to the unminimized automaton's (the
+    differential grid pins this against hand-built unminimized
+    compilations).  The static analyzer is *not* run here: a compilation
+    computes its :attr:`~CompiledQuery.report` when somebody reads it.
     ``disk_cache`` (a directory path or a prebuilt
     :class:`~repro.core.compile_cache.CompileDiskCache`) persists
     compilations across processes and runs: worker respawns, ``--resume``
@@ -435,6 +482,10 @@ class GraphCompiler:
         self.tokenizer = tokenizer
         self.enumeration_limit = enumeration_limit
         self._trie = Trie(tokenizer.vocab.ordinary_items())
+        #: Characters that are tokens by themselves (see ``_proves_minimal``).
+        self._char_tokens = frozenset(
+            ch for ch, node in self._trie.root.children.items() if node.token_ids
+        )
         if cache is None or cache is True:
             cache = CompilationCache()
         elif cache is False:
@@ -482,13 +533,7 @@ class GraphCompiler:
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
-                report = (
-                    self.analyzer.rebind(cached, query)
-                    if self.analyzer is not None
-                    else None
-                )
-                metrics = self._hit_metrics(cached, started, source="memory")
-                return replace(cached, query=query, report=report, metrics=metrics)
+                return self._bind(cached, query, started, source="memory")
         fingerprint: str | None = None
         if self.disk_cache is not None:
             disk_key = self.cache_key(query)
@@ -496,16 +541,11 @@ class GraphCompiler:
                 fingerprint = CompileDiskCache.fingerprint(disk_key)
                 entry = self.disk_cache.get(fingerprint)
                 if entry is not None:
-                    compiled = self._from_disk(entry, query)
-                    compiled.metrics = self._hit_metrics(
-                        compiled, started, source="disk"
-                    )
+                    loaded = self._from_disk(entry, query)
                     if key is not None:
-                        self.cache.put(key, compiled)
-                    return compiled
+                        self.cache.put(key, loaded)
+                    return self._bind(loaded, query, started, source="disk")
         compiled = self._compile_uncached(query)
-        if self.analyzer is not None:
-            compiled.report = self.analyzer.analyze_compiled(compiled)
         assert compiled.metrics is not None
         compiled.metrics = replace(
             compiled.metrics, compile_ms=(time.perf_counter() - started) * 1e3
@@ -515,6 +555,22 @@ class GraphCompiler:
         if key is not None:
             self.cache.put(key, compiled)
         return compiled
+
+    def _bind(
+        self, shared: CompiledQuery, query: SimpleSearchQuery, started: float, source: str
+    ) -> CompiledQuery:
+        """A cache hit: *shared*'s automata carrying *query*, this call's
+        metrics, and a report re-bound from *shared*'s when it is read."""
+        return replace(
+            shared,
+            query=query,
+            # Named, because ``replace`` copies the fields it is not given
+            # by reading them — which would compute the shared report here.
+            report=None,
+            metrics=self._hit_metrics(shared, started, source),
+            _analyzer=self.analyzer,
+            _rebind_from=shared,
+        )
 
     def _hit_metrics(
         self, compiled: CompiledQuery, started: float, source: str
@@ -534,7 +590,9 @@ class GraphCompiler:
         )
 
     def _from_disk(self, entry: CompileCacheEntry, query: SimpleSearchQuery) -> CompiledQuery:
-        """Rebind a persisted compilation to *query* and this tokenizer.
+        """A persisted compilation as this compiler would have built it for
+        *query*: same automata, the persisted report (if one had been
+        computed), this tokenizer and analyzer.
 
         The entry was written without its array lowering (arrays rebuild
         faster than they pickle); lower it now so executors share one
@@ -549,13 +607,12 @@ class GraphCompiler:
             token_automaton=entry.token_automaton,
             report=entry.report,
             metrics=entry.metrics,
+            _analyzer=self.analyzer,
         )
         if compiled.token_automaton.accepts:
             compiled.token_automaton.arrays(
                 vocab_size=len(self.tokenizer), intervals=True
             )
-        if self.analyzer is not None:
-            compiled.report = self.analyzer.rebind(compiled, query)
         return compiled
 
     def _compile_uncached(self, query: SimpleSearchQuery) -> CompiledQuery:
@@ -580,6 +637,7 @@ class GraphCompiler:
                 prefix_closure=None,
                 token_automaton=TokenAutomaton(start=0, accepts=frozenset()),
                 metrics=CompileMetrics(),
+                _analyzer=self.analyzer,
             )
         prefix_closure = None
         if prefix_dfa is not None:
@@ -615,6 +673,7 @@ class GraphCompiler:
                 minimized_states=token_automaton.num_states,
                 minimized_edges=token_automaton.num_edges,
             ),
+            _analyzer=self.analyzer,
         )
 
     # -- all-encodings construction ---------------------------------------------
@@ -626,22 +685,62 @@ class GraphCompiler:
         dead); with no prefix they coincide with char states.
         """
         product, prefix_live = _prefix_product(char_dfa, prefix_closure)
+        states = product.states
+        # One walk for all states; its memo is dropped with it on return.
+        walk = SharedWalk(self._trie, product.transitions)
         edges: dict[int, dict[int, int]] = {}
-        for state in product.states:
-            row: dict[int, int] = {}
-            self._trie.walk_dfa_into(product.transitions, state, row)
+        for state in states:
+            row = walk.row(state)
             if row:
                 # Canonical ascending-token-id row order: makes equivalent
                 # states' rows identical (the minimizer's bit-identity
                 # precondition), matches the reference scan's natural
                 # order, and maximises the interval-run compression below.
-                edges[state] = dict(sorted(row.items()))
+                # (Sorting the int keys alone is ~2.5x faster than sorting
+                # the item pairs.)
+                tokens = sorted(row)
+                edges[state] = dict(zip(tokens, map(row.__getitem__, tokens)))
         return TokenAutomaton(
             start=product.start,
             accepts=product.accepts,
             edges=edges,
             prefix_live=prefix_live,
+            _minimal=self._proves_minimal(product, states, prefix_live),
         )
+
+    def _proves_minimal(
+        self, product: DFA, states: list[int], prefix_live: frozenset[int]
+    ) -> bool:
+        """True iff the token automaton built on *product* is provably its
+        own :meth:`TokenAutomaton.minimized`, decided where the edges are
+        characters (a few thousand) instead of tokens (a few hundred
+        thousand).  Three conditions, all required:
+
+        1. every character labelling a product transition is itself a
+           token.  Then a token-stable partition is character-stable (those
+           single-character tokens *are* the character transitions) and a
+           character-stable one is token-stable (a token edge is a character
+           walk), so the coarsest partitions of the two automata coincide;
+        2. the product is trim and numbered ``0 … n-1`` — under (1) the
+           token automaton has the same reachable and co-accessible states,
+           so ``trimmed()`` neither drops nor renumbers anything;
+        3. :func:`~repro.automata.partition.refine` on the product, labelled
+           like the token pass, merges nothing.
+
+        Rows are already in ascending token id and ``edges`` in ascending
+        state, so minimizing would rebuild this automaton exactly.
+        """
+        if states != list(range(len(states))):
+            return False
+        if not all(map(self._char_tokens.issuperset, product.transitions.values())):
+            return False
+        if not product.is_trim():
+            return False
+        _, representatives = refine(
+            product.transitions,
+            {q: (q in product.accepts, q in prefix_live) for q in states},
+        )
+        return len(representatives) == len(states)
 
     # -- canonical construction ---------------------------------------------------
     def compile_canonical(self, char_dfa: DFA, prefix_closure: DFA | None) -> TokenAutomaton:

@@ -258,7 +258,9 @@ class Executor:
             text=text,
             logprob=-suffix_cost,
             total_logprob=-total_cost,
-            canonical=self.tokenizer.is_canonical(tokens),
+            # ``is_canonical(tokens)`` with the decode already in hand: a
+            # path holds automaton tokens only, never a special.
+            canonical=list(tokens) == self.tokenizer.encode(text),
             prefix_text=prefix_text,
         )
 

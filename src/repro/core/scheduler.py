@@ -430,6 +430,8 @@ class QueryScheduler:
             self.model, compiled, logits_cache=self.logits_cache, **sq._executor_kwargs
         )
         sq.compiled = compiled
+        # The report's first read: a scheduled query is analyzed here, for
+        # the admission decision that follows, not inside ``compile``.
         sq.attach(executor, compiled.report)
         if compiled.metrics is not None:
             self.stats.compile_ms += compiled.metrics.compile_ms

@@ -245,6 +245,155 @@ class TestReportPlumbing:
         assert severities == sorted(severities, reverse=True)
 
 
+def counting_scheduler(tokenizer, **kwargs):
+    """A scheduler over a call-counting trigram model."""
+    from repro.lm.ngram import NGramModel
+    from tests.conftest import TINY_CORPUS
+
+    counting = CountingModel(
+        NGramModel.train_on_text(TINY_CORPUS, tokenizer, order=3, alpha=0.5)
+    )
+    return counting, QueryScheduler(counting, tokenizer, **kwargs)
+
+
+#: Every query shape this module compiles (and the cloze-style prefix
+#: shape), for the lazy-vs-eager report comparison below.
+ANALYZED_QUERIES = [
+    empty_query(),
+    SimpleSearchQuery(
+        query_string=QueryString("aa"), preprocessors=(IntersectionPreprocessor("bb"),)
+    ),
+    SearchQuery("The cat"),
+    SearchQuery("a#b"),
+    SearchQuery("(cat )+"),
+    SearchQuery("(cat )+", sequence_length=8),
+    SearchQuery("cat|dog"),
+    SearchQuery("cat", sequence_length=7),
+    SearchQuery("The cat sat", tokenization=QueryTokenizationStrategy.ALL_TOKENS),
+    SearchQuery("The cat", tokenization=QueryTokenizationStrategy.CANONICAL),
+    SearchQuery("The ((cat)|(dog))", prefix="The "),
+]
+
+
+@pytest.fixture
+def analyzer_calls(monkeypatch):
+    """Counts of ``QueryAnalyzer.analyze_compiled`` / ``rebind`` calls."""
+    calls = {"analyze_compiled": 0, "rebind": 0}
+    for name in calls:
+        original = getattr(QueryAnalyzer, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryAnalyzer, name, spy)
+    return calls
+
+
+class TestLazyReport:
+    """``CompiledQuery.report`` is computed when somebody reads it — and
+    then is exactly what the eager compile used to attach."""
+
+    def test_first_match_never_runs_the_analyzer(self, model, tokenizer, analyzer_calls):
+        session = prepare(model, tokenizer, SearchQuery("The ((cat)|(dog))"))
+        assert next(iter(session)).text in ("The cat", "The dog")
+        assert analyzer_calls == {"analyze_compiled": 0, "rebind": 0}
+
+    def test_report_is_computed_once(self, tokenizer, analyzer_calls):
+        compiled = GraphCompiler(tokenizer).compile(SearchQuery("The cat"))
+        assert analyzer_calls["analyze_compiled"] == 0
+        first = compiled.report
+        assert compiled.report is first
+        assert analyzer_calls == {"analyze_compiled": 1, "rebind": 0}
+
+    @pytest.mark.parametrize("query", ANALYZED_QUERIES, ids=lambda q: q.query_string.query_str)
+    def test_lazy_report_equals_direct_analysis(self, tokenizer, query):
+        compiler = GraphCompiler(tokenizer)
+        compiled = compiler.compile(query)
+        assert compiled.report == compiler.analyzer.analyze_compiled(compiled)
+        assert compiled.is_empty == ("RLM001" in compiled.report.codes)
+
+    def test_memory_hit_rebinds_on_read(self, tokenizer, analyzer_calls):
+        compiler = GraphCompiler(tokenizer)
+        analyzer = compiler.analyzer
+        unbounded = SearchQuery("(cat )+")
+        cold = compiler.compile(unbounded)
+        same_horizon = SearchQuery("(cat )+", sequence_length=analyzer.default_horizon)
+        other_horizon = SearchQuery("(cat )+", sequence_length=6)
+        hits = [compiler.compile(q) for q in (unbounded, same_horizon, other_horizon)]
+        assert compiler.cache.hits == 3
+        assert analyzer_calls == {"analyze_compiled": 0, "rebind": 0}
+        assert [hit.token_automaton is cold.token_automaton for hit in hits] == [True] * 3
+
+        reports = [hit.report for hit in hits]
+        # One full analysis of the shared compilation, re-bound per hit; only
+        # the changed horizon re-analyzes in full.
+        assert analyzer_calls == {"analyze_compiled": 2, "rebind": 3}
+        for hit, report in zip(hits, reports):
+            assert report == analyzer.rebind(cold, hit.query)
+            assert report == analyzer.analyze_compiled(cold, hit.query)
+        assert "RLM003" in reports[0].codes
+        assert "RLM003" not in reports[1].codes  # sequence_length-dependent
+        assert reports[1].cost == reports[0].cost  # reused verbatim
+        assert reports[2].cost.horizon == 6
+
+    def test_scheduler_analyzes_once_per_cold_compile(self, tokenizer, analyzer_calls):
+        counting, scheduler = counting_scheduler(tokenizer)
+        bad = scheduler.submit(empty_query())
+        assert analyzer_calls == {"analyze_compiled": 1, "rebind": 0}
+        good = scheduler.submit(SearchQuery("The cat"))
+        assert analyzer_calls == {"analyze_compiled": 2, "rebind": 0}
+        again = scheduler.submit(SearchQuery("The cat", seed=7))
+        assert analyzer_calls == {"analyze_compiled": 2, "rebind": 1}
+        assert bad.done and bad.truncated_reason == "rejected"
+        assert "RLM001" in bad.report.codes
+        assert counting.total_calls == 0
+        scheduler.run()
+        assert bad.stats.lm_calls == 0
+        assert {m.text for m in good.results} == {m.text for m in again.results} == {"The cat"}
+        assert analyzer_calls == {"analyze_compiled": 2, "rebind": 1}
+
+    def test_disk_entry_without_a_report_round_trips(self, tokenizer, tmp_path, analyzer_calls):
+        from repro.core.compile_cache import CompileDiskCache
+
+        query = SearchQuery("The ((cat)|(dog))", prefix="The ")
+        writer = GraphCompiler(tokenizer, disk_cache=tmp_path)
+        writer.compile(query)  # persisted without anybody reading .report
+        assert analyzer_calls == {"analyze_compiled": 0, "rebind": 0}
+        fingerprint = CompileDiskCache.fingerprint(writer.cache_key(query))
+        assert writer.disk_cache.get(fingerprint).report is None
+
+        reader = GraphCompiler(tokenizer, disk_cache=tmp_path)
+        loaded = reader.compile(query)
+        assert loaded.metrics.source == "disk"
+        assert analyzer_calls == {"analyze_compiled": 0, "rebind": 0}
+        assert loaded.report == reader.analyzer.analyze_compiled(loaded)
+
+    def test_disk_entry_keeps_a_report_that_was_read(self, tokenizer, tmp_path):
+        from repro.core.compile_cache import CompileCacheEntry
+
+        compiled = GraphCompiler(tokenizer).compile(SearchQuery("(cat )+"))
+        report = compiled.report
+        assert CompileCacheEntry.from_compiled(compiled).report is report
+
+    def test_hand_built_compilation_takes_an_assigned_report(self, tokenizer):
+        from repro.core.compiler import CompiledQuery
+
+        built = GraphCompiler(tokenizer).compile(SearchQuery("The cat"))
+        hand_built = CompiledQuery(
+            query=built.query,
+            tokenizer=tokenizer,
+            char_dfa=built.char_dfa,
+            prefix_dfa=None,
+            prefix_closure=None,
+            token_automaton=built.token_automaton,
+        )
+        assert hand_built.report is None
+        assert not hand_built.is_empty
+        hand_built.report = built.report
+        assert hand_built.report is built.report
+
+
 class TestEmptyShortCircuitSerial:
     def test_no_matches_and_no_lm_traffic(self, tokenizer):
         from repro.lm.ngram import NGramModel
@@ -267,14 +416,7 @@ class TestEmptyShortCircuitSerial:
 
 
 class TestEmptyShortCircuitScheduled:
-    def _counting_scheduler(self, tokenizer, **kwargs):
-        from repro.lm.ngram import NGramModel
-        from tests.conftest import TINY_CORPUS
-
-        counting = CountingModel(
-            NGramModel.train_on_text(TINY_CORPUS, tokenizer, order=3, alpha=0.5)
-        )
-        return counting, QueryScheduler(counting, tokenizer, **kwargs)
+    _counting_scheduler = staticmethod(counting_scheduler)
 
     def test_admission_control_rejects(self, tokenizer):
         counting, scheduler = self._counting_scheduler(tokenizer)

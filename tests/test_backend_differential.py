@@ -494,17 +494,17 @@ class TestFingerprintAndTrie:
         assert len(tokenizer.fingerprint()) == 16
         assert tokenizer.fingerprint() != env.tokenizer.fingerprint()
 
-    def test_walk_dfa_into_matches_walk_dfa(self, tokenizer):
+    def test_shared_walk_matches_walk_dfa(self, tokenizer):
+        from repro.automata.trie import SharedWalk
         from repro.regex import compile_dfa
 
         trie = GraphCompiler(tokenizer)._trie
         dfa = compile_dfa("The ((cat)|(dog)) sat")
-        for state in dfa.transitions:
-            via_walk = dict(trie.walk_dfa(dfa.transitions, state))
-            row: dict = {}
-            trie.walk_dfa_into(dfa.transitions, state, row)
-            assert row == via_walk
-            assert list(row) == [tok for tok, _ in trie.walk_dfa(dfa.transitions, state)]
+        walk = SharedWalk(trie, dfa.transitions)
+        for state in dfa.states:
+            # Same rows; insertion order is not compared — the compiler
+            # sorts every row by token id.
+            assert walk.row(state) == dict(trie.walk_dfa(dfa.transitions, state))
 
 
 class TestSampleTokenFallback:

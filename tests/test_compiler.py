@@ -202,9 +202,44 @@ class TestPrefixesOf:
         assert closure.accepts_string("")
 
 
+def _no_stop_inputs(env):
+    """Char DFA and prefix region of a ``no_stop`` cloze query (§4.4): a
+    literal context, a word loop and the ``SuffixFilterPreprocessor``
+    stop-word product — the shape shared sub-walks are for."""
+    from repro.experiments.lambada_eval import build_query
+
+    compiled = GraphCompiler(env.tokenizer, cache=False).compile(
+        build_query(env.lambada.items[0], "no_stop")
+    )
+    return compiled.char_dfa, compiled.prefix_closure
+
+
+def _assert_edge_identical(compiler, char_dfa, closure):
+    from repro.core.compiler import _prefix_product
+    from tests.reference import compile_all_tokens_scan
+
+    trie = compiler.compile_all_tokens(char_dfa, closure)
+    scan = compile_all_tokens_scan(compiler, char_dfa, closure)
+    assert (trie.start, trie.accepts, trie.prefix_live) == (
+        scan.start, scan.accepts, scan.prefix_live
+    )
+    assert trie.edges == scan.edges
+    assert list(trie.edges) == list(scan.edges)
+    assert [list(row) for row in trie.edges.values()] == [
+        list(row) for row in scan.edges.values()
+    ]
+    # ... and, state by state, the per-state reference walk's rows.
+    product, _ = _prefix_product(char_dfa, closure)
+    for state in product.states:
+        assert trie.edges.get(state, {}) == dict(
+            compiler._trie.walk_dfa(product.transitions, state)
+        )
+
+
 class TestTrieVsScan:
     """The trie-guided construction against the paper's per-token scan
-    (``tests/reference.py``): identical automata, row order included."""
+    (``tests/reference.py``) and the per-state ``Trie.walk_dfa``:
+    identical automata, row order included."""
 
     @pytest.mark.parametrize(
         "pattern,prefix",
@@ -215,24 +250,64 @@ class TestTrieVsScan:
         ],
     )
     def test_edge_identical(self, tokenizer, pattern, prefix):
-        from tests.reference import compile_all_tokens_scan
-
-        compiler = GraphCompiler(tokenizer, cache=False)
         char_dfa = compile_dfa(pattern)
         closure = None
         if prefix is not None:
             closure = (
                 prefixes_of(compile_dfa(prefix)).intersect(prefixes_of(char_dfa)).minimized()
             )
-        trie = compiler.compile_all_tokens(char_dfa, closure)
-        scan = compile_all_tokens_scan(compiler, char_dfa, closure)
-        assert (trie.start, trie.accepts, trie.prefix_live) == (
-            scan.start, scan.accepts, scan.prefix_live
+        _assert_edge_identical(GraphCompiler(tokenizer, cache=False), char_dfa, closure)
+
+    def test_edge_identical_on_a_suffix_filtered_cloze_query(self, env):
+        _assert_edge_identical(
+            GraphCompiler(env.tokenizer, cache=False), *_no_stop_inputs(env)
         )
-        assert trie.edges == scan.edges
-        assert [list(row) for row in trie.edges.values()] == [
-            list(row) for row in scan.edges.values()
-        ]
+
+    def test_sub_walks_are_shared_and_dropped(self, env, monkeypatch):
+        """One (trie node, state) expansion serves every source state that
+        reaches it — strictly fewer expansions than walking each state on
+        its own — and the memo dies with the ``compile_all_tokens`` call."""
+        import gc
+        import weakref
+
+        from repro.core import compiler as compiler_module
+        from repro.core.compiler import _prefix_product
+
+        compiler = GraphCompiler(env.tokenizer, cache=False)
+        char_dfa, closure = _no_stop_inputs(env)
+        product, _ = _prefix_product(char_dfa, closure)
+        states = product.states
+        walk = compiler_module.SharedWalk(compiler._trie, product.transitions)
+        for state in states:
+            walk.row(state)
+        shared = len(states) + len(walk.memo)  # one root expansion per state
+        per_state = 0
+        for state in states:
+            # ``walk_dfa`` pops one (node, state) pair per expansion.
+            stack = [(compiler._trie.root, state)]
+            while stack:
+                node, q = stack.pop()
+                per_state += 1
+                row = product.transitions.get(q, {})
+                stack.extend(
+                    (child, row[ch])
+                    for ch, child in node.children.items()
+                    if ch in row and child.children
+                )
+        assert 4 * shared < per_state, (shared, per_state)  # ~12x; not a close call
+
+        made = []
+
+        class RecordedWalk(compiler_module.SharedWalk):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(compiler_module, "SharedWalk", RecordedWalk)
+        automaton = compiler.compile_all_tokens(char_dfa, closure)
+        gc.collect()
+        assert automaton.num_edges > 0
+        assert [ref() for ref in made] == [None]
 
 
 class TestMinimizationCounts:
@@ -251,6 +326,39 @@ class TestMinimizationCounts:
             assert metrics.token_states > 0
             assert metrics.minimized_states == metrics.token_states, strategy
             assert metrics.minimized_edges == metrics.token_edges, strategy
+
+    def test_lambada_queries_prove_minimality_on_characters(self, env, monkeypatch):
+        """... and is skipped there: one character-level ``refine`` per cold
+        compile proves the token automaton minimal, the token-level pass
+        never runs, and nobody pays for a report on the way to a match."""
+        from repro.core import compiler as compiler_module
+        from repro.core.analyze import QueryAnalyzer
+        from repro.experiments.lambada_eval import STRATEGIES, build_query
+
+        levels = []
+
+        def spy(rows, labels):
+            symbols = {type(symbol) for row in rows.values() for symbol in row}
+            levels.append("token" if symbols == {int} else "char")
+            assert symbols <= {int} or symbols == {str}
+            return refine(rows, labels)
+
+        refine = compiler_module.refine
+        monkeypatch.setattr(compiler_module, "refine", spy)
+        for name in ("analyze_compiled", "rebind"):
+            monkeypatch.setattr(
+                QueryAnalyzer, name, lambda *a, **k: pytest.fail("analyzer ran")
+            )
+        compiler = GraphCompiler(env.tokenizer)
+        kinds = sorted({item.kind for item in env.lambada.items})
+        for kind in kinds:
+            item = env.lambada.of_kind(kind)[0]
+            for strategy in STRATEGIES:
+                compiled = compiler.compile(build_query(item, strategy))
+                assert compiled.token_automaton._minimal
+                assert not compiled.is_empty
+        assert compiler.cache.misses + compiler.cache.hits == 4 * len(kinds)
+        assert levels == ["char"] * compiler.cache.misses
 
     def test_vocabulary_missing_a_base_character_still_merges(self):
         """Why the pass stays: ``b`` is not a token, so after ``x`` and

@@ -142,6 +142,30 @@ class TestDynamicCanonical:
         assert all(r.canonical for r in results)
 
 
+class TestMatchResultCanonicalFlag:
+    def test_flag_equals_is_canonical_with_one_decode_per_match(
+        self, model, tokenizer, monkeypatch
+    ):
+        """``MatchResult.canonical`` is ``tokenizer.is_canonical(tokens)``,
+        computed from the text the result already carries: one
+        ``Vocabulary.decode`` per match, not two."""
+        from repro.tokenizers.vocab import Vocabulary
+
+        decodes = []
+        original = Vocabulary.decode
+        monkeypatch.setattr(
+            Vocabulary, "decode", lambda self, ids: decodes.append(1) or original(self, ids)
+        )
+        query = SearchQuery(
+            "The ((cat)|(dog))", tokenization=QueryTokenizationStrategy.ALL_TOKENS
+        )
+        results = list(prepare(model, tokenizer, query, dedupe=False, max_expansions=3000))
+        assert len(decodes) == len(results)
+        flags = [r.canonical for r in results]
+        assert True in flags and False in flags
+        assert flags == [tokenizer.is_canonical(r.tokens) for r in results]
+
+
 class TestBudgets:
     def test_max_expansions_terminates_search(self, model, tokenizer):
         query = SearchQuery("[a-z]+")  # infinite language

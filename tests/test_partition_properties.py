@@ -9,7 +9,11 @@ point of ``minimized()`` and ``trimmed()`` and is Myhill–Nerode minimal by
 an independent pair-marking check.  Token automata come both hand-built
 (arbitrary token ids, unsorted rows, random ``prefix_live``) and compiled
 over vocabularies that *miss* some single-character tokens, the case where
-token-level minimization is not a no-op.
+token-level minimization is not a no-op.  The last class pins the
+shortcut ``compile_all_tokens`` takes around the token-level pass: an
+automaton it marks minimal must be a fixed point of the reference,
+numbering and orders included, and it may mark nothing when a transition
+character is not a token.
 """
 
 from __future__ import annotations
@@ -100,12 +104,20 @@ def random_token_automaton(rng: random.Random, num_states: int, acyclic: bool) -
     )
 
 
-def compiled_token_automaton(rng: random.Random, num_states: int, acyclic: bool) -> TokenAutomaton:
+def compiled_token_automaton(
+    rng: random.Random,
+    num_states: int,
+    acyclic: bool,
+    char_dfa: DFA | None = None,
+    singles: list[str] | None = None,
+) -> TokenAutomaton:
     """The all-encodings automaton of a random char DFA over a vocabulary
     that drops some base characters and adds multi-character tokens, with
     a prefix region taken from prefixes of accepted strings."""
-    char_dfa = random_dfa(rng, num_states, acyclic).minimized()
-    singles = [ch for ch in ALPHABET if rng.random() < 0.7]
+    if char_dfa is None:
+        char_dfa = random_dfa(rng, num_states, acyclic).minimized()
+    if singles is None:
+        singles = [ch for ch in ALPHABET if rng.random() < 0.7]
     multis = {"".join(rng.choices(ALPHABET, k=rng.randint(2, 3))) for _ in range(4)}
     tokenizer = BPETokenizer(vocab=Vocabulary.build(singles + sorted(multis)), merges=[])
     compiler = GraphCompiler(tokenizer, cache=False, analyzer=False)
@@ -258,6 +270,76 @@ class TestTokenAutomaton:
         merged = automaton.minimized()
         assert merged.num_states == 3
         assert merged.prefix_live == frozenset({0, 1})
+
+
+def proof_case(rng: random.Random, num_states: int, acyclic: bool) -> tuple[TokenAutomaton, bool]:
+    """A compiled automaton for the minimality proof, and whether every
+    transition character of its char DFA is a token.  The char DFA is, in
+    equal parts: as generated (not necessarily trim), trim (the product
+    has states to merge), minimal, minimal with sparse state ids, or
+    minimal plus a dead-end state; half the vocabularies miss a base
+    character."""
+    char_dfa = random_dfa(rng, num_states, acyclic)
+    shape = rng.randrange(5)
+    if shape == 1:
+        char_dfa = char_dfa.trimmed()
+    elif shape >= 2:
+        char_dfa = char_dfa.minimized()
+    if shape == 3:
+        char_dfa = DFA(
+            start=2 * char_dfa.start + 1,
+            accepts=frozenset(2 * q + 1 for q in char_dfa.accepts),
+            transitions={
+                2 * q + 1: {ch: 2 * dst + 1 for ch, dst in row.items()}
+                for q, row in char_dfa.transitions.items()
+            },
+        )
+    elif shape == 4:
+        states = char_dfa.states
+        src = rng.choice(states)
+        free = sorted(set(ALPHABET) - set(char_dfa.transitions.get(src, ())))
+        if free:
+            char_dfa.transitions.setdefault(src, {})[free[0]] = len(states)
+    singles = list(ALPHABET)
+    if rng.random() < 0.5:
+        singles.remove(rng.choice(singles))
+    # The product keeps every state the start reaches, co-accessible or not.
+    used = {
+        ch for q in char_dfa._accessible_states() for ch in char_dfa.transitions.get(q, ())
+    }
+    automaton = compiled_token_automaton(rng, num_states, acyclic, char_dfa, singles)
+    return automaton, used <= set(singles)
+
+
+class TestMinimalityProof:
+    """``compile_all_tokens`` marks an automaton minimal only when it is."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(*shapes)
+    def test_marked_minimal_is_a_fixed_point_of_the_reference(self, n, acyclic, rng):
+        automaton, chars_are_tokens = proof_case(rng, n, acyclic)
+        if not chars_are_tokens:
+            assert not automaton._minimal
+        for dynamic_canonical in (False, True):  # as ``compile_canonical`` sets it
+            automaton.dynamic_canonical = dynamic_canonical
+            reference = reference_minimized_tokens(automaton)
+            if automaton._minimal:
+                assert automaton.minimized() is automaton
+                assert_same_tokens(automaton, reference)
+            else:
+                assert_same_tokens(automaton.minimized(), reference)
+
+    def test_both_outcomes_occur(self):
+        """The property above is not vacuous: the mark is set on some
+        automata, and withheld from some whose characters are all tokens
+        (a product with states to merge)."""
+        marked = withheld = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            automaton, chars_are_tokens = proof_case(rng, rng.randint(1, 7), seed % 2 == 0)
+            marked += automaton._minimal
+            withheld += chars_are_tokens and not automaton._minimal
+        assert marked >= 20 and withheld >= 20, (marked, withheld)
 
 
 def test_long_chain_minimizes_in_near_linear_time():
