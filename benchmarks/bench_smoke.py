@@ -257,10 +257,12 @@ def bench_analyze_set(repeats: int) -> dict:
     (8 queries, 28 pairs), plus the LM traffic scheduler dedupe saves on
     a workload seeded with exact duplicates (each month query submitted
     twice).  The shared logits cache already collapses duplicate
-    *contexts* inside a coalesced round, so the metric that moves is the
-    scheduler's serviced-context count — the work the mirrored queries
-    never request.  Dedupe must never change a result and must strictly
-    reduce serviced contexts; both are asserted here, not just measured."""
+    *contexts* — inside a coalesced round, or inline when they are cached —
+    so the metric that moves is the LM contexts the queries request, the
+    sum of their ``lm_calls``: the work the mirrored queries never ask
+    for.  (``contexts_serviced`` counts coalesced rounds only.)  Dedupe
+    must never change a result and must strictly reduce requested
+    contexts; both are asserted here, not just measured."""
     from repro.core.analyze_set import QuerySetAnalyzer
     from repro.core.scheduler import QueryScheduler
     from repro.experiments.knowledge import (
@@ -289,13 +291,12 @@ def bench_analyze_set(repeats: int) -> dict:
         )
         handles = [scheduler.submit(q) for q in workload]
         scheduler.run()
-        return [[m.text for m in h.results] for h in handles], scheduler.stats
+        texts = [[m.text for m in h.results] for h in handles]
+        return texts, sum(h.stats.lm_calls for h in handles), scheduler.stats
 
-    plain_texts, plain_stats = run(False)
-    dedup_texts, dedup_stats = run(True)
+    plain_texts, plain_contexts, _ = run(False)
+    dedup_texts, dedup_contexts, dedup_stats = run(True)
     assert dedup_texts == plain_texts, "dedupe changed query results"
-    plain_contexts = plain_stats.contexts_serviced
-    dedup_contexts = dedup_stats.contexts_serviced
     return {
         "queries": len(entries),
         "analyze_ms": round(1000 * analyze_s, 3),
@@ -653,7 +654,7 @@ def main(argv=None) -> int:
     if report["analyze_set"]["dedupe"]["context_ratio"] >= 1.0:
         failures.append(
             f"dedupe context ratio {report['analyze_set']['dedupe']['context_ratio']} "
-            "did not reduce serviced contexts on a duplicated workload"
+            "did not reduce requested LM contexts on a duplicated workload"
         )
     incremental = report["incremental"]
     if incremental["depth_16"]["speedup"] < 2.0:

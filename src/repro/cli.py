@@ -70,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", choices=["test", "full"], default="test")
         p.add_argument(
             "--concurrency", type=int, default=concurrency,
-            help="queries serviced per coalesced LM round (for 'query', >1 "
-                 "engages the scheduler)",
+            help="queries serviced per coalesced model round; a request the "
+                 "logits cache answers takes no slot (for 'query', >1 engages "
+                 "the scheduler)",
         )
         p.add_argument(
             "--fairness",
@@ -260,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--progress-every", type=int, default=4,
-        help="scheduler rounds between per-query progress frames",
+        help="drive-loop turns in which a query advanced (a model round, or "
+             "a quantum of cached answers) between its progress frames",
     )
 
     submit = sub.add_parser(
@@ -313,7 +315,10 @@ def _build_queries(args):
 
 
 #: Which entries of an owner's ``stats()`` / ``as_dict()`` each ``# name:``
-#: stderr line shows, labelled by the owner's own key names.
+#: stderr line shows, labelled by the owner's own key names.  The
+#: ``# scheduler:`` line counts coalesced *model* rounds only — requests the
+#: logits cache answered inline show as ``logits_hits`` on ``# query:`` and
+#: ``hits`` on ``# logits cache:``, so a warm run reads ``rounds=0``.
 _STAT_LINES = {
     "query": (
         "matches", "lm_calls", "scheduler_rounds", "pruned_edges",

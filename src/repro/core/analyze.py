@@ -226,11 +226,11 @@ class QueryAnalyzer:
                     )
                 )
 
-        char_infinite = char_dfa.has_cycle()
+        char_infinite = compiled.char_infinite
         if char_infinite and not token_empty and query.sequence_length is None:
             findings.append(_rlm003(self.default_horizon))
 
-        cost = self._cost_estimate(query, char_dfa, automaton, coaccessible)
+        cost = self._cost_estimate(query, char_dfa, char_infinite, automaton, coaccessible)
 
         if cost.num_states > self.state_threshold or cost.num_edges > self.edge_threshold:
             findings.append(
@@ -276,7 +276,7 @@ class QueryAnalyzer:
         if (
             query.sequence_length is None
             and not report.has_errors
-            and compiled.char_dfa.has_cycle()
+            and compiled.char_infinite  # decided once, by the base analysis
         ):
             findings.append(_rlm003(self.default_horizon))
         findings.sort(key=lambda f: (-int(f.severity), f.code))
@@ -409,6 +409,7 @@ class QueryAnalyzer:
         self,
         query: SimpleSearchQuery,
         char_dfa: "DFA",
+        char_infinite: bool,
         automaton: "TokenAutomaton",
         coaccessible: set[int],
     ) -> CostEstimate:
@@ -431,7 +432,7 @@ class QueryAnalyzer:
             depth = min(num_states, horizon) if not infinite else horizon
             counter = WalkCounter(view, max_length=depth)
             language_size = counter.total()
-            if not char_dfa.has_cycle():
+            if not char_infinite:
                 char_counter = WalkCounter(char_dfa, max_length=len(char_dfa.states))
                 char_language_size = char_counter.total()
             lm_calls = self._lm_call_bound(view, counter, horizon, depth)

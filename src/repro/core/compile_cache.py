@@ -63,6 +63,9 @@ class CompileCacheEntry:
     token_automaton: "TokenAutomaton"
     report: "QueryReport | None"
     metrics: "CompileMetrics | None"
+    #: ``CompiledQuery.char_infinite`` if an analysis had decided it (the
+    #: class-level default also serves entries pickled before the field).
+    char_infinite: bool | None = None
 
     @classmethod
     def from_compiled(cls, compiled: "CompiledQuery") -> "CompileCacheEntry":
@@ -80,6 +83,7 @@ class CompileCacheEntry:
             token_automaton=replace(compiled.token_automaton, _arrays=None),
             report=compiled._report,
             metrics=compiled.metrics,
+            char_infinite=compiled._char_infinite,
         )
 
 

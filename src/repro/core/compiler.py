@@ -312,6 +312,19 @@ class CompiledQuery:
     _rebind_from: "CompiledQuery | None" = field(
         default=None, repr=False, compare=False
     )
+    _char_infinite: bool | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def char_infinite(self) -> bool:
+        """True iff ``char_dfa`` has a cycle (what ``RLM003`` turns on).
+
+        One DFS per compilation, on the first analysis: cache hits re-bind
+        their report from the shared compilation and read it there, and
+        the disk cache persists it with the entry.
+        """
+        if self._char_infinite is None:
+            self._char_infinite = self.char_dfa.has_cycle()
+        return self._char_infinite
 
     @property
     def is_empty(self) -> bool:
@@ -608,6 +621,7 @@ class GraphCompiler:
             report=entry.report,
             metrics=entry.metrics,
             _analyzer=self.analyzer,
+            _char_infinite=entry.char_infinite,
         )
         if compiled.token_automaton.accepts:
             compiled.token_automaton.arrays(

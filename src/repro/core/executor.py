@@ -289,12 +289,14 @@ class Executor:
     def run(self) -> Iterator[MatchResult]:
         """Execute the query; yields matches per the traversal strategy.
 
-        Drives :meth:`steps` against the executor's own logits cache: each
-        ``LmRequest`` is serviced with one (cached) batched lookup — a
+        Drives :meth:`steps` against the executor's own logits cache: a
+        fully cached ``LmRequest`` is answered by the all-hit probe
+        (:meth:`~repro.lm.base.LogitsCache.cached_rows`), any other with a
         one-group :meth:`~repro.lm.base.LogitsCache.logprobs_round`, whose
         per-request hit/miss tallies stay exact on a shared cache.
         """
         gen = self.steps()
+        cache = self._cache
         payload = None
         while True:
             try:
@@ -303,11 +305,15 @@ class Executor:
                 return
             if isinstance(event, LmRequest):
                 started = time.perf_counter()
-                rows, hits, misses = self._cache.logprobs_round([event.contexts])
+                rows = cache.cached_rows(event.contexts)
+                if rows is not None:
+                    self.stats.logits_hits += len(rows)
+                else:
+                    (rows,), (hits,), (misses,) = cache.logprobs_round([event.contexts])
+                    self.stats.logits_hits += hits
+                    self.stats.logits_misses += misses
                 self.stats.lm_wall_ms += (time.perf_counter() - started) * 1e3
-                self.stats.logits_hits += hits[0]
-                self.stats.logits_misses += misses[0]
-                payload = self.finish_request(event, rows[0])
+                payload = self.finish_request(event, rows)
             else:
                 yield event
                 payload = None

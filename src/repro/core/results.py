@@ -66,7 +66,8 @@ class ExecutionStats:
     logits_hits: int = 0
     logits_misses: int = 0
     #: Coalesced scheduler rounds this query participated in (0 when the
-    #: query ran serially through :meth:`Executor.run`).
+    #: query ran serially through :meth:`Executor.run`, and 0 under a
+    #: scheduler whose warm cache answered every request inline).
     scheduler_rounds: int = 0
     #: LM-round wall-clock spent inside :meth:`Executor.run` (0 under a
     #: scheduler, which times whole rounds in ``SchedulerStats.lm_wall_ms``).
@@ -102,6 +103,13 @@ class SchedulerStats:
     One *round* is one coalesced LM dispatch: the contexts requested by
     every query serviced that round, deduped through the shared logits
     cache, sent to the model as (at most) one ``logprobs_batch`` call.
+    A round exists only for a miss: a request whose contexts are all
+    cached is answered inline and appears in no round counter here
+    (``rounds``, ``contexts_serviced``, the sizes and the per-round logs
+    describe coalesced rounds only, so :attr:`mean_round_size` keeps
+    meaning "how well a round amortised the forward") — it shows as the
+    query's own ``logits_hits`` and ``lm_calls``, and a fully warm
+    portfolio reads ``rounds == 0``.
     ``max_round_size`` and :attr:`mean_round_size` are running aggregates,
     always maintained; the full per-round logs — ``round_sizes`` (the
     coalesced batch size of every round, the scheduler's throughput lever)

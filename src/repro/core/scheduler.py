@@ -9,7 +9,10 @@ same dispatches.  :class:`QueryScheduler` interleaves the stepwise
 traversal generators of several executors (see :meth:`Executor.steps`) and
 coalesces their :class:`~repro.core.executor.LmRequest` contexts through
 one shared :class:`~repro.lm.base.LogitsCache` round per scheduling step,
-so N templated queries cost roughly one query's worth of LM rounds.
+so N templated queries cost roughly one query's worth of LM rounds.  A
+round is for misses: a request whose contexts are all cached is answered
+inline (:meth:`~repro.lm.base.LogitsCache.cached_rows`), so a warm query
+runs without a single round.
 
 Guarantees:
 
@@ -20,13 +23,18 @@ Guarantees:
   combo at concurrency 1, and the property suite for random multi-query
   mixes.
 * **Budgets** — per-query wall-clock deadline, LM-call cap, and result cap
-  (:class:`QueryBudget`), enforced at round boundaries: a query over
-  budget is stopped before it joins another LM round, keeps the matches it
-  already produced, and is flagged ``truncated``.
+  (:class:`QueryBudget`), enforced before every request is answered —
+  inline from the cache or by a round: a query over budget is stopped
+  before it is given another score, keeps the matches it already
+  produced, and is flagged ``truncated``.
 * **Cancellation** — :meth:`ScheduledQuery.cancel` stops a query at the
   next boundary; a cancelled query never issues another LM call.
-* **Fairness** — when a round cannot service every runnable query
-  (``concurrency`` caps queries per round), ``fairness="round_robin"``
+* **Fairness** — when a round cannot service every waiting query
+  (``concurrency`` caps queries per *model round*; a cached answer takes
+  no slot, but a query is handed back to the drive loop at the first
+  inline answer after a match and after ``_INLINE_QUANTUM`` inline
+  answers, so a long warm query cannot starve its peers),
+  ``fairness="round_robin"``
   rotates who goes first, ``fairness="shortest_frontier"`` services the
   smallest pending frontiers first (latency-oriented: cheap templated
   queries drain quickly between heavy ones), and
@@ -65,6 +73,11 @@ __all__ = ["QueryBudget", "ScheduledQuery", "QueryScheduler", "FAIRNESS_POLICIES
 #: Recognised fairness policies (which waiting queries join a capped round).
 FAIRNESS_POLICIES = ("round_robin", "shortest_frontier", "cheapest_cost")
 
+#: Fully cached requests one query may have answered inline per turn of the
+#: drive loop before it is handed back, so a long warm query cannot starve
+#: its peers (or the service's cancel / progress handling) of turns.
+_INLINE_QUANTUM = 64
+
 
 @dataclass(frozen=True)
 class QueryBudget:
@@ -73,10 +86,10 @@ class QueryBudget:
     ``deadline`` is wall-clock seconds from submission (measured on the
     scheduler's clock); ``max_lm_calls`` caps per-query LM context scores
     (:attr:`ExecutionStats.lm_calls`); ``max_results`` caps yielded
-    matches.  Budgets are checked at round boundaries, so a query can
-    overrun a deadline by at most one LM round and never exceeds
-    ``max_lm_calls`` at all (a round that would cross the cap is not
-    issued).
+    matches.  Budgets are checked before every request is answered —
+    inline from the cache or by a round — so a query can overrun a
+    deadline by at most one LM round and never exceeds ``max_lm_calls``
+    at all (a request that would cross the cap is not answered).
     """
 
     deadline: float | None = None
@@ -127,11 +140,18 @@ class ScheduledQuery:
         #: The exception a deferred (compile-ahead) compile raised; such a
         #: query is ``done`` with ``truncated_reason == "rejected"``.
         self.error: Exception | None = None
+        #: True when a checkpoint answered this query (``resume=True``):
+        #: its results and stats were restored, its traversal never ran.
+        self.resumed = False
         #: The compiled artifact (automata + report) — what the query-set
         #: analyzer relates across queries under ``dedupe=True``.
         self.compiled: CompiledQuery | None = None
         self._gen = executor.steps() if executor is not None else None
+        #: The request this query is parked on until a round answers it.
         self._pending: LmRequest | None = None
+        #: What the generator is resumed with: the scores it asked for, or
+        #: ``None`` at the start and after a match.
+        self._answer: Any = None
         self._cancelled = False
         # Set-analysis planning links: a mirror never runs its own
         # traversal — it copies the canonical execution's results when that
@@ -164,7 +184,7 @@ class ScheduledQuery:
     def cancel(self) -> None:
         """Stop this query at the next scheduling boundary.
 
-        Takes effect immediately when called between rounds: the traversal
+        Takes effect immediately when called between turns: the traversal
         generator is closed and no further LM call is ever issued on this
         query's behalf.  Already-collected results are kept.
         """
@@ -207,8 +227,9 @@ class QueryScheduler:
     ``compiler`` and ``logits_cache`` default to a private
     :class:`GraphCompiler` (with its compilation cache) and one shared
     :class:`LogitsCache` — the two cross-query caches that make templated
-    query loops cheap.  ``concurrency`` caps how many queries join one LM
-    round; ``fairness`` picks who joins when the cap binds.  ``clock`` is
+    query loops cheap.  ``concurrency`` caps how many queries join one
+    *model* round (a request the cache answers inline takes no slot);
+    ``fairness`` picks who joins when the cap binds.  ``clock`` is
     injectable for deterministic deadline tests.  ``record_history=True``
     additionally retains the full merged match stream (:attr:`merged`) and
     per-round logs (``stats.round_sizes`` / ``stats.round_members``) — the
@@ -522,21 +543,26 @@ class QueryScheduler:
         return list(self.queries)
 
     def step(self) -> bool:
-        """Execute one scheduling round; returns False when all work is done.
+        """Execute one scheduling turn; returns False when all work is done.
 
-        One round: advance every active query to its next LM demand
-        (collecting any matches produced on the way), enforce budgets and
-        cancellations, pick up to ``concurrency`` waiting queries per the
-        fairness policy, service their contexts in one coalesced
-        cache round, and resume them with the scores.
+        One turn: advance every active query — answering fully cached LM
+        demands inline, collecting matches, enforcing budgets and
+        cancellations — until it misses the cache or is handed back (an
+        inline answer after a match, or its inline quantum used); then, if
+        any query missed, pick up to ``concurrency`` of them per the
+        fairness policy, service their contexts in one coalesced cache
+        round, and resume them with the scores.  A turn in which nobody
+        missed runs no round at all.
         """
         self._maybe_resume()
         self._maybe_plan()
         waiting = self._gather_waiting(())
-        if not waiting:
-            return False
-        self._complete(self._service(self._select(waiting)))
-        return True
+        if waiting:
+            self._complete(self._service(self._select(waiting)))
+        return self._unfinished()
+
+    def _unfinished(self) -> bool:
+        return any(not sq.done for sq in self.queries)
 
     def _run_pipelined(self) -> None:
         """Double-buffered drive loop (used by :meth:`run` when
@@ -558,7 +584,9 @@ class QueryScheduler:
                 # the selection + cache detection + dispatch above ran; the
                 # collect below is where the overlap pays off.
                 self._complete(inflight)
-            elif nxt is None:
+            elif nxt is None and not self._unfinished():
+                # Nobody waiting is not the end: a query handed back after
+                # an inline answer is advanced by the next turn.
                 return
             inflight = nxt
 
@@ -715,8 +743,9 @@ class QueryScheduler:
     def _gather_waiting(
         self, exclude: tuple[ScheduledQuery, ...]
     ) -> list[ScheduledQuery]:
-        """Advance ready queries, enforce budgets, and return the queries
-        waiting on an LM round (minus *exclude*, the in-flight round).
+        """Advance every runnable query (minus *exclude*, the in-flight
+        round) and return the ones left waiting on an LM round — those
+        whose next request misses the cache.
 
         Deferred (compile-ahead) queries are compiled here, on demand,
         only as needed to keep up to ``concurrency`` queries runnable.
@@ -739,19 +768,19 @@ class QueryScheduler:
                 self._attach_deferred(sq, ahead=ahead)
                 if not sq.done:  # rejected: compile error or admission
                     active += 1
+        waiting = []
         for sq in self.queries:
+            if sq.done or sq._gen is None or sq in exclude:
+                continue
             if sq._mirror_of is not None or sq._subsumed_by is not None:
                 continue  # planned to be answered from another execution
-            if not sq.done and sq._pending is None and sq._gen is not None:
-                self._advance(sq, None)
-        waiting = [
-            sq
-            for sq in self.queries
-            if not sq.done and sq._pending is not None and sq not in exclude
-        ]
-        for sq in waiting:
-            self._enforce_budget(sq)
-        return [sq for sq in waiting if not sq.done]
+            if sq._pending is None:
+                self._advance(sq)
+            else:  # parked on an earlier turn, not yet picked for a round
+                self._enforce_budget(sq)
+            if sq._pending is not None:  # cleared when a query finishes
+                waiting.append(sq)
+        return waiting
 
     def _service(self, chosen: list[ScheduledQuery]) -> _InflightRound:
         """Begin one coalesced round: cache detection pass, then dispatch
@@ -795,8 +824,8 @@ class QueryScheduler:
             sq.stats.logits_hits += h
             sq.stats.logits_misses += m
             sq.stats.scheduler_rounds += 1
-            payload = sq.executor.finish_request(request, group_rows)
-            self._advance(sq, payload)
+            sq._answer = sq.executor.finish_request(request, group_rows)
+            self._advance(sq)
         self._rounds_since_checkpoint += 1
         if (
             self.checkpoint_path is not None
@@ -880,6 +909,7 @@ class QueryScheduler:
             sq._gen.close()
         sq._pending = None
         sq.done = True
+        sq.resumed = True
         sq.truncated = snap.truncated
         sq.truncated_reason = snap.truncated_reason
         sq.results = list(snap.results)
@@ -898,32 +928,61 @@ class QueryScheduler:
         else:
             self.stats.queries_completed += 1
 
-    def _advance(self, sq: ScheduledQuery, payload: Any) -> None:
-        """Resume *sq*'s generator until it demands the LM or finishes."""
+    def _advance(self, sq: ScheduledQuery) -> None:
+        """Resume *sq*'s generator (with ``sq._answer``) until it misses
+        the cache, finishes, or is handed back to the drive loop.
+
+        A request whose contexts are all cached is answered on the spot
+        (budgets checked first, exactly as before a round) and the
+        generator keeps going; the first request with a miss is parked in
+        ``_pending`` for a coalesced round.  The query is handed back —
+        ready, its next answer already in ``sq._answer`` — at the first
+        inline answer after a match, so ``step()``-granular observers see
+        a match as soon as they did when every request took a round, and
+        after :data:`_INLINE_QUANTUM` inline answers, so peers get their
+        turn.  A query no inline answer touches runs from round to round
+        exactly as before: matches never end its turn, only a miss does.
+        """
         if sq._cancelled:
             self._finish(sq, truncated=True, reason="cancelled")
             return
         assert sq._gen is not None  # callers only advance compiled queries
+        answered = 0
+        matched = False
         while True:
+            answer, sq._answer = sq._answer, None
             try:
-                event = sq._gen.send(payload)
+                event = sq._gen.send(answer)
             except StopIteration:
                 self._finish(sq, truncated=False)
                 return
-            payload = None
-            if isinstance(event, LmRequest):
-                sq._pending = event
+            if not isinstance(event, LmRequest):
+                sq.results.append(event)
+                if self.record_history:
+                    self.merged.append((sq.name, event))
+                limit = sq.budget.max_results
+                if limit is not None and len(sq.results) >= limit:
+                    self._finish(sq, truncated=True, reason="max_results")
+                    return
+                matched = True
+                continue
+            sq._pending = event
+            self._enforce_budget(sq)
+            if sq.done:
                 return
-            sq.results.append(event)
-            if self.record_history:
-                self.merged.append((sq.name, event))
-            limit = sq.budget.max_results
-            if limit is not None and len(sq.results) >= limit:
-                self._finish(sq, truncated=True, reason="max_results")
+            rows = self.logits_cache.cached_rows(event.contexts)
+            if rows is None:
+                return
+            sq._pending = None
+            sq.stats.logits_hits += len(rows)
+            sq._answer = sq.executor.finish_request(event, rows)
+            answered += 1
+            if matched or answered == _INLINE_QUANTUM:
                 return
 
     def _enforce_budget(self, sq: ScheduledQuery) -> None:
-        """Stop *sq* before its next round if cancelled or over budget."""
+        """Stop *sq* before its pending request is answered — inline or
+        by a round — if it is cancelled or over budget."""
         if sq._cancelled:
             self._finish(sq, truncated=True, reason="cancelled")
             return

@@ -251,6 +251,29 @@ class LogitsCache:
         rows, _, _ = self.logprobs_round([contexts])
         return rows[0]
 
+    def cached_rows(self, contexts: Sequence[Sequence[int]]) -> list[np.ndarray] | None:
+        """The rows for *contexts* if every one is cached, else ``None``.
+
+        The all-hit probe both drivers try before they build a round: a
+        success counts each occurrence as a hit and touches it in LRU
+        order, exactly as a one-group :meth:`logprobs_round` over cached
+        contexts would; a failure returns at the first miss with counters
+        and recency untouched, so the caller can still take the round path
+        as if it had never probed.
+        """
+        store = self._store
+        keys = [tuple(c) for c in contexts]
+        rows = []
+        for key in keys:
+            row = store.get(key)
+            if row is None:
+                return None
+            rows.append(row)
+        for key in keys:
+            store.move_to_end(key)
+        self.hits += len(keys)
+        return rows
+
     def logprobs_round(
         self, groups: Sequence[Sequence[Sequence[int]]]
     ) -> tuple[list[list[np.ndarray]], list[int], list[int]]:

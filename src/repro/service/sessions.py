@@ -136,7 +136,11 @@ class _Ticket:
     cursor: int = 0
     seq: int = 0
     lm_seen: int = 0
-    progress_rounds: int = 0
+    #: Drive-loop turns in which the query advanced (a round or an inline
+    #: quantum) since its last ``progress`` frame, and the ``lm_calls``
+    #: reading that told the last such turn apart from an idle one.
+    progress_turns: int = 0
+    progress_lm_calls: int = 0
     stalled: bool = False
     cancelled: bool = False
     done_sent: bool = False
@@ -232,7 +236,10 @@ class SchedulerService:
     checkpoint/resume machinery through drain and restart.
     ``worker_pool`` is a caller-owned :class:`WorkerPool` that every
     scheduler generation reuses; it must outlive the service (close the
-    service first).  ``clock`` is injectable for deterministic quota tests.
+    service first).  ``progress_every`` is how many drive-loop turns in
+    which a query advanced — a model round, or a quantum of answers the
+    warm logits cache gave inline — pass between its ``progress`` frames.
+    ``clock`` is injectable for deterministic quota tests.
     """
 
     def __init__(
@@ -435,7 +442,11 @@ class SchedulerService:
         sched = self._scheduler
         if sched is None:
             return
-        if self.checkpoint_path is not None and sched.stats.rounds > 0:
+        # A generation that finished a query of its own has something to
+        # persist, even if warm caches answered it without a single round;
+        # one that only replayed a checkpoint must not overwrite it.
+        ran = any(sq.done and not sq.resumed for sq in sched.queries)
+        if self.checkpoint_path is not None and ran:
             try:
                 sched.save_checkpoint()
             except Exception as exc:  # pragma: no cover - disk full etc.
@@ -457,17 +468,16 @@ class SchedulerService:
                     self._pending.clear()
                 for ticket in pending:
                     self._admit(ticket)
-                progressed = False
                 sched = self._scheduler
                 if sched is not None:
                     try:
-                        progressed = sched.step()
+                        sched.step()
                     except Exception as exc:
                         self._engine_failure(exc)
                 self._account_lm_usage()
                 with self._cond:
                     self._flush(force=stop)
-                    self._maybe_rotate(progressed)
+                    self._maybe_rotate()
                 if stop and self._handle_stop():
                     return
         finally:
@@ -622,15 +632,18 @@ class SchedulerService:
                 status = _STATUS_BY_REASON.get(handle.truncated_reason, "truncated")
                 self._emit_done(ticket, status, handle.truncated_reason)
                 continue
-            rounds = handle.stats.scheduler_rounds
-            if rounds - ticket.progress_rounds >= self.progress_every:
-                ticket.progress_rounds = rounds
+            lm_calls = handle.stats.lm_calls
+            if lm_calls != ticket.progress_lm_calls:
+                ticket.progress_lm_calls = lm_calls
+                ticket.progress_turns += 1
+            if ticket.progress_turns >= self.progress_every:
+                ticket.progress_turns = 0
                 session.deliver(
                     {
                         "type": "progress",
                         "id": ticket.wire_id,
-                        "rounds": rounds,
-                        "lm_calls": handle.stats.lm_calls,
+                        "rounds": handle.stats.scheduler_rounds,
+                        "lm_calls": lm_calls,
                         "matches": len(results),
                         "delivered": ticket.cursor,
                     }
@@ -676,31 +689,17 @@ class SchedulerService:
                     if compiled is not None and compiled.metrics is not None
                     else None
                 ),
-                "resumed": bool(
-                    handle.done
-                    and handle.latency is not None
-                    and handle.stats.scheduler_rounds == 0
-                    and ticket.cursor > 0
-                ),
+                "resumed": handle.resumed,
             }
             if handle.latency is not None:
                 frame["latency_ms"] = round(1000.0 * handle.latency, 3)
         ticket.session.deliver(frame)
 
-    def _maybe_rotate(self, progressed: bool) -> None:
+    def _maybe_rotate(self) -> None:
         """Retire a fully-drained generation.  Lock held by caller."""
         sched = self._scheduler
-        if sched is None:
-            return
-        unfinished = [sq for sq in sched.queries if not sq.done]
-        if not unfinished:
+        if sched is not None and all(sq.done for sq in sched.queries):
             self._retire_generation()
-        elif not progressed and not self._pending:
-            # Defensive: the scheduler reported no runnable work while
-            # queries remain (cannot happen through the public paths).
-            # Finish them as interrupted rather than spinning forever.
-            for sq in unfinished:  # pragma: no cover - defensive
-                sq.cancel()
 
     def _engine_failure(self, exc: Exception) -> None:
         """A scheduler round crashed: fail its queries, keep the service."""

@@ -290,6 +290,16 @@ def analyzer_calls(monkeypatch):
     return calls
 
 
+def _spy_on_has_cycle(monkeypatch):
+    """The DFAs ``DFA.has_cycle`` is called on from here on."""
+    from repro.automata.dfa import DFA
+
+    walks = []
+    original = DFA.has_cycle
+    monkeypatch.setattr(DFA, "has_cycle", lambda dfa: walks.append(dfa) or original(dfa))
+    return walks
+
+
 class TestLazyReport:
     """``CompiledQuery.report`` is computed when somebody reads it — and
     then is exactly what the eager compile used to attach."""
@@ -392,6 +402,48 @@ class TestLazyReport:
         assert not hand_built.is_empty
         hand_built.report = built.report
         assert hand_built.report is built.report
+
+    @pytest.mark.parametrize("pattern", ["(cat )+", "cat|dog"])
+    def test_memory_hits_never_rewalk_the_char_dfa(self, tokenizer, monkeypatch, pattern):
+        """``rebind`` reads the cycle verdict the base analysis decided:
+        after the first analysis no hit calls ``DFA.has_cycle`` again, and
+        every re-bound report is still the direct analysis — RLM003
+        present, absent, and suppressed by ``sequence_length``."""
+        compiler = GraphCompiler(tokenizer)
+        analyzer = compiler.analyzer
+        cold = compiler.compile(SearchQuery(pattern))
+        infinite = "RLM003" in cold.report.codes  # the first analysis
+        assert infinite == (pattern == "(cat )+")
+
+        walks = _spy_on_has_cycle(monkeypatch)
+        queries = [SearchQuery(pattern, seed=seed) for seed in range(5)]
+        queries.append(SearchQuery(pattern, sequence_length=analyzer.default_horizon))
+        reports = [compiler.compile(q).report for q in queries]
+        assert compiler.cache.hits == len(queries)
+        assert walks == []
+        monkeypatch.undo()
+        for query, report in zip(queries, reports):
+            assert report == analyzer.analyze_compiled(cold, query)
+        assert ["RLM003" in r.codes for r in reports] == [infinite] * 5 + [False]
+
+    def test_cycle_verdict_survives_the_disk_cache(self, tokenizer, tmp_path, monkeypatch):
+        """Persisted with the entry when an analysis had decided it, and
+        re-decided (once) after loading an entry written without one."""
+        from repro.core.compile_cache import CompileCacheEntry
+
+        query = SearchQuery("(cat )+")
+        compiled = GraphCompiler(tokenizer).compile(query)
+        assert CompileCacheEntry.from_compiled(compiled).char_infinite is None
+        assert "RLM003" in compiled.report.codes
+        assert CompileCacheEntry.from_compiled(compiled).char_infinite is True
+
+        GraphCompiler(tokenizer, disk_cache=tmp_path).compile(query)  # no report read
+        reader = GraphCompiler(tokenizer, cache=True, disk_cache=tmp_path)
+        walks = _spy_on_has_cycle(monkeypatch)
+        reports = [reader.compile(SearchQuery("(cat )+", seed=seed)).report for seed in range(4)]
+        assert reader.disk_cache.hits == 1 and reader.cache.hits == 3
+        assert len(walks) == 1
+        assert all("RLM003" in report.codes for report in reports)
 
 
 class TestEmptyShortCircuitSerial:

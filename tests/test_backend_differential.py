@@ -326,6 +326,42 @@ class TestSchedulerSerialEquivalence:
         assert serial_stats.logits_hits == sched_stats.logits_hits
         assert serial_stats.logits_misses == sched_stats.logits_misses
 
+    @pytest.mark.parametrize(
+        "name,source,query", COMBOS, ids=[c[0] for c in COMBOS]
+    )
+    def test_warm_pass_runs_no_round(self, model, tokenizer, env, name, source, query):
+        """The warm-cache axis: every combo twice over the same logits
+        cache.  A round exists only for a miss — cold, every round reaches
+        the model; warm, there is none and the model is never called — and
+        either way the stream and ``lm_calls`` are the serial run's."""
+        from repro.core.scheduler import QueryBudget, QueryScheduler
+        from repro.lm.base import CountingModel
+
+        m, tok = _world(source, model, tokenizer, env)
+        serial, serial_stats = _run(m, tok, query)
+        counting = CountingModel(m)
+        cache = LogitsCache(counting, capacity=65536)
+        passes = []
+        for _ in ("cold", "warm"):
+            counting.reset()
+            scheduler = QueryScheduler(counting, tok, logits_cache=cache, concurrency=1)
+            handle = scheduler.submit(query, budget=QueryBudget(max_results=200))
+            scheduler.run()
+            passes.append((handle, scheduler.stats.rounds, counting.total_rounds))
+        (cold, cold_rounds, cold_calls), (warm, warm_rounds, warm_calls) = passes
+        assert cold_rounds == cold_calls > 0  # every round contained a miss
+        assert (warm_rounds, warm_calls) == (0, 0)
+        assert warm.stats.scheduler_rounds == 0
+        assert warm.stats.logits_misses == 0
+        assert warm.stats.logits_hits == warm.stats.lm_calls
+        for handle in (cold, warm):
+            assert handle.results == serial  # bit-identical: dataclass equality
+            assert handle.stats.lm_calls == serial_stats.lm_calls
+            assert handle.stats.lm_batches == serial_stats.lm_batches
+            assert handle.stats.tokens_scored == serial_stats.tokens_scored
+        assert cold.stats.logits_misses == serial_stats.logits_misses
+        assert cold.stats.logits_hits == serial_stats.logits_hits
+
 
 #: The process-parallel grid: every workers x pipeline combination the
 #: engine supports.  workers=1 exercises the knob plumbing without a pool.

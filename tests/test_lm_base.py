@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lm.base import LanguageModel, LogitsCache
 from repro.lm.decoding import DecodingPolicy
@@ -61,6 +63,69 @@ class TestLogitsCache:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             LogitsCache(CountingModel(), capacity=0)
+
+
+def _cache_state(cache):
+    """Everything a lookup may change: counters and the LRU order."""
+    return cache.hits, cache.misses, list(cache._store)
+
+
+class TestAllHitProbe:
+    """``LogitsCache.cached_rows`` — the fully cached path both drivers
+    try before they build a round."""
+
+    def test_all_cached_returns_rows_counts_hits_and_touches(self):
+        cache = LogitsCache(CountingModel(), capacity=8)
+        rows = cache.logprobs_batch([(1,), (2,), (3,)])
+        before = cache.hits
+        got = cache.cached_rows([(2,), (1,), (2,)])
+        assert [id(row) for row in got] == [id(rows[1]), id(rows[0]), id(rows[1])]
+        assert cache.hits == before + 3 and cache.misses == 3
+        assert list(cache._store) == [(3,), (1,), (2,)]  # (3,) is now the LRU victim
+
+    def test_any_miss_changes_nothing_and_calls_no_model(self):
+        model = CountingModel()
+        cache = LogitsCache(model, capacity=8)
+        cache.logprobs_batch([(1,), (2,)])
+        state, calls = _cache_state(cache), model.calls
+        assert cache.cached_rows([(2,), (9,), (1,)]) is None
+        assert _cache_state(cache) == state and model.calls == calls
+
+    def test_empty_request_is_an_empty_hit(self):
+        cache = LogitsCache(CountingModel(), capacity=2)
+        assert cache.cached_rows([]) == []
+        assert _cache_state(cache) == (0, 0, [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.lists(st.integers(0, 2), max_size=2).map(tuple), min_size=1, max_size=4
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(2, 6),
+    )
+    def test_probe_then_round_equals_round_alone(self, requests, capacity):
+        """On a small-capacity cache (evictions happen), a driver that
+        probes first and falls back to ``logprobs_round`` leaves the
+        counters, the LRU order and every returned row identical to one
+        that always takes the round; a failed probe changes nothing."""
+        probing = LogitsCache(CountingModel(), capacity=capacity)
+        plain = LogitsCache(CountingModel(), capacity=capacity)
+        for contexts in requests:
+            before = _cache_state(probing)
+            rows = probing.cached_rows(contexts)
+            if rows is None:
+                assert _cache_state(probing) == before
+                (rows,), (hits,), (misses,) = probing.logprobs_round([contexts])
+                assert misses > 0
+            (want,), _, _ = plain.logprobs_round([contexts])
+            assert len(rows) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, want))
+            assert _cache_state(probing) == _cache_state(plain)
+        assert probing.model.calls == plain.model.calls
 
 
 class TestGenerate:

@@ -14,7 +14,10 @@ pins the rest of the contract:
 * the acceptance bar: 8 templated knowledge queries at ``--concurrency 8``
   issue at most 0.35x the model ``logprobs_batch`` rounds of 8 serial
   runs, with bit-identical per-query results;
-* fairness policies decide who joins a capped round.
+* fairness policies decide who joins a capped round;
+* a round is for misses: a fully cached request is answered inline, under
+  the same budgets, without starving peers and without stranding a query
+  that is ready but not waiting.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import scheduler as scheduler_module
 from repro.core.api import prepare, search_many
 from repro.core.executor import LmRequest
 from repro.core.query import SearchQuery
@@ -358,6 +362,190 @@ class TestFairness:
                 [(m.text, m.total_logprob) for m in h.results] for h in handles
             ]
         assert streams["round_robin"] == streams["shortest_frontier"]
+
+
+#: Thousands of encodings behind four strings: with ``max_expansions`` it
+#: is a query that needs ~2 500 contexts and yields its matches early.
+LONG = "The ((man)|(woman)) was trained in ((art)|(medicine))"
+LONG_EXPANSIONS = 3000
+
+
+class TickingClock:
+    """A clock that advances one second every time it is read."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+class TestInlineAnswers:
+    """Fully cached requests are answered inline: a warm query runs no
+    round, and the budget, cancel, fairness and drive-loop contracts hold
+    for inline answers exactly as they do for rounds."""
+
+    PORTFOLIO = [
+        (SearchQuery(WIDE), {}),
+        (SearchQuery(LONG), {"max_expansions": 300}),
+        (SearchQuery("The ((cat)|(dog))", prefix="The "), {}),
+    ]
+
+    @pytest.fixture()
+    def warm(self, model):
+        """A counting model and a cache holding every context the
+        portfolio and the long query need."""
+        counting = CountingModel(model)
+        cache = LogitsCache(counting, capacity=65536)
+        return counting, cache
+
+    def _warm_up(self, counting, cache, tokenizer, submissions):
+        scheduler = QueryScheduler(counting, tokenizer, logits_cache=cache)
+        handles = [scheduler.submit(q, **kw) for q, kw in submissions]
+        scheduler.run()
+        assert scheduler.stats.rounds > 0
+        counting.reset()
+        return handles
+
+    def test_warm_max_lm_calls_truncates_like_cold(self, model, tokenizer, warm):
+        counting, cache = warm
+        self._warm_up(counting, cache, tokenizer, [(SearchQuery(WIDE), {})])
+        budget = QueryBudget(max_lm_calls=5)
+        cold_scheduler = QueryScheduler(model, tokenizer)
+        cold = cold_scheduler.submit(SearchQuery(WIDE), budget=budget)
+        cold_scheduler.run()
+        scheduler = QueryScheduler(counting, tokenizer, logits_cache=cache)
+        handle = scheduler.submit(SearchQuery(WIDE), budget=budget)
+        scheduler.run()
+        assert scheduler.stats.rounds == 0 and counting.total_rounds == 0
+        assert handle.truncated and handle.truncated_reason == "max_lm_calls"
+        assert handle.stats.lm_calls == cold.stats.lm_calls <= 5
+        assert handle.results == cold.results
+
+    def test_warm_deadline_truncates(self, model, tokenizer, warm):
+        counting, cache = warm
+        full = self._warm_up(counting, cache, tokenizer, [(SearchQuery(WIDE), {})])[0]
+        scheduler = QueryScheduler(
+            counting, tokenizer, logits_cache=cache, clock=TickingClock()
+        )
+        handle = scheduler.submit(SearchQuery(WIDE), budget=QueryBudget(deadline=10.0))
+        scheduler.run()
+        assert scheduler.stats.rounds == 0 and counting.total_rounds == 0
+        assert handle.truncated and handle.truncated_reason == "deadline"
+        # One clock read per inline answer: the deadline stops it mid-way.
+        assert 0 < handle.stats.lm_calls < full.stats.lm_calls
+        assert handle.results == full.results[: len(handle.results)]
+
+    def test_cancel_between_steps_stops_within_a_quantum(self, tokenizer, warm):
+        counting, cache = warm
+        long = (SearchQuery(LONG), {"max_expansions": LONG_EXPANSIONS})
+        self._warm_up(counting, cache, tokenizer, [long])
+        scheduler = QueryScheduler(counting, tokenizer, logits_cache=cache)
+        handle = scheduler.submit(long[0], **long[1])
+        assert scheduler.step() and not handle.done
+        handle.cancel()
+        calls_at_cancel = handle.stats.lm_calls
+        assert scheduler.step() is False
+        assert handle.done and handle.truncated_reason == "cancelled"
+        assert handle.stats.lm_calls == calls_at_cancel
+        assert scheduler.stats.queries_cancelled == 1
+        assert scheduler.stats.rounds == 0 and counting.total_rounds == 0
+
+    def test_long_warm_query_is_handed_back_every_quantum(self, tokenizer, warm):
+        counting, cache = warm
+        long = (SearchQuery(LONG), {"max_expansions": LONG_EXPANSIONS})
+        short = (SearchQuery(WIDE), {})
+        self._warm_up(counting, cache, tokenizer, [long, short])
+        scheduler = QueryScheduler(counting, tokenizer, logits_cache=cache)
+        handles = [scheduler.submit(q, **kw) for q, kw in (long, short)]
+
+        def progress(handle):
+            return handle.stats.lm_calls, len(handle.results), handle.done
+
+        steps = []
+        more = True
+        while more:
+            before = [progress(h) for h in handles]
+            running = [not h.done for h in handles]
+            more = scheduler.step()
+            after = [progress(h) for h in handles]
+            # Every query that could run did advance in this turn.
+            assert [a != b for a, b in zip(after, before)] == running
+            steps.append(after[0][0] - before[0][0])
+        assert scheduler.stats.rounds == 0 and counting.total_rounds == 0
+        assert handles[0].stats.lm_calls > 2000
+        assert max(steps) == scheduler_module._INLINE_QUANTUM
+        # The short query finished while the long one still had work left.
+        assert handles[1].stats.lm_calls < sum(steps[: len(steps) // 2])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"pipeline": True},
+            {"pipeline": True, "workers": 2},
+            {"compile_ahead": True},
+            {"compile_ahead": True, "pipeline": True, "concurrency": 2},
+        ],
+        ids=["pipeline", "pipeline_pool", "compile_ahead", "compile_ahead_pipeline"],
+    )
+    def test_ready_queries_are_never_stranded(self, model, tokenizer, warm, kwargs):
+        """``pipeline`` / ``compile_ahead`` over warm caches: nobody is
+        ever *waiting*, so the drive loop must keep going for queries that
+        are merely ready."""
+        from repro.core.parallel import WorkerPool
+
+        counting, cache = warm
+        self._warm_up(counting, cache, tokenizer, self.PORTFOLIO)
+        serial = [
+            _serial_matches(model, tokenizer, q, **kw) for q, kw in self.PORTFOLIO
+        ]
+        kwargs = dict(kwargs)
+        workers = kwargs.pop("workers", None)
+        pool = WorkerPool(counting, workers, min_shard_size=1) if workers else None
+        try:
+            scheduler = QueryScheduler(
+                counting, tokenizer, logits_cache=cache, worker_pool=pool, **kwargs
+            )
+            handles = [scheduler.submit(q, **kw) for q, kw in self.PORTFOLIO]
+            scheduler.run()
+            dispatched = pool.stats()["shards_dispatched"] if pool else 0
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        assert all(h.done and not h.truncated for h in handles)
+        assert [h.results for h in handles] == serial
+        assert scheduler.stats.rounds == 0
+        assert counting.total_rounds == 0 and dispatched == 0
+
+    def test_executor_run_attribution_on_a_shared_cache(
+        self, model, tokenizer, monkeypatch
+    ):
+        """``Executor.run`` takes the probe first; per-session hits and
+        misses and the cache's own counters are what the round path alone
+        charges."""
+        queries = [SearchQuery(WIDE), SearchQuery(WIDE, top_k=5), SearchQuery(LONG)]
+
+        def run_all():
+            cache = LogitsCache(model, capacity=65536)
+            stats = []
+            for query in queries:
+                session = prepare(
+                    model, tokenizer, query, logits_cache=cache, max_expansions=200
+                )
+                list(session)
+                stats.append(
+                    (session.stats.lm_calls, session.stats.logits_hits,
+                     session.stats.logits_misses)
+                )
+            return stats, (cache.hits, cache.misses, list(cache._store))
+
+        with_probe = run_all()
+        monkeypatch.setattr(LogitsCache, "cached_rows", lambda self, contexts: None)
+        rounds_only = run_all()
+        assert with_probe == rounds_only
+        (_, _, cold_misses), (calls, hits, misses), (_, long_hits, _) = with_probe[0]
+        assert cold_misses > 0 and (hits, misses) == (calls, 0) and long_hits > 0
 
 
 class TestCompileErrors:

@@ -213,6 +213,108 @@ class TestWarmServer:
 
 
 # ---------------------------------------------------------------------------
+class TestWarmQueries:
+    """Queries the warm caches answer without a single scheduler round."""
+
+    WIDE = "The ((cat)|(dog)|(man)|(woman))"
+    #: Thousands of encodings behind four strings (bounded by the
+    #: service-wide ``max_expansions`` below): ~2 500 contexts, 4 matches.
+    LONG = "The ((man)|(woman)) was trained in ((art)|(medicine))"
+
+    @staticmethod
+    async def _ask(server, query, **kwargs):
+        async with await ServiceClient.connect(server.host, server.port) as client:
+            stream = await client.submit(query, **kwargs)
+            await stream.collect()
+            return stream
+
+    def test_resumed_is_recorded_not_guessed(self, model, tokenizer, tmp_path):
+        """A repeated warm query finishes in zero rounds and is *not*
+        resumed; a query a checkpoint answers after a restart is."""
+        query = SearchQuery(self.WIDE)
+        ckpt = str(tmp_path / "service.ckpt")
+
+        async def first_life():
+            async with serving(model, tokenizer, checkpoint_path=ckpt) as (server, _service):
+                cold = await self._ask(server, query, max_results=3)
+                warm = await self._ask(server, query, max_results=3)
+                return cold, warm
+
+        cold, warm = asyncio.run(first_life())
+        assert cold.stats["scheduler_rounds"] > 0 and cold.stats["resumed"] is False
+        assert warm.matches == cold.matches
+        assert warm.stats["scheduler_rounds"] == 0
+        assert warm.stats["logits_misses"] == 0
+        assert warm.stats["lm_calls"] == cold.stats["lm_calls"] > 0
+        assert warm.stats["resumed"] is False
+        assert warm.progress is None  # three matches: too few turns to report
+        written = os.stat(ckpt).st_mtime_ns
+
+        async def second_life():
+            async with serving(
+                model, tokenizer, checkpoint_path=ckpt, resume=True
+            ) as (server, service):
+                stream = await self._ask(server, query, max_results=3)
+                return stream, service.compiler.cache.misses
+
+        restored, compiles = asyncio.run(second_life())
+        assert restored.stats["resumed"] is True
+        assert restored.status == "truncated" and restored.reason == "max_results"
+        assert restored.matches == cold.matches
+        assert compiles == 1  # the service compiles at submit; the traversal never ran
+        # A generation that only replayed the checkpoint leaves it alone.
+        assert os.stat(ckpt).st_mtime_ns == written
+
+    def test_zero_round_generation_still_checkpoints(self, model, tokenizer, tmp_path):
+        from repro.core.checkpoint import load_checkpoint
+        from repro.lm.base import LogitsCache
+
+        query = SearchQuery(self.WIDE)
+        cache = LogitsCache(model, capacity=65536)
+        list(search(model, tokenizer, query, logits_cache=cache))  # warm every context
+        ckpt = str(tmp_path / "service.ckpt")
+
+        async def scenario():
+            async with serving(
+                model, tokenizer, logits_cache=cache, checkpoint_path=ckpt
+            ) as (server, service):
+                stream = await self._ask(server, query)
+                return stream, service.stats_snapshot()
+
+        stream, stats = asyncio.run(scenario())
+        assert stream.status == "ok" and stream.stats["scheduler_rounds"] == 0
+        assert stats["rounds"] == 0 and stats["checkpoints_written"] == 1
+        saved = load_checkpoint(ckpt)
+        assert [(q.done, len(q.results)) for q in saved.queries] == [(True, len(stream.matches))]
+        assert saved.rounds_completed == 0 and saved.cache_rows
+
+    def test_long_warm_query_still_reports_progress(self, model, tokenizer):
+        from repro.lm.base import LogitsCache
+
+        query = SearchQuery(self.LONG)
+        counting = CountingModel(model)
+        cache = LogitsCache(counting, capacity=65536)
+        reference = list(
+            search(counting, tokenizer, query, logits_cache=cache, max_expansions=3000)
+        )
+        counting.reset()
+
+        async def scenario():
+            async with serving(
+                counting, tokenizer, logits_cache=cache, max_expansions=3000
+            ) as (server, _service):
+                return await self._ask(server, query)
+
+        stream = asyncio.run(scenario())
+        assert stream.matches == reference and counting.total_rounds == 0
+        assert stream.stats["scheduler_rounds"] == 0 and stream.stats["lm_calls"] > 2000
+        # Dozens of inline quanta, not one round: still not silent.
+        assert stream.progress is not None
+        assert stream.progress["rounds"] == 0
+        assert 0 < stream.progress["lm_calls"] <= stream.stats["lm_calls"]
+
+
+# ---------------------------------------------------------------------------
 class TestFaultsThroughTheService:
     def test_fault_injecting_pool_is_bit_identical_with_one_terminal_frame(
         self, model, tokenizer
