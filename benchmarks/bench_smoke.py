@@ -9,8 +9,7 @@ persistent disk cache's warm start, which must recompile zero
 queries), the multi-query scheduler's cross-query coalescing (8
 templated knowledge queries must issue <= 0.35x the serial LM rounds),
 the query-set relational analysis (the ``QuerySetAnalyzer`` pass over
-the knowledge portfolio, and scheduler dedupe strictly reducing model
-rounds on a workload seeded with exact duplicates),
+the knowledge portfolio),
 the process-parallel round sharding (workers=4 must reach >= 1.8x
 the workers=1 round throughput on machines with >= 4 CPUs), and the
 validation service (sustained q/s and p50/p99 first-match latency at 1
@@ -254,24 +253,14 @@ def bench_scheduler(repeats: int, top_n: int = 5) -> dict:
 def bench_analyze_set(repeats: int) -> dict:
     """Cross-query relational analysis: median wall-time of the
     :class:`QuerySetAnalyzer` pass over the templated knowledge portfolio
-    (8 queries, 28 pairs), plus the LM traffic scheduler dedupe saves on
-    a workload seeded with exact duplicates (each month query submitted
-    twice).  The shared logits cache already collapses duplicate
-    *contexts* — inside a coalesced round, or inline when they are cached —
-    so the metric that moves is the LM contexts the queries request, the
-    sum of their ``lm_calls``: the work the mirrored queries never ask
-    for.  (``contexts_serviced`` counts coalesced rounds only.)  Dedupe
-    must never change a result and must strictly reduce requested
-    contexts; both are asserted here, not just measured."""
+    (8 queries, 28 pairs)."""
     from repro.core.analyze_set import QuerySetAnalyzer
-    from repro.core.scheduler import QueryScheduler
     from repro.experiments.knowledge import (
         FACTS,
         birthdate_query,
         knowledge_world,
         month_query,
     )
-    from repro.lm.base import CountingModel
 
     world = knowledge_world()
     named = [(f"birthdate/{s}", birthdate_query(s)) for s, _ in FACTS]
@@ -279,24 +268,6 @@ def bench_analyze_set(repeats: int) -> dict:
     entries = [(name, world.compiler.compile(q)) for name, q in named]
     analyzer = QuerySetAnalyzer()
     analyze_s, report = _median_time(lambda: analyzer.analyze(entries), repeats)
-
-    counting = CountingModel(world.model("xl"))
-    workload = [month_query(s) for s, _ in FACTS] * 2
-
-    def run(dedupe):
-        counting.reset()
-        scheduler = QueryScheduler(
-            counting, world.tokenizer, compiler=world.compiler,
-            concurrency=len(workload), dedupe=dedupe,
-        )
-        handles = [scheduler.submit(q) for q in workload]
-        scheduler.run()
-        texts = [[m.text for m in h.results] for h in handles]
-        return texts, sum(h.stats.lm_calls for h in handles), scheduler.stats
-
-    plain_texts, plain_contexts, _ = run(False)
-    dedup_texts, dedup_contexts, dedup_stats = run(True)
-    assert dedup_texts == plain_texts, "dedupe changed query results"
     return {
         "queries": len(entries),
         "analyze_ms": round(1000 * analyze_s, 3),
@@ -304,15 +275,6 @@ def bench_analyze_set(repeats: int) -> dict:
         "subsumed": len(report.subsumptions),
         "unknown_pairs": report.unknown_pairs,
         "prefix_clusters": len(report.prefix_clusters),
-        "dedupe": {
-            "queries": len(workload),
-            "deduped": dedup_stats.queries_deduped,
-            "plain_contexts": plain_contexts,
-            "dedupe_contexts": dedup_contexts,
-            "context_ratio": (
-                round(dedup_contexts / plain_contexts, 4) if plain_contexts else 1.0
-            ),
-        },
     }
 
 
@@ -650,11 +612,6 @@ def main(argv=None) -> int:
         failures.append(
             f"scheduler round ratio {report['scheduler']['round_ratio']} "
             "exceeds the 0.35x bar"
-        )
-    if report["analyze_set"]["dedupe"]["context_ratio"] >= 1.0:
-        failures.append(
-            f"dedupe context ratio {report['analyze_set']['dedupe']['context_ratio']} "
-            "did not reduce requested LM contexts on a duplicated workload"
         )
     incremental = report["incremental"]
     if incremental["depth_16"]["speedup"] < 2.0:

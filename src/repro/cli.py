@@ -203,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_set = sub.add_parser(
         "lint-set",
         help="cross-query analysis: relation matrix, duplicate/subsumed/"
-             "overlap findings, projected LM-call savings; exit 1 on "
-             "RLM007 duplicates",
+             "overlap findings, the requested-context budget of queries "
+             "the author can delete; exit 1 on RLM007 duplicates",
     )
     add_analysis_args(lint_set, patterns_optional=True)
     add_set_arg(lint_set)

@@ -20,8 +20,9 @@ pairwise findings with stable codes:
 * ``RLM008`` — subsumed query (strict subset of another's language);
 * ``RLM009`` — significant overlap (nonempty intersection whose exact
   string mass is a large fraction of the smaller language);
-* ``RLM010`` — shared forced token prefix ≥ k (co-scheduling these queries
-  reuses prefix-state / KV cache entries);
+* ``RLM010`` — shared forced token prefix ≥ k (those contexts are scored
+  once and reused through the shared logits / prefix-state caches,
+  whatever the submit order);
 * ``RLM011`` — analysis budget exhausted: some relations are "unknown".
 
 Everything is bounded by ``state_budget``: minimisation and product
@@ -31,8 +32,12 @@ equivalence or containment verdict** (canonical forms are compared for
 actual equality inside each fingerprint bucket, so even a hash collision
 cannot produce a false RLM007).
 
-The report feeds :class:`~repro.core.scheduler.QueryScheduler`'s
-``dedupe=True`` planning mode and the ``relm lint-set`` CLI.
+The report is advice to the portfolio's *author* — ``relm lint-set`` /
+``lint --set`` print it and CI gates on it: drop (or merge) the RLM007 /
+RLM008 query.  Nothing at run time consumes it; the scheduler does not
+need to, because a duplicate that does run asks only for contexts its twin
+also asks for, and the shared :class:`~repro.lm.base.LogitsCache` scores
+each of those once (``tests/test_scheduler.py::TestDuplicateQueries``).
 """
 
 from __future__ import annotations
@@ -97,12 +102,11 @@ class SetReport:
     first; per-query findings stay on each query's own
     :class:`~repro.core.findings.QueryReport`.  ``relations`` holds one
     entry per unordered index pair; ``duplicate_groups`` lists equivalence
-    classes of size ≥ 2 (first member is the canonical execution
-    candidate); ``subsumptions`` maps each strictly-subsumed query index
-    to one superset's index; ``prefix_clusters`` groups queries sharing a
-    forced token prefix of length ≥ k (the scheduler's admission-ordering
-    hint).  ``unknown_pairs`` counts relations the state budget left
-    undecided.
+    classes of size ≥ 2 (first member is the one to keep);
+    ``subsumptions`` maps each strictly-subsumed query index to one
+    superset's index; ``prefix_clusters`` groups queries sharing a forced
+    token prefix of length ≥ k.  ``unknown_pairs`` counts relations the
+    state budget left undecided.
     """
 
     names: tuple[str, ...]
@@ -114,10 +118,12 @@ class SetReport:
     unknown_pairs: int
     state_budget: int
     analysis_ms: float = 0.0
-    #: Projected savings under scheduler dedupe: queries answerable from a
-    #: canonical execution, queries answerable by filtering a superset's
-    #: stream, and the summed static LM-call bound of both (``None`` when
-    #: no per-query cost estimate was available).
+    #: What the author can delete from the portfolio: redundant duplicates
+    #: (RLM007), strictly-subsumed queries (RLM008), and the summed static
+    #: LM-call bound of both — their *requested*-context budget, not model
+    #: work, since the shared logits cache already scores a repeated
+    #: context once (``None`` when no per-query cost estimate was
+    #: available).
     projected_dedupe: int = 0
     projected_subsumed: int = 0
     projected_lm_calls_saved: int | None = None
@@ -210,7 +216,7 @@ class SetReport:
                 lines.append(f"{self.names[i]:<{width}}  {row}")
         for finding in self.findings:
             lines.append(finding.render())
-        saved = (
+        budget = (
             str(self.projected_lm_calls_saved)
             if self.projected_lm_calls_saved is not None
             else "?"
@@ -218,7 +224,7 @@ class SetReport:
         lines.append(
             f"# {n} queries, {len(self.duplicate_groups)} duplicate group(s), "
             f"{len(self.subsumptions)} subsumed, {self.unknown_pairs} unknown "
-            f"pair(s); projected LM-call savings ≤ {saved} "
+            f"pair(s); deletable queries request ≤ {budget} contexts "
             f"({self.analysis_ms:.1f}ms)"
         )
         return "\n".join(lines)
@@ -253,7 +259,7 @@ class QuerySetAnalyzer:
     * ``overlap_threshold`` — overlap mass as a fraction of the smaller
       language at which RLM009 fires.
     * ``min_shared_prefix`` — forced-token-prefix length at which RLM010
-      clusters queries (and the scheduler orders admission).
+      clusters queries.
     """
 
     def __init__(
@@ -579,9 +585,9 @@ class QuerySetAnalyzer:
                     severity=Severity.INFO,
                     message=(
                         f"{len(cluster)} queries share a forced "
-                        f"{len(shared)}-token prefix; scheduling them "
-                        f"together reuses ≈{expected_hits} prefix-state "
-                        "(KV) cache entries"
+                        f"{len(shared)}-token prefix; the shared caches "
+                        f"reuse ≈{expected_hits} prefix-state (KV) entries "
+                        "whatever the submit order"
                     ),
                     data={
                         "members": [prepared[i].name for i in cluster],

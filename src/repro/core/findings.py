@@ -26,8 +26,8 @@ Stable codes (never renumber; retire by leaving a gap):
 ``RLM009``   significant overlap — ``A ∩ B`` is nonempty and its exact
              big-int string mass is a large fraction of the smaller language
 ``RLM010``   shared token prefix — queries share a forced token prefix of
-             length ≥ k, so co-scheduling them reuses prefix-state (KV)
-             cache entries
+             length ≥ k; the shared caches reuse those prefix-state (KV)
+             entries whatever the submit order
 ``RLM011``   set analysis budget exhausted — some pairwise relations are
              "unknown" (never a wrong verdict; the product/minimisation
              state budget was hit)

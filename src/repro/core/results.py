@@ -157,17 +157,6 @@ class SchedulerStats:
     #: Wall-clock seconds from submit to completion, keyed by query name
     #: (the scheduler de-duplicates names at submit, so keys never collide).
     per_query_latency: dict[str, float] = field(default_factory=dict)
-    #: Set-analysis planning (``dedupe=True``): queries answered by
-    #: mirroring a language-equivalent canonical execution (RLM007),
-    #: queries answered by filtering a superset's match stream (RLM008),
-    #: and the wall-clock the :class:`~repro.core.analyze_set.QuerySetAnalyzer`
-    #: pass took.  ``per_query_dedupe`` / ``per_query_subsumed`` attribute
-    #: each mirrored/filtered query name to the name it was answered from.
-    queries_deduped: int = 0
-    queries_subsumed: int = 0
-    set_analysis_ms: float = 0.0
-    per_query_dedupe: dict[str, str] = field(default_factory=dict)
-    per_query_subsumed: dict[str, str] = field(default_factory=dict)
 
     @property
     def mean_round_size(self) -> float:

@@ -12,7 +12,10 @@ one shared :class:`~repro.lm.base.LogitsCache` round per scheduling step,
 so N templated queries cost roughly one query's worth of LM rounds.  A
 round is for misses: a request whose contexts are all cached is answered
 inline (:meth:`~repro.lm.base.LogitsCache.cached_rows`), so a warm query
-runs without a single round.
+runs without a single round.  The scheduler relates no query to another:
+a duplicate or subsumed query asks only for contexts its twin also asks
+for, which the shared cache scores once, so there is nothing to plan
+(:mod:`repro.core.analyze_set` tells the *author* to drop such queries).
 
 Guarantees:
 
@@ -57,13 +60,12 @@ from types import FrameType
 from typing import Any, Callable
 
 from repro.core import checkpoint as ckpt_mod
-from repro.core.analyze_set import QuerySetAnalyzer, SetReport
 from repro.core.checkpoint import QuerySnapshot, RunCheckpoint, query_fingerprint
 from repro.core.compiler import CompiledQuery, GraphCompiler
 from repro.core.executor import Executor, LmRequest
 from repro.core.findings import QueryReport
 from repro.core.parallel import RoundTicket, WorkerPool
-from repro.core.query import QuerySearchStrategy, SimpleSearchQuery
+from repro.core.query import SimpleSearchQuery
 from repro.core.results import ExecutionStats, MatchResult, SchedulerStats
 from repro.lm.base import LanguageModel, LogitsCache, RoundPlan
 from repro.tokenizers.bpe import BPETokenizer
@@ -143,8 +145,8 @@ class ScheduledQuery:
         #: True when a checkpoint answered this query (``resume=True``):
         #: its results and stats were restored, its traversal never ran.
         self.resumed = False
-        #: The compiled artifact (automata + report) — what the query-set
-        #: analyzer relates across queries under ``dedupe=True``.
+        #: The compiled artifact (automata, metrics, report); ``None`` while
+        #: the compile is still deferred.
         self.compiled: CompiledQuery | None = None
         self._gen = executor.steps() if executor is not None else None
         #: The request this query is parked on until a round answers it.
@@ -153,12 +155,6 @@ class ScheduledQuery:
         #: ``None`` at the start and after a match.
         self._answer: Any = None
         self._cancelled = False
-        # Set-analysis planning links: a mirror never runs its own
-        # traversal — it copies the canonical execution's results when that
-        # finishes cleanly (and is released to run normally otherwise); a
-        # subsumed query is answered by filtering its superset's stream.
-        self._mirror_of: "ScheduledQuery | None" = None
-        self._subsumed_by: "ScheduledQuery | None" = None
         #: Executor kwargs for a deferred compile (compile-ahead mode).
         self._executor_kwargs: dict[str, Any] = {}
         self._deferred_stats: ExecutionStats | None = (
@@ -290,9 +286,6 @@ class QueryScheduler:
         checkpoint_cache_mb: float = 64.0,
         resume: bool = False,
         compile_ahead: bool = False,
-        dedupe: bool = False,
-        subsume: bool = False,
-        set_analyzer: QuerySetAnalyzer | None = None,
         **executor_defaults: Any,
     ) -> None:
         if concurrency < 1:
@@ -305,6 +298,14 @@ class QueryScheduler:
             raise ValueError("resume=True requires a checkpoint_path")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        if "dedupe" in executor_defaults:
+            # ``dedupe`` here once selected set planning; falling through
+            # to ``Executor``'s text-dedupe switch would silently change
+            # what ``dedupe=False`` yields.
+            raise TypeError(
+                "QueryScheduler() got an unexpected keyword argument 'dedupe' "
+                "(the executor's text dedupe is per query: submit(q, dedupe=...))"
+            )
         self.model = model
         self.tokenizer = tokenizer
         if compiler is None:
@@ -352,31 +353,6 @@ class QueryScheduler:
         #: moves — and admission control simply happens at first
         #: consideration instead of at submit.
         self.compile_ahead = bool(compile_ahead)
-        #: Set-analysis planning (see :mod:`repro.core.analyze_set`).
-        #: ``dedupe=True`` runs a :class:`QuerySetAnalyzer` pass over the
-        #: submitted queries before the first round and answers RLM007
-        #: duplicates from one canonical execution — results are mirrored
-        #: bit-identically (only *fully identical* queries with compatible
-        #: budgets mirror; language-equal-but-differently-parameterised
-        #: queries still run) and admission is ordered by shared-prefix
-        #: clusters to maximise prefix-state/logits cache reuse.
-        #: ``subsume=True`` additionally answers RLM008 strict-subset
-        #: queries by filtering the superset's completed match stream
-        #: (SHORTEST_PATH only; equal-cost matches may tie-break
-        #: differently than a standalone run, which is why it is a
-        #: separate opt-in).  A canonical execution that ends truncated
-        #: releases its mirrors/subsumed queries to run normally — the
-        #: planner trades LM calls, never correctness.
-        self.dedupe = bool(dedupe)
-        self.subsume = bool(subsume)
-        self._set_analyzer = set_analyzer
-        #: The planning pass's :class:`SetReport` (``None`` until the first
-        #: drive under ``dedupe``/``subsume``, or when < 2 queries).
-        self.set_report: SetReport | None = None
-        self._planned = False
-        self._mirror_waiters: dict[str, list[ScheduledQuery]] = {}
-        self._subsume_waiters: dict[str, list[ScheduledQuery]] = {}
-        self._admission_rank: dict[int, int] = {}
         self._resume_attempted = False
         self._rounds_since_checkpoint = 0
         self._interrupt_requested = False
@@ -509,7 +485,6 @@ class QueryScheduler:
         resumable too.
         """
         self._maybe_resume()
-        self._maybe_plan()
         previous: Any = None
         installed = threading.current_thread() is threading.main_thread()
         if installed:
@@ -555,7 +530,6 @@ class QueryScheduler:
         missed runs no round at all.
         """
         self._maybe_resume()
-        self._maybe_plan()
         waiting = self._gather_waiting(())
         if waiting:
             self._complete(self._service(self._select(waiting)))
@@ -590,156 +564,6 @@ class QueryScheduler:
                 return
             inflight = nxt
 
-    # -- set-analysis planning ----------------------------------------------------
-    def _maybe_plan(self) -> None:
-        """Run the query-set analyzer once, before the first round, and
-        plan dedupe/subsume/prefix-ordering from its report.
-
-        Planning needs the compiled automata, so under ``compile_ahead``
-        it compiles every pending query here (the trade is explicit:
-        set-level planning buys LM calls with compile-time work).
-        """
-        if self._planned or not (self.dedupe or self.subsume):
-            return
-        self._planned = True
-        started = time.perf_counter()
-        for sq in self.queries:
-            if not sq.done and sq.compiled is None:
-                self._attach_deferred(sq)
-        live = [sq for sq in self.queries if not sq.done and sq.compiled is not None]
-        if len(live) >= 2:
-            analyzer = self._set_analyzer or QuerySetAnalyzer()
-            report = analyzer.analyze(
-                [(sq.name, sq.compiled) for sq in live]
-            )
-            self.set_report = report
-            if self.dedupe:
-                for group in report.duplicate_groups:
-                    canonical = live[group[0]]
-                    for i in group[1:]:
-                        sq = live[i]
-                        if self._mirrorable(sq, canonical):
-                            sq._mirror_of = canonical
-                            self._mirror_waiters.setdefault(
-                                canonical.name, []
-                            ).append(sq)
-            if self.subsume:
-                for sub_i, sup_i in sorted(report.subsumptions.items()):
-                    sub, sup = live[sub_i], live[sup_i]
-                    if sub.done or sub._mirror_of is not None:
-                        continue
-                    while sup._mirror_of is not None:  # follow to the
-                        sup = sup._mirror_of  # canonical execution
-                    if self._subsumable(sub, sup):
-                        sub._subsumed_by = sup
-                        self._subsume_waiters.setdefault(sup.name, []).append(sub)
-            # Admission ordering: queries sharing a forced token prefix are
-            # ranked adjacently so their rounds hit the prefix-state (KV)
-            # and logits caches back-to-back.  Interleaving order never
-            # changes results (serial equivalence), only cache locality.
-            rank = 0
-            for cluster in report.prefix_clusters:
-                for i in cluster:
-                    self._admission_rank[live[i].index] = rank
-                    rank += 1
-            for sq in self.queries:
-                if sq.index not in self._admission_rank:
-                    self._admission_rank[sq.index] = rank
-                    rank += 1
-        self.stats.set_analysis_ms = (time.perf_counter() - started) * 1e3
-
-    @staticmethod
-    def _mirrorable(sq: ScheduledQuery, canonical: ScheduledQuery) -> bool:
-        """True when *sq*'s results are provably bit-identical to
-        *canonical*'s: the full query (pattern, strategy, sampling knobs,
-        seed, …) is equal — RLM007 language equivalence alone is not
-        enough — the executor configuration matches, and the budgets
-        cannot diverge (equal, with no wall-clock deadline; deadlines are
-        measured from per-query submit times)."""
-        if sq.query != canonical.query:
-            return False
-        if sq._executor_kwargs != canonical._executor_kwargs:
-            return False
-        if sq.budget != canonical.budget or sq.budget.deadline is not None:
-            return False
-        if (
-            sq.query.search_strategy is QuerySearchStrategy.RANDOM_SAMPLING
-            and sq.query.seed is None
-        ):
-            return False
-        return True
-
-    @staticmethod
-    def _subsumable(sub: ScheduledQuery, sup: ScheduledQuery) -> bool:
-        """True when *sub* may be answered by filtering *sup*'s stream:
-        both are SHORTEST_PATH (cost-ordered, so the filtered subsequence
-        is the subset's own yield order up to equal-cost ties), share the
-        conditioning prefix, differ *only* in pattern, and *sub* carries
-        no budget that could truncate differently."""
-        if sub.done or sup.done:
-            return False
-        if (
-            sub.query.search_strategy is not QuerySearchStrategy.SHORTEST_PATH
-            or sup.query.search_strategy is not QuerySearchStrategy.SHORTEST_PATH
-        ):
-            return False
-        if sub.query.query_string.prefix_str != sup.query.query_string.prefix_str:
-            return False
-        if sub.query.with_(query_string=sup.query.query_string) != sup.query:
-            return False
-        if sub.budget != QueryBudget():
-            return False
-        if sub._executor_kwargs != sup._executor_kwargs:
-            return False
-        return True
-
-    def _resolve_waiters(self, sq: ScheduledQuery) -> None:
-        """When *sq* finishes, answer the queries planned against it.
-
-        A cleanly completed canonical execution answers its mirrors by
-        copying results (zero LM calls, attributed in
-        ``stats.per_query_dedupe``); a completed, non-truncated superset
-        that exhausted its language answers subsumed queries by filtering
-        its stream.  Anything else — truncation, cancellation, a
-        num_samples-cut stream — *releases* the waiters to run normally:
-        planning saves LM calls or does nothing, it never changes results.
-        """
-        for mirror in self._mirror_waiters.pop(sq.name, ()):
-            if mirror.done:
-                continue
-            mirror._mirror_of = None
-            if mirror._cancelled:
-                self._finish(mirror, truncated=True, reason="cancelled")
-            elif not sq.truncated:
-                mirror.results = list(sq.results)
-                self.stats.queries_deduped += 1
-                self.stats.per_query_dedupe[mirror.name] = sq.name
-                self._finish(mirror, truncated=False)
-        for sub in self._subsume_waiters.pop(sq.name, ()):
-            if sub.done:
-                continue
-            sub._subsumed_by = None
-            if sub._cancelled:
-                self._finish(sub, truncated=True, reason="cancelled")
-                continue
-            target = sub.query.num_samples
-            exhausted = not sq.truncated and (
-                sq.query.num_samples is None
-                or len(sq.results) < sq.query.num_samples
-            )
-            if exhausted:
-                assert sub.compiled is not None
-                char_dfa = sub.compiled.char_dfa
-                filtered = [
-                    m for m in sq.results if char_dfa.accepts_string(m.text)
-                ]
-                if target is not None:
-                    filtered = filtered[:target]
-                sub.results = filtered
-                self.stats.queries_subsumed += 1
-                self.stats.per_query_subsumed[sub.name] = sq.name
-                self._finish(sub, truncated=False)
-
     def _gather_waiting(
         self, exclude: tuple[ScheduledQuery, ...]
     ) -> list[ScheduledQuery]:
@@ -772,8 +596,6 @@ class QueryScheduler:
         for sq in self.queries:
             if sq.done or sq._gen is None or sq in exclude:
                 continue
-            if sq._mirror_of is not None or sq._subsumed_by is not None:
-                continue  # planned to be answered from another execution
             if sq._pending is None:
                 self._advance(sq)
             else:  # parked on an earlier turn, not yet picked for a round
@@ -1016,7 +838,6 @@ class QueryScheduler:
             self.stats.queries_truncated += 1
         else:
             self.stats.queries_completed += 1
-        self._resolve_waiters(sq)
 
     # -- fairness -----------------------------------------------------------------
     def _select(self, waiting: list[ScheduledQuery]) -> list[ScheduledQuery]:
@@ -1042,24 +863,13 @@ class QueryScheduler:
             )
             return ranked[:self.concurrency]
         # round_robin: rotate the start position across rounds so every
-        # query gets serviced regardless of submission order.  Under
-        # set-analysis planning the rotation runs over the prefix-cluster
-        # admission ranks instead of submit indices, keeping cluster
-        # members adjacent in the rotation (cache locality) while still
-        # rotating who goes first.  Ranks are a permutation of the indices
-        # known at planning time, so a query submitted after planning keeps
-        # its (larger, still unique) submit index as its position.
+        # query gets serviced regardless of submission order.
         total = len(self.queries)
-        rank = self._admission_rank
-
-        def position(sq: ScheduledQuery) -> int:
-            return rank.get(sq.index, sq.index)
-
         ranked = sorted(
-            waiting, key=lambda sq: (position(sq) - self._rr_next) % total
+            waiting, key=lambda sq: (sq.index - self._rr_next) % total
         )
         chosen = ranked[:self.concurrency]
-        self._rr_next = (position(chosen[-1]) + 1) % total
+        self._rr_next = (chosen[-1].index + 1) % total
         return chosen
 
     @staticmethod

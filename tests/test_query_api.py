@@ -104,6 +104,9 @@ _POOL_KNOBS = (
     "workers", "min_shard_size", "max_retries", "backoff_base", "shard_timeout", "fault_plan",
 )
 _KV_KNOBS = ("kv_cache", "kv_cache_mb")
+#: Set planning, deleted from the scheduler: it saved no model context the
+#: shared logits cache does not already save (``TestDuplicateQueries``).
+_PLANNER_KNOBS = ("dedupe", "subsume", "set_analyzer")
 REMOVED_KEYWORDS = {
     "Executor": ("backend",),
     "GraphCompiler": ("minimize_tokens",),
@@ -111,13 +114,14 @@ REMOVED_KEYWORDS = {
     "SearchSession": _POOL_KNOBS + _KV_KNOBS + ("backend",),
     "prepare": _POOL_KNOBS + _KV_KNOBS + ("backend",),
     "search_many": _POOL_KNOBS + _KV_KNOBS + ("backend",),
-    "QueryScheduler": _POOL_KNOBS + _KV_KNOBS + ("backend",),
+    "QueryScheduler": _POOL_KNOBS + _KV_KNOBS + _PLANNER_KNOBS + ("backend",),
     "SchedulerService": _POOL_KNOBS + _KV_KNOBS + ("backend", "compile_cache"),
 }
 
 #: Stats fields deleted because another object owns the counter — read it
 #: there (``pool.stats()``, ``model.prefix_cache.stats()``,
-#: ``compiler.cache.stats()``, ``compiled.metrics``).  No compatibility
+#: ``compiler.cache.stats()``, ``compiled.metrics``) — or, for the planner
+#: counters, because the mechanism they counted is gone.  No compatibility
 #: property may creep back: all of these must be ``AttributeError``.
 _POOL_MIRRORS = (
     "workers", "shards_dispatched", "parallel_rounds", "retries", "respawns",
@@ -127,12 +131,18 @@ _PREFIX_MIRRORS = (
     "prefix_hits", "prefix_misses", "prefix_evictions", "prefix_bytes", "prefix_hit_rate",
 )
 _COMPILE_CACHE_MIRRORS = ("compile_cache_hits", "compile_cache_misses", "compile_cache_disk_hits")
+_PLANNER_COUNTERS = (
+    "queries_deduped", "queries_subsumed", "set_analysis_ms", "per_query_dedupe",
+    "per_query_subsumed",
+)
 REMOVED_STATS_FIELDS = {
     "ExecutionStats": _POOL_MIRRORS + _PREFIX_MIRRORS + (
         "compilation_cache_hits", "compilation_cache_misses", "compilation_cache_disk_hits",
         "token_states", "token_edges", "minimized_states", "compile_ms",
     ),
-    "SchedulerStats": _POOL_MIRRORS + _PREFIX_MIRRORS + _COMPILE_CACHE_MIRRORS,
+    "SchedulerStats": (
+        _POOL_MIRRORS + _PREFIX_MIRRORS + _COMPILE_CACHE_MIRRORS + _PLANNER_COUNTERS
+    ),
     "ServiceStats": _COMPILE_CACHE_MIRRORS,
 }
 
@@ -199,7 +209,7 @@ class TestRemovedKeywords:
         assert len(named(GraphCompiler.__init__)) == 4
         assert named(SearchSession.__init__) == ["compiler"]
         assert len(named(search_many)) == 11
-        assert len(named(QueryScheduler.__init__)) == 18
+        assert len(named(QueryScheduler.__init__)) == 15
         assert len(named(SchedulerService.__init__)) == 14
         for fn in (search_many, QueryScheduler.__init__, SchedulerService.__init__):
             assert "worker_pool" in named(fn)
@@ -212,7 +222,7 @@ class TestRemovedKeywords:
         from repro.core.results import ExecutionStats, SchedulerStats
         from repro.service import ServiceStats
 
-        for cls, size in ((ExecutionStats, 12), (SchedulerStats, 23), (ServiceStats, 19)):
+        for cls, size in ((ExecutionStats, 12), (SchedulerStats, 18), (ServiceStats, 19)):
             assert len(dataclasses.fields(cls)) == size, cls.__name__
             for removed in REMOVED_STATS_FIELDS[cls.__name__]:
                 with pytest.raises(AttributeError):

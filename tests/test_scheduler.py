@@ -14,6 +14,9 @@ pins the rest of the contract:
 * the acceptance bar: 8 templated knowledge queries at ``--concurrency 8``
   issue at most 0.35x the model ``logprobs_batch`` rounds of 8 serial
   runs, with bit-identical per-query results;
+* duplicate, respelled and subsumed queries cost the model nothing extra:
+  the shared logits cache scores each context once, so the scheduler
+  plans nothing across queries;
 * fairness policies decide who joins a capped round;
 * a round is for misses: a fully cached request is answered inline, under
   the same budgets, without starving peers and without stranding a query
@@ -325,6 +328,75 @@ class TestKnowledgeAcceptance:
             assert batched[subject] == structured_query(world, subject, top_n=3)
 
 
+class TestDuplicateQueries:
+    """Why the scheduler plans nothing across queries: a duplicate (or
+    respelled, or subsumed) query only asks for contexts its twin also asks
+    for, and the shared logits cache scores each context once — so running
+    a portfolio twice over costs the model exactly what running it once
+    does.  The assertions read the model's own counters: ``stats.rounds``
+    also counts the all-hit rounds a parked duplicate joins."""
+
+    #: An exact duplicate pair, a respelling (language-equal), a strict
+    #: subset, a superset of all of them, and an unrelated pattern.
+    SPECS = [
+        ("dup-a", "The ((cat)|(dog))"),
+        ("dup-b", "The ((cat)|(dog))"),
+        ("respelled", "The ((dog)|(cat))"),
+        ("sub", "The cat"),
+        ("wide", WIDE),
+        ("other", "My phone number"),
+    ]
+
+    @staticmethod
+    def _query(pattern):
+        return SearchQuery(pattern, sequence_length=8)
+
+    def _run(self, counting, tokenizer, copies, concurrency, cache=None):
+        scheduler = QueryScheduler(
+            counting, tokenizer, concurrency=concurrency, logits_cache=cache
+        )
+        handles = [
+            (pattern, scheduler.submit(self._query(pattern), name=f"{name}/{copy}"))
+            for copy in range(copies)
+            for name, pattern in self.SPECS
+        ]
+        scheduler.run()
+        return scheduler, handles
+
+    @pytest.mark.parametrize("concurrency", [1, 12])
+    def test_doubling_the_portfolio_costs_the_model_nothing(
+        self, model, tokenizer, concurrency
+    ):
+        # ``MatchResult`` equality is field-wise: tokens, text, both
+        # log-probabilities, ``canonical`` and ``prefix_text``.
+        serial = {
+            pattern: list(prepare(model, tokenizer, self._query(pattern)))
+            for _, pattern in self.SPECS
+        }
+        traffic = {}
+        for copies in (1, 2):
+            counting = CountingModel(model)  # cold: a private cache per run
+            _, handles = self._run(counting, tokenizer, copies, concurrency)
+            for pattern, handle in handles:
+                assert handle.done and not handle.truncated
+                assert handle.results == serial[pattern]
+            traffic[copies] = (counting.contexts_scored, counting.batch_rounds)
+        assert traffic[1][0] > 0
+        assert traffic[2][0] == traffic[1][0]
+        assert traffic[2][1] <= traffic[1][1]
+
+    def test_second_pass_over_the_same_cache_runs_no_round(self, model, tokenizer):
+        counting = CountingModel(model)
+        cache = LogitsCache(counting, capacity=65536)
+        _, cold = self._run(counting, tokenizer, 2, 12, cache=cache)
+        counting.reset()
+        scheduler, warm = self._run(counting, tokenizer, 2, 12, cache=cache)
+        assert scheduler.stats.rounds == 0
+        assert counting.contexts_scored == 0 and counting.total_rounds == 0
+        for (_, before), (_, after) in zip(cold, warm):
+            assert after.results == before.results
+
+
 class TestFairness:
     def test_round_robin_rotates_at_concurrency_one(self, model, tokenizer):
         scheduler = QueryScheduler(model, tokenizer, concurrency=1, record_history=True)
@@ -570,8 +642,8 @@ class TestCompileErrors:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"pipeline": True}, {"dedupe": True}],
-        ids=["plain", "pipeline", "planned"],
+        [{}, {"pipeline": True}],
+        ids=["plain", "pipeline"],
     )
     def test_deferred_compile_error_rejects_only_that_query(
         self, model, tokenizer, kwargs
