@@ -322,8 +322,8 @@ def _build_queries(args):
 _STAT_LINES = {
     "query": (
         "matches", "lm_calls", "scheduler_rounds", "pruned_edges",
-        "failed_attempts", "logits_hits", "logits_misses", "compile_source",
-        "latency_ms",
+        "failed_attempts", "logits_hits", "logits_misses", "lookahead_contexts",
+        "compile_source", "latency_ms",
     ),
     "compile": (
         "compile_ms", "source", "token_states", "minimized_states",
@@ -334,7 +334,7 @@ _STAT_LINES = {
         "lm_wall_ms", "compile_ms", "queries_compiled_ahead",
     ),
     "checkpoint": ("checkpoints_written", "queries_resumed"),
-    "logits cache": ("hits", "misses", "hit_rate", "entries"),
+    "logits cache": ("hits", "misses", "lookahead_rows", "hit_rate", "entries"),
     "compilation cache": ("hits", "misses", "entries"),
     "compile disk cache": ("hits", "misses", "writes", "invalid"),
     "prefix-state cache": ("hits", "misses", "hit_rate", "evictions", "bytes"),

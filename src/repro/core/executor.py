@@ -38,17 +38,34 @@ executors' generators at once, coalescing their ``LmRequest`` contexts into
 shared LM rounds.  Both drivers call :meth:`Executor.finish_request` to apply
 the decoding policy and update stats, so the match stream is identical no
 matter who drives.
+
+Accelerator batching (§3.3) is *lookahead, not reordering*.  Dijkstra pops
+and scores one node at a time — that is what makes the yield order exact —
+so a shortest-path request that misses the logits cache brings its
+neighbours: the contexts of the nodes the heap would pop next (up to
+``batch_size`` per model round, the model's own
+:attr:`~repro.lm.base.LanguageModel.round_width` by default) ride in the
+same model call and their rows are only cached.  Each of those nodes is
+still popped, counted and expanded in its turn, by which time its request
+is a cache hit, so the match stream is the width-1 stream at every width.
+A query looks ahead only after its first match: until then it is
+latency-bound and a first-match-only caller pays nothing.  The waste is
+bounded per miss round: at most ``batch_size - 1`` contexts are scored
+that a truncated query might never pop.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import random
 import time
-from typing import Any, Generator, Iterator
+from typing import Any, Callable, Generator, Iterator
 
 import numpy as np
 
+from repro.automata.dfa import DFA
 from repro.automata.walks import WalkCounter
 from repro.core.arrays import StateRow
 from repro.core.compiler import CompiledQuery
@@ -69,19 +86,31 @@ class LmRequest:
     ``(scaled_logprobs, allowed_mask)`` pairs.  ``count_batch`` mirrors the
     historical stats split: single-context random-sampling lookups never
     counted toward ``lm_batches``.
+
+    ``lookahead`` (shortest path, after the first match, width above 1) is
+    a callable returning contexts the traversal expects to ask for next.
+    A driver evaluates it only when the request misses the logits cache
+    and hands the contexts to
+    :meth:`~repro.lm.base.LogitsCache.add_lookahead` so they share the
+    model call; nothing about them is sent back, and they enter no
+    ``lm_calls`` / budget / hit-miss count until their node is popped and
+    asks for itself.
     """
 
-    __slots__ = ("contexts", "raw", "count_batch")
+    __slots__ = ("contexts", "raw", "count_batch", "lookahead")
 
     def __init__(
         self,
         contexts: list[tuple[int, ...]],
         raw: bool = False,
         count_batch: bool = True,
+        lookahead: Callable[[], list[tuple[int, ...]]] | None = None,
     ) -> None:
         self.contexts = contexts
         self.raw = raw
         self.count_batch = count_batch
+        self.lookahead = lookahead
+
 
 #: At or below this fan-out shortest path and sampling expand a state with
 #: the scalar edge loop: array setup (fancy indexing + argsort) costs more
@@ -123,6 +152,48 @@ class _LazyGroup:
         self.tokens = tokens
 
 
+def _prefix_region(closure: DFA, text: str) -> str:
+    """The longest prefix of *text* the prefix-closure DFA walks."""
+    state = closure.start
+    for i, ch in enumerate(text):
+        nxt = closure.transitions.get(state, {}).get(ch)
+        if nxt is None:
+            return text[:i]
+        state = nxt
+    return text
+
+
+def _peek_pops(heap: list[tuple]) -> Iterator[tuple[int | None, tuple[int, ...]]]:
+    """``(state, tokens)`` of the nodes successive pops of Dijkstra's
+    *heap* would reach if nothing were pushed meanwhile; *heap* is only read.
+
+    A k-smallest walk of the binary-heap array: taking entry ``i`` admits
+    its children ``2i+1`` and ``2i+2``, and taking a :class:`_LazyGroup`
+    member admits the group's next one, as the pop loop's re-push would.
+    Candidates order on ``(priority, tiebreak)`` like the heap's own
+    entries (tiebreaks are unique, so nothing after them is compared).
+    """
+    size = len(heap)
+    #: (priority, tiebreak, state|group, tokens|member, heap index or -1)
+    candidates = [heap[0][:4] + (0,)] if heap else []
+    while candidates:
+        _, _, state, tokens, i = heapq.heappop(candidates)
+        if i >= 0:
+            for child in (2 * i + 1, 2 * i + 2):
+                if child < size:
+                    heapq.heappush(candidates, heap[child][:4] + (child,))
+        if type(state) is _LazyGroup:
+            group, j = state, tokens
+            if j + 1 < group.tok.size:
+                heapq.heappush(
+                    candidates,
+                    (float(group.tot[j + 1]), group.base + j + 1, group, j + 1, -1),
+                )
+            state = int(group.dst[j])
+            tokens = group.tokens + (int(group.tok[j]),)
+        yield state, tokens
+
+
 class Executor:
     """Runs one compiled query against one model.
 
@@ -144,7 +215,7 @@ class Executor:
         dedupe: bool = True,
         cache_size: int = 4096,
         max_prefix_chars: int = 128,
-        batch_size: int = 1,
+        batch_size: int | None = None,
         track_elimination: bool = False,
         logits_cache: LogitsCache | None = None,
     ) -> None:
@@ -158,9 +229,13 @@ class Executor:
         self.max_attempts = max_attempts
         self.dedupe = dedupe
         self.max_prefix_chars = max_prefix_chars
-        if batch_size < 1:
+        #: ``prefix_text`` by match head (see :meth:`_make_result`).
+        self._prefix_memo: dict[str, str] = {}
+        if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.batch_size = batch_size
+        #: Contexts this query may put in one model round: what a request
+        #: asks for plus lookahead (shortest path; see :class:`LmRequest`).
+        self.batch_size = batch_size if batch_size is not None else model.round_width
         #: Statically-empty language (RLM001): the traversal short-circuits
         #: to an immediate clean finish, so skip cache and array setup.
         self.language_empty = compiled.is_empty
@@ -208,6 +283,23 @@ class Executor:
         self._dynamic_prune = self.automaton.dynamic_canonical
 
     # -- shared helpers -----------------------------------------------------------
+    @functools.cached_property
+    def _prefix_span(self) -> int | None:
+        """Length of the longest string of the prefix region, ``None``
+        when the region is cyclic (no bound on where it ends) or absent."""
+        closure = self.compiled.prefix_closure
+        if closure is None or closure.has_cycle():
+            return None
+        span = 0
+        frontier = {closure.start}
+        while True:
+            frontier = {
+                dst for state in frontier for dst in closure.transitions.get(state, {}).values()
+            }
+            if not frontier:
+                return span
+            span += 1
+
     def finish_request(self, request: LmRequest, rows: list[np.ndarray]) -> list:
         """Post-process one serviced :class:`LmRequest`.
 
@@ -245,14 +337,17 @@ class Executor:
             if closure is not None:
                 # Longest prefix of the match that stays in the prefix
                 # region (randomized traversals pass the *sampled* prefix
-                # instead, which is authoritative).
-                state = closure.start
-                for i, ch in enumerate(text):
-                    nxt = closure.transitions.get(state, {}).get(ch)
-                    if nxt is None:
-                        break
-                    state = nxt
-                    prefix_text = text[: i + 1]
+                # instead, which is authoritative).  An acyclic region ends
+                # within ``span`` characters, so the answer is a function
+                # of the match's head and is walked once per distinct head.
+                span = self._prefix_span
+                if span is None:
+                    prefix_text = _prefix_region(closure, text)
+                else:
+                    head = text[:span]
+                    prefix_text = self._prefix_memo.get(head)
+                    if prefix_text is None:
+                        prefix_text = self._prefix_memo[head] = _prefix_region(closure, head)
         return MatchResult(
             tokens=tokens,
             text=text,
@@ -292,7 +387,8 @@ class Executor:
         Drives :meth:`steps` against the executor's own logits cache: a
         fully cached ``LmRequest`` is answered by the all-hit probe
         (:meth:`~repro.lm.base.LogitsCache.cached_rows`), any other with a
-        one-group :meth:`~repro.lm.base.LogitsCache.logprobs_round`, whose
+        one-group split-phase round — the request's lookahead, evaluated
+        only now that it missed, rides in the same model call — whose
         per-request hit/miss tallies stay exact on a shared cache.
         """
         gen = self.steps()
@@ -309,7 +405,13 @@ class Executor:
                 if rows is not None:
                     self.stats.logits_hits += len(rows)
                 else:
-                    (rows,), (hits,), (misses,) = cache.logprobs_round([event.contexts])
+                    plan = cache.begin_round([event.contexts])
+                    if event.lookahead is not None:
+                        self.stats.lookahead_contexts += cache.add_lookahead(
+                            plan, event.lookahead()
+                        )
+                    fresh = cache.model.logprobs_batch(plan.missing_contexts())
+                    (rows,), (hits,), (misses,) = cache.finish_round(plan, fresh)
                     self.stats.logits_hits += hits
                     self.stats.logits_misses += misses
                 self.stats.lm_wall_ms += (time.perf_counter() - started) * 1e3
@@ -397,106 +499,118 @@ class Executor:
         counter += 1
         seen_texts: set[str] = set()
         expansions = 0
-        # With batch_size > 1, up to batch_size frontier nodes are expanded
-        # per model round (the paper's accelerator batching, §3.3).  Yield
-        # order then follows pop order within each wavefront, which may
-        # locally deviate from strict global cost order by at most the
-        # batch's priority spread; batch_size=1 is exact Dijkstra.
+        # One closure for the whole traversal (it reads the live heap);
+        # at width 1 there is nothing to look ahead with and none is built.
+        ahead = (lambda: self._lookahead(heap)) if self.batch_size > 1 else None
         while heap:
-            pending: list[
-                tuple[int, StateRow | None, tuple[int, ...], float, float, bool]
-            ] = []
-            while heap and len(pending) < self.batch_size:
-                priority, _, state, tokens, total, suffix = heapq.heappop(heap)
-                if type(state) is _LazyGroup:
-                    group, i = state, tokens
-                    if i + 1 < group.tok.size:
-                        heapq.heappush(
-                            heap,
-                            (float(group.tot[i + 1]), group.base + i + 1, group, i + 1, 0.0, 0.0),
-                        )
-                    state = int(group.dst[i])
-                    tokens = group.tokens + (int(group.tok[i]),)
-                    total = float(group.tot[i])
-                    suffix = float(group.suf[i])
-                if state is None:  # EOS-terminated match
-                    yield from self._emit(tokens, suffix, total, seen_texts)
-                    continue
-                if state in automaton.accepts and not self.query.require_eos:
-                    if not self._dynamic_prune or self.tokenizer.is_canonical(tokens):
-                        yield from self._emit(tokens, suffix, total, seen_texts)
-                expansions += 1
-                self.stats.nodes_expanded += 1
-                if self.max_expansions is not None and expansions >= self.max_expansions:
-                    return
-                if len(tokens) >= self.max_tokens:
-                    continue
-                needs_eos = self.query.require_eos and state in automaton.accepts
-                row = self._arrays.row(state)
-                if row is None and not needs_eos:
-                    continue
-                pending.append((state, row, tokens, total, suffix, needs_eos))
-            if not pending:
+            priority, _, state, tokens, total, suffix = heapq.heappop(heap)
+            if type(state) is _LazyGroup:
+                group, i = state, tokens
+                if i + 1 < group.tok.size:
+                    heapq.heappush(
+                        heap,
+                        (float(group.tot[i + 1]), group.base + i + 1, group, i + 1, 0.0, 0.0),
+                    )
+                state = int(group.dst[i])
+                tokens = group.tokens + (int(group.tok[i]),)
+                total = float(group.tot[i])
+                suffix = float(group.suf[i])
+            if state is None:  # EOS-terminated match
+                yield from self._emit(tokens, suffix, total, seen_texts)
                 continue
-            scored = yield LmRequest([node[2] for node in pending])
-            for (state, row, tokens, total, suffix, needs_eos), (lp, mask) in zip(
-                pending, scored
+            if state in automaton.accepts and not self.query.require_eos:
+                if not self._dynamic_prune or self.tokenizer.is_canonical(tokens):
+                    yield from self._emit(tokens, suffix, total, seen_texts)
+            expansions += 1
+            self.stats.nodes_expanded += 1
+            if self.max_expansions is not None and expansions >= self.max_expansions:
+                return
+            if len(tokens) >= self.max_tokens:
+                continue
+            needs_eos = self.query.require_eos and state in automaton.accepts
+            row = self._arrays.row(state)
+            if row is None and not needs_eos:
+                continue
+            # Exact Dijkstra scores the node it popped and nothing else.
+            # Once the query has a match it is throughput-bound, and a miss
+            # may bring along the nodes the heap would pop next.
+            ((lp, mask),) = yield LmRequest(
+                [tokens], lookahead=ahead if self.stats.matches_yielded else None
+            )
+            if needs_eos and mask[eos] and np.isfinite(lp[eos]) and (
+                not self._dynamic_prune or self.tokenizer.is_canonical(tokens)
             ):
-                if needs_eos and mask[eos] and np.isfinite(lp[eos]) and (
-                    not self._dynamic_prune or self.tokenizer.is_canonical(tokens)
-                ):
-                    cost = -float(lp[eos])
-                    heapq.heappush(
-                        heap,
-                        (total + cost, counter, None, tokens, total + cost, suffix + cost),
-                    )
-                    counter += 1
-                if row is not None and row.num_edges > _SCALAR_FANOUT_CUTOFF:
-                    sel_tokens, sel_dsts, costs, sel_prefix = self._expand_vectorized(
-                        row, tokens, lp, mask
-                    )
-                    if not sel_tokens.size:
-                        continue
-                    new_totals = total + costs
-                    new_suffixes = np.where(sel_prefix, suffix, suffix + costs)
-                    # Stable sort keeps equal-priority edges in dict order
-                    # (tie-breaking parity with the scalar loop); the
-                    # sorted members share one lazy heap entry, with their
-                    # tiebreak counters block-reserved here so cross-group
-                    # ties resolve exactly as eager insertion would.
-                    order = np.argsort(new_totals, kind="stable")
-                    group = _LazyGroup(
-                        sel_tokens[order],
-                        sel_dsts[order],
-                        new_totals[order],
-                        new_suffixes[order],
-                        counter,
-                        tokens,
-                    )
-                    counter += int(sel_tokens.size)
-                    heapq.heappush(
-                        heap, (float(group.tot[0]), group.base, group, 0, 0.0, 0.0)
-                    )
+                cost = -float(lp[eos])
+                heapq.heappush(
+                    heap,
+                    (total + cost, counter, None, tokens, total + cost, suffix + cost),
+                )
+                counter += 1
+            if row is not None and row.num_edges > _SCALAR_FANOUT_CUTOFF:
+                sel_tokens, sel_dsts, costs, sel_prefix = self._expand_vectorized(
+                    row, tokens, lp, mask
+                )
+                if not sel_tokens.size:
                     continue
-                for token_id, dst in automaton.successors(state).items():
-                    is_prefix = automaton.is_prefix_edge(dst)
-                    if not is_prefix and not mask[token_id]:
-                        self._record_prune(dst, len(tokens))
-                        continue
-                    if not np.isfinite(lp[token_id]):
-                        self._record_prune(dst, len(tokens))
-                        continue
-                    new_tokens = tokens + (token_id,)
-                    if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(new_tokens):
-                        self._record_prune(dst, len(tokens))
-                        continue
-                    cost = -float(lp[token_id])
-                    new_suffix = suffix if is_prefix else suffix + cost
-                    heapq.heappush(
-                        heap,
-                        (total + cost, counter, dst, new_tokens, total + cost, new_suffix),
-                    )
-                    counter += 1
+                new_totals = total + costs
+                new_suffixes = np.where(sel_prefix, suffix, suffix + costs)
+                # Stable sort keeps equal-priority edges in dict order
+                # (tie-breaking parity with the scalar loop); the
+                # sorted members share one lazy heap entry, with their
+                # tiebreak counters block-reserved here so cross-group
+                # ties resolve exactly as eager insertion would.
+                order = np.argsort(new_totals, kind="stable")
+                group = _LazyGroup(
+                    sel_tokens[order],
+                    sel_dsts[order],
+                    new_totals[order],
+                    new_suffixes[order],
+                    counter,
+                    tokens,
+                )
+                counter += int(sel_tokens.size)
+                heapq.heappush(
+                    heap, (float(group.tot[0]), group.base, group, 0, 0.0, 0.0)
+                )
+                continue
+            for token_id, dst in automaton.successors(state).items():
+                is_prefix = automaton.is_prefix_edge(dst)
+                if not is_prefix and not mask[token_id]:
+                    self._record_prune(dst, len(tokens))
+                    continue
+                if not np.isfinite(lp[token_id]):
+                    self._record_prune(dst, len(tokens))
+                    continue
+                new_tokens = tokens + (token_id,)
+                if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(new_tokens):
+                    self._record_prune(dst, len(tokens))
+                    continue
+                cost = -float(lp[token_id])
+                new_suffix = suffix if is_prefix else suffix + cost
+                heapq.heappush(
+                    heap,
+                    (total + cost, counter, dst, new_tokens, total + cost, new_suffix),
+                )
+                counter += 1
+
+    def _lookahead(self, heap: list[tuple]) -> list[tuple[int, ...]]:
+        """The contexts the next ``batch_size - 1`` pops of *heap* will ask
+        for (see :attr:`LmRequest.lookahead`; the cache drops the ones it
+        already holds).
+
+        The pops that score nothing are passed over as the pop loop passes
+        over them: EOS-terminated matches, nodes at ``max_tokens``, dead
+        ends.
+        """
+        automaton = self.automaton
+        needs_eos = self.query.require_eos
+        return [
+            tokens
+            for state, tokens in itertools.islice(_peek_pops(heap), self.batch_size - 1)
+            if state is not None
+            and len(tokens) < self.max_tokens
+            and (automaton.successors(state) or (needs_eos and state in automaton.accepts))
+        ]
 
     def _record_prune(self, dst_state: int, tokens_consumed: int) -> None:
         """Count a pruned edge; with tracking on, also count the token

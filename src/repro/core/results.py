@@ -65,6 +65,11 @@ class ExecutionStats:
     #: when the cache is shared: ``logits_hits + logits_misses == lm_calls``.
     logits_hits: int = 0
     logits_misses: int = 0
+    #: Contexts this query added to model rounds ahead of need (shortest
+    #: path lookahead, see :class:`~repro.core.executor.LmRequest`): scored
+    #: and cached with a request that missed, counted in ``lm_calls`` only
+    #: when — and if — their node is popped.
+    lookahead_contexts: int = 0
     #: Coalesced scheduler rounds this query participated in (0 when the
     #: query ran serially through :meth:`Executor.run`, and 0 under a
     #: scheduler whose warm cache answered every request inline).
@@ -75,10 +80,11 @@ class ExecutionStats:
 
     @property
     def mean_batch_size(self) -> float:
-        """Average frontier nodes per batched model round (1.0 unbatched)."""
+        """Average contexts per batched request, the lookahead contexts
+        that rode along included (1.0 unbatched)."""
         if self.lm_batches == 0:
             return 1.0
-        return self.lm_calls / self.lm_batches
+        return (self.lm_calls + self.lookahead_contexts) / self.lm_batches
 
     @property
     def logits_hit_rate(self) -> float:
@@ -109,7 +115,10 @@ class SchedulerStats:
     describe coalesced rounds only, so :attr:`mean_round_size` keeps
     meaning "how well a round amortised the forward") — it shows as the
     query's own ``logits_hits`` and ``lm_calls``, and a fully warm
-    portfolio reads ``rounds == 0``.
+    portfolio reads ``rounds == 0``.  ``contexts_serviced`` and the round
+    sizes include the lookahead contexts that rode in a round (each
+    query's share is its ``ExecutionStats.lookahead_contexts``): they are
+    part of what the forward amortised.
     ``max_round_size`` and :attr:`mean_round_size` are running aggregates,
     always maintained; the full per-round logs — ``round_sizes`` (the
     coalesced batch size of every round, the scheduler's throughput lever)

@@ -12,7 +12,10 @@ one shared :class:`~repro.lm.base.LogitsCache` round per scheduling step,
 so N templated queries cost roughly one query's worth of LM rounds.  A
 round is for misses: a request whose contexts are all cached is answered
 inline (:meth:`~repro.lm.base.LogitsCache.cached_rows`), so a warm query
-runs without a single round.  The scheduler relates no query to another:
+runs without a single round; and a miss brings its neighbours: each chosen
+query's lookahead (:class:`~repro.core.executor.LmRequest`) rides in the
+round's one model call, is cached, and is answered inline when its turn
+comes.  The scheduler relates no query to another:
 a duplicate or subsumed query asks only for contexts its twin also asks
 for, which the shared cache scores once, so there is nothing to plan
 (:mod:`repro.core.analyze_set` tells the *author* to drop such queries).
@@ -605,10 +608,17 @@ class QueryScheduler:
         return waiting
 
     def _service(self, chosen: list[ScheduledQuery]) -> _InflightRound:
-        """Begin one coalesced round: cache detection pass, then dispatch
-        the missing contexts to the worker pool (when attached)."""
+        """Begin one coalesced round: cache detection pass, the chosen
+        queries' lookahead (each evaluated now, against the cache as it
+        stands), then dispatch the contexts to score to the worker pool
+        (when attached)."""
         groups = [sq._pending.contexts for sq in chosen]
         plan = self.logits_cache.begin_round(groups)
+        for sq in chosen:
+            if sq._pending.lookahead is not None:
+                sq.stats.lookahead_contexts += self.logits_cache.add_lookahead(
+                    plan, sq._pending.lookahead()
+                )
         started = time.perf_counter()
         missing = plan.missing_contexts()
         ticket: RoundTicket | None = None

@@ -14,8 +14,8 @@ from __future__ import annotations
 import pickle
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -64,6 +64,22 @@ class LanguageModel(ABC):
     #: whose per-step cost does not grow with context length (the n-gram)
     #: leave it ``None``.  It owns its counters: read ``prefix_cache.stats()``.
     prefix_cache = None
+
+    @property
+    def round_width(self) -> int:
+        """Contexts one query may put in one model round by default.
+
+        1 means "score what is asked": a forward that costs per context
+        (the n-gram) gains nothing from company.  A model whose forward
+        costs per *call* sets a class constant above 1
+        (:class:`~repro.lm.transformer.TransformerModel`), and a query
+        that misses then fills the round with the contexts it will need
+        next (:class:`~repro.core.executor.LmRequest` lookahead).  A
+        proxy holding the real model as ``.inner`` reports that model's
+        width, so wrapping a model never regroups its rounds.
+        """
+        inner: LanguageModel | None = getattr(self, "inner", None)
+        return inner.round_width if inner is not None else 1
 
     def enable_prefix_cache(self, max_bytes: int | None = None) -> Any | None:
         """Attach a prefix-state (KV) cache of *max_bytes*, if the model
@@ -194,21 +210,25 @@ class RoundPlan:
     uncached contexts in first-request order — the evaluation order every
     backend (in-process or worker pool) must preserve for bit-identical
     results — and ``overlay`` snapshots the rows that were already cached
-    when the round began.
+    when the round began.  ``lookahead`` holds contexts no group asked for
+    (:meth:`LogitsCache.add_lookahead`): they are evaluated after the
+    missing ones in the same model call and their rows only inserted.
     """
 
     keys_per_group: list[list[tuple[int, ...]]]
     missing: dict[tuple[int, ...], None]
     overlay: dict[tuple[int, ...], np.ndarray]
+    lookahead: dict[tuple[int, ...], None] = field(default_factory=dict)
 
     def missing_contexts(self) -> list[tuple[int, ...]]:
         """The contexts to evaluate, in the order rows must come back."""
-        return list(self.missing)
+        return [*self.missing, *self.lookahead]
 
     @property
     def total_contexts(self) -> int:
-        """Occurrence count across all groups (cache lookups this round)."""
-        return sum(len(keys) for keys in self.keys_per_group)
+        """Occurrence count across all groups (cache lookups this round)
+        plus the lookahead contexts riding along."""
+        return sum(len(keys) for keys in self.keys_per_group) + len(self.lookahead)
 
 
 class LogitsCache:
@@ -227,6 +247,9 @@ class LogitsCache:
         self._store: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
         self.hits = 0
         self.misses = 0
+        #: Rows inserted ahead of need (:meth:`add_lookahead`): nobody
+        #: looked them up, so they are neither hits nor misses.
+        self.lookahead_rows = 0
 
     def logprobs(self, context: Sequence[int]) -> np.ndarray:
         """Cached equivalent of ``model.logprobs(context)``."""
@@ -345,6 +368,22 @@ class LogitsCache:
                     missing[key] = None
         return RoundPlan(keys_per_group=keys_per_group, missing=missing, overlay=overlay)
 
+    def add_lookahead(self, plan: RoundPlan, contexts: Iterable[Sequence[int]]) -> int:
+        """Let *contexts* ride along in *plan*'s model call ahead of need.
+
+        Only contexts the round would not score anyway are added — not
+        cached, not missing for some group, not already riding — and the
+        count added is returned.  :meth:`finish_round` inserts their rows
+        and does nothing else with them: whoever asks for one later finds
+        it cached (a hit), or scores it again if it was evicted meanwhile.
+        """
+        before = len(plan.lookahead)
+        for context in contexts:
+            key = tuple(context)
+            if key not in self._store and key not in plan.missing:
+                plan.lookahead[key] = None
+        return len(plan.lookahead) - before
+
     def finish_round(
         self, plan: RoundPlan, fresh: Sequence[np.ndarray]
     ) -> tuple[list[list[np.ndarray]], list[int], list[int]]:
@@ -355,8 +394,9 @@ class LogitsCache:
         """
         missing = plan.missing
         overlay = plan.overlay
-        if len(fresh) != len(missing):
-            raise ValueError(f"round produced {len(fresh)} rows for {len(missing)} contexts")
+        expected = len(missing) + len(plan.lookahead)
+        if len(fresh) != expected:
+            raise ValueError(f"round produced {len(fresh)} rows for {expected} contexts")
         overlay.update(zip(missing, fresh))
         keys_per_group = plan.keys_per_group
         rows_per_group: list[list[np.ndarray]] = []
@@ -386,6 +426,9 @@ class LogitsCache:
                     hits[gi] += 1
                 rows.append(value)
             rows_per_group.append(rows)
+        for key, value in zip(plan.lookahead, fresh[len(missing):]):
+            self._insert(key, value)
+        self.lookahead_rows += len(plan.lookahead)
         return rows_per_group, hits, misses
 
     def _insert(self, key: tuple[int, ...], value: np.ndarray) -> None:
@@ -439,6 +482,7 @@ class LogitsCache:
             "capacity": self.capacity,
             "hits": self.hits,
             "misses": self.misses,
+            "lookahead_rows": self.lookahead_rows,
             "hit_rate": self.hit_rate,
         }
 

@@ -97,6 +97,11 @@ class TransformerModel(LanguageModel):
     """Pure-NumPy causal transformer implementing
     :class:`repro.lm.base.LanguageModel`."""
 
+    #: A forward here costs per call, not per context (≈ 0.8 ms of NumPy
+    #: dispatch at any batch up to a few dozen rows), so a query that
+    #: misses fills its round.  Measured on the ``tf_rank`` workload.
+    round_width = 8
+
     def __init__(
         self,
         config: TransformerConfig,

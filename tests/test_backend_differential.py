@@ -20,6 +20,8 @@ Also here: unit tests for the machinery the fast path is built from —
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -463,6 +465,58 @@ class TestParallelSchedulerDifferential:
                 stats.contexts_serviced <= stats.rounds  # all 1-context rounds
             )
             assert shards >= parallel_rounds
+
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipe"])
+    def test_transformer_lookahead_rounds_sharded_match_serial(self, tokenizer, pipeline):
+        """The transformer-backed case: its rounds carry lookahead contexts
+        (width 8 by default), and here they are cut into shards across two
+        replicas.  Each query's stream is the serial width-1 stream — texts
+        and tokens exactly, log-probabilities to 1e-9 (a shard is another
+        batch composition, which may move a BLAS sum's last bits)."""
+        from tests.conftest import TINY_CORPUS
+
+        from repro.core.parallel import WorkerPool
+        from repro.core.scheduler import QueryBudget, QueryScheduler
+        from repro.lm.transformer import TransformerConfig, TransformerModel
+
+        config = TransformerConfig(
+            vocab_size=len(tokenizer), block_size=32, n_layer=2, n_head=2, n_embd=32
+        )
+        lm = TransformerModel(config, eos_id=tokenizer.eos_id, seed=42, kv_cache_mb=16.0)
+        lm.fit([tokenizer.encode(line) for line in TINY_CORPUS[:50]],
+               steps=60, batch_size=8, seed=42)
+        queries = [
+            SearchQuery("The ((cat)|(dog)|(man)|(woman)) ((sat)|(ate)|(was))"),
+            SearchQuery("The ((man)|(woman)) was trained in ((art)|(medicine))", top_k=25),
+            SearchQuery("The cat ((sat)|(ate)) [a-z]{1,2}", prefix="The cat"),
+        ]
+        serial = [
+            list(itertools.islice(
+                prepare(lm.spec().build(), tokenizer, q, max_expansions=20000, batch_size=1), 40
+            ))
+            for q in queries
+        ]
+        with WorkerPool(lm, 2, min_shard_size=1) as pool:
+            before = pool.stats()
+            scheduler = QueryScheduler(
+                lm, tokenizer, concurrency=len(queries), pipeline=pipeline, worker_pool=pool,
+                max_expansions=20000,
+            )
+            handles = [
+                scheduler.submit(q, budget=QueryBudget(max_results=40)) for q in queries
+            ]
+            scheduler.run()
+            after = pool.stats()
+        assert sum(h.stats.lookahead_contexts for h in handles) > 0
+        assert after["parallel_rounds"] > before["parallel_rounds"]
+        for handle, want in zip(handles, serial):
+            assert len(want) > 0
+            assert [(m.text, m.tokens, m.canonical) for m in handle.results] == [
+                (m.text, m.tokens, m.canonical) for m in want
+            ]
+            for a, b in zip(handle.results, want):
+                assert a.total_logprob == pytest.approx(b.total_logprob, abs=1e-9)
+                assert a.logprob == pytest.approx(b.logprob, abs=1e-9)
 
 
 class TestSharedLogitsCache:

@@ -194,3 +194,68 @@ class TestPrefixSemantics:
         query = SearchQuery("The cat sat", prefix="The cat")
         result = next(iter(prepare(model, tokenizer, query)))
         assert result.suffix_text == " sat"
+
+
+def _prefix_bearing_queries():
+    """Every prefix-bearing query of this file, plus the bias, URL and
+    knowledge templates (on the worlds they run on) and the two shapes the
+    memo has to tell apart: a many-string acyclic prefix and a cyclic one."""
+    from repro.experiments.bias import FIGURE7_CONFIGS, FIGURE13_CONFIGS, bias_query
+    from repro.experiments.knowledge import FACTS, birthdate_query, knowledge_world
+    from repro.experiments.memorization import URL_PATTERN, URL_PREFIX_REGEX
+
+    shortest = QuerySearchStrategy.SHORTEST_PATH
+    cases = [
+        ("tiny", SearchQuery(
+            "George Washington was born on February 22, 1732\\.",
+            prefix="George Washington was born on", top_k=1,
+        )),
+        ("tiny", SearchQuery("The cat sat on the mat\\.", prefix="The cat sat on the")),
+        ("tiny", SearchQuery("The cat sat", prefix="The cat")),
+        ("tiny", SearchQuery("The ((cat)|(dog)|(man)) ((sat)|(ate))", prefix="The ((cat)|(dog)|(man))")),
+        ("tiny", SearchQuery("(The )+((cat)|(dog))", prefix="(The )+")),
+        ("env", SearchQuery(URL_PATTERN, prefix=URL_PREFIX_REGEX, top_k=40, sequence_length=24)),
+    ]
+    for config in FIGURE7_CONFIGS + FIGURE13_CONFIGS:
+        if config.use_prefix:
+            for gender in ("man", "woman"):
+                query = bias_query(config, gender, num_samples=1, seed=0)
+                cases.append(("env", query.with_(search_strategy=shortest, num_samples=None)))
+    world = knowledge_world(0)
+    cases.extend((world, birthdate_query(subject)) for subject, _ in FACTS[:2])
+    return cases
+
+
+class TestPrefixTextMemo:
+    """``prefix_text`` is memoised on the match's head; the oracle is the
+    character-by-character walk of the prefix closure it replaced."""
+
+    @staticmethod
+    def _walk(closure, text):
+        state, prefix_text = closure.start, ""
+        for i, ch in enumerate(text):
+            state = closure.transitions.get(state, {}).get(ch)
+            if state is None:
+                break
+            prefix_text = text[: i + 1]
+        return prefix_text
+
+    def test_equals_the_walk_on_every_prefix_bearing_query(self, model, tokenizer, env):
+        import itertools
+
+        worlds = {"tiny": (model, tokenizer), "env": (env.model("xl"), env.tokenizer)}
+        for where, query in _prefix_bearing_queries():
+            m, tok = worlds[where] if isinstance(where, str) else (where.model("xl"), where.tokenizer)
+            session = prepare(m, tok, query, max_expansions=3000)
+            closure = session.compiled.prefix_closure
+            matches = list(itertools.islice(session, 60))
+            assert matches, query.query_string
+            for match in matches:
+                assert match.prefix_text == self._walk(closure, match.text)
+            executor = session.executor
+            if closure.has_cycle():
+                assert executor._prefix_span is None and not executor._prefix_memo
+            else:
+                longest = max(closure.enumerate_strings(), key=len)
+                assert executor._prefix_span == len(longest)
+                assert set(executor._prefix_memo) == {m.text[: len(longest)] for m in matches}

@@ -222,7 +222,7 @@ class TestRemovedKeywords:
         from repro.core.results import ExecutionStats, SchedulerStats
         from repro.service import ServiceStats
 
-        for cls, size in ((ExecutionStats, 12), (SchedulerStats, 18), (ServiceStats, 19)):
+        for cls, size in ((ExecutionStats, 13), (SchedulerStats, 18), (ServiceStats, 19)):
             assert len(dataclasses.fields(cls)) == size, cls.__name__
             for removed in REMOVED_STATS_FIELDS[cls.__name__]:
                 with pytest.raises(AttributeError):
