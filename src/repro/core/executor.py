@@ -72,7 +72,7 @@ from repro.core.compiler import CompiledQuery
 from repro.core.query import QuerySearchStrategy, QueryTokenizationStrategy
 from repro.core.results import ExecutionStats, MatchResult
 from repro.lm.base import LanguageModel, LogitsCache
-from repro.lm.decoding import DecodingPolicy
+from repro.lm.decoding import DecodingPolicy, RowVerdicts
 
 __all__ = ["Executor", "LmRequest"]
 
@@ -245,6 +245,7 @@ class Executor:
             self._cache = logits_cache
             self._arrays = None
             self.policy = None
+            self._verdicts = None
             self.max_tokens = 0
             self._rng = random.Random(compiled.query.seed)
             self.elimination_tracker = None
@@ -261,10 +262,12 @@ class Executor:
         q = compiled.query
         if q.top_k_sampling is None and q.top_p_sampling is None and q.temperature == 1.0:
             self.policy: DecodingPolicy | None = None
+            self._verdicts: RowVerdicts | None = None
         else:
             self.policy = DecodingPolicy(
                 top_k=q.top_k_sampling, top_p=q.top_p_sampling, temperature=q.temperature
             )
+            self._verdicts = RowVerdicts(self.policy)
         self.max_tokens = q.sequence_length or model.max_sequence_length
         self._rng = random.Random(q.seed)
         self.elimination_tracker = None
@@ -317,10 +320,10 @@ class Executor:
             self.stats.tokens_scored += lp.size
             if request.raw:
                 out.append(lp)
-            elif self.policy is None:
+            elif self._verdicts is None:
                 out.append((lp, lp > -np.inf))
             else:
-                out.append((self.policy.scaled_logprobs(lp), self.policy.allowed_mask(lp)))
+                out.append(self._verdicts(lp))
         return out
 
     def _make_result(
@@ -353,9 +356,7 @@ class Executor:
             text=text,
             logprob=-suffix_cost,
             total_logprob=-total_cost,
-            # ``is_canonical(tokens)`` with the decode already in hand: a
-            # path holds automaton tokens only, never a special.
-            canonical=list(tokens) == self.tokenizer.encode(text),
+            canonical=self.tokenizer.is_canonical(tokens, text),
             prefix_text=prefix_text,
         )
 

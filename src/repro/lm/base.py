@@ -15,7 +15,7 @@ import pickle
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +50,14 @@ class ModelSpec:
 
 
 class LanguageModel(ABC):
-    """Abstract autoregressive LM over a fixed token vocabulary."""
+    """Abstract autoregressive LM over a fixed token vocabulary.
+
+    A concrete model implements :meth:`logprobs`; it may also override
+    :meth:`logprobs_batch` (a batched forward), :attr:`round_width` (how
+    many contexts a query should put in one round) and :attr:`row_key`
+    (what part of a context the row depends on — every cache of rows keys
+    by it).
+    """
 
     #: Number of tokens in the vocabulary (including specials).
     vocab_size: int
@@ -80,6 +87,22 @@ class LanguageModel(ABC):
         """
         inner: LanguageModel | None = getattr(self, "inner", None)
         return inner.round_width if inner is not None else 1
+
+    @property
+    def row_key(self) -> Callable[[Sequence[int]], Hashable]:
+        """The function of a context that :meth:`logprobs` depends on.
+
+        Two contexts with equal keys get bit-identical rows, so a
+        :class:`LogitsCache` stores one row per key rather than one per
+        context.  It must be idempotent (``row_key(row_key(c)) ==
+        row_key(c)``) and a valid context itself, so a key scores like
+        the contexts it stands for.  The default is ``tuple``: the whole
+        context matters (the transformer).  The n-gram reads only its
+        order-(n-1) suffix and returns that.  A proxy holding the real
+        model as ``.inner`` reports that model's key.
+        """
+        inner: LanguageModel | None = getattr(self, "inner", None)
+        return inner.row_key if inner is not None else tuple
 
     def enable_prefix_cache(self, max_bytes: int | None = None) -> Any | None:
         """Attach a prefix-state (KV) cache of *max_bytes*, if the model
@@ -206,23 +229,25 @@ class RoundPlan:
     """In-flight state of a split-phase :class:`LogitsCache` round.
 
     Produced by :meth:`LogitsCache.begin_round`; consumed (exactly once) by
-    :meth:`LogitsCache.finish_round`.  ``missing`` holds the round-unique
-    uncached contexts in first-request order — the evaluation order every
-    backend (in-process or worker pool) must preserve for bit-identical
-    results — and ``overlay`` snapshots the rows that were already cached
-    when the round began.  ``lookahead`` holds contexts no group asked for
-    (:meth:`LogitsCache.add_lookahead`): they are evaluated after the
-    missing ones in the same model call and their rows only inserted.
+    :meth:`LogitsCache.finish_round`.  Everything is keyed by the model's
+    :attr:`~LanguageModel.row_key`.  ``missing`` maps each round-unique
+    uncached key to the first context that requested it, in first-request
+    order — the evaluation order every backend (in-process or worker pool)
+    must preserve for bit-identical results — and ``overlay`` snapshots
+    the rows that were already cached when the round began.  ``lookahead``
+    maps keys no group asked for (:meth:`LogitsCache.add_lookahead`) to
+    their context: they are evaluated after the missing ones in the same
+    model call and their rows only inserted.
     """
 
-    keys_per_group: list[list[tuple[int, ...]]]
-    missing: dict[tuple[int, ...], None]
-    overlay: dict[tuple[int, ...], np.ndarray]
-    lookahead: dict[tuple[int, ...], None] = field(default_factory=dict)
+    keys_per_group: list[list[Hashable]]
+    missing: dict[Hashable, tuple[int, ...]]
+    overlay: dict[Hashable, np.ndarray]
+    lookahead: dict[Hashable, tuple[int, ...]] = field(default_factory=dict)
 
     def missing_contexts(self) -> list[tuple[int, ...]]:
         """The contexts to evaluate, in the order rows must come back."""
-        return [*self.missing, *self.lookahead]
+        return [*self.missing.values(), *self.lookahead.values()]
 
     @property
     def total_contexts(self) -> int:
@@ -232,11 +257,16 @@ class RoundPlan:
 
 
 class LogitsCache:
-    """A bounded LRU cache of log-probability vectors keyed by context.
+    """A bounded LRU cache of log-probability vectors keyed by the model's
+    :attr:`~LanguageModel.row_key`.
 
     Graph traversals repeatedly expand sibling edges that share a context;
     caching the model call is the single biggest engine optimisation (it is
-    the analogue of the paper batching test vectors on the GPU).
+    the analogue of the paper batching test vectors on the GPU).  Keying by
+    what the model reads, not by the whole context, makes every context
+    whose row is already held a hit: on an n-gram, two paths that end in
+    the same order-(n-1) tokens share one row.  Counters and capacity are
+    per key.
     """
 
     def __init__(self, model: LanguageModel, capacity: int = 4096) -> None:
@@ -244,7 +274,8 @@ class LogitsCache:
             raise ValueError("capacity must be positive")
         self.model = model
         self.capacity = capacity
-        self._store: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
+        self._key = model.row_key
+        self._store: OrderedDict[Hashable, np.ndarray] = OrderedDict()
         self.hits = 0
         self.misses = 0
         #: Rows inserted ahead of need (:meth:`add_lookahead`): nobody
@@ -253,14 +284,14 @@ class LogitsCache:
 
     def logprobs(self, context: Sequence[int]) -> np.ndarray:
         """Cached equivalent of ``model.logprobs(context)``."""
-        key = tuple(context)
+        key = self._key(context)
         cached = self._store.get(key)
         if cached is not None:
             self._store.move_to_end(key)
             self.hits += 1
             return cached
         self.misses += 1
-        value = self.model.logprobs(key)
+        value = self.model.logprobs(tuple(context))
         self._insert(key, value)
         return value
 
@@ -285,7 +316,7 @@ class LogitsCache:
         as if it had never probed.
         """
         store = self._store
-        keys = [tuple(c) for c in contexts]
+        keys = list(map(self._key, contexts))
         rows = []
         for key in keys:
             row = store.get(key)
@@ -302,13 +333,14 @@ class LogitsCache:
     ) -> tuple[list[list[np.ndarray]], list[int], list[int]]:
         """Serve one *coalesced* LM round for many queries at once.
 
-        ``groups`` holds one context batch per query.  Contexts that
-        collide anywhere in the round — within a group or across groups —
-        are scored once: the whole round issues **at most one**
-        ``model.logprobs_batch`` call, over the round-unique uncached
-        contexts only.  This is the cross-query dedupe the multi-query
-        scheduler relies on; per-call dedupe alone would re-score a context
-        requested by two different queries in the same round.
+        ``groups`` holds one context batch per query.  Contexts whose
+        ``row_key`` collides anywhere in the round — within a group or
+        across groups — are scored once: the whole round issues **at most
+        one** ``model.logprobs_batch`` call, over the first context of each
+        round-unique uncached key only.  This is the cross-query dedupe the
+        multi-query scheduler relies on; per-call dedupe alone would
+        re-score a context requested by two different queries in the same
+        round.
 
         The single batched model call is also what feeds the model's
         prefix-state (KV) cache, when it has one: the round-unique missing
@@ -321,7 +353,7 @@ class LogitsCache:
 
         Returns ``(rows_per_group, hits_per_group, misses_per_group)``.
         Hit/miss attribution is per occurrence: the first requester of an
-        uncached context is charged the miss; every other occurrence in the
+        uncached key is charged the miss; every other occurrence in the
         round (cached earlier, or scored for another group this round)
         counts as a hit.  The per-group tallies let a scheduler credit each
         query's :class:`~repro.core.results.ExecutionStats` exactly even
@@ -347,42 +379,49 @@ class LogitsCache:
         sharded across a worker pool) and hands the resulting rows — in the
         same order — to :meth:`finish_round`.
         """
-        keys_per_group = [[tuple(c) for c in g] for g in groups]
+        row_key = self._key
         # The round-local overlay snapshots every row the round needs: rows
         # already cached at round start are copied in during this detection
-        # pass, and rows for round-unique missing contexts (``missing``, in
+        # pass, and rows for round-unique missing keys (``missing``, in
         # first-request order) are resolved into it after the model call.
         # Either way a mid-round LRU eviction — misses are inserted while
         # groups are still being read — can never lose a row a later group
         # needs.
-        missing: dict[tuple[int, ...], None] = {}
-        overlay: dict[tuple[int, ...], np.ndarray] = {}
-        for keys in keys_per_group:
-            for key in keys:
+        keys_per_group: list[list[Hashable]] = []
+        missing: dict[Hashable, tuple[int, ...]] = {}
+        overlay: dict[Hashable, np.ndarray] = {}
+        for group in groups:
+            keys = []
+            for context in group:
+                key = row_key(context)
+                keys.append(key)
                 if key in overlay or key in missing:
                     continue
                 cached = self._store.get(key)
                 if cached is not None:
                     overlay[key] = cached
                 else:
-                    missing[key] = None
+                    missing[key] = tuple(context)
+            keys_per_group.append(keys)
         return RoundPlan(keys_per_group=keys_per_group, missing=missing, overlay=overlay)
 
     def add_lookahead(self, plan: RoundPlan, contexts: Iterable[Sequence[int]]) -> int:
         """Let *contexts* ride along in *plan*'s model call ahead of need.
 
-        Only contexts the round would not score anyway are added — not
-        cached, not missing for some group, not already riding — and the
-        count added is returned.  :meth:`finish_round` inserts their rows
-        and does nothing else with them: whoever asks for one later finds
-        it cached (a hit), or scores it again if it was evicted meanwhile.
+        Only contexts whose row the round would not score anyway are added
+        — key not cached, not missing for some group, not already riding —
+        and the count added is returned.  :meth:`finish_round` inserts their
+        rows and does nothing else with them: whoever asks for one later
+        finds it cached (a hit), or scores it again if it was evicted
+        meanwhile.
         """
-        before = len(plan.lookahead)
+        lookahead = plan.lookahead
+        before = len(lookahead)
         for context in contexts:
-            key = tuple(context)
-            if key not in self._store and key not in plan.missing:
-                plan.lookahead[key] = None
-        return len(plan.lookahead) - before
+            key = self._key(context)
+            if key not in self._store and key not in plan.missing and key not in lookahead:
+                lookahead[key] = tuple(context)
+        return len(lookahead) - before
 
     def finish_round(
         self, plan: RoundPlan, fresh: Sequence[np.ndarray]
@@ -402,7 +441,7 @@ class LogitsCache:
         rows_per_group: list[list[np.ndarray]] = []
         hits = [0] * len(keys_per_group)
         misses = [0] * len(keys_per_group)
-        charged: set[tuple[int, ...]] = set()
+        charged: set[Hashable] = set()
         for gi, keys in enumerate(keys_per_group):
             rows: list[np.ndarray] = []
             for key in keys:
@@ -431,15 +470,15 @@ class LogitsCache:
         self.lookahead_rows += len(plan.lookahead)
         return rows_per_group, hits, misses
 
-    def _insert(self, key: tuple[int, ...], value: np.ndarray) -> None:
+    def _insert(self, key: Hashable, value: np.ndarray) -> None:
         self._store[key] = value
         if len(self._store) > self.capacity:
             self._store.popitem(last=False)
 
     def dump_rows(
         self, max_bytes: int | None = None
-    ) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """Snapshot cached rows for checkpointing, newest-last.
+    ) -> list[tuple[Hashable, np.ndarray]]:
+        """Snapshot cached ``(row key, row)`` pairs for checkpointing, newest-last.
 
         Walks the LRU order newest-first until *max_bytes* of row data is
         collected (``None`` = everything), then returns the selection
@@ -447,7 +486,7 @@ class LogitsCache:
         Rows are the cached arrays themselves (they are treated as
         immutable everywhere); the pickler copies them on write.
         """
-        selected: list[tuple[tuple[int, ...], np.ndarray]] = []
+        selected: list[tuple[Hashable, np.ndarray]] = []
         budget = max_bytes if max_bytes is not None else None
         spent = 0
         for key in reversed(self._store):
@@ -464,10 +503,14 @@ class LogitsCache:
         """Reinstate rows saved by :meth:`dump_rows` (oldest-first).
 
         Pure state restoration: hit/miss counters are untouched, so a
-        resumed run's cache statistics reflect only its own traffic.
+        resumed run's cache statistics reflect only its own traffic.  Each
+        key goes through ``row_key``, which is idempotent, so rows saved
+        under whole contexts (checkpoints written before the cache keyed by
+        ``row_key``) resume as usable as rows saved under their keys.
         """
+        row_key = self._key
         for key, row in rows:
-            self._insert(tuple(key), row)
+            self._insert(row_key(key), row)
 
     @property
     def hit_rate(self) -> float:

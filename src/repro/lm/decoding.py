@@ -10,11 +10,12 @@ transitively eliminates every string sharing it (§3.3).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DecodingPolicy", "GREEDY", "UNRESTRICTED"]
+__all__ = ["DecodingPolicy", "RowVerdicts", "GREEDY", "UNRESTRICTED"]
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,77 @@ class DecodingPolicy:
         out = np.where(mask, lp, -np.inf)
         out -= _logsumexp(out)
         return out
+
+
+class _Judged(weakref.ref[np.ndarray]):
+    """A weak reference to a judged row carrying the row's top-k threshold
+    (``None`` when the row ties at it) and its memo key."""
+
+    __slots__ = ("key", "kth")
+    key: int
+    kth: float | None
+
+
+class RowVerdicts:
+    """*policy* applied to rows, judging each distinct row once.
+
+    ``verdicts(row)`` is ``(policy.scaled_logprobs(row),
+    policy.allowed_mask(row))``.  Under a top-k rule without top-p the
+    mask depends only on the row and ``k``: it is ``scaled >= kth`` for
+    the row's k-th largest scaled log-probability (every finite entry when
+    fewer than ``k`` are finite), except on a row that ties at ``kth``,
+    where :meth:`DecodingPolicy.allowed_mask` breaks the tie by index.  So
+    the threshold — or "ties" — is computed on the first sight of a row
+    object and memoised; later sights cost one comparison.  Rows are the
+    logits cache's shared, immutable arrays, so the memo is keyed by
+    ``id``: each entry is a weak reference whose callback removes it when
+    the row is freed.  The memo therefore holds one entry per live row and
+    never keeps a row alive that the cache evicted.  Other rules (top-p)
+    take :meth:`DecodingPolicy.allowed_mask` on every call.
+    """
+
+    def __init__(self, policy: DecodingPolicy) -> None:
+        self.policy = policy
+        self._top_k = policy.top_k if policy.top_p is None or policy.top_p >= 1.0 else None
+        self._memo: dict[int, _Judged] = {}
+
+    def __call__(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        policy = self.policy
+        scaled = policy.scaled_logprobs(row)
+        if self._top_k is None:
+            return scaled, policy.allowed_mask(row)
+        judged = self._memo.get(id(row))
+        if judged is None or judged() is not row:
+            judged = _Judged(row, self._forget)
+            judged.key = id(row)
+            judged.kth = self._threshold(scaled)
+            self._memo[judged.key] = judged
+        kth = judged.kth
+        if kth is None:
+            return scaled, policy.allowed_mask(row)
+        if kth == -np.inf:
+            return scaled, scaled > -np.inf
+        return scaled, scaled >= kth
+
+    def _threshold(self, scaled: np.ndarray) -> float | None:
+        """The k-th largest entry of *scaled* (``-inf`` when ``k`` covers
+        the row), or ``None`` when more than ``k`` entries reach it."""
+        k = self._top_k
+        assert k is not None
+        if k >= scaled.size:
+            return -np.inf
+        kth = float(np.partition(scaled, -k)[-k])
+        if kth > -np.inf and int(np.count_nonzero(scaled >= kth)) > k:
+            return None
+        return kth
+
+    def _forget(self, judged: _Judged) -> None:
+        if self._memo.get(judged.key) is judged:
+            del self._memo[judged.key]
+
+    def __len__(self) -> int:
+        """Rows currently memoised (all of them alive)."""
+        return len(self._memo)
 
 
 def _logsumexp(x: np.ndarray) -> float:

@@ -19,7 +19,7 @@ probability everywhere (GPT-2's language is likewise support-complete,
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -184,11 +184,20 @@ class NGramModel(LanguageModel):
     # -- inference ------------------------------------------------------------
     def _context_key(self, context: Sequence[int]) -> tuple[int, ...]:
         """Order-``n-1`` suffix of *context*, left-padded with EOS to match
-        training — the key inference and the LRU cache share."""
-        if self.order > 1:
-            padded = [self.eos_id] * (self.order - 1) + list(context)
-            return tuple(padded[-(self.order - 1) :])
-        return ()
+        training — the key inference, the LRU cache and the engine's
+        :class:`~repro.lm.base.LogitsCache` (:attr:`row_key`) share.
+        O(order): only the suffix is copied."""
+        width = self.order - 1
+        n = len(context)
+        if n >= width:
+            return tuple(context[n - width :])
+        return (self.eos_id,) * (width - n) + tuple(context)
+
+    @property
+    def row_key(self) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """:meth:`_context_key`: a row depends on the last ``order - 1``
+        tokens only."""
+        return self._context_key
 
     def _distribution(self, context: tuple[int, ...]) -> np.ndarray:
         """Probability vector for the longest usable context suffix."""

@@ -127,29 +127,56 @@ class BPETokenizer:
         return self.vocab.decode(token_ids)
 
     # -- canonicality ----------------------------------------------------------
-    def is_canonical(self, token_ids: Sequence[int]) -> bool:
+    def _canonical_agreement(self, ids: tuple[int, ...], text: str) -> tuple[int, bool]:
+        """How many leading *ids* agree with ``encode(text)``, and whether
+        *ids* is exactly that encoding; *text* must be ``decode(ids)``.
+
+        Compared chunk by chunk against the cached per-chunk encodings, so
+        no encoding is assembled and the walk stops at the first chunk
+        that differs.  Ordinary tokens are non-empty, so ids that agree
+        on every chunk cover the text exactly.
+        """
+        cache = self._cache
+        pos = 0
+        for chunk in pretokenize(text):
+            expected = cache.get(chunk) or self._bpe_chunk(chunk)
+            end = pos + len(expected)
+            got = ids[pos:end]
+            if got != expected:
+                agree = 0
+                while agree < len(got) and got[agree] == expected[agree]:
+                    agree += 1
+                return pos + agree, False
+            pos = end
+        return pos, pos == len(ids)
+
+    def _ordinary(self, token_ids: Sequence[int]) -> tuple[int, ...]:
+        """*token_ids* without its specials."""
+        specials = self.vocab.special_ids
+        if specials.isdisjoint(token_ids):
+            return tuple(token_ids)
+        return tuple(t for t in token_ids if t not in specials)
+
+    def is_canonical(self, token_ids: Sequence[int], text: str | None = None) -> bool:
         """True iff *token_ids* is exactly the canonical encoding of the
-        string it decodes to.  Trailing specials (EOS) are ignored."""
-        ids = [t for t in token_ids if not self.vocab.is_special(t)]
-        return list(ids) == self.encode(self.decode(ids))
+        string it decodes to.  Specials (EOS) are ignored.  A caller that
+        has already decoded the tokens passes the string as *text*."""
+        ids = self._ordinary(token_ids)
+        return self._canonical_agreement(ids, self.decode(ids) if text is None else text)[1]
 
     def is_canonical_prefix(self, token_ids: Sequence[int]) -> bool:
         """True iff *token_ids* could be a prefix of some canonical encoding.
 
-        Used by the dynamic canonical traversal (§3.2, option 2).  The check
-        re-encodes the decoded prefix and allows the final token to differ —
-        BPE may re-tokenize the last chunk once more characters arrive — but
-        requires all earlier tokens to match the canonical encoding.
+        Used by the dynamic canonical traversal (§3.2, option 2).  The
+        final token may differ from the canonical encoding of the decoded
+        prefix — BPE may re-tokenize the last chunk once more characters
+        arrive — but all earlier tokens must match it.
         """
-        ids = [t for t in token_ids if not self.vocab.is_special(t)]
+        ids = self._ordinary(token_ids)
         if not ids:
             return True
-        canonical = self.encode(self.decode(ids))
-        if list(ids) == canonical:
-            return True
-        # Allow divergence only in the final chunk: all but the last token
-        # must be a prefix of the canonical encoding.
-        return canonical[: len(ids) - 1] == ids[:-1]
+        agree, _ = self._canonical_agreement(ids, self.decode(ids))
+        return agree >= len(ids) - 1
 
     def encode_noncanonical(self, text: str, rng) -> list[int]:
         """One *non-canonical* encoding of *text*: the canonical encoding

@@ -36,6 +36,10 @@ class Vocabulary:
         for tok in self.special_tokens:
             if tok not in self._ids:
                 raise ValueError(f"special token {tok!r} not in vocabulary")
+        #: Ids of the special tokens.
+        self.special_ids = frozenset(self._ids[tok] for tok in self.special_tokens)
+        #: What each id decodes to: its string, or ``""`` for a special.
+        self._text_of = ["" if tok in self.special_tokens else tok for tok in self.tokens]
 
     # -- construction --------------------------------------------------------
     @classmethod
@@ -86,9 +90,4 @@ class Vocabulary:
 
     def decode(self, token_ids: Iterable[int]) -> str:
         """Concatenate token strings, skipping specials."""
-        parts = []
-        for tid in token_ids:
-            tok = self.tokens[tid]
-            if tok not in self.special_tokens:
-                parts.append(tok)
-        return "".join(parts)
+        return "".join(map(self._text_of.__getitem__, token_ids))

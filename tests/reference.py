@@ -24,6 +24,13 @@ engine used to ship as user-selectable forks (``backend="dict"``,
   :func:`reference_minimized_dfa` / :func:`reference_minimized_tokens`
   applying the quotient rule on top — the oracle for
   ``repro.automata.partition.refine``.
+* :class:`FullContextLogitsCache` is the logits cache keyed by the whole
+  token tuple, as it was before ``LanguageModel.row_key``;
+  :func:`padded_context_key` is the n-gram's key as it was written then (a
+  padded list of the whole context, sliced).
+* :func:`reference_is_canonical` / :func:`reference_is_canonical_prefix`
+  are the re-encode forms of the tokenizer's canonicity checks, and
+  :func:`reference_decode` the per-id loop ``Vocabulary.decode`` replaced.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from repro.core.compiler import (
 )
 from repro.core.executor import Executor, LmRequest
 from repro.core.query import QueryTokenizationStrategy
+from repro.lm.base import LanguageModel, LogitsCache
 from repro.regex import compile_dfa
 
 #: Expansion-path pins, as ``_SCALAR_FANOUT_CUTOFF`` values (``None`` =
@@ -302,3 +310,46 @@ def reference_minimized_tokens(automaton: TokenAutomaton) -> TokenAutomaton:
         prefix_live=frozenset(block_of[q] for q in base.prefix_live),
         dynamic_canonical=base.dynamic_canonical,
     ).trimmed()
+
+
+class FullContextLogitsCache(LogitsCache):
+    """A :class:`LogitsCache` that keys every row by the whole context —
+    one row per distinct token tuple, whatever the model reads."""
+
+    def __init__(self, model: LanguageModel, capacity: int = 4096) -> None:
+        super().__init__(model, capacity=capacity)
+        self._key = tuple
+
+
+def padded_context_key(model, context) -> tuple[int, ...]:
+    """``NGramModel._context_key`` as first written: EOS-pad the whole
+    context to a list, then keep its last ``order - 1`` ids."""
+    if model.order > 1:
+        padded = [model.eos_id] * (model.order - 1) + list(context)
+        return tuple(padded[-(model.order - 1) :])
+    return ()
+
+
+def reference_decode(vocab, token_ids) -> str:
+    """``Vocabulary.decode`` as a loop: concatenate, skipping specials."""
+    parts = []
+    for tid in token_ids:
+        tok = vocab.tokens[tid]
+        if tok not in vocab.special_tokens:
+            parts.append(tok)
+    return "".join(parts)
+
+
+def reference_is_canonical(tokenizer, token_ids) -> bool:
+    """``ids == encode(decode(ids))`` over the non-special ids."""
+    ids = [t for t in token_ids if not tokenizer.vocab.is_special(t)]
+    return ids == tokenizer.encode(tokenizer.decode(ids))
+
+
+def reference_is_canonical_prefix(tokenizer, token_ids) -> bool:
+    """All but the last non-special id agree with ``encode(decode(ids))``."""
+    ids = [t for t in token_ids if not tokenizer.vocab.is_special(t)]
+    if not ids:
+        return True
+    canonical = tokenizer.encode(tokenizer.decode(ids))
+    return ids == canonical or canonical[: len(ids) - 1] == ids[:-1]
