@@ -135,17 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_query_args(query)
     add_engine_args(query, concurrency=1)
     query.add_argument(
-        "--pipeline", action="store_true",
-        help="overlap one round's worker compute with the next round's "
-             "frontier expansion (scheduler mode; results are unchanged)",
-    )
-    query.add_argument(
-        "--compile-ahead", action="store_true",
-        help="defer query compilation into the scheduler's drive loop so "
-             "it overlaps in-flight LM rounds (scheduler mode; results "
-             "are unchanged)",
-    )
-    query.add_argument(
         "--inject-fault", action="append", default=None, metavar="SPEC",
         help="testing only: deterministically fail a shard delivery; SPEC "
              "is KIND:ROUND:SHARD[:SECONDS] with KIND in "
@@ -331,7 +320,7 @@ _STAT_LINES = {
     ),
     "scheduler": (
         "rounds", "contexts_serviced", "mean_round_size", "max_round_size",
-        "lm_wall_ms", "compile_ms", "queries_compiled_ahead",
+        "lm_wall_ms", "compile_ms",
     ),
     "checkpoint": ("checkpoints_written", "queries_resumed"),
     "logits cache": ("hits", "misses", "lookahead_rows", "hit_rate", "entries"),
@@ -430,11 +419,9 @@ def _cmd_query_scheduled(args, env, queries, compiler, pool) -> int:
     scheduler = env.scheduler(
         args.model,
         compiler=compiler,
-        compile_ahead=args.compile_ahead,
         concurrency=args.concurrency,
         fairness=args.fairness,
         worker_pool=pool,
-        pipeline=args.pipeline,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -480,7 +467,7 @@ def _cmd_query_scheduled(args, env, queries, compiler, pool) -> int:
         writer.close()
         print(f"# wrote {writer.count} matches to {args.log}", file=sys.stderr)
     stats = scheduler.stats.as_dict()
-    _stat_line("scheduler", stats, note=" pipelined" if args.pipeline else "")
+    _stat_line("scheduler", stats)
     if args.checkpoint:
         _stat_line("checkpoint", stats, note=f" path={args.checkpoint}")
     _engine_lines(scheduler.model, compiler, pool, scheduler.logits_cache)
@@ -512,11 +499,9 @@ def _cmd_query(args) -> int:
         or args.deadline is not None
         or args.max_lm_calls is not None
         or args.workers > 1
-        or args.pipeline
         or args.checkpoint is not None
         or args.resume
         or args.inject_fault
-        or args.compile_ahead
     )
     with _build_engine(args, env) as (model, compiler, pool):
         if scheduled:

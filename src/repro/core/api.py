@@ -120,11 +120,9 @@ def search_many(
     logits_cache: LogitsCache | None = None,
     budget: QueryBudget | None = None,
     worker_pool: WorkerPool | None = None,
-    pipeline: bool = False,
     checkpoint: str | None = None,
     checkpoint_every: int = 1,
     resume: bool = False,
-    compile_ahead: bool = False,
     **executor_kwargs: Any,
 ) -> list[ScheduledQuery]:
     """Run many queries through one :class:`QueryScheduler` to completion.
@@ -140,20 +138,15 @@ def search_many(
     :class:`~repro.core.parallel.WorkerPool`'s model replicas (``with
     WorkerPool(model, 4) as pool: search_many(..., worker_pool=pool)``;
     shard sizing, supervision and fault injection are the pool's own
-    knobs), and ``pipeline=True`` overlaps one round's worker compute with
-    the next round's frontier expansion; neither changes any result (see
-    :class:`QueryScheduler`).
+    knobs).  On the n-gram sharding changes no result; on the transformer
+    texts and tokens are identical and log-probabilities agree to 1e-9
+    (see :class:`QueryScheduler`).
 
     ``checkpoint=PATH`` snapshots progress every ``checkpoint_every``
     completed rounds (and on interruption); ``resume=True`` restores
     completed queries from that snapshot before running the rest, so an
     interrupted sweep reproduces the uninterrupted run's results without
     repeating its finished work (see :mod:`repro.core.checkpoint`).
-
-    ``compile_ahead=True`` defers query compilation from :meth:`submit` to
-    the run loop, overlapping one pending query's compilation with each
-    in-flight LM round so compile latency hides behind model compute.
-    Results are unchanged; only when they compile moves.
     """
     scheduler = QueryScheduler(
         model,
@@ -163,11 +156,9 @@ def search_many(
         concurrency=concurrency,
         fairness=fairness,
         worker_pool=worker_pool,
-        pipeline=pipeline,
         checkpoint_path=checkpoint,
         checkpoint_every=checkpoint_every,
         resume=resume,
-        compile_ahead=compile_ahead,
         **executor_kwargs,
     )
     for query in queries:

@@ -28,11 +28,10 @@ Design notes:
 * **Adaptive shard sizing.**  Rounds smaller than ``min_shard_size * 2``
   contexts fall back to in-process evaluation — no IPC, no shared-memory
   traffic — so tiny rounds (single-query random sampling) pay nothing.
-* **Async by construction.**  :meth:`WorkerPool.dispatch` returns a
+* **Split-phase rounds.**  :meth:`WorkerPool.dispatch` returns a
   :class:`RoundTicket` immediately; :meth:`WorkerPool.collect` blocks on
-  it.  The pipelined scheduler dispatches round ``R+1`` before collecting
-  round ``R``, overlapping worker compute with automaton frontier
-  expansion.
+  it.  :meth:`WorkerPool.logprobs_batch` — what the scheduler calls once
+  per round — is the two back to back.
 * **Supervision, not crash-propagation.**  A worker that dies, errors, or
   blows the ``shard_timeout`` deadline no longer poisons the run: the
   failed shard is retried with exponential backoff on a respawned worker,
@@ -312,8 +311,7 @@ class RoundTicket:
 
     Returned by :meth:`WorkerPool.dispatch`; redeemed exactly once with
     :meth:`WorkerPool.collect`.  ``shards`` is empty for rounds the
-    adaptive sizer kept in-process (evaluated lazily at collect time, so
-    even inline rounds compose with the pipelined scheduler).
+    adaptive sizer kept in-process (evaluated lazily at collect time).
     """
 
     contexts: list[tuple[int, ...]]

@@ -155,11 +155,8 @@ class SchedulerStats:
     #: resume instead of being re-run.
     checkpoints_written: int = 0
     queries_resumed: int = 0
-    #: Compile wall-clock summed over every query this scheduler compiled,
-    #: and queries whose compilation was overlapped with an in-flight LM
-    #: round (``compile_ahead=True``).
+    #: Compile wall-clock summed over every query this scheduler compiled.
     compile_ms: float = 0.0
-    queries_compiled_ahead: int = 0
     #: Static-analyzer verdict (``"ok"``/``"warning"``/``"error"``) per
     #: query name, recorded at submit (absent when analysis is disabled).
     per_query_verdict: dict[str, str] = field(default_factory=dict)

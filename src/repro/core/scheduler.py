@@ -67,10 +67,10 @@ from repro.core.checkpoint import QuerySnapshot, RunCheckpoint, query_fingerprin
 from repro.core.compiler import CompiledQuery, GraphCompiler
 from repro.core.executor import Executor, LmRequest
 from repro.core.findings import QueryReport
-from repro.core.parallel import RoundTicket, WorkerPool
+from repro.core.parallel import WorkerPool
 from repro.core.query import SimpleSearchQuery
 from repro.core.results import ExecutionStats, MatchResult, SchedulerStats
-from repro.lm.base import LanguageModel, LogitsCache, RoundPlan
+from repro.lm.base import LanguageModel, LogitsCache
 from repro.tokenizers.bpe import BPETokenizer
 
 __all__ = ["QueryBudget", "ScheduledQuery", "QueryScheduler", "FAIRNESS_POLICIES"]
@@ -110,11 +110,6 @@ class ScheduledQuery:
     :meth:`cancel` stopped the query early — the results held are a valid
     prefix of the serial stream.  ``done`` covers both completion and
     truncation.
-
-    Under ``compile_ahead=True`` the handle starts *deferred*
-    (``executor is None``): compilation happens inside the drive loop,
-    overlapped with in-flight LM rounds, and :meth:`attach` binds the
-    executor when it lands.
     """
 
     def __init__(
@@ -122,62 +117,43 @@ class ScheduledQuery:
         index: int,
         name: str,
         query: SimpleSearchQuery,
-        executor: Executor | None,
+        compiled: CompiledQuery,
+        executor: Executor,
         budget: QueryBudget,
         submitted_at: float,
-        report: QueryReport | None = None,
     ) -> None:
         self.index = index
         self.name = name
         self.query = query
+        #: The compiled artifact (automata, metrics, report).
+        self.compiled = compiled
         self.executor = executor
         self.budget = budget
         self.submitted_at = submitted_at
         #: Static-analyzer verdict for this query (``None`` when the
-        #: shared compiler runs with analysis disabled, or while the
-        #: compile is still deferred).
-        self.report = report
+        #: shared compiler runs with analysis disabled).  Its first read:
+        #: a scheduled query is analyzed here, for the admission decision
+        #: that follows, not inside ``compile``.
+        self.report: QueryReport | None = compiled.report
         self.results: list[MatchResult] = []
         self.done = False
         self.truncated = False
         self.truncated_reason: str | None = None
         self.latency: float | None = None
-        #: The exception a deferred (compile-ahead) compile raised; such a
-        #: query is ``done`` with ``truncated_reason == "rejected"``.
-        self.error: Exception | None = None
         #: True when a checkpoint answered this query (``resume=True``):
         #: its results and stats were restored, its traversal never ran.
         self.resumed = False
-        #: The compiled artifact (automata, metrics, report); ``None`` while
-        #: the compile is still deferred.
-        self.compiled: CompiledQuery | None = None
-        self._gen = executor.steps() if executor is not None else None
+        self._gen = executor.steps()
         #: The request this query is parked on until a round answers it.
         self._pending: LmRequest | None = None
         #: What the generator is resumed with: the scores it asked for, or
         #: ``None`` at the start and after a match.
         self._answer: Any = None
         self._cancelled = False
-        #: Executor kwargs for a deferred compile (compile-ahead mode).
-        self._executor_kwargs: dict[str, Any] = {}
-        self._deferred_stats: ExecutionStats | None = (
-            ExecutionStats() if executor is None else None
-        )
-
-    def attach(self, executor: Executor, report: QueryReport | None) -> None:
-        """Bind the (deferred-compiled) executor to this handle."""
-        self.executor = executor
-        self.report = report
-        self._gen = executor.steps()
-        self._deferred_stats = None
 
     @property
     def stats(self) -> ExecutionStats:
-        """The query's execution statistics (live; all-zero while the
-        compile is still deferred under ``compile_ahead=True``)."""
-        if self.executor is None:
-            assert self._deferred_stats is not None
-            return self._deferred_stats
+        """The query's execution statistics (live)."""
         return self.executor.stats
 
     def cancel(self) -> None:
@@ -192,24 +168,6 @@ class ScheduledQuery:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else ("waiting" if self._pending else "ready")
         return f"ScheduledQuery({self.name!r}, {state}, {len(self.results)} results)"
-
-
-@dataclass
-class _InflightRound:
-    """One coalesced round between dispatch and completion.
-
-    The split-phase cache round (:meth:`~repro.lm.base.LogitsCache.begin_round`)
-    plus — when a worker pool is attached — the in-flight
-    :class:`~repro.core.parallel.RoundTicket`.  Holding this struct is what
-    lets ``pipeline=True`` expand round ``R+1``'s frontiers while round
-    ``R``'s shards compute in the workers.
-    """
-
-    chosen: list[ScheduledQuery]
-    plan: RoundPlan
-    missing: list[tuple[int, ...]]
-    ticket: RoundTicket | None
-    started: float
 
 
 class QueryScheduler:
@@ -245,24 +203,16 @@ class QueryScheduler:
     :class:`~repro.core.parallel.WorkerPool` over *model*) shards each
     round's deduped missing-context set across the pool's model-replica
     processes; shard sizing, retries and fault injection are the pool's
-    own knobs.  ``pipeline=True`` double-buffers rounds: round ``R+1`` is
-    selected and dispatched before round ``R``'s rows are collected, so
-    automaton frontier expansion overlaps worker compute.  Neither
-    changes any result — shards are contiguous slices evaluated in the
-    same order the serial path would use, and pipelining only reorders
-    *when* work happens (the differential grid pins bit-identity for
-    every workers × pipeline combination).  The caller owns the pool's
+    own knobs.  Shards are contiguous slices evaluated in the order the
+    serial path would use, so on a model that scores each context
+    independently (the n-gram) sharding changes no result — the
+    differential grid pins bit-identity at every worker count.  On the
+    transformer a sharded round's batched GEMMs may move the last ulp:
+    texts and tokens are identical and log-probabilities agree to 1e-9
+    (see :mod:`repro.core.parallel`).  The caller owns the pool's
     lifetime (``with WorkerPool(model, 4) as pool: ...``) and may share
     it across schedulers; sharding and supervision counters are the
     pool's (``pool.stats()``).
-
-    ``compile_ahead=True`` defers query compilation from :meth:`submit`
-    into the drive loop, compiling not-yet-runnable queries while LM
-    rounds are in flight (with ``pipeline=True`` the overlap is literal:
-    compiles run while the previous round's shards compute in the
-    workers).  Results are bit-identical; only *when* queries compile
-    moves, and admission control happens at first consideration instead
-    of at submit.
 
     Remaining keyword arguments become per-executor defaults
     (``batch_size``, ``max_expansions``, ...), overridable
@@ -282,13 +232,11 @@ class QueryScheduler:
         record_history: bool = False,
         admission_control: bool = True,
         admission_max_cost: int | None = None,
-        pipeline: bool = False,
         worker_pool: WorkerPool | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 1,
         checkpoint_cache_mb: float = 64.0,
         resume: bool = False,
-        compile_ahead: bool = False,
         **executor_defaults: Any,
     ) -> None:
         if concurrency < 1:
@@ -334,10 +282,8 @@ class QueryScheduler:
         self.admission_max_cost = admission_max_cost
         self.executor_defaults = executor_defaults
         # Process-parallel evaluation: an attached pool serves each round's
-        # missing-context set; ``pipeline`` additionally double-buffers
-        # rounds in :meth:`run`.  Without one everything stays in-process.
+        # missing-context set.  Without one everything stays in-process.
         self._pool = worker_pool
-        self.pipeline = bool(pipeline)
         # Checkpoint/resume state (see :mod:`repro.core.checkpoint`): a
         # snapshot is written after every ``checkpoint_every`` completed
         # rounds, at the end of a clean :meth:`run`, and best-effort on
@@ -348,14 +294,6 @@ class QueryScheduler:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_cache_mb = checkpoint_cache_mb
         self.resume = resume
-        #: Compile-ahead: defer query compilation from :meth:`submit` into
-        #: the drive loop, where it overlaps in-flight LM rounds (the
-        #: ``pipeline=True`` double-buffer makes the overlap literal: the
-        #: compile runs while the previous round's shards are still in the
-        #: workers).  Results are unchanged — only *when* queries compile
-        #: moves — and admission control simply happens at first
-        #: consideration instead of at submit.
-        self.compile_ahead = bool(compile_ahead)
         self._resume_attempted = False
         self._rounds_since_checkpoint = 0
         self._interrupt_requested = False
@@ -383,14 +321,10 @@ class QueryScheduler:
         Compilation goes through the shared compiler (templated patterns
         hit its cache) and the executor shares the scheduler's logits
         cache.  The handle is live immediately; traversal only advances
-        inside :meth:`step` / :meth:`run`.  With ``compile_ahead=True``
-        compilation (and admission control) is deferred into the drive
-        loop, where it overlaps in-flight LM rounds.
+        inside :meth:`step` / :meth:`run`.
 
         A query that fails to compile (e.g. a regex syntax error) raises
-        here with nothing registered; under ``compile_ahead`` it instead
-        finishes as ``"rejected"`` when its turn to compile comes, with the
-        exception kept on ``handle.error``, and the sweep continues.
+        here with nothing registered.
         """
         index = len(self.queries)
         # Names key per-query latency (and the merged stream), so they must
@@ -402,52 +336,27 @@ class QueryScheduler:
         while unique in self._names:
             unique = f"{base}#{suffix}"
             suffix += 1
+        submitted_at = self.clock()
+        compiled = self.compiler.compile(query)
+        kwargs = dict(self.executor_defaults)
+        kwargs.update(executor_overrides)
+        executor = Executor(self.model, compiled, logits_cache=self.logits_cache, **kwargs)
         handle = ScheduledQuery(
             index=index,
             name=unique,
             query=query,
-            executor=None,
+            compiled=compiled,
+            executor=executor,
             budget=budget if budget is not None else QueryBudget(),
-            submitted_at=self.clock(),
+            submitted_at=submitted_at,
         )
-        kwargs = dict(self.executor_defaults)
-        kwargs.update(executor_overrides)
-        handle._executor_kwargs = kwargs
-        if not self.compile_ahead:
-            self._attach_executor(handle)  # raises before anything is registered
+        if compiled.metrics is not None:
+            self.stats.compile_ms += compiled.metrics.compile_ms
         self._names.add(unique)
         self.queries.append(handle)
         self.stats.queries_submitted += 1
-        if not self.compile_ahead:
-            self._admit(handle)
+        self._admit(handle)
         return handle
-
-    def _attach_executor(self, sq: ScheduledQuery) -> None:
-        """Compile *sq*'s query and bind its executor.  A compile error
-        propagates with *sq* and the scheduler untouched."""
-        compiled = self.compiler.compile(sq.query)
-        executor = Executor(
-            self.model, compiled, logits_cache=self.logits_cache, **sq._executor_kwargs
-        )
-        sq.compiled = compiled
-        # The report's first read: a scheduled query is analyzed here, for
-        # the admission decision that follows, not inside ``compile``.
-        sq.attach(executor, compiled.report)
-        if compiled.metrics is not None:
-            self.stats.compile_ms += compiled.metrics.compile_ms
-
-    def _attach_deferred(self, sq: ScheduledQuery, ahead: bool = False) -> None:
-        """The drive loop's (compile-ahead) compile of a registered query:
-        a compile error rejects just this query, then admission runs."""
-        try:
-            self._attach_executor(sq)
-        except Exception as exc:
-            sq.error = exc
-            self._finish(sq, truncated=True, reason="rejected")
-            return
-        if ahead:
-            self.stats.queries_compiled_ahead += 1
-        self._admit(sq)
 
     def _admit(self, sq: ScheduledQuery) -> None:
         """Admission control on a freshly compiled query."""
@@ -467,15 +376,8 @@ class QueryScheduler:
 
     # -- driving ------------------------------------------------------------------
     def run(self) -> list[ScheduledQuery]:
-        """Drive every submitted query to completion; returns the handles.
-
-        With ``pipeline=True`` rounds are double-buffered: while round
-        ``R``'s shards compute in the worker pool, round ``R+1`` is
-        selected (from the queries not already in flight), its cache
-        detection pass runs, and its shards are dispatched; only then is
-        round ``R`` collected and its queries' generators resumed.  Every
-        query still sees exactly the rows it asked for, in order, so
-        results are identical to the unpipelined loop.
+        """Drive every submitted query to completion (``while step()``);
+        returns the handles.
 
         **Interruption.**  When driving from the main thread, ``run``
         installs a deferred SIGINT handler: the first Ctrl-C finishes the
@@ -499,11 +401,8 @@ class QueryScheduler:
 
             previous = signal.signal(signal.SIGINT, _on_sigint)
         try:
-            if self.pipeline:
-                self._run_pipelined()
-            else:
-                while not self._interrupt_requested and self.step():
-                    pass
+            while not self._interrupt_requested and self.step():
+                pass
             if self._interrupt_requested:
                 raise KeyboardInterrupt
             if self.checkpoint_path is not None:
@@ -533,71 +432,17 @@ class QueryScheduler:
         missed runs no round at all.
         """
         self._maybe_resume()
-        waiting = self._gather_waiting(())
+        waiting = self._gather_waiting()
         if waiting:
-            self._complete(self._service(self._select(waiting)))
-        return self._unfinished()
-
-    def _unfinished(self) -> bool:
+            self._round(self._select(waiting))
         return any(not sq.done for sq in self.queries)
 
-    def _run_pipelined(self) -> None:
-        """Double-buffered drive loop (used by :meth:`run` when
-        ``pipeline=True``)."""
-        inflight: _InflightRound | None = None
-        while True:
-            if self._interrupt_requested:
-                # Deferred Ctrl-C: finish the round already in the workers
-                # (cheap, and it keeps the checkpoint at a round boundary),
-                # dispatch nothing new, and let :meth:`run` unwind.
-                if inflight is not None:
-                    self._complete(inflight)
-                return
-            exclude = tuple(inflight.chosen) if inflight is not None else ()
-            waiting = self._gather_waiting(exclude)
-            nxt = self._service(self._select(waiting)) if waiting else None
-            if inflight is not None:
-                # Round R's shards are still computing in the workers while
-                # the selection + cache detection + dispatch above ran; the
-                # collect below is where the overlap pays off.
-                self._complete(inflight)
-            elif nxt is None and not self._unfinished():
-                # Nobody waiting is not the end: a query handed back after
-                # an inline answer is advanced by the next turn.
-                return
-            inflight = nxt
-
-    def _gather_waiting(
-        self, exclude: tuple[ScheduledQuery, ...]
-    ) -> list[ScheduledQuery]:
-        """Advance every runnable query (minus *exclude*, the in-flight
-        round) and return the ones left waiting on an LM round — those
-        whose next request misses the cache.
-
-        Deferred (compile-ahead) queries are compiled here, on demand,
-        only as needed to keep up to ``concurrency`` queries runnable.
-        Under ``pipeline=True`` this method runs while the previous
-        round's shards are still computing in the workers — which is
-        exactly the overlap that hides compile latency behind LM compute.
-        """
-        if self.compile_ahead:
-            active = sum(
-                1 for sq in self.queries if not sq.done and sq.executor is not None
-            )
-            # A compile that lands while a round is in flight (or after
-            # rounds have run) genuinely overlapped LM work.
-            ahead = bool(exclude) or self.stats.rounds > 0
-            for sq in self.queries:
-                if active >= self.concurrency:
-                    break
-                if sq.done or sq.executor is not None:
-                    continue
-                self._attach_deferred(sq, ahead=ahead)
-                if not sq.done:  # rejected: compile error or admission
-                    active += 1
+    def _gather_waiting(self) -> list[ScheduledQuery]:
+        """Advance every runnable query and return the ones left waiting
+        on an LM round — those whose next request misses the cache."""
         waiting = []
         for sq in self.queries:
-            if sq.done or sq._gen is None or sq in exclude:
+            if sq.done:
                 continue
             if sq._pending is None:
                 self._advance(sq)
@@ -607,41 +452,30 @@ class QueryScheduler:
                 waiting.append(sq)
         return waiting
 
-    def _service(self, chosen: list[ScheduledQuery]) -> _InflightRound:
-        """Begin one coalesced round: cache detection pass, the chosen
+    def _round(self, chosen: list[ScheduledQuery]) -> None:
+        """Run one coalesced round: cache detection pass, the chosen
         queries' lookahead (each evaluated now, against the cache as it
-        stands), then dispatch the contexts to score to the worker pool
-        (when attached)."""
-        groups = [sq._pending.contexts for sq in chosen]
-        plan = self.logits_cache.begin_round(groups)
+        stands), one scoring call for the contexts still missing (sharded
+        across the worker pool when attached), then fold the rows into
+        the cache, credit per-query stats, and resume the generators."""
+        cache = self.logits_cache
+        plan = cache.begin_round([sq._pending.contexts for sq in chosen])
         for sq in chosen:
             if sq._pending.lookahead is not None:
-                sq.stats.lookahead_contexts += self.logits_cache.add_lookahead(
+                sq.stats.lookahead_contexts += cache.add_lookahead(
                     plan, sq._pending.lookahead()
                 )
         started = time.perf_counter()
         missing = plan.missing_contexts()
-        ticket: RoundTicket | None = None
-        if self._pool is not None and missing:
-            ticket = self._pool.dispatch(missing)
-        return _InflightRound(
-            chosen=chosen, plan=plan, missing=missing, ticket=ticket, started=started
-        )
-
-    def _complete(self, inflight: _InflightRound) -> None:
-        """Finish one round: collect rows, fold them into the cache,
-        credit per-query stats, and resume the round's generators."""
-        if inflight.ticket is not None:
-            assert self._pool is not None
-            fresh = self._pool.collect(inflight.ticket)
-        elif inflight.missing:
-            fresh = self.logits_cache.model.logprobs_batch(inflight.missing)
-        else:
+        if not missing:
             fresh = []
-        rows, hits, misses = self.logits_cache.finish_round(inflight.plan, fresh)
-        wall_ms = (time.perf_counter() - inflight.started) * 1e3
-        chosen = inflight.chosen
-        size = inflight.plan.total_contexts
+        elif self._pool is not None:
+            fresh = self._pool.logprobs_batch(missing)
+        else:
+            fresh = cache.model.logprobs_batch(missing)
+        rows, hits, misses = cache.finish_round(plan, fresh)
+        wall_ms = (time.perf_counter() - started) * 1e3
+        size = plan.total_contexts
         self.stats.rounds += 1
         self.stats.contexts_serviced += size
         self.stats.max_round_size = max(self.stats.max_round_size, size)
@@ -731,14 +565,8 @@ class QueryScheduler:
         self.logits_cache.preload(loaded.cache_rows)
 
     def _restore_query(self, sq: ScheduledQuery, snap: QuerySnapshot) -> None:
-        """Reinstate *sq* from its snapshot without running its traversal.
-
-        A still-deferred (compile-ahead) query restores without ever
-        compiling — a resumed sweep skips its finished queries' compile
-        cost entirely.
-        """
-        if sq._gen is not None:
-            sq._gen.close()
+        """Reinstate *sq* from its snapshot without running its traversal."""
+        sq._gen.close()
         sq._pending = None
         sq.done = True
         sq.resumed = True
@@ -778,7 +606,6 @@ class QueryScheduler:
         if sq._cancelled:
             self._finish(sq, truncated=True, reason="cancelled")
             return
-        assert sq._gen is not None  # callers only advance compiled queries
         answered = 0
         matched = False
         while True:
@@ -832,8 +659,7 @@ class QueryScheduler:
             self._finish(sq, truncated=True, reason="max_lm_calls")
 
     def _finish(self, sq: ScheduledQuery, truncated: bool, reason: str | None = None) -> None:
-        if sq._gen is not None:
-            sq._gen.close()
+        sq._gen.close()
         sq._pending = None
         sq.done = True
         sq.truncated = truncated

@@ -620,17 +620,16 @@ class SchedulerService:
                     self.stats.backpressure_stalls += 1
             else:
                 ticket.stalled = False
-            # A client-side cancel drops the undelivered tail: the client
-            # asked to stop consuming, so the terminal frame must not wait
-            # behind matches it will never grant credit for.
-            dropped_tail = (
-                handle.done
-                and ticket.cancelled
-                and handle.truncated_reason == "cancelled"
-            )
-            if handle.done and (undelivered == 0 or dropped_tail):
+            if handle.done and undelivered == 0:
                 status = _STATUS_BY_REASON.get(handle.truncated_reason, "truncated")
                 self._emit_done(ticket, status, handle.truncated_reason)
+                continue
+            if handle.done and ticket.cancelled:
+                # A client-side cancel drops the undelivered tail — even of
+                # a query that finished on its own before the cancel landed:
+                # the client asked to stop consuming, so the terminal frame
+                # must not wait behind matches it will never grant credit for.
+                self._emit_done(ticket, "cancelled", "cancelled")
                 continue
             lm_calls = handle.stats.lm_calls
             if lm_calls != ticket.progress_lm_calls:
@@ -657,7 +656,7 @@ class SchedulerService:
         For a query that reached the scheduler the frame's ``stats`` carry
         its own counters plus ``compile_source`` — where its one compile
         came from (:attr:`CompileMetrics.source`: ``"cold"``, ``"memory"``
-        or ``"disk"``; ``None`` when a checkpoint answered it uncompiled).
+        or ``"disk"``).
         """
         ticket.done_sent = True
         counters = {
@@ -678,17 +677,13 @@ class SchedulerService:
         if reason is not None:
             frame["reason"] = reason
         if handle is not None:
-            compiled = handle.compiled
+            metrics = handle.compiled.metrics
             frame["stats"] = {
                 "lm_calls": handle.stats.lm_calls,
                 "scheduler_rounds": handle.stats.scheduler_rounds,
                 "logits_hits": handle.stats.logits_hits,
                 "logits_misses": handle.stats.logits_misses,
-                "compile_source": (
-                    compiled.metrics.source
-                    if compiled is not None and compiled.metrics is not None
-                    else None
-                ),
+                "compile_source": metrics.source if metrics is not None else None,
                 "resumed": handle.resumed,
             }
             if handle.latency is not None:

@@ -365,19 +365,16 @@ class TestSchedulerSerialEquivalence:
         assert cold.stats.logits_hits == serial_stats.logits_hits
 
 
-#: The process-parallel grid: every workers x pipeline combination the
-#: engine supports.  workers=1 exercises the knob plumbing without a pool.
-PARALLEL_GRID = [
-    (1, False), (1, True), (2, False), (2, True), (4, False), (4, True),
-]
+#: The process-parallel grid: worker counts.  workers=1 exercises the knob
+#: plumbing without a pool.
+PARALLEL_GRID = [1, 2, 4]
 
 
 class TestParallelSchedulerDifferential:
-    """The 13-combo grid across workers x pipeline vs serial scheduling.
+    """The 13-combo grid across worker counts vs serial scheduling.
 
-    Sharding a round across model-replica processes and/or pipelining
-    round R's compute against round R+1's frontier expansion must be
-    invisible: the same matches, in the same order, with bit-identical
+    Sharding a round across model-replica processes must be invisible:
+    the same matches, in the same order, with bit-identical
     log-probabilities and identical traversal statistics.  (The n-gram's
     block evaluation is row-independent, so even float equality is exact
     under any sharding.)  Pools are class-shared — one fork set per
@@ -410,16 +407,13 @@ class TestParallelSchedulerDifferential:
     def serial_baseline(self):
         return {}
 
-    @pytest.mark.parametrize(
-        "workers,pipeline", PARALLEL_GRID,
-        ids=[f"w{w}_{'pipe' if p else 'sync'}" for w, p in PARALLEL_GRID],
-    )
+    @pytest.mark.parametrize("workers", PARALLEL_GRID, ids=[f"w{w}" for w in PARALLEL_GRID])
     @pytest.mark.parametrize(
         "name,source,query", COMBOS, ids=[c[0] for c in COMBOS]
     )
     def test_grid_matches_serial(
         self, model, tokenizer, env, pools, serial_baseline,
-        name, source, query, workers, pipeline,
+        name, source, query, workers,
     ):
         from repro.core.scheduler import QueryBudget, QueryScheduler
 
@@ -432,9 +426,7 @@ class TestParallelSchedulerDifferential:
         # The pool is shared across the grid: this run's share of its
         # counters is two snapshots subtracted.
         before = pool.stats() if pool is not None else {}
-        scheduler = QueryScheduler(
-            m, tok, concurrency=1, pipeline=pipeline, worker_pool=pool,
-        )
+        scheduler = QueryScheduler(m, tok, concurrency=1, worker_pool=pool)
         handle = scheduler.submit(query, budget=QueryBudget(max_results=200))
         scheduler.run()
 
@@ -443,8 +435,8 @@ class TestParallelSchedulerDifferential:
         for a, b in zip(serial, handle.results):
             assert a.text == b.text
             assert a.tokens == b.tokens
-            # Bit-identical, not approximately equal: sharding and
-            # pipelining reorder *work*, never *results*.
+            # Bit-identical, not approximately equal: sharding moves
+            # *work*, never *results*.
             assert a.total_logprob == b.total_logprob
             assert a.logprob == b.logprob
             assert a.canonical == b.canonical
@@ -466,8 +458,7 @@ class TestParallelSchedulerDifferential:
             )
             assert shards >= parallel_rounds
 
-    @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipe"])
-    def test_transformer_lookahead_rounds_sharded_match_serial(self, tokenizer, pipeline):
+    def test_transformer_lookahead_rounds_sharded_match_serial(self, tokenizer):
         """The transformer-backed case: its rounds carry lookahead contexts
         (width 8 by default), and here they are cut into shards across two
         replicas.  Each query's stream is the serial width-1 stream — texts
@@ -499,7 +490,7 @@ class TestParallelSchedulerDifferential:
         with WorkerPool(lm, 2, min_shard_size=1) as pool:
             before = pool.stats()
             scheduler = QueryScheduler(
-                lm, tokenizer, concurrency=len(queries), pipeline=pipeline, worker_pool=pool,
+                lm, tokenizer, concurrency=len(queries), worker_pool=pool,
                 max_expansions=20000,
             )
             handles = [
@@ -743,8 +734,8 @@ class TestMinimizationDifferential:
     changes how rows are stored, but the canonical (sorted) edge order
     makes both invisible to every traversal: the same matches, in the
     same order, with bit-identical log-probabilities and identical
-    traversal statistics, on both expansion paths and under workers ×
-    pipeline scheduling.  The unminimized side is built by hand from the
+    traversal statistics, on both expansion paths and under sharded
+    scheduling.  The unminimized side is built by hand from the
     compiler's public stage functions (:func:`tests.reference.compile_unminimized`).
     """
 
@@ -781,22 +772,19 @@ class TestMinimizationDifferential:
         # The hand-built side really is the unminimized machine.
         assert shape_off.minimized_states == shape_off.token_states == shape_on.token_states
 
-    #: workers × pipeline subset: enough to catch a sharding/ordering
-    #: interaction without re-running the whole parallel grid twice.
+    #: A sharded subset: enough to catch a sharding/ordering interaction
+    #: without re-running the whole parallel grid twice.
     MIN_PARALLEL_SUBSET = [
-        ("shortest_plain", 2, True),
-        ("random_topk_eos", 2, False),
-        ("beam_topk_prefix", 2, True),
+        ("shortest_plain", 2),
+        ("random_topk_eos", 2),
+        ("beam_topk_prefix", 2),
     ]
 
     @pytest.mark.parametrize(
-        "combo_name,workers,pipeline", MIN_PARALLEL_SUBSET,
-        ids=[f"{n}_w{w}_{'pipe' if p else 'sync'}"
-             for n, w, p in MIN_PARALLEL_SUBSET],
+        "combo_name,workers", MIN_PARALLEL_SUBSET,
+        ids=[f"{n}_w{w}" for n, w in MIN_PARALLEL_SUBSET],
     )
-    def test_minimize_under_workers_and_pipeline(
-        self, model, tokenizer, env, combo_name, workers, pipeline
-    ):
+    def test_minimize_under_workers(self, model, tokenizer, env, combo_name, workers):
         from repro.core.parallel import WorkerPool
         from repro.core.scheduler import QueryBudget, QueryScheduler
 
@@ -811,8 +799,7 @@ class TestMinimizationDifferential:
                     else unminimized_compiler(tok, query)
                 )
                 scheduler = QueryScheduler(
-                    m, tok, compiler=compiler, concurrency=1,
-                    worker_pool=pool, pipeline=pipeline,
+                    m, tok, compiler=compiler, concurrency=1, worker_pool=pool,
                 )
                 handle = scheduler.submit(query, budget=QueryBudget(max_results=200))
                 scheduler.run()

@@ -146,6 +146,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("flag", ["--pipeline", "--compile-ahead"])
+    def test_removed_drive_loop_flags_are_usage_errors(self, flag, capsys):
+        """The scheduler has one drive loop; its old alternatives are gone."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["query", "The cat", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_query_command(self, capsys):
         code = main(["query", "The ((cat)|(dog))", "--max-matches", "2"])
         out = capsys.readouterr().out

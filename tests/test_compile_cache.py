@@ -180,68 +180,6 @@ class TestSchedulerIntegration:
                 (m.tokens, m.text) for m in b.results
             ]
 
-    def test_compile_ahead_bit_identical(self, tok, lm):
-        base = search_many(
-            lm, tok, [SearchQuery(p) for p in PATTERNS], concurrency=2
-        )
-        ahead = search_many(
-            lm,
-            tok,
-            [SearchQuery(p) for p in PATTERNS],
-            concurrency=2,
-            compile_ahead=True,
-        )
-        for a, b in zip(base, ahead):
-            assert [(m.tokens, m.text, m.logprob) for m in a.results] == [
-                (m.tokens, m.text, m.logprob) for m in b.results
-            ]
-
-    def test_compile_ahead_pipelined_bit_identical(self, tok, lm):
-        base = search_many(
-            lm, tok, [SearchQuery(p) for p in PATTERNS], concurrency=2
-        )
-        ahead = search_many(
-            lm,
-            tok,
-            [SearchQuery(p) for p in PATTERNS],
-            concurrency=2,
-            compile_ahead=True,
-            pipeline=True,
-        )
-        for a, b in zip(base, ahead):
-            assert [(m.tokens, m.text, m.logprob) for m in a.results] == [
-                (m.tokens, m.text, m.logprob) for m in b.results
-            ]
-
-    def test_compile_ahead_defers_past_submit(self, tok, lm):
-        s = QueryScheduler(lm, tok, concurrency=2, compile_ahead=True)
-        handles = [s.submit(SearchQuery(p)) for p in PATTERNS]
-        assert all(h.executor is None for h in handles)
-        s.run()
-        assert all(h.executor is not None for h in handles)
-        assert all(h.done for h in handles)
-        # Queries beyond the first concurrency slots compiled mid-run.
-        assert s.stats.queries_compiled_ahead >= 1
-        assert s.compiler.cache.misses == len(PATTERNS)
-
-    def test_compile_ahead_admission_still_rejects(self, tok, lm):
-        from repro.core.preprocessors import FilterPreprocessor
-        from repro.core.query import QueryString, SimpleSearchQuery
-
-        s = QueryScheduler(lm, tok, compile_ahead=True)
-        # Statically-empty language: "a" minus "a" (RLM001, error-level).
-        bad = s.submit(
-            SimpleSearchQuery(
-                query_string=QueryString("a"),
-                preprocessors=(FilterPreprocessor(["a"]),),
-            )
-        )
-        good = s.submit(SearchQuery(PATTERNS[0]))
-        s.run()
-        assert bad.truncated and bad.truncated_reason == "rejected"
-        assert good.done and not good.truncated
-        assert s.stats.queries_rejected == 1
-
 
 class TestCompileMetrics:
     def test_metrics_reach_the_session(self, tok, lm):

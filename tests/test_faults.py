@@ -9,8 +9,7 @@ no-fault serial run.
 * fault matrix — {crash, hang, slow} × {first shard, last shard,
   every-Nth round} × workers {2, 4}, at the pool level;
 * worker-error recovery and the degraded in-process fallback;
-* scheduler sweeps under injected crashes (``RELM_CHAOS_PIPELINE=1`` runs
-  the same sweeps double-buffered — the CI chaos job exercises both);
+* scheduler sweeps under injected crashes;
 * deferred SIGINT: an interrupt mid-sweep checkpoints, unlinks every
   pooled shared-memory segment, raises ``KeyboardInterrupt``, and the
   resumed run reproduces the uninterrupted results;
@@ -35,10 +34,6 @@ from repro.core.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.core.parallel import WorkerPool
 from repro.core.query import SearchQuery
 from repro.core.scheduler import QueryBudget, QueryScheduler
-
-#: The CI chaos job runs this module twice: once with the plain scheduler
-#: loop and once double-buffered (RELM_CHAOS_PIPELINE=1).
-PIPELINE = os.environ.get("RELM_CHAOS_PIPELINE") == "1"
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -206,7 +201,7 @@ PATTERNS = [WIDE, "The (cat|dog) (ran|sat)", "A (man|woman)"]
 
 class TestSchedulerUnderFaults:
     """search_many sweeps with injected failures match fault-free serial
-    sweeps exactly (run twice by CI: plain and RELM_CHAOS_PIPELINE=1)."""
+    sweeps exactly."""
 
     @pytest.fixture(scope="class")
     def serial(self, model, tokenizer):
@@ -240,7 +235,6 @@ class TestSchedulerUnderFaults:
                 budget=QueryBudget(max_results=6),
                 concurrency=3,
                 worker_pool=pool,
-                pipeline=PIPELINE,
             )
         assert _result_sets(handles) == serial
 
@@ -249,9 +243,7 @@ class TestSchedulerUnderFaults:
         with WorkerPool(
             model, 2, min_shard_size=1, backoff_base=0.01, fault_plan=plan
         ) as pool:
-            scheduler = QueryScheduler(
-                model, tokenizer, concurrency=3, worker_pool=pool, pipeline=PIPELINE
-            )
+            scheduler = QueryScheduler(model, tokenizer, concurrency=3, worker_pool=pool)
             for p in PATTERNS:
                 scheduler.submit(SearchQuery(p), budget=QueryBudget(max_results=4))
             scheduler.run()
@@ -265,7 +257,7 @@ class TestSchedulerUnderFaults:
 class _InterruptingScheduler(QueryScheduler):
     """Delivers a real SIGINT to this process after N completed rounds —
     deterministic, unlike a timer, because the signal fires inside
-    :meth:`_complete` and run()'s deferred handler sees it at the next
+    :meth:`_round` and run()'s deferred handler sees it at the next
     round boundary.  ``segment_names`` records the pool's shared-memory
     segments alive at that moment (a shut-down pool forgets its names)."""
 
@@ -274,8 +266,8 @@ class _InterruptingScheduler(QueryScheduler):
         self._interrupt_after = interrupt_after
         self.segment_names: list[str] = []
 
-    def _complete(self, inflight):
-        super()._complete(inflight)
+    def _round(self, chosen):
+        super()._round(chosen)
         if self.stats.rounds == self._interrupt_after:
             self.segment_names = self._pool.segment_names()
             os.kill(os.getpid(), signal.SIGINT)
@@ -304,7 +296,6 @@ class TestInterruptAndResume:
                     tokenizer,
                     concurrency=3,
                     worker_pool=pool,
-                    pipeline=PIPELINE,
                     checkpoint_path=path,
                     interrupt_after=3,
                 )
@@ -373,11 +364,7 @@ mode, ckpt = sys.argv[1], sys.argv[2]
 tokenizer = build_tokenizer()
 model = build_model(tokenizer)
 patterns = {patterns!r}
-kwargs = dict(
-    budget=QueryBudget(max_results=6),
-    concurrency=3,
-    pipeline={pipeline!r},
-)
+kwargs = dict(budget=QueryBudget(max_results=6), concurrency=3)
 # round 1's first shard crashes its worker (a real SIGKILL), and every
 # parallel round's last shard returns late — stretching the sweep so
 # the parent's SIGINT lands mid-run deterministically.
@@ -425,7 +412,7 @@ class TestEndToEndChaos:
         script = str(tmp_path / "driver.py")
         ckpt = str(tmp_path / "sweep.ckpt")
         with open(script, "w") as fh:
-            fh.write(_DRIVER.format(src=SRC, patterns=PATTERNS, pipeline=PIPELINE))
+            fh.write(_DRIVER.format(src=SRC, patterns=PATTERNS))
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + os.path.dirname(SRC)
 

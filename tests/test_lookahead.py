@@ -417,10 +417,10 @@ _PORTFOLIO = [
 _TOP = 25
 
 
-def _scheduled(model, width, concurrency=4, pipeline=False, pool=None, cache=None):
+def _scheduled(model, width, concurrency=4, pool=None, cache=None):
     counting = CountingModel(model)
     scheduler = QueryScheduler(
-        counting, _TOK, concurrency=concurrency, pipeline=pipeline, worker_pool=pool,
+        counting, _TOK, concurrency=concurrency, worker_pool=pool,
         logits_cache=cache(counting) if cache is not None else None,
         batch_size=width, max_expansions=600,
     )
@@ -467,11 +467,10 @@ def test_serial_sessions_agree_within_the_waste_bound(serial_streams, width):
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
-@pytest.mark.parametrize("pipeline", [False, True])
-def test_scheduler_agrees_with_serial(serial_streams, concurrency, pipeline):
+def test_scheduler_agrees_with_serial(serial_streams, concurrency):
     want = serial_streams
-    _, base_stats, base = _scheduled(_fresh_transformer(), 1, concurrency, pipeline)
-    handles, stats, counting = _scheduled(_fresh_transformer(), None, concurrency, pipeline)
+    _, base_stats, base = _scheduled(_fresh_transformer(), 1, concurrency)
+    handles, stats, counting = _scheduled(_fresh_transformer(), None, concurrency)
     _assert_same_streams([h.results for h in handles], want)
     ahead = sum(h.stats.lookahead_contexts for h in handles)
     assert 0 < ahead <= 7 * sum(h.stats.scheduler_rounds for h in handles)
@@ -489,10 +488,9 @@ def test_two_worker_pool_agrees_with_serial(serial_streams):
     want = serial_streams
     model = _fresh_transformer()
     with WorkerPool(model, 2, min_shard_size=1) as pool:
-        for pipeline in (False, True):
-            handles, stats, _ = _scheduled(model, None, pipeline=pipeline, pool=pool)
-            _assert_same_streams([h.results for h in handles], want)
-            assert sum(h.stats.lookahead_contexts for h in handles) > 0
+        handles, stats, _ = _scheduled(model, None, pool=pool)
+        _assert_same_streams([h.results for h in handles], want)
+        assert sum(h.stats.lookahead_contexts for h in handles) > 0
         # The single-query path through the pool adapter: same width, same stream.
         pooled = PooledModel(model, pool)
         assert pooled.round_width == model.round_width

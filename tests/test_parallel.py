@@ -80,8 +80,8 @@ class TestShardedRounds:
         assert pool.shards_dispatched == before[2] + 2
 
     def test_double_buffered_rounds_interleave(self, model, pool):
-        """The pipelined scheduler's shape: dispatch R+1 before collecting
-        R.  Out-of-order completion messages go through the stash."""
+        """Two tickets in flight: dispatch R+1 before collecting R.
+        Out-of-order completion messages go through the stash."""
         a_ctxs = _contexts(8, vocab=model.vocab_size)
         b_ctxs = _contexts(12, depth=4, vocab=model.vocab_size)
         ticket_a = pool.dispatch(a_ctxs)

@@ -107,15 +107,22 @@ _KV_KNOBS = ("kv_cache", "kv_cache_mb")
 #: Set planning, deleted from the scheduler: it saved no model context the
 #: shared logits cache does not already save (``TestDuplicateQueries``).
 _PLANNER_KNOBS = ("dedupe", "subsume", "set_analyzer")
+#: Alternative drive loops, deleted from the scheduler: neither won on a
+#: pooled multi-query run, and ``run()`` is ``while step()``.
+_DRIVE_LOOP_KNOBS = ("pipeline", "compile_ahead")
 REMOVED_KEYWORDS = {
     "Executor": ("backend",),
     "GraphCompiler": ("minimize_tokens",),
     "AutomatonArrays": ("dense_budget",),
     "SearchSession": _POOL_KNOBS + _KV_KNOBS + ("backend",),
     "prepare": _POOL_KNOBS + _KV_KNOBS + ("backend",),
-    "search_many": _POOL_KNOBS + _KV_KNOBS + ("backend",),
-    "QueryScheduler": _POOL_KNOBS + _KV_KNOBS + _PLANNER_KNOBS + ("backend",),
-    "SchedulerService": _POOL_KNOBS + _KV_KNOBS + ("backend", "compile_cache"),
+    "search_many": _POOL_KNOBS + _KV_KNOBS + _DRIVE_LOOP_KNOBS + ("backend",),
+    "QueryScheduler": (
+        _POOL_KNOBS + _KV_KNOBS + _PLANNER_KNOBS + _DRIVE_LOOP_KNOBS + ("backend",)
+    ),
+    "SchedulerService": (
+        _POOL_KNOBS + _KV_KNOBS + _DRIVE_LOOP_KNOBS + ("backend", "compile_cache")
+    ),
 }
 
 #: Stats fields deleted because another object owns the counter — read it
@@ -142,6 +149,7 @@ REMOVED_STATS_FIELDS = {
     ),
     "SchedulerStats": (
         _POOL_MIRRORS + _PREFIX_MIRRORS + _COMPILE_CACHE_MIRRORS + _PLANNER_COUNTERS
+        + ("queries_compiled_ahead",)
     ),
     "ServiceStats": _COMPILE_CACHE_MIRRORS,
 }
@@ -208,8 +216,8 @@ class TestRemovedKeywords:
         assert len(named(Executor.__init__)) == 8
         assert len(named(GraphCompiler.__init__)) == 4
         assert named(SearchSession.__init__) == ["compiler"]
-        assert len(named(search_many)) == 11
-        assert len(named(QueryScheduler.__init__)) == 15
+        assert len(named(search_many)) == 9
+        assert len(named(QueryScheduler.__init__)) == 13
         assert len(named(SchedulerService.__init__)) == 14
         for fn in (search_many, QueryScheduler.__init__, SchedulerService.__init__):
             assert "worker_pool" in named(fn)
@@ -222,7 +230,7 @@ class TestRemovedKeywords:
         from repro.core.results import ExecutionStats, SchedulerStats
         from repro.service import ServiceStats
 
-        for cls, size in ((ExecutionStats, 13), (SchedulerStats, 18), (ServiceStats, 19)):
+        for cls, size in ((ExecutionStats, 13), (SchedulerStats, 17), (ServiceStats, 19)):
             assert len(dataclasses.fields(cls)) == size, cls.__name__
             for removed in REMOVED_STATS_FIELDS[cls.__name__]:
                 with pytest.raises(AttributeError):

@@ -551,20 +551,11 @@ class TestInlineAnswers:
         # The short query finished while the long one still had work left.
         assert handles[1].stats.lm_calls < sum(steps[: len(steps) // 2])
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"pipeline": True},
-            {"pipeline": True, "workers": 2},
-            {"compile_ahead": True},
-            {"compile_ahead": True, "pipeline": True, "concurrency": 2},
-        ],
-        ids=["pipeline", "pipeline_pool", "compile_ahead", "compile_ahead_pipeline"],
-    )
-    def test_ready_queries_are_never_stranded(self, model, tokenizer, warm, kwargs):
-        """``pipeline`` / ``compile_ahead`` over warm caches: nobody is
-        ever *waiting*, so the drive loop must keep going for queries that
-        are merely ready."""
+    @pytest.mark.parametrize("workers", [None, 2], ids=["plain", "pool"])
+    def test_ready_queries_are_never_stranded(self, model, tokenizer, warm, workers):
+        """Over warm caches nobody is ever *waiting*, so ``run()`` must
+        keep going for queries that are merely ready — with and without a
+        worker pool attached."""
         from repro.core.parallel import WorkerPool
 
         counting, cache = warm
@@ -572,12 +563,10 @@ class TestInlineAnswers:
         serial = [
             _serial_matches(model, tokenizer, q, **kw) for q, kw in self.PORTFOLIO
         ]
-        kwargs = dict(kwargs)
-        workers = kwargs.pop("workers", None)
         pool = WorkerPool(counting, workers, min_shard_size=1) if workers else None
         try:
             scheduler = QueryScheduler(
-                counting, tokenizer, logits_cache=cache, worker_pool=pool, **kwargs
+                counting, tokenizer, logits_cache=cache, worker_pool=pool
             )
             handles = [scheduler.submit(q, **kw) for q, kw in self.PORTFOLIO]
             scheduler.run()
@@ -639,31 +628,6 @@ class TestCompileErrors:
         assert scheduler.step() is False
         # The failed submit did not even reserve its name.
         assert scheduler.submit(SearchQuery(self.GOOD[1]), name="bad").name == "bad"
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{}, {"pipeline": True}],
-        ids=["plain", "pipeline"],
-    )
-    def test_deferred_compile_error_rejects_only_that_query(
-        self, model, tokenizer, kwargs
-    ):
-        scheduler = QueryScheduler(
-            model, tokenizer, compile_ahead=True, concurrency=2, **kwargs
-        )
-        first = scheduler.submit(SearchQuery(self.GOOD[0]))
-        bad = scheduler.submit(SearchQuery(self.BAD))
-        second = scheduler.submit(SearchQuery(self.GOOD[1]))
-        scheduler.run()
-        assert bad.done and bad.truncated and bad.truncated_reason == "rejected"
-        assert isinstance(bad.error, RegexSyntaxError)
-        assert bad.results == [] and bad.stats.lm_calls == 0
-        for handle, pattern in zip((first, second), self.GOOD):
-            assert handle.done and not handle.truncated and handle.error is None
-            assert handle.results == _serial_matches(model, tokenizer, SearchQuery(pattern))
-        stats = scheduler.stats
-        assert (stats.queries_submitted, stats.queries_completed) == (3, 2)
-        assert stats.queries_rejected == 1
 
 
 class TestSchedulerSurface:

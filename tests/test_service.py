@@ -446,6 +446,48 @@ class TestCancel:
 
         asyncio.run(scenario())
 
+    def test_cancel_after_natural_completion_sends_one_done(self, model, tokenizer):
+        """A query that finished on its own before the client's cancel
+        landed: its undelivered tail is dropped, exactly one ``done``
+        (``cancelled``, counting what was delivered) is sent, and the
+        engine thread goes idle instead of spinning on the cancelled
+        ticket."""
+        frames = []
+        service = SchedulerService(model, tokenizer).start()
+        try:
+            session = service.open_session(frames.append)
+            session.submit(
+                "q", SearchQuery("The ((cat)|(dog)|(man)|(woman))"), QueryBudget(), window=1
+            )
+
+            def wait_for(predicate):
+                deadline = time.monotonic() + 10.0
+                while not predicate():
+                    assert time.monotonic() < deadline, f"timed out; frames: {frames}"
+                    time.sleep(0.01)
+
+            ticket = session._tickets["q"]
+            wait_for(
+                lambda: ticket.handle is not None
+                and ticket.handle.done
+                and any(f["type"] == "match" for f in frames)
+            )
+            assert len(ticket.handle.results) == 4
+            session.cancel("q")
+            wait_for(lambda: any(f["type"] == "done" for f in frames))
+            time.sleep(0.2)  # room for a second, wrong terminal frame
+            done = [f for f in frames if f["type"] == "done"]
+            assert len(done) == 1
+            assert done[0]["status"] == "cancelled"
+            assert done[0]["matches"] == 1
+            assert [f["type"] for f in frames if f["type"] != "progress"] == ["match", "done"]
+            with service._cond:
+                assert service._active == []
+                assert not service._work_available()
+        finally:
+            service.close()
+            assert service.join(timeout=10.0)
+
 
 class TestQuotas:
     def test_inflight_quota_rejects_second_query(self, model, tokenizer):
