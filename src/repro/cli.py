@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "the scheduler)",
         )
         p.add_argument(
-            "--fairness",
-            choices=["round_robin", "shortest_frontier", "cheapest_cost"],
-            default="round_robin",
-            help="which waiting queries join a capped scheduler round",
-        )
-        p.add_argument(
             "--workers", type=int, default=0,
             help="shard each coalesced LM round across N model-replica "
                  "processes (for 'query', >1 engages the scheduler; results "
@@ -420,7 +414,6 @@ def _cmd_query_scheduled(args, env, queries, compiler, pool) -> int:
         args.model,
         compiler=compiler,
         concurrency=args.concurrency,
-        fairness=args.fairness,
         worker_pool=pool,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
@@ -845,7 +838,6 @@ def _cmd_serve(args) -> int:
             compiler=compiler,
             logits_cache=env.logits_cache(args.model),
             concurrency=args.concurrency,
-            fairness=args.fairness,
             admission_max_cost=args.admission_max_cost,
             max_inflight=args.max_inflight,
             lm_calls_per_minute=args.lm_calls_per_minute,

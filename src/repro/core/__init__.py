@@ -25,13 +25,8 @@ from repro.core.compiler import (
 )
 from repro.core.diagnostics import EliminationTracker
 from repro.core.executor import Executor, LmRequest
-from repro.core.parallel import PooledModel, RoundTicket, WorkerPool
-from repro.core.scheduler import (
-    FAIRNESS_POLICIES,
-    QueryBudget,
-    QueryScheduler,
-    ScheduledQuery,
-)
+from repro.core.parallel import PooledModel, WorkerPool
+from repro.core.scheduler import QueryBudget, QueryScheduler, ScheduledQuery
 from repro.core.preprocessors import (
     CaseFoldPreprocessor,
     FilterPreprocessor,
@@ -59,10 +54,8 @@ __all__ = [
     "QueryBudget",
     "ScheduledQuery",
     "SchedulerStats",
-    "FAIRNESS_POLICIES",
     "WorkerPool",
     "PooledModel",
-    "RoundTicket",
     "LmRequest",
     "MatchWriter",
     "read_matches",

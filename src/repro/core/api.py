@@ -115,7 +115,6 @@ def search_many(
     queries: Sequence[SimpleSearchQuery],
     *,
     concurrency: int = 8,
-    fairness: str = "round_robin",
     compiler: GraphCompiler | None = None,
     logits_cache: LogitsCache | None = None,
     budget: QueryBudget | None = None,
@@ -154,7 +153,6 @@ def search_many(
         compiler=compiler,
         logits_cache=logits_cache,
         concurrency=concurrency,
-        fairness=fairness,
         worker_pool=worker_pool,
         checkpoint_path=checkpoint,
         checkpoint_every=checkpoint_every,

@@ -28,10 +28,6 @@ Design notes:
 * **Adaptive shard sizing.**  Rounds smaller than ``min_shard_size * 2``
   contexts fall back to in-process evaluation — no IPC, no shared-memory
   traffic — so tiny rounds (single-query random sampling) pay nothing.
-* **Split-phase rounds.**  :meth:`WorkerPool.dispatch` returns a
-  :class:`RoundTicket` immediately; :meth:`WorkerPool.collect` blocks on
-  it.  :meth:`WorkerPool.logprobs_batch` — what the scheduler calls once
-  per round — is the two back to back.
 * **Supervision, not crash-propagation.**  A worker that dies, errors, or
   blows the ``shard_timeout`` deadline no longer poisons the run: the
   failed shard is retried with exponential backoff on a respawned worker,
@@ -59,7 +55,7 @@ import numpy as np
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.lm.base import LanguageModel, LogitsCache, ModelSpec
 
-__all__ = ["WorkerPool", "PooledModel", "RoundTicket"]
+__all__ = ["WorkerPool", "PooledModel"]
 
 #: Smallest shared-memory segment we bother creating (segments are pooled
 #: by rounded-up size, so a generous floor maximises reuse).
@@ -191,7 +187,7 @@ class _SegmentPool:
     """Parent-owned pool of shared-memory segments, reused across rounds.
 
     Segments are created on demand (size rounded up to a power of two) and
-    returned to the free list after each collect; :meth:`destroy` closes
+    returned to the free list after each round; :meth:`destroy` closes
     and unlinks every segment ever created.  The parent is the sole owner:
     workers only ever attach, so there is exactly one unlink per segment.
     """
@@ -303,31 +299,6 @@ class _Shard:
     attempts: int = 0
     deadline: float | None = None
     degraded: bool = False
-
-
-@dataclass
-class RoundTicket:
-    """Handle for a dispatched (possibly still computing) logits round.
-
-    Returned by :meth:`WorkerPool.dispatch`; redeemed exactly once with
-    :meth:`WorkerPool.collect`.  ``shards`` is empty for rounds the
-    adaptive sizer kept in-process (evaluated lazily at collect time).
-    """
-
-    contexts: list[tuple[int, ...]]
-    shards: list[_Shard] = field(default_factory=list)
-    started: float = 0.0
-    collected: bool = False
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this round was sharded across workers."""
-        return bool(self.shards)
-
-    @property
-    def shard_sizes(self) -> list[int]:
-        """Row count per dispatched shard (empty for inline rounds)."""
-        return [shard.n_rows for shard in self.shards]
 
 
 class WorkerPool:
@@ -503,7 +474,7 @@ class WorkerPool:
 
         Idempotent and exception-free — safe to call repeatedly, after
         worker crashes, and from ``finally`` blocks; after shutdown
-        :meth:`dispatch` raises.
+        :meth:`logprobs_batch` raises.
         """
         if self._closed:
             return
@@ -552,33 +523,32 @@ class WorkerPool:
 
     # -- evaluation ----------------------------------------------------------
     def logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> list[np.ndarray]:
-        """Synchronous sharded evaluation of one context batch."""
-        return self.collect(self.dispatch(contexts))
+        """Evaluate one round of *contexts*; rows in input order.
 
-    def dispatch(self, contexts: Sequence[Sequence[int]]) -> RoundTicket:
-        """Start evaluating *contexts*; returns immediately.
-
-        Contiguous shards go to workers ``0..k-1`` in order; rounds the
-        adaptive sizer deems too small are deferred to collect time and
-        evaluated in-process.
+        Contiguous shards go to workers ``0..k-1`` in order and are
+        reassembled in that order; rounds the adaptive sizer deems too
+        small are evaluated in-process.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
         if self._broken:
             raise RuntimeError("WorkerPool is broken (a worker died or errored)")
+        started = time.perf_counter()
         keys = [tuple(c) for c in contexts]
         self.rounds += 1
         self.contexts_evaluated += len(keys)
-        ticket = RoundTicket(contexts=keys, started=time.perf_counter())
         sizes = self._shard_sizes(len(keys))
         if sizes is None:
             self.inline_rounds += 1
-            return ticket
+            inline = [np.asarray(r) for r in self._local().logprobs_batch(keys)]
+            self.wall_ms += (time.perf_counter() - started) * 1e3
+            return inline
         self.parallel_rounds += 1
         self.shards_dispatched += len(sizes)
         round_index = self._round_index
         self._round_index += 1
         row_bytes = self.vocab_size * 8
+        shards: list[_Shard] = []
         offset = 0
         for shard_index, size in enumerate(sizes):
             chunk = keys[offset : offset + size]
@@ -595,20 +565,9 @@ class WorkerPool:
                 n_shards=len(sizes),
             )
             self._dispatch_shard(shard)
-            ticket.shards.append(shard)
-        return ticket
-
-    def collect(self, ticket: RoundTicket) -> list[np.ndarray]:
-        """Block until *ticket*'s round is done; rows in dispatch order."""
-        if ticket.collected:
-            raise RuntimeError("RoundTicket already collected")
-        ticket.collected = True
-        if not ticket.shards:
-            inline = [np.asarray(r) for r in self._local().logprobs_batch(ticket.contexts)]
-            self.wall_ms += (time.perf_counter() - ticket.started) * 1e3
-            return inline
+            shards.append(shard)
         rows: list[np.ndarray] = []
-        for shard in ticket.shards:
+        for shard in shards:
             self._await(shard)
             view = np.ndarray(
                 (shard.n_rows, self.vocab_size), dtype=np.float64, buffer=shard.segment.buf
@@ -617,9 +576,9 @@ class WorkerPool:
                 rows.append(view[r].copy())
             del view
             self._segments.release(shard.segment)
-        if any(shard.degraded for shard in ticket.shards):
+        if any(shard.degraded for shard in shards):
             self.degraded_rounds += 1
-        self.wall_ms += (time.perf_counter() - ticket.started) * 1e3
+        self.wall_ms += (time.perf_counter() - started) * 1e3
         return rows
 
     # -- internals -----------------------------------------------------------

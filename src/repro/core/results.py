@@ -123,8 +123,9 @@ class SchedulerStats:
     always maintained; the full per-round logs — ``round_sizes`` (the
     coalesced batch size of every round, the scheduler's throughput lever)
     and ``round_members`` (which queries shared each round, what the
-    fairness policies act on) — grow with every round, so the scheduler
-    only fills them when constructed with ``record_history=True``.
+    round-robin rotation decides when ``concurrency`` caps a round) —
+    grow with every round, so the scheduler only fills them when
+    constructed with ``record_history=True``.
 
     Worker-pool, prefix-state-cache and compilation-cache counters are not
     mirrored here: read ``pool.stats()``, ``model.prefix_cache.stats()``,

@@ -35,21 +35,19 @@ Guarantees:
   produced, and is flagged ``truncated``.
 * **Cancellation** — :meth:`ScheduledQuery.cancel` stops a query at the
   next boundary; a cancelled query never issues another LM call.
-* **Fairness** — when a round cannot service every waiting query
+* **Rotation** — when a round cannot service every waiting query
   (``concurrency`` caps queries per *model round*; a cached answer takes
   no slot, but a query is handed back to the drive loop at the first
   inline answer after a match and after ``_INLINE_QUANTUM`` inline
-  answers, so a long warm query cannot starve its peers),
-  ``fairness="round_robin"``
-  rotates who goes first, ``fairness="shortest_frontier"`` services the
-  smallest pending frontiers first (latency-oriented: cheap templated
-  queries drain quickly between heavy ones), and
-  ``fairness="cheapest_cost"`` orders by the static analyzer's LM-call
-  bound (EXPLAIN-driven: provably light queries drain first).
+  answers, so a long warm query cannot starve its peers), the start
+  position rotates round-robin across rounds, so every query is serviced
+  regardless of submission order.
 * **Admission control** — queries the static analyzer proves fruitless
   (error-level findings, e.g. an empty language) are rejected at submit
   with zero LM calls; ``admission_max_cost`` additionally refuses queries
-  whose estimated LM-call bound exceeds the cap.
+  whose estimated LM-call bound exceeds the cap.  Under a compiler built
+  with ``analyzer=False`` no query has a report, so every query is
+  admitted.
 """
 
 from __future__ import annotations
@@ -73,10 +71,7 @@ from repro.core.results import ExecutionStats, MatchResult, SchedulerStats
 from repro.lm.base import LanguageModel, LogitsCache
 from repro.tokenizers.bpe import BPETokenizer
 
-__all__ = ["QueryBudget", "ScheduledQuery", "QueryScheduler", "FAIRNESS_POLICIES"]
-
-#: Recognised fairness policies (which waiting queries join a capped round).
-FAIRNESS_POLICIES = ("round_robin", "shortest_frontier", "cheapest_cost")
+__all__ = ["QueryBudget", "ScheduledQuery", "QueryScheduler"]
 
 #: Fully cached requests one query may have answered inline per turn of the
 #: drive loop before it is handed back, so a long warm query cannot starve
@@ -186,11 +181,11 @@ class QueryScheduler:
     :class:`LogitsCache` — the two cross-query caches that make templated
     query loops cheap.  ``concurrency`` caps how many queries join one
     *model* round (a request the cache answers inline takes no slot);
-    ``fairness`` picks who joins when the cap binds.  ``clock`` is
+    when the cap binds, who joins rotates round-robin.  ``clock`` is
     injectable for deterministic deadline tests.  ``record_history=True``
     additionally retains the full merged match stream (:attr:`merged`) and
     per-round logs (``stats.round_sizes`` / ``stats.round_members``) — the
-    property and fairness suites rely on these, but a long-lived scheduler
+    property suites rely on these, but a long-lived scheduler
     would retain every match twice, so recording is off by default
     (aggregate metrics like ``mean_round_size`` are always kept).
     When the model carries a prefix-state (KV) cache (see
@@ -227,10 +222,8 @@ class QueryScheduler:
         compiler: GraphCompiler | None = None,
         logits_cache: LogitsCache | None = None,
         concurrency: int = 8,
-        fairness: str = "round_robin",
         clock: Callable[[], float] = time.monotonic,
         record_history: bool = False,
-        admission_control: bool = True,
         admission_max_cost: int | None = None,
         worker_pool: WorkerPool | None = None,
         checkpoint_path: str | None = None,
@@ -241,10 +234,6 @@ class QueryScheduler:
     ) -> None:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if fairness not in FAIRNESS_POLICIES:
-            raise ValueError(
-                f"unknown fairness policy {fairness!r} (use one of {FAIRNESS_POLICIES})"
-            )
         if resume and checkpoint_path is None:
             raise ValueError("resume=True requires a checkpoint_path")
         if checkpoint_every < 1:
@@ -270,7 +259,6 @@ class QueryScheduler:
             raise ValueError("shared logits_cache was built for a different model")
         self.logits_cache = logits_cache
         self.concurrency = concurrency
-        self.fairness = fairness
         self.clock = clock
         self.record_history = record_history
         #: Admission control: refuse queries the static analyzer proves
@@ -278,7 +266,6 @@ class QueryScheduler:
         #: when ``admission_max_cost`` is set, queries whose estimated
         #: LM-call bound exceeds it (reason ``"rejected_cost"``).  Both
         #: finish at submit time with zero LM calls and empty results.
-        self.admission_control = admission_control
         self.admission_max_cost = admission_max_cost
         self.executor_defaults = executor_defaults
         # Process-parallel evaluation: an attached pool serves each round's
@@ -363,16 +350,15 @@ class QueryScheduler:
         report = sq.report
         if report is not None:
             self.stats.per_query_verdict[sq.name] = report.verdict
-            if self.admission_control:
-                if report.has_errors:
-                    self._finish(sq, truncated=True, reason="rejected")
-                elif (
-                    self.admission_max_cost is not None
-                    and report.cost is not None
-                    and report.cost.lm_calls_bound is not None
-                    and report.cost.lm_calls_bound > self.admission_max_cost
-                ):
-                    self._finish(sq, truncated=True, reason="rejected_cost")
+            if report.has_errors:
+                self._finish(sq, truncated=True, reason="rejected")
+            elif (
+                self.admission_max_cost is not None
+                and report.cost is not None
+                and report.cost.lm_calls_bound is not None
+                and report.cost.lm_calls_bound > self.admission_max_cost
+            ):
+                self._finish(sq, truncated=True, reason="rejected_cost")
 
     # -- driving ------------------------------------------------------------------
     def run(self) -> list[ScheduledQuery]:
@@ -426,8 +412,8 @@ class QueryScheduler:
         demands inline, collecting matches, enforcing budgets and
         cancellations — until it misses the cache or is handed back (an
         inline answer after a match, or its inline quantum used); then, if
-        any query missed, pick up to ``concurrency`` of them per the
-        fairness policy, service their contexts in one coalesced cache
+        any query missed, pick up to ``concurrency`` of them (rotating
+        round-robin), service their contexts in one coalesced cache
         round, and resume them with the scores.  A turn in which nobody
         missed runs no round at all.
         """
@@ -675,29 +661,11 @@ class QueryScheduler:
         else:
             self.stats.queries_completed += 1
 
-    # -- fairness -----------------------------------------------------------------
+    # -- selection ----------------------------------------------------------------
     def _select(self, waiting: list[ScheduledQuery]) -> list[ScheduledQuery]:
         """Pick which waiting queries join this round (≤ ``concurrency``)."""
         if len(waiting) <= self.concurrency:
             return waiting
-        if self.fairness == "shortest_frontier":
-            ranked = sorted(
-                waiting, key=lambda sq: (len(sq._pending.contexts), sq.index)
-            )
-            return ranked[:self.concurrency]
-        if self.fairness == "cheapest_cost":
-            # Statically-cheapest queries first (EXPLAIN's LM-call bound):
-            # templated light queries drain ahead of heavy scans, with the
-            # frontier size breaking ties among equally-estimated queries.
-            ranked = sorted(
-                waiting,
-                key=lambda sq: (
-                    self._cost_rank(sq),
-                    len(sq._pending.contexts),
-                    sq.index,
-                ),
-            )
-            return ranked[:self.concurrency]
         # round_robin: rotate the start position across rounds so every
         # query gets serviced regardless of submission order.
         total = len(self.queries)
@@ -707,11 +675,3 @@ class QueryScheduler:
         chosen = ranked[:self.concurrency]
         self._rr_next = (chosen[-1].index + 1) % total
         return chosen
-
-    @staticmethod
-    def _cost_rank(sq: ScheduledQuery) -> int:
-        """Static LM-call bound for ordering (∞-ish when unanalyzed)."""
-        report = sq.report
-        if report is None or report.cost is None or report.cost.lm_calls_bound is None:
-            return 1 << 62
-        return report.cost.lm_calls_bound

@@ -361,9 +361,9 @@ class LogitsCache:
 
         Internally this is :meth:`begin_round` (detect the round-unique
         missing contexts) + one model call + :meth:`finish_round`
-        (attribute rows).  Callers that want to evaluate the missing set
-        elsewhere — e.g. dispatch it to a worker pool and expand another
-        query's frontier meanwhile — use the split-phase API directly.
+        (attribute rows).  Callers that evaluate the missing set elsewhere
+        — e.g. shard it across a worker pool — use the split-phase API
+        directly.
         """
         plan = self.begin_round(groups)
         fresh = self.model.logprobs_batch(plan.missing_contexts()) if plan.missing else []

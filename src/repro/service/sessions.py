@@ -56,7 +56,7 @@ from repro.core.compiler import CompilationCache, GraphCompiler
 from repro.core.parallel import WorkerPool
 from repro.core.query import SimpleSearchQuery
 from repro.core.results import SchedulerStats
-from repro.core.scheduler import FAIRNESS_POLICIES, QueryBudget, QueryScheduler, ScheduledQuery
+from repro.core.scheduler import QueryBudget, QueryScheduler, ScheduledQuery
 from repro.lm.base import LanguageModel, LogitsCache
 from repro.service import protocol
 from repro.tokenizers.bpe import BPETokenizer
@@ -250,7 +250,6 @@ class SchedulerService:
         compiler: GraphCompiler | None = None,
         logits_cache: LogitsCache | None = None,
         concurrency: int = 8,
-        fairness: str = "round_robin",
         admission_max_cost: int | None = None,
         max_inflight: int = 8,
         lm_calls_per_minute: int | None = None,
@@ -263,10 +262,10 @@ class SchedulerService:
         clock: Callable[[], float] = time.monotonic,
         **executor_defaults: Any,
     ) -> None:
-        if fairness not in FAIRNESS_POLICIES:
-            raise ValueError(
-                f"unknown fairness policy {fairness!r} (use one of {FAIRNESS_POLICIES})"
-            )
+        if concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if default_window < 1:
@@ -286,7 +285,6 @@ class SchedulerService:
             raise ValueError("shared logits_cache was built for a different model")
         self.logits_cache = logits_cache
         self.concurrency = concurrency
-        self.fairness = fairness
         self.admission_max_cost = admission_max_cost
         self.max_inflight = max_inflight
         self.lm_calls_per_minute = lm_calls_per_minute
@@ -558,7 +556,6 @@ class SchedulerService:
                 compiler=self.compiler,
                 logits_cache=self.logits_cache,
                 concurrency=self.concurrency,
-                fairness=self.fairness,
                 worker_pool=self._pool,
                 admission_max_cost=self.admission_max_cost,
                 checkpoint_path=self.checkpoint_path,

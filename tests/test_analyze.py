@@ -495,8 +495,9 @@ class TestEmptyShortCircuitScheduled:
         assert "per_query_verdict" in payload
 
     def test_without_admission_control_short_circuits(self, tokenizer):
+        # Admission is off when the compiler analyzes nothing.
         counting, scheduler = self._counting_scheduler(
-            tokenizer, admission_control=False
+            tokenizer, compiler=GraphCompiler(tokenizer, analyzer=False)
         )
         handle = scheduler.submit(empty_query())
         scheduler.run()
@@ -513,14 +514,6 @@ class TestEmptyShortCircuitScheduled:
         scheduler.run()
         assert handle.truncated and handle.truncated_reason == "rejected_cost"
         assert scheduler.stats.queries_rejected == 1
-
-    def test_cheapest_cost_fairness_runs(self, model, tokenizer):
-        scheduler = QueryScheduler(model, tokenizer, fairness="cheapest_cost")
-        a = scheduler.submit(SearchQuery("The cat"))
-        b = scheduler.submit(SearchQuery("The dog"))
-        scheduler.run()
-        assert {m.text for m in a.results} == {"The cat"}
-        assert {m.text for m in b.results} == {"The dog"}
 
 
 class TestFindingPrimitives:

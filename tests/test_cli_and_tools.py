@@ -154,6 +154,14 @@ class TestCLI:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_removed_fairness_flag_is_a_usage_error(self, capsys):
+        """A capped round always rotates round-robin; there is no policy
+        to pick."""
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "The cat", "--fairness", "round_robin"])
+        assert exc.value.code == 2
+        assert "--fairness" in capsys.readouterr().err
+
     def test_query_command(self, capsys):
         code = main(["query", "The ((cat)|(dog))", "--max-matches", "2"])
         out = capsys.readouterr().out

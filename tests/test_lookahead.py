@@ -499,27 +499,6 @@ def test_two_worker_pool_agrees_with_serial(serial_streams):
         assert stats.lookahead_contexts > 0
 
 
-def test_shortest_frontier_ranks_on_needed_contexts_only():
-    """Lookahead rides in the plan, not in the request: the fairness key
-    (``len(request.contexts)``) cannot see it."""
-    model = _fresh_transformer()
-    scheduler = QueryScheduler(
-        model, _TOK, concurrency=1, fairness="shortest_frontier", record_history=True,
-    )
-    handles = [scheduler.submit(q, budget=QueryBudget(max_results=_TOP)) for q in _PORTFOLIO[:2]]
-    reference = QueryScheduler(
-        _fresh_transformer(), _TOK, concurrency=1, fairness="shortest_frontier",
-        record_history=True, batch_size=1,
-    )
-    for q in _PORTFOLIO[:2]:
-        reference.submit(q, budget=QueryBudget(max_results=_TOP))
-    scheduler.run()
-    reference.run()
-    assert sum(h.stats.lookahead_contexts for h in handles) > 0
-    # Same queries at the head of the rounds both schedulers still run.
-    assert set(scheduler.stats.round_members) == set(reference.stats.round_members)
-
-
 # -- harness-shaped proxies ------------------------------------------------------
 
 class _SpanCache(LogitsCache):

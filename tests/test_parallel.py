@@ -1,10 +1,10 @@
 """Unit tests for the process-parallel evaluation engine.
 
 :class:`WorkerPool` mechanics — sharded rounds bit-identical to serial
-evaluation, the adaptive inline fallback, double-buffered dispatch/collect,
-crash containment (a killed worker raises cleanly instead of hanging), and
-shared-memory segment lifecycle (pooled reuse while open, every segment
-unlinked at shutdown) — plus :class:`~repro.lm.base.ModelSpec` pickling and
+evaluation, the adaptive inline fallback, crash containment (a killed
+worker raises cleanly instead of hanging), and shared-memory segment
+lifecycle (pooled reuse while open, every segment unlinked at shutdown) —
+plus :class:`~repro.lm.base.ModelSpec` pickling and
 the batch-dedupe guarantee of ``logprobs_batch``.
 """
 
@@ -70,33 +70,12 @@ class TestShardedRounds:
             assert np.array_equal(a, b)
 
     def test_counters_and_shard_sizes(self, model, pool):
+        assert pool._shard_sizes(10) == [5, 5]
         before = (pool.rounds, pool.parallel_rounds, pool.shards_dispatched)
-        ticket = pool.dispatch(_contexts(10, vocab=model.vocab_size))
-        assert ticket.parallel
-        assert ticket.shard_sizes == [5, 5]
-        pool.collect(ticket)
+        pool.logprobs_batch(_contexts(10, vocab=model.vocab_size))
         assert pool.rounds == before[0] + 1
         assert pool.parallel_rounds == before[1] + 1
         assert pool.shards_dispatched == before[2] + 2
-
-    def test_double_buffered_rounds_interleave(self, model, pool):
-        """Two tickets in flight: dispatch R+1 before collecting R.
-        Out-of-order completion messages go through the stash."""
-        a_ctxs = _contexts(8, vocab=model.vocab_size)
-        b_ctxs = _contexts(12, depth=4, vocab=model.vocab_size)
-        ticket_a = pool.dispatch(a_ctxs)
-        ticket_b = pool.dispatch(b_ctxs)
-        rows_a = pool.collect(ticket_a)
-        rows_b = pool.collect(ticket_b)
-        for got, ctxs in ((rows_a, a_ctxs), (rows_b, b_ctxs)):
-            for row, ctx in zip(got, model.logprobs_batch(ctxs)):
-                assert np.array_equal(row, ctx)
-
-    def test_ticket_redeemed_once(self, model, pool):
-        ticket = pool.dispatch(_contexts(6, vocab=model.vocab_size))
-        pool.collect(ticket)
-        with pytest.raises(RuntimeError, match="already collected"):
-            pool.collect(ticket)
 
     def test_segments_pooled_not_leaked(self, model, pool):
         """Steady-state rounds reuse segments instead of allocating."""
@@ -111,15 +90,14 @@ class TestShardedRounds:
 class TestInlineFallback:
     def test_small_rounds_stay_in_process(self, model):
         with WorkerPool(model, 2, min_shard_size=8) as pool:
-            ticket = pool.dispatch(_contexts(9, vocab=model.vocab_size))
-            assert not ticket.parallel  # 9 // 8 == 1 shard -> inline
-            rows = pool.collect(ticket)
+            assert pool._shard_sizes(9) is None  # 9 // 8 == 1 shard -> inline
+            rows = pool.logprobs_batch(_contexts(9, vocab=model.vocab_size))
             assert pool.inline_rounds == 1 and pool.parallel_rounds == 0
             for a, b in zip(model.logprobs_batch(_contexts(9, vocab=model.vocab_size)), rows):
                 assert np.array_equal(a, b)
-            ticket = pool.dispatch(_contexts(16, vocab=model.vocab_size))
-            assert ticket.shard_sizes == [8, 8]
-            pool.collect(ticket)
+            assert pool._shard_sizes(16) == [8, 8]
+            pool.logprobs_batch(_contexts(16, vocab=model.vocab_size))
+            assert pool.parallel_rounds == 1 and pool.shards_dispatched == 2
 
     def test_workers_1_is_a_passthrough(self, model):
         pool = WorkerPool(model, 1)
@@ -146,7 +124,7 @@ class TestLifecycle:
         pool.shutdown()  # no-op
         pool.close()  # alias, also a no-op
         with pytest.raises(RuntimeError, match="closed"):
-            pool.dispatch(_contexts(4, vocab=model.vocab_size))
+            pool.logprobs_batch(_contexts(4, vocab=model.vocab_size))
 
     def test_killed_worker_raises_cleanly_and_releases_segments(self, model):
         """Legacy fail-fast contract (``max_retries=None``): a SIGKILLed
@@ -166,7 +144,7 @@ class TestLifecycle:
                 pool.logprobs_batch(_contexts(8, vocab=model.vocab_size))
             assert time.monotonic() - start < 30.0
             with pytest.raises(RuntimeError, match="broken"):
-                pool.dispatch(_contexts(8, vocab=model.vocab_size))
+                pool.logprobs_batch(_contexts(8, vocab=model.vocab_size))
             names = pool.segment_names()
         finally:
             pool.shutdown()

@@ -110,18 +110,26 @@ _PLANNER_KNOBS = ("dedupe", "subsume", "set_analyzer")
 #: Alternative drive loops, deleted from the scheduler: neither won on a
 #: pooled multi-query run, and ``run()`` is ``while step()``.
 _DRIVE_LOOP_KNOBS = ("pipeline", "compile_ahead")
+#: Capped-round policies other than round-robin rotation, deleted: no
+#: workload or experiment ever had more queries waiting than ``concurrency``.
+_FAIRNESS_KNOBS = ("fairness",)
 REMOVED_KEYWORDS = {
     "Executor": ("backend",),
     "GraphCompiler": ("minimize_tokens",),
     "AutomatonArrays": ("dense_budget",),
     "SearchSession": _POOL_KNOBS + _KV_KNOBS + ("backend",),
     "prepare": _POOL_KNOBS + _KV_KNOBS + ("backend",),
-    "search_many": _POOL_KNOBS + _KV_KNOBS + _DRIVE_LOOP_KNOBS + ("backend",),
+    "search_many": (
+        _POOL_KNOBS + _KV_KNOBS + _DRIVE_LOOP_KNOBS + _FAIRNESS_KNOBS + ("backend",)
+    ),
+    # Admission is turned off at the compiler (``analyzer=False``).
     "QueryScheduler": (
-        _POOL_KNOBS + _KV_KNOBS + _PLANNER_KNOBS + _DRIVE_LOOP_KNOBS + ("backend",)
+        _POOL_KNOBS + _KV_KNOBS + _PLANNER_KNOBS + _DRIVE_LOOP_KNOBS + _FAIRNESS_KNOBS
+        + ("backend", "admission_control")
     ),
     "SchedulerService": (
-        _POOL_KNOBS + _KV_KNOBS + _DRIVE_LOOP_KNOBS + ("backend", "compile_cache")
+        _POOL_KNOBS + _KV_KNOBS + _DRIVE_LOOP_KNOBS + _FAIRNESS_KNOBS
+        + ("backend", "compile_cache")
     ),
 }
 
@@ -216,9 +224,9 @@ class TestRemovedKeywords:
         assert len(named(Executor.__init__)) == 8
         assert len(named(GraphCompiler.__init__)) == 4
         assert named(SearchSession.__init__) == ["compiler"]
-        assert len(named(search_many)) == 9
-        assert len(named(QueryScheduler.__init__)) == 13
-        assert len(named(SchedulerService.__init__)) == 14
+        assert len(named(search_many)) == 8
+        assert len(named(QueryScheduler.__init__)) == 11
+        assert len(named(SchedulerService.__init__)) == 13
         for fn in (search_many, QueryScheduler.__init__, SchedulerService.__init__):
             assert "worker_pool" in named(fn)
 
@@ -235,6 +243,19 @@ class TestRemovedKeywords:
             for removed in REMOVED_STATS_FIELDS[cls.__name__]:
                 with pytest.raises(AttributeError):
                     getattr(cls(), removed)
+
+    def test_pool_rounds_are_one_call(self):
+        """The pool's split-phase round API is deleted: a round is one
+        ``logprobs_batch`` call, and ``repro.core`` exports no ticket."""
+        import repro.core
+        from repro.core import parallel
+        from repro.core.parallel import WorkerPool
+
+        for module in (repro.core, parallel):
+            assert not hasattr(module, "RoundTicket")
+            assert "RoundTicket" not in module.__all__
+        for method in ("dispatch", "collect"):
+            assert not hasattr(WorkerPool, method)
 
     def test_as_dict_enumerates_every_field(self):
         """Each report's ``as_dict()`` is its dataclass fields (plus the

@@ -1,4 +1,4 @@
-"""The multi-query scheduler: coalescing, budgets, cancellation, fairness.
+"""The multi-query scheduler: coalescing, budgets, cancellation, rotation.
 
 The heavyweight guarantee — serial equivalence at concurrency 1 for every
 seeded backend combo — lives in ``test_backend_differential.py``; random
@@ -17,7 +17,7 @@ pins the rest of the contract:
 * duplicate, respelled and subsumed queries cost the model nothing extra:
   the shared logits cache scores each context once, so the scheduler
   plans nothing across queries;
-* fairness policies decide who joins a capped round;
+* who joins a capped round rotates round-robin;
 * a round is for misses: a fully cached request is answered inline, under
   the same budgets, without starving peers and without stranding a query
   that is ready but not waiting.
@@ -30,9 +30,8 @@ import pytest
 
 from repro.core import scheduler as scheduler_module
 from repro.core.api import prepare, search_many
-from repro.core.executor import LmRequest
 from repro.core.query import SearchQuery
-from repro.core.scheduler import FAIRNESS_POLICIES, QueryBudget, QueryScheduler
+from repro.core.scheduler import QueryBudget, QueryScheduler
 from repro.lm.base import CountingModel, LanguageModel, LogitsCache
 from repro.regex.parser import RegexSyntaxError
 
@@ -408,33 +407,6 @@ class TestFairness:
         assert members[:6] == ["a", "b", "c", "a", "b", "c"]
         assert all(len(names) == 1 for names in scheduler.stats.round_members)
 
-    def test_shortest_frontier_picks_smallest_pending(self, model, tokenizer):
-        scheduler = QueryScheduler(
-            model, tokenizer, concurrency=1, fairness="shortest_frontier"
-        )
-        big = scheduler.submit(SearchQuery("The cat", seed=0), name="big")
-        small = scheduler.submit(SearchQuery("The dog", seed=1), name="small")
-        big._pending = LmRequest([(1,), (2,), (3,)])
-        small._pending = LmRequest([(4,)])
-        chosen = scheduler._select([big, small])
-        assert [sq.name for sq in chosen] == ["small"]
-
-    def test_fairness_never_changes_per_query_streams(self, model, tokenizer):
-        streams = {}
-        for fairness in FAIRNESS_POLICIES:
-            scheduler = QueryScheduler(
-                model, tokenizer, concurrency=2, fairness=fairness
-            )
-            handles = [
-                scheduler.submit(SearchQuery(WIDE, seed=i), name=f"q{i}")
-                for i in range(3)
-            ]
-            scheduler.run()
-            streams[fairness] = [
-                [(m.text, m.total_logprob) for m in h.results] for h in handles
-            ]
-        assert streams["round_robin"] == streams["shortest_frontier"]
-
 
 #: Thousands of encodings behind four strings: with ``max_expansions`` it
 #: is a query that needs ~2 500 contexts and yields its matches early.
@@ -455,7 +427,7 @@ class TickingClock:
 
 class TestInlineAnswers:
     """Fully cached requests are answered inline: a warm query runs no
-    round, and the budget, cancel, fairness and drive-loop contracts hold
+    round, and the budget, cancel, hand-back and drive-loop contracts hold
     for inline answers exactly as they do for rounds."""
 
     PORTFOLIO = [
@@ -634,8 +606,8 @@ class TestSchedulerSurface:
     def test_constructor_validation(self, model, tokenizer, env):
         with pytest.raises(ValueError, match="concurrency"):
             QueryScheduler(model, tokenizer, concurrency=0)
-        with pytest.raises(ValueError, match="fairness"):
-            QueryScheduler(model, tokenizer, fairness="lifo")
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            QueryScheduler(model, tokenizer, checkpoint_every=0)
         with pytest.raises(ValueError, match="model"):
             QueryScheduler(
                 model, tokenizer, logits_cache=LogitsCache(env.model("small"))

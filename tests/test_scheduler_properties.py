@@ -3,7 +3,7 @@
 For random mixes of regex patterns, traversal strategies, seeds,
 concurrency caps, and result budgets, interleaving queries through the
 scheduler must never change what any query produces: under round-robin
-fairness each query's match stream (texts, tokens, log-probabilities,
+rotation each query's match stream (texts, tokens, log-probabilities,
 order) is identical to a standalone serial run, and the scheduler's merged
 stream is exactly a permutation of the serial per-query streams that
 preserves each query's internal order.

@@ -549,6 +549,19 @@ class TestQuotas:
         asyncio.run(scenario())
 
 
+class TestSettings:
+    @pytest.mark.parametrize("kwargs", [{"concurrency": 0}, {"checkpoint_every": 0}])
+    def test_scheduler_settings_refused_at_construction(self, model, tokenizer, kwargs):
+        """A setting the scheduler refuses is refused when the service is
+        built, with the scheduler's message — not on the engine thread at
+        the first submit, which would die without a ``done`` frame."""
+        with pytest.raises(ValueError) as scheduler_error:
+            QueryScheduler(model, tokenizer, **kwargs)
+        with pytest.raises(ValueError) as service_error:
+            SchedulerService(model, tokenizer, **kwargs)
+        assert str(service_error.value) == str(scheduler_error.value)
+
+
 # ---------------------------------------------------------------------------
 class TestCompileErrors:
     def test_syntax_error_is_rejected_and_service_keeps_serving(self, model, tokenizer):
