@@ -450,9 +450,7 @@ def bench_parallel(env, repeats: int) -> dict:
     out: dict = {"cpus": cpus, "contexts_per_round": n_ctx}
     reference = None
     for workers in (1, 2, 4):
-        with WorkerPool(
-            model, workers, min_shard_size=1, worker_cache_size=0
-        ) as pool:
+        with WorkerPool(model, workers, min_shard_size=1) as pool:
             before = pool.stats()["shards_dispatched"]
             rows = pool.logprobs_batch(contexts)  # warm-up: segments get created here
             shards = pool.stats()["shards_dispatched"] - before

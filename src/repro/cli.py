@@ -28,6 +28,28 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
+def _positive_seconds(text: str) -> float:
+    """``--shard-timeout``: a deadline must leave a shard some time."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a number of seconds > 0, got {text!r}")
+    return value
+
+
+def _retry_count(text: str) -> int:
+    """``--max-retries``: supervision is always on; 0 degrades at once."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -81,13 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
                  "are unchanged)",
         )
         p.add_argument(
-            "--max-retries", type=int, default=2,
+            "--max-retries", type=_retry_count, default=2,
             help="failed-shard re-deliveries before the in-process fallback "
-                 "(worker supervision; negative disables supervision entirely "
-                 "and a worker failure aborts the run)",
+                 "(worker supervision; 0 falls back on the first failure)",
         )
         p.add_argument(
-            "--shard-timeout", type=float, default=None,
+            "--shard-timeout", type=_positive_seconds, default=None,
             help="seconds before an unanswered shard is declared hung and "
                  "retried on a respawned worker (default: wait forever)",
         )
@@ -397,7 +418,7 @@ def _build_engine(args, env):
         pool_cm = WorkerPool(
             model,
             args.workers,
-            max_retries=args.max_retries if args.max_retries >= 0 else None,
+            max_retries=args.max_retries,
             shard_timeout=args.shard_timeout,
             fault_plan=fault_plan,
         )

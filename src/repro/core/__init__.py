@@ -25,7 +25,7 @@ from repro.core.compiler import (
 )
 from repro.core.diagnostics import EliminationTracker
 from repro.core.executor import Executor, LmRequest
-from repro.core.parallel import PooledModel, WorkerPool
+from repro.core.parallel import WorkerPool
 from repro.core.scheduler import QueryBudget, QueryScheduler, ScheduledQuery
 from repro.core.preprocessors import (
     CaseFoldPreprocessor,
@@ -55,7 +55,6 @@ __all__ = [
     "ScheduledQuery",
     "SchedulerStats",
     "WorkerPool",
-    "PooledModel",
     "LmRequest",
     "MatchWriter",
     "read_matches",

@@ -48,11 +48,9 @@ class SearchSession:
     ``compiler=`` to reuse a caller-owned :class:`GraphCompiler` (and its
     compilation cache) across sessions.  ``compiled.metrics`` says what
     this query's compile cost and where it came from (``source`` is
-    ``"cold"``, ``"memory"`` or ``"disk"``).
-
-    To shard each batched LM round across model-replica processes, pass
-    a :class:`~repro.core.parallel.PooledModel` over a caller-owned
-    :class:`~repro.core.parallel.WorkerPool` as *model*.
+    ``"cold"``, ``"memory"`` or ``"disk"``).  A session runs in-process;
+    to shard its model rounds across a :class:`WorkerPool`, run the query
+    through ``search_many([query], worker_pool=pool)``.
     """
 
     def __init__(

@@ -95,9 +95,9 @@ class RunCheckpoint:
     """A whole sweep's snapshot: per-query state plus a logits overlay.
 
     ``cache_rows`` is an oldest-first list of ``(row_key, row)`` pairs
-    from the shared :class:`~repro.lm.base.LogitsCache` (bounded by the
-    scheduler's ``checkpoint_cache_mb``); preloading it on resume is what
-    makes re-running interrupted queries cheap.  Rows saved under whole
+    from the shared :class:`~repro.lm.base.LogitsCache` (the newest 64 MiB
+    at most); preloading it on resume is what makes re-running interrupted
+    queries cheap.  Rows saved under whole
     contexts (before the cache keyed by ``row_key``) preload just as well.
     """
 

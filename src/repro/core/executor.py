@@ -118,6 +118,10 @@ class LmRequest:
 #: equivalent, so the match stream is unaffected by where the line sits.
 _SCALAR_FANOUT_CUTOFF = 16
 
+#: Length bound, in characters, on the prefix strings random sampling
+#: draws (the walk counter's ``max_length`` over the prefix language).
+_MAX_PREFIX_CHARS = 128
+
 
 class _LazyGroup:
     """One expansion's surviving successors, sorted by priority.
@@ -203,7 +207,8 @@ class Executor:
 
     ``logits_cache`` lets several executors over the same model share one
     logits cache — scored contexts then carry over between queries; when
-    omitted, a private cache of ``cache_size`` entries is created.
+    omitted, a private ``LogitsCache(model)`` is created (size a private
+    cache by passing ``logits_cache=LogitsCache(model, capacity=n)``).
     """
 
     def __init__(
@@ -213,8 +218,6 @@ class Executor:
         max_expansions: int | None = None,
         max_attempts: int | None = None,
         dedupe: bool = True,
-        cache_size: int = 4096,
-        max_prefix_chars: int = 128,
         batch_size: int | None = None,
         track_elimination: bool = False,
         logits_cache: LogitsCache | None = None,
@@ -228,7 +231,6 @@ class Executor:
         self.max_expansions = max_expansions
         self.max_attempts = max_attempts
         self.dedupe = dedupe
-        self.max_prefix_chars = max_prefix_chars
         #: ``prefix_text`` by match head (see :meth:`_make_result`).
         self._prefix_memo: dict[str, str] = {}
         if batch_size is not None and batch_size < 1:
@@ -257,7 +259,7 @@ class Executor:
                 raise ValueError("shared logits_cache was built for a different model")
             self._cache = logits_cache
         else:
-            self._cache = LogitsCache(model, capacity=cache_size)
+            self._cache = LogitsCache(model)
         self._arrays = self.automaton.arrays(model.vocab_size)
         q = compiled.query
         if q.top_k_sampling is None and q.top_p_sampling is None and q.temperature == 1.0:
@@ -785,7 +787,7 @@ class Executor:
         # or the full pattern continues.  The prefix DFA intersected with
         # the closure keeps exactly the valid complete prefixes.
         prefix_lang = self.compiled.prefix_dfa.intersect(closure).minimized()
-        return WalkCounter(prefix_lang, max_length=self.max_prefix_chars)
+        return WalkCounter(prefix_lang, max_length=_MAX_PREFIX_CHARS)
 
     def _sample_once(
         self, prefix_counter: WalkCounter | None

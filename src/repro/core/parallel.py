@@ -11,8 +11,11 @@ MLSys 2023, §3.3): one round = one dispatch, split into contiguous shards.
 Design notes:
 
 * **Replicas, not pickled closures.**  Each worker builds a private model
-  replica exactly once from a picklable :class:`~repro.lm.base.ModelSpec`
-  (weights + config; derived caches are stripped and regrown worker-side).
+  replica exactly once from the live model's picklable
+  :meth:`~repro.lm.base.LanguageModel.spec` (weights + config; derived
+  caches are stripped and regrown worker-side).  Workers keep no logits
+  cache of their own: the parent only ships contexts its own
+  :class:`~repro.lm.base.LogitsCache` missed.
 * **Zero-copy transport.**  Workers write logit rows straight into
   ``multiprocessing.shared_memory`` blocks created — and eventually
   unlinked — by the parent; only tiny ``(task_id, segment_name)`` control
@@ -32,13 +35,13 @@ Design notes:
   blows the ``shard_timeout`` deadline no longer poisons the run: the
   failed shard is retried with exponential backoff on a respawned worker,
   and after ``max_retries`` attempts it is evaluated in-process instead
-  (a *degraded* shard — slow, never wrong).  ``max_retries=None`` restores
-  the legacy fail-fast behaviour (first failure raises and marks the pool
-  broken).  Because a shard's contexts always reach the same
-  ``logprobs_batch`` evaluation whichever process finally serves them,
-  supervision never changes a result.  A :class:`~repro.core.faults.FaultPlan`
-  can deterministically inject crash/hang/slow/error faults on chosen
-  (round, shard) deliveries, which is how CI exercises every recovery path.
+  (a *degraded* shard — slow, never wrong).  Only a degraded shard that
+  fails in-process too raises, and marks the pool broken.  Because a
+  shard's contexts always reach the same ``logprobs_batch`` evaluation
+  whichever process finally serves them, supervision never changes a
+  result.  A :class:`~repro.core.faults.FaultPlan` can deterministically
+  inject crash/hang/slow/error faults on chosen (round, shard) deliveries,
+  which is how CI exercises every recovery path.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.faults import FaultPlan, FaultSpec
-from repro.lm.base import LanguageModel, LogitsCache, ModelSpec
+from repro.lm.base import LanguageModel, ModelSpec
 
-__all__ = ["WorkerPool", "PooledModel"]
+__all__ = ["WorkerPool"]
 
 #: Smallest shared-memory segment we bother creating (segments are pooled
 #: by rounded-up size, so a generous floor maximises reuse).
@@ -68,6 +71,9 @@ _POLL_SECONDS = 0.1
 
 #: Startup handshake budget — covers unpickling a large model replica.
 _STARTUP_TIMEOUT_SECONDS = 120.0
+
+#: Upper bound on one retry's backoff sleep (the sleep doubles per attempt).
+_BACKOFF_CAP_SECONDS = 2.0
 
 
 def _attach_segment(name: str) -> Any:
@@ -106,7 +112,6 @@ def _worker_main(
     worker_index: int,
     task_queue: Any,
     result_conn: Any,
-    cache_capacity: int,
 ) -> None:
     """Worker loop: build one replica, then serve shard tasks forever.
 
@@ -139,7 +144,6 @@ def _worker_main(
 
     try:
         model = spec.build()
-        cache = LogitsCache(model, capacity=cache_capacity) if cache_capacity > 0 else None
         _send(("ready", -1, worker_index))
     except SystemExit:
         return
@@ -156,10 +160,7 @@ def _worker_main(
             try:
                 if fault is not None:
                     fault.execute()
-                if cache is not None:
-                    rows = cache.logprobs_batch(contexts)
-                else:
-                    rows = model.logprobs_batch(contexts)
+                rows = model.logprobs_batch(contexts)
                 shm = segments.get(segment_name)
                 if shm is None:
                     shm = _attach_segment(segment_name)
@@ -304,30 +305,30 @@ class _Shard:
 class WorkerPool:
     """An LM-evaluation service sharding logits rounds across processes.
 
-    ``model`` is either a live :class:`~repro.lm.base.LanguageModel` (its
+    ``model`` is the live :class:`~repro.lm.base.LanguageModel`: its
     :meth:`~repro.lm.base.LanguageModel.spec` is shipped to workers and the
-    live instance serves inline fallbacks) or a prebuilt
-    :class:`~repro.lm.base.ModelSpec`.  With ``workers <= 1`` no processes
-    are spawned and every round is evaluated in-process — the pool is then
-    a zero-overhead pass-through, which keeps call sites branch-free.
+    instance itself serves inline and degraded evaluations.  With
+    ``workers <= 1`` no processes are spawned and every round is evaluated
+    in-process — the pool is then a zero-overhead pass-through, which keeps
+    call sites branch-free.  Attach a pool with ``worker_pool=`` on
+    :class:`~repro.core.scheduler.QueryScheduler`,
+    :func:`~repro.core.api.search_many` or the service.
 
     ``min_shard_size`` is the adaptive sizer's floor: a round is sharded
     into at most ``workers`` contiguous chunks of at least that many
     contexts, and rounds too small for two such chunks run inline.
-    ``worker_cache_size`` bounds each worker's private
-    :class:`~repro.lm.base.LogitsCache` (0 disables worker-side caching).
 
-    **Supervision** (``max_retries``, ``backoff_base``, ``backoff_cap``,
-    ``shard_timeout``): a shard whose worker dies, errors, or misses the
-    ``shard_timeout`` deadline is retried on a freshly respawned worker,
-    sleeping ``min(backoff_cap, backoff_base * 2**(attempt-1))`` between
-    attempts; after ``max_retries`` failed deliveries the shard is
-    evaluated in-process (degraded — slow, never wrong).  Counters:
-    :attr:`retries`, :attr:`respawns`, :attr:`degraded_shards`,
-    :attr:`degraded_rounds`.  ``max_retries=None`` restores the legacy
-    fail-fast contract: the first failure raises ``RuntimeError`` and marks
-    the pool broken.  ``fault_plan`` deterministically injects failures for
-    testing (see :mod:`repro.core.faults`).
+    **Supervision** (``max_retries`` ≥ 0, ``backoff_base``, ``shard_timeout``
+    > 0 or ``None`` for no deadline): a shard whose worker dies, errors, or
+    misses the ``shard_timeout`` deadline is retried on a freshly respawned
+    worker, sleeping ``min(2.0, backoff_base * 2**(attempt-1))`` seconds
+    between attempts; after ``max_retries`` failed deliveries the shard is
+    evaluated in-process (degraded — slow, never wrong).  Only a degraded
+    shard that fails in-process too raises ``RuntimeError`` and marks the
+    pool broken.  Counters: :attr:`retries`, :attr:`respawns`,
+    :attr:`degraded_shards`, :attr:`degraded_rounds`.  ``fault_plan``
+    deterministically injects failures for testing (see
+    :mod:`repro.core.faults`).
 
     Use as a context manager, or call :meth:`shutdown`; a ``weakref``
     finalizer reclaims processes and shared-memory segments if neither
@@ -337,33 +338,29 @@ class WorkerPool:
 
     def __init__(
         self,
-        model: LanguageModel | ModelSpec,
+        model: LanguageModel,
         workers: int,
         *,
         min_shard_size: int = 8,
-        worker_cache_size: int = 8192,
-        start_method: str | None = None,
-        max_retries: int | None = 2,
+        max_retries: int = 2,
         backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         shard_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        self._spec: ModelSpec | None
-        self._local_model: LanguageModel | None
-        if isinstance(model, ModelSpec):
-            self._spec = model
-            self._local_model = None
-        else:
-            self._spec = model.spec() if workers > 1 else None
-            self._local_model = model
+        if not isinstance(model, LanguageModel):
+            raise TypeError(f"WorkerPool needs a live LanguageModel, got {type(model).__name__}")
+        if not isinstance(max_retries, int) or max_retries < 0:
+            raise ValueError(f"max_retries must be an int >= 0, got {max_retries!r}")
+        if shard_timeout is not None and not shard_timeout > 0:
+            raise ValueError(f"shard_timeout must be > 0 seconds or None, got {shard_timeout!r}")
+        self._model = model
+        self._spec: ModelSpec | None = model.spec() if workers > 1 else None
         self.workers = max(1, int(workers))
         self.min_shard_size = max(1, int(min_shard_size))
         self.vocab_size = model.vocab_size
         self.eos_id = model.eos_id
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.shard_timeout = shard_timeout
         self.fault_plan = fault_plan
         self.rounds = 0
@@ -385,7 +382,6 @@ class WorkerPool:
         self._broken = False
         self._next_task_id = 0
         self._round_index = 0
-        self._worker_cache_size = worker_cache_size
         #: Live shards by their *current* task_id; messages for task_ids not
         #: in here are stale (a retried delivery superseded them) and are
         #: dropped by the message pump.
@@ -403,7 +399,7 @@ class WorkerPool:
         self._result_conns: list[Any] = []
         if self.workers > 1:
             assert self._spec is not None
-            self._ctx = mp.get_context(start_method)
+            self._ctx = mp.get_context()  # the platform's default start method
             self._task_queues = [self._ctx.Queue() for _ in range(self.workers)]
             self._result_conns = [None] * self.workers
             for i in range(self.workers):
@@ -438,7 +434,6 @@ class WorkerPool:
                 index,
                 self._task_queues[index],
                 write_end,
-                self._worker_cache_size,
             ),
             daemon=True,
             name=f"relm-eval-{index}",
@@ -483,8 +478,6 @@ class WorkerPool:
             self._finalizer()
         except Exception:
             pass
-
-    close = shutdown
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -540,7 +533,7 @@ class WorkerPool:
         sizes = self._shard_sizes(len(keys))
         if sizes is None:
             self.inline_rounds += 1
-            inline = [np.asarray(r) for r in self._local().logprobs_batch(keys)]
+            inline = [np.asarray(r) for r in self._model.logprobs_batch(keys)]
             self.wall_ms += (time.perf_counter() - started) * 1e3
             return inline
         self.parallel_rounds += 1
@@ -592,12 +585,6 @@ class WorkerPool:
             return None
         base, extra = divmod(n, n_shards)
         return [base + 1 if i < extra else base for i in range(n_shards)]
-
-    def _local(self) -> LanguageModel:
-        if self._local_model is None:
-            assert self._spec is not None
-            self._local_model = self._spec.build()
-        return self._local_model
 
     def _dispatch_shard(self, shard: _Shard) -> None:
         """Send (or resend) *shard* to its worker under a fresh task id."""
@@ -664,21 +651,18 @@ class WorkerPool:
     def _failure(self, shard: _Shard, detail: str) -> bool:
         """Handle one failed shard delivery.
 
-        Fail-fast mode (``max_retries=None``) marks the pool broken and
-        raises.  Supervised mode respawns the shard's worker, then either
-        re-dispatches the shard after an exponential-backoff sleep (returns
-        ``False``: keep waiting) or — once retries are exhausted — evaluates
-        it in-process into its segment (returns ``True``: satisfied)."""
-        if self.max_retries is None:
-            self._broken = True
-            raise RuntimeError(detail)
+        Respawns the shard's worker, then either re-dispatches the shard
+        after an exponential-backoff sleep (returns ``False``: keep waiting)
+        or — once retries are exhausted — evaluates it in-process into its
+        segment (returns ``True``: satisfied).  An in-process failure marks
+        the pool broken and raises."""
         shard.attempts += 1
         self._respawn(shard.worker_index)
         if shard.attempts > self.max_retries:
             self.degraded_shards += 1
             shard.degraded = True
             try:
-                rows = self._local().logprobs_batch(shard.contexts)
+                rows = self._model.logprobs_batch(shard.contexts)
             except Exception as exc:
                 self._broken = True
                 raise RuntimeError(
@@ -694,7 +678,7 @@ class WorkerPool:
             del out
             return True
         self.retries += 1
-        delay = min(self.backoff_cap, self.backoff_base * (2 ** (shard.attempts - 1)))
+        delay = min(_BACKOFF_CAP_SECONDS, self.backoff_base * (2 ** (shard.attempts - 1)))
         if delay > 0:
             time.sleep(delay)
         self._dispatch_shard(shard)
@@ -800,40 +784,3 @@ class WorkerPool:
             self._stash[task_id] = incoming
         # else: stale completion from a superseded delivery — dropped.
 
-
-class PooledModel(LanguageModel):
-    """Adapter presenting a :class:`WorkerPool` as a ``LanguageModel``.
-
-    Batched scoring routes through the pool; single-context scoring and
-    prefix-cache management delegate to the live inner model.  This is how
-    the single-query executor path (:class:`repro.core.api.SearchSession`)
-    gains parallel rounds without changing its shape — the
-    :class:`~repro.lm.base.LogitsCache` simply wraps the adapter.
-    """
-
-    def __init__(self, inner: LanguageModel, pool: WorkerPool) -> None:
-        self.inner = inner
-        self.pool = pool
-        self.vocab_size = inner.vocab_size
-        self.eos_id = inner.eos_id
-        self.max_sequence_length = inner.max_sequence_length
-
-    @property
-    def prefix_cache(self) -> Any | None:  # type: ignore[override]
-        return self.inner.prefix_cache
-
-    @prefix_cache.setter
-    def prefix_cache(self, value: Any | None) -> None:
-        self.inner.prefix_cache = value
-
-    def enable_prefix_cache(self, max_bytes: int | None = None) -> Any | None:
-        return self.inner.enable_prefix_cache(max_bytes)
-
-    def logprobs(self, context: Sequence[int]) -> np.ndarray:
-        return self.inner.logprobs(context)
-
-    def logprobs_batch(self, contexts: Sequence[Sequence[int]]) -> list[np.ndarray]:
-        return self.pool.logprobs_batch(contexts)
-
-    def spec(self) -> ModelSpec:
-        return self.inner.spec()

@@ -78,6 +78,9 @@ __all__ = ["QueryBudget", "ScheduledQuery", "QueryScheduler"]
 #: its peers (or the service's cancel / progress handling) of turns.
 _INLINE_QUANTUM = 64
 
+#: Logits-cache budget of one checkpoint snapshot (newest rows first).
+_CHECKPOINT_CACHE_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class QueryBudget:
@@ -228,7 +231,6 @@ class QueryScheduler:
         worker_pool: WorkerPool | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 1,
-        checkpoint_cache_mb: float = 64.0,
         resume: bool = False,
         **executor_defaults: Any,
     ) -> None:
@@ -279,7 +281,6 @@ class QueryScheduler:
         # time :meth:`run`/:meth:`step` executes.
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
-        self.checkpoint_cache_mb = checkpoint_cache_mb
         self.resume = resume
         self._resume_attempted = False
         self._rounds_since_checkpoint = 0
@@ -491,9 +492,9 @@ class QueryScheduler:
 
         The snapshot holds every query's completion state (results, stats,
         truncation verdict — done queries only; unfinished queries are
-        recorded as pending and re-run on resume) plus up to
-        ``checkpoint_cache_mb`` of the shared logits cache, newest rows
-        preferred, so resumed re-runs hit the cache instead of the model.
+        recorded as pending and re-run on resume) plus up to 64 MiB of the
+        shared logits cache, newest rows preferred, so resumed re-runs hit
+        the cache instead of the model.
         Called automatically every ``checkpoint_every`` completed rounds;
         callable directly for an on-demand snapshot.
         """
@@ -512,13 +513,12 @@ class QueryScheduler:
             )
             for sq in self.queries
         ]
-        budget_bytes = int(self.checkpoint_cache_mb * (1 << 20))
         ckpt_mod.save_checkpoint(
             self.checkpoint_path,
             RunCheckpoint(
                 rounds_completed=self.stats.rounds,
                 queries=snapshots,
-                cache_rows=self.logits_cache.dump_rows(budget_bytes),
+                cache_rows=self.logits_cache.dump_rows(_CHECKPOINT_CACHE_BYTES),
             ),
         )
         self.stats.checkpoints_written += 1

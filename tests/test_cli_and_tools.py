@@ -162,6 +162,27 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--fairness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("query", "--shard-timeout", "0"),
+            ("query", "--max-retries", "-1"),
+            ("serve", "--shard-timeout", "-1"),
+        ],
+    )
+    def test_bad_supervision_flags_are_usage_errors(self, command, flag, value, capsys):
+        """A zero shard deadline would respawn workers on every sharded
+        round, and supervision cannot be turned off: both are rejected
+        before any engine is built, naming the flag, without a traceback."""
+        argv = [command, "--workers", "2", flag, value]
+        if command == "query":
+            argv.insert(1, "The cat")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
     def test_query_command(self, capsys):
         code = main(["query", "The ((cat)|(dog))", "--max-matches", "2"])
         out = capsys.readouterr().out

@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import prepare
+from repro.core.api import prepare, search_many
 from repro.core.executor import Executor, _LazyGroup, _peek_pops
-from repro.core.parallel import PooledModel, WorkerPool
+from repro.core.parallel import WorkerPool
 from repro.core.query import QueryTokenizationStrategy, SearchQuery
 from repro.core.scheduler import QueryBudget, QueryScheduler
 from repro.lm.base import CountingModel, LanguageModel, LogitsCache, RoundPlan
@@ -389,7 +389,8 @@ def test_cancel_keeps_a_prefix_and_scores_nothing_more(width):
 @pytest.mark.parametrize("width", [4, 16])
 def test_one_row_cache_and_two_token_kv_budget_keep_the_stream(width):
     want, _ = _stream(_fresh_transformer(), _RANK, 1)
-    got, stats = _stream(_fresh_transformer(), _RANK, width, cache_size=1)
+    model = _fresh_transformer()
+    got, stats = _stream(model, _RANK, width, logits_cache=LogitsCache(model, capacity=1))
     assert [m.tokens for m in got] == [m.tokens for m in want]
     np.testing.assert_allclose(
         [m.total_logprob for m in got], [m.total_logprob for m in want], rtol=0, atol=1e-9
@@ -491,12 +492,13 @@ def test_two_worker_pool_agrees_with_serial(serial_streams):
         handles, stats, _ = _scheduled(model, None, pool=pool)
         _assert_same_streams([h.results for h in handles], want)
         assert sum(h.stats.lookahead_contexts for h in handles) > 0
-        # The single-query path through the pool adapter: same width, same stream.
-        pooled = PooledModel(model, pool)
-        assert pooled.round_width == model.round_width
-        got, stats = _stream(pooled, _PORTFOLIO[0], None, limit=_TOP)
-        _assert_same_streams([got], want[:1])
-        assert stats.lookahead_contexts > 0
+        # One query alone through the pool: same width, same stream.
+        (handle,) = search_many(
+            model, _TOK, [_PORTFOLIO[0]], concurrency=1, worker_pool=pool,
+            budget=QueryBudget(max_results=_TOP), max_expansions=600,
+        )
+        _assert_same_streams([handle.results], want[:1])
+        assert handle.stats.lookahead_contexts > 0
 
 
 # -- harness-shaped proxies ------------------------------------------------------

@@ -1,15 +1,17 @@
 """Unit tests for the process-parallel evaluation engine.
 
 :class:`WorkerPool` mechanics — sharded rounds bit-identical to serial
-evaluation, the adaptive inline fallback, crash containment (a killed
-worker raises cleanly instead of hanging), and shared-memory segment
-lifecycle (pooled reuse while open, every segment unlinked at shutdown) —
-plus :class:`~repro.lm.base.ModelSpec` pickling and
-the batch-dedupe guarantee of ``logprobs_batch``.
+evaluation, the adaptive inline fallback, supervision settings checked
+before any process starts, and shared-memory segment lifecycle (pooled
+reuse while open, every segment unlinked at shutdown, worker crashes
+included) — plus :class:`~repro.lm.base.ModelSpec` pickling and the
+batch-dedupe guarantee of ``logprobs_batch``.  Supervised recovery from
+crashes, hangs and errors is ``tests/test_faults.py``'s subject.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import signal
 import time
@@ -17,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.parallel import PooledModel, WorkerPool
+from repro.core.parallel import WorkerPool
 from repro.lm.base import LanguageModel, LogitsCache, ModelSpec
 
 
@@ -122,41 +124,39 @@ class TestLifecycle:
         pool = WorkerPool(model, 2, min_shard_size=1)
         pool.shutdown()
         pool.shutdown()  # no-op
-        pool.close()  # alias, also a no-op
         with pytest.raises(RuntimeError, match="closed"):
             pool.logprobs_batch(_contexts(4, vocab=model.vocab_size))
 
-    def test_killed_worker_raises_cleanly_and_releases_segments(self, model):
-        """Legacy fail-fast contract (``max_retries=None``): a SIGKILLed
-        worker must surface as a RuntimeError naming the worker — never a
-        hang — and shutdown must still unlink every shared-memory
-        segment.  (The supervised default retries instead; see
-        tests/test_faults.py.)"""
-        pool = WorkerPool(model, 2, min_shard_size=1, max_retries=None)
-        try:
-            pool.logprobs_batch(_contexts(8, vocab=model.vocab_size))
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while pool._procs[0].is_alive() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            start = time.monotonic()
-            with pytest.raises(RuntimeError, match="worker 0 died"):
-                pool.logprobs_batch(_contexts(8, vocab=model.vocab_size))
-            assert time.monotonic() - start < 30.0
-            with pytest.raises(RuntimeError, match="broken"):
-                pool.logprobs_batch(_contexts(8, vocab=model.vocab_size))
-            names = pool.segment_names()
-        finally:
-            pool.shutdown()
-        assert not any(_segment_exists(n) for n in names)
-
     def test_worker_side_evaluation_error_propagates(self):
+        """A shard that fails on its worker and again in-process raises
+        (with no retries: straight to the in-process fallback) and marks
+        the pool broken."""
         bad = _ExplodingModel()
-        with WorkerPool(
-            bad, 2, min_shard_size=1, worker_cache_size=0, max_retries=None
-        ) as pool:
+        with WorkerPool(bad, 2, min_shard_size=1, max_retries=0) as pool:
             with pytest.raises(RuntimeError, match="worker evaluation failed"):
                 pool.logprobs_batch(_contexts(8, vocab=bad.vocab_size))
+            with pytest.raises(RuntimeError, match="broken"):
+                pool.logprobs_batch(_contexts(8, vocab=bad.vocab_size))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"shard_timeout": 0},
+            {"shard_timeout": -1},
+            {"shard_timeout": float("nan")},
+            {"max_retries": -1},
+        ],
+        ids=["timeout-zero", "timeout-negative", "timeout-nan", "retries-negative"],
+    )
+    def test_invalid_supervision_settings_raise_before_spawning(self, model, kwargs):
+        """A non-positive ``shard_timeout`` would declare every shard hung
+        on arrival, turning each sharded round into a respawn loop; a
+        negative ``max_retries`` has no meaning.  Both are refused before
+        any worker process starts."""
+        before = len(mp.active_children())
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            WorkerPool(model, 2, min_shard_size=1, **kwargs)
+        assert len(mp.active_children()) == before
 
     def test_shutdown_idempotent_after_worker_sigkill(self, model):
         """Regression: shutdown after a worker crash used to re-raise from
@@ -171,7 +171,6 @@ class TestLifecycle:
         names = pool.segment_names()
         pool.shutdown()
         pool.shutdown()  # second call: still a no-op, still no raise
-        pool.close()
         assert pool.closed
         assert not any(_segment_exists(n) for n in names)
 
@@ -209,28 +208,6 @@ class TestModelSpec:
         got = rebuilt.logprobs_batch([[1, 2, 3]])
         want = m.logprobs_batch([[1, 2, 3]])
         assert np.allclose(got[0], want[0], atol=1e-12)
-
-    def test_pool_accepts_prebuilt_spec(self, model):
-        with WorkerPool(model.spec(), 2, min_shard_size=1) as pool:
-            rows = pool.logprobs_batch(_contexts(8, vocab=model.vocab_size))
-            for a, b in zip(model.logprobs_batch(_contexts(8, vocab=model.vocab_size)), rows):
-                assert np.array_equal(a, b)
-
-
-class TestPooledModel:
-    def test_delegates_and_routes_batches(self, model):
-        with WorkerPool(model, 2, min_shard_size=1) as pool:
-            adapter = PooledModel(model, pool)
-            assert adapter.vocab_size == model.vocab_size
-            assert adapter.pool is pool
-            ctxs = _contexts(8, vocab=model.vocab_size)
-            before = pool.rounds
-            rows = adapter.logprobs_batch(ctxs)
-            assert pool.rounds == before + 1
-            assert np.array_equal(rows[0], model.logprobs(ctxs[0]))
-            # Single-context scoring bypasses the pool entirely.
-            adapter.logprobs([1, 2])
-            assert pool.rounds == before + 1
 
 
 class TestBatchDedupe:
@@ -280,39 +257,40 @@ class TestSchedulerOwnership:
                 assert not pool.closed
         assert pool.closed
 
-    def test_session_context_manager_reclaims_pool(self, model, tokenizer):
-        """A pooled session is a ``PooledModel`` handed in as the model;
-        the pool's own context manager reclaims processes and segments."""
-        from repro.core.api import SearchSession
+    def test_search_many_pool_context_manager_reclaims_segments(self, model, tokenizer):
+        """A single query reaches the pool the one way any query does,
+        ``worker_pool=``; the pool's own context manager reclaims
+        processes and segments afterwards."""
+        from repro.core.api import search_many
         from repro.core.query import SearchQuery
 
         with WorkerPool(model, 2, min_shard_size=1) as pool:
-            session = SearchSession(
-                PooledModel(model, pool), tokenizer, SearchQuery("The ((cat)|(dog))"),
-                batch_size=4,
+            (handle,) = search_many(
+                model, tokenizer, [SearchQuery("The ((cat)|(dog))")], concurrency=1,
+                worker_pool=pool, batch_size=4,
             )
-            texts = sorted(m.text for m in session)
-            assert texts == ["The cat", "The dog"]
+            assert sorted(m.text for m in handle.results) == ["The cat", "The dog"]
             assert pool.parallel_rounds > 0 and pool.shards_dispatched > 0
             names = pool.segment_names()
         assert pool.closed
         assert not any(_segment_exists(n) for n in names)
 
-    def test_session_rejects_shared_cache_with_workers(self, model, tokenizer):
-        """A shared logits cache must wrap the pooled model itself — one
-        built over the bare model would silently bypass the workers."""
+    def test_shared_cache_for_another_model_is_rejected(self, model, tokenizer):
+        """A shared logits cache answers for the model it wraps; one built
+        over another model would silently serve the wrong rows."""
         from repro.core.api import SearchSession
         from repro.core.query import SearchQuery
+        from repro.core.scheduler import QueryScheduler
+        from repro.lm.base import CountingModel
 
-        with WorkerPool(model, 1) as pool:  # workers=1: no processes spawned
-            pooled = PooledModel(model, pool)
-            with pytest.raises(ValueError, match="different model"):
-                SearchSession(
-                    pooled, tokenizer, SearchQuery("The cat"),
-                    logits_cache=LogitsCache(model),
-                )
-            session = SearchSession(
-                pooled, tokenizer, SearchQuery("The cat"),
-                logits_cache=LogitsCache(pooled),
+        other = CountingModel(model)
+        with pytest.raises(ValueError, match="different model"):
+            SearchSession(
+                model, tokenizer, SearchQuery("The cat"), logits_cache=LogitsCache(other)
             )
-            assert [m.text for m in session] == ["The cat"]
+        with pytest.raises(ValueError, match="different model"):
+            QueryScheduler(model, tokenizer, logits_cache=LogitsCache(other))
+        session = SearchSession(
+            model, tokenizer, SearchQuery("The cat"), logits_cache=LogitsCache(model)
+        )
+        assert [m.text for m in session] == ["The cat"]

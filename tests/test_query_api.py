@@ -114,7 +114,12 @@ _DRIVE_LOOP_KNOBS = ("pipeline", "compile_ahead")
 #: workload or experiment ever had more queries waiting than ``concurrency``.
 _FAIRNESS_KNOBS = ("fairness",)
 REMOVED_KEYWORDS = {
-    "Executor": ("backend",),
+    # The worker-side logits cache never hit (the parent ships only its own
+    # cache's misses); the start method and backoff cap are constants.
+    "WorkerPool": ("worker_cache_size", "start_method", "backoff_cap"),
+    # A private cache is sized by ``logits_cache=LogitsCache(model, capacity=n)``;
+    # the sampled-prefix length bound is a constant.
+    "Executor": ("backend", "cache_size", "max_prefix_chars"),
     "GraphCompiler": ("minimize_tokens",),
     "AutomatonArrays": ("dense_budget",),
     "SearchSession": _POOL_KNOBS + _KV_KNOBS + ("backend",),
@@ -125,7 +130,7 @@ REMOVED_KEYWORDS = {
     # Admission is turned off at the compiler (``analyzer=False``).
     "QueryScheduler": (
         _POOL_KNOBS + _KV_KNOBS + _PLANNER_KNOBS + _DRIVE_LOOP_KNOBS + _FAIRNESS_KNOBS
-        + ("backend", "admission_control")
+        + ("backend", "admission_control", "checkpoint_cache_mb")
     ),
     "SchedulerService": (
         _POOL_KNOBS + _KV_KNOBS + _DRIVE_LOOP_KNOBS + _FAIRNESS_KNOBS
@@ -172,6 +177,7 @@ class TestRemovedKeywords:
         from repro.core.arrays import AutomatonArrays
         from repro.core.compiler import GraphCompiler
         from repro.core.executor import Executor
+        from repro.core.parallel import WorkerPool
         from repro.core.scheduler import QueryScheduler
         from repro.service import SchedulerService
 
@@ -185,6 +191,7 @@ class TestRemovedKeywords:
             Executor(model, compiled, **svc.executor_defaults)
 
         return {
+            "WorkerPool": lambda **kw: WorkerPool(model, 1, **kw).shutdown(),
             "Executor": lambda **kw: Executor(model, compiled, **kw),
             "GraphCompiler": lambda **kw: GraphCompiler(tokenizer, **kw),
             "AutomatonArrays": lambda **kw: AutomatonArrays({}, frozenset(), 8, **kw),
@@ -210,6 +217,7 @@ class TestRemovedKeywords:
         from repro.core.api import SearchSession, search_many
         from repro.core.compiler import GraphCompiler
         from repro.core.executor import Executor
+        from repro.core.parallel import WorkerPool
         from repro.core.scheduler import QueryScheduler
         from repro.service import SchedulerService
 
@@ -221,14 +229,19 @@ class TestRemovedKeywords:
                 and p.name not in ("self", "model", "tokenizer", "query", "queries", "compiled")
             ]
 
-        assert len(named(Executor.__init__)) == 8
+        assert len(named(Executor.__init__)) == 6
         assert len(named(GraphCompiler.__init__)) == 4
         assert named(SearchSession.__init__) == ["compiler"]
         assert len(named(search_many)) == 8
-        assert len(named(QueryScheduler.__init__)) == 11
+        assert len(named(QueryScheduler.__init__)) == 10
         assert len(named(SchedulerService.__init__)) == 13
         for fn in (search_many, QueryScheduler.__init__, SchedulerService.__init__):
             assert "worker_pool" in named(fn)
+        assert [
+            p.name
+            for p in inspect.signature(WorkerPool.__init__).parameters.values()
+            if p.kind is p.KEYWORD_ONLY
+        ] == ["min_shard_size", "max_retries", "backoff_base", "shard_timeout", "fault_plan"]
 
         # Stats objects carry only what their owner increments; a counter
         # another object owns (pool, prefix cache, compilation caches,
@@ -256,6 +269,24 @@ class TestRemovedKeywords:
             assert "RoundTicket" not in module.__all__
         for method in ("dispatch", "collect"):
             assert not hasattr(WorkerPool, method)
+
+    def test_pool_attaches_one_way_and_fails_one_way(self, model):
+        """``worker_pool=`` is the only way to attach a pool (no model
+        adapter), a pool takes a live model only (no ``ModelSpec``), and
+        supervision is the only failure contract (no fail-fast
+        ``max_retries=None``); ``shutdown`` has no alias."""
+        import repro.core
+        from repro.core import parallel
+        from repro.core.parallel import WorkerPool
+
+        for module in (repro.core, parallel):
+            assert not hasattr(module, "PooledModel")
+            assert "PooledModel" not in module.__all__
+        assert not hasattr(WorkerPool, "close")
+        with pytest.raises(ValueError, match="max_retries"):
+            WorkerPool(model, 2, max_retries=None)
+        with pytest.raises(TypeError, match="LanguageModel"):
+            WorkerPool(model.spec(), 2)
 
     def test_as_dict_enumerates_every_field(self):
         """Each report's ``as_dict()`` is its dataclass fields (plus the

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro.core.checkpoint import RunCheckpoint, save_checkpoint
 from repro.core.compiler import GraphCompiler
 from repro.core.executor import Executor
-from repro.core.parallel import PooledModel, WorkerPool
+from repro.core.parallel import WorkerPool
 from repro.core.query import SearchQuery
 from repro.core.scheduler import QueryBudget, QueryScheduler
 from repro.experiments.bias import FIGURE7_CONFIGS, bias_query
@@ -115,7 +115,6 @@ def test_proxies_report_the_inner_key():
     context = (5, 6, 7, 8, 9)
     for proxy in (
         CountingModel(ngram),
-        PooledModel(ngram, pool=None),  # type: ignore[arg-type]
         _Timing(_Timing(ngram)),
         CountingModel(_Timing(_Timing(ngram))),
     ):

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core.api import prepare
 from repro.core.query import SearchQuery
-from repro.lm.base import LanguageModel
+from repro.lm.base import LanguageModel, LogitsCache
 from repro.lm.decoding import DecodingPolicy, RowVerdicts
 from repro.lm.ngram import NGramModel
 from tests.conftest import TINY_CORPUS, build_tokenizer
@@ -174,7 +174,8 @@ class _Unretained(LanguageModel):
 def test_memo_never_keeps_an_evicted_row_alive():
     model = _Unretained(NGramModel.train_on_text(TINY_CORPUS, _TOK, order=4, alpha=0.1))
     session = prepare(
-        model, _TOK, SearchQuery("The [a-z]{1,5}( [a-z]{1,5})?", top_k=30), cache_size=8
+        model, _TOK, SearchQuery("The [a-z]{1,5}( [a-z]{1,5})?", top_k=30),
+        logits_cache=LogitsCache(model, capacity=8),
     )
     matches = iter(session)
     next(matches)
