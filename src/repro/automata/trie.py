@@ -30,6 +30,8 @@ class Trie:
     def __init__(self, items: Iterable[tuple[str, int]] = ()) -> None:
         self.root = _TrieNode()
         self._size = 0
+        #: ``texts[token_id]`` is the string inserted for that id.
+        self.texts: dict[int, str] = {}
         for text, token_id in items:
             self.insert(text, token_id)
 
@@ -42,6 +44,7 @@ class Trie:
         for ch in text:
             node = node.children.setdefault(ch, _TrieNode())
         node.token_ids.append(token_id)
+        self.texts[token_id] = text
         self._size += 1
 
     def __len__(self) -> int:
@@ -90,12 +93,13 @@ class SharedWalk:
     to the same few landing states, so that sub-result is computed once per
     ``(n, q)`` and merged wherever it recurs instead of being re-walked per
     source state.  ``memo`` holds one entry per expanded (node below the
-    root, state) pair and lives as long as this object; the compiler makes
-    one per construction and drops it on return.
+    root, state) pair and lives as long as this object: the compiler's
+    lazy token rows keep one until every row is built.
     """
 
     def __init__(self, trie: Trie, transitions: dict[int, dict[str, int]]) -> None:
         self._root = trie.root
+        self._texts = trie.texts
         self._transitions = transitions
         self.memo: dict[tuple[_TrieNode, int], dict[int, int]] = {}
 
@@ -104,6 +108,47 @@ class SharedWalk:
         walk exists from *state* — ``dict(trie.walk_dfa(transitions,
         state))`` up to insertion order."""
         return self._expand(self._root, state)
+
+    def step(self, state: int, token_id: int) -> int | None:
+        """``self.row(state).get(token_id)`` without building the row: the
+        landing state of *token_id*'s character walk from *state*."""
+        text = self._texts.get(token_id)
+        if text is None:
+            return None
+        transitions = self._transitions
+        for ch in text:
+            state = transitions.get(state, {}).get(ch)
+            if state is None:
+                return None
+        return state
+
+    def count(self, states: Iterable[int]) -> int:
+        """``sum(len(self.row(q)) for q in states)`` without building a row:
+        each token id ends at exactly one trie node, so the ids found below
+        sibling nodes are disjoint and their counts add up (memoised per
+        ``(node, state)`` pair for the duration of the call)."""
+        memo: dict[tuple[_TrieNode, int], int] = {}
+        transitions = self._transitions
+
+        def below(node: _TrieNode, state: int) -> int:
+            row = transitions.get(state)
+            if row is None:
+                return 0
+            children = node.children
+            small, large = (row, children) if len(row) < len(children) else (children, row)
+            total = 0
+            for ch in small:
+                if ch in large:
+                    child = children[ch]
+                    total += len(child.token_ids)
+                    if child.children:
+                        key = (child, row[ch])
+                        if key not in memo:
+                            memo[key] = below(*key)
+                        total += memo[key]
+            return total
+
+        return sum(below(self._root, q) for q in states)
 
     def _expand(self, node: _TrieNode, state: int) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -75,8 +75,8 @@ class TokenGraphView:
 
     Exposes the ``start`` / ``accepts`` / ``states`` / ``transitions``
     surface :class:`~repro.automata.walks.WalkCounter` expects, with token
-    ids in place of characters.  (The executor diagnostics keep their own
-    private copy; this one is the analyzer's public variant.)
+    ids in place of characters (for the analyzer and the executor's
+    elimination tracker).
     """
 
     def __init__(self, automaton: "TokenAutomaton") -> None:

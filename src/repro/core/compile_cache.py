@@ -39,8 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compiler imports us)
 __all__ = ["CompileCacheEntry", "CompileDiskCache", "COMPILE_CACHE_VERSION"]
 
 #: On-disk format version.  Bump on any change to what entries contain or
-#: how fingerprints are derived; old entries then miss (warning, no crash).
-COMPILE_CACHE_VERSION = 1
+#: how fingerprints are derived; it is hashed into every fingerprint, so old
+#: entries are plain misses, never read.  Version 2: a proven-minimal
+#: automaton's rows persist as its char product.
+COMPILE_CACHE_VERSION = 2
 
 
 @dataclass
@@ -48,9 +50,10 @@ class CompileCacheEntry:
     """One persisted compilation: the automata, minus the array lowering.
 
     The :class:`~repro.core.arrays.AutomatonArrays` lowering is stripped
-    before pickling (arrays rebuild from the edge dicts faster than they
-    unpickle, and keeping entries lean keeps ``put`` cheap); the compiler
-    re-lowers on load.  The query object itself is *not* stored — entries
+    before pickling (rows lower on first touch after loading), and lazy
+    :class:`~repro.core.compiler.TokenRows` pickle as the char product they
+    walk, not as rows or the vocabulary trie; the compiler re-binds its
+    trie on load.  The query object itself is *not* stored — entries
     are rebound to the incoming query, exactly like in-memory cache hits,
     so runtime fields (seed, sample counts, decoding rules) stay per-query.
     """

@@ -8,7 +8,8 @@ produces the *LLM Automaton*, whose edges are vocabulary token ids:
   string is readable between two states becomes a "shortcut" edge — the
   Appendix-B algorithm, implemented as one memoised (vocabulary-trie ×
   automaton) walk shared by all states.  Every ambiguous tokenization of every matching string is
-  a path.
+  a path.  When the result is provably minimal, each state's row is built
+  (and lowered to arrays) the first time a traversal touches the state.
 * **Canonical encodings** (conditional generation): only the tokenizer's
   canonical encoding of each string is kept.  Finite, small languages are
   enumerated and re-encoded exactly (the paper's first recovery option);
@@ -27,7 +28,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.automata.dfa import DFA
 from repro.automata.partition import refine
@@ -45,6 +46,7 @@ from repro.tokenizers.bpe import BPETokenizer
 
 __all__ = [
     "TokenAutomaton",
+    "TokenRows",
     "CompiledQuery",
     "CompileMetrics",
     "CompilationCache",
@@ -80,20 +82,107 @@ class CompileMetrics:
         return asdict(self)
 
 
+def _sorted_row(row: dict[int, int]) -> dict[int, int]:
+    """*row* in canonical ascending-token-id order: makes equivalent
+    states' rows identical (the minimizer's bit-identity precondition) and
+    matches the reference scan's natural order.  (Sorting the int keys
+    alone is ~2.5x faster than sorting the item pairs.)"""
+    tokens = sorted(row)
+    return dict(zip(tokens, map(row.__getitem__, tokens)))
+
+
+class TokenRows(Mapping[int, dict[int, int]]):
+    """The edges of an all-encodings automaton over a char automaton whose
+    states are ``0 … num_states-1``: ``get`` / ``[]`` build one sorted row
+    with the shared trie walk and memoise it; iteration and ``len`` build
+    every row, then drop the walk and its memo.  ``num_edges`` is counted on
+    first read, from the rows once all are built, else by
+    :meth:`SharedWalk.count`.  Pickles as the char transitions (and a count
+    already made); an unpickled mapping needs ``_walk`` set again.
+    """
+
+    def __init__(
+        self,
+        transitions: dict[int, dict[str, int]],
+        num_states: int,
+        walk: SharedWalk | None = None,
+        num_edges: int | None = None,
+    ) -> None:
+        self.transitions = transitions
+        self.num_states = num_states
+        self._walk = walk
+        self._num_edges = num_edges
+        self._rows: dict[int, dict[int, int]] = {}
+        self._complete = False
+
+    @property
+    def num_edges(self) -> int:
+        """Total number of token edges (counted once, on first read)."""
+        if self._num_edges is None:
+            self._num_edges = (
+                sum(map(len, self._rows.values())) if self._complete
+                else self._walk.count(range(self.num_states))  # type: ignore[union-attr]
+            )
+        return self._num_edges
+
+    def get(  # type: ignore[override]
+        self, state: int, default: dict[int, int] | None = None
+    ) -> dict[int, int] | None:
+        row = self._rows.get(state)
+        if row is None and not self._complete:
+            built = self._walk.row(state)  # type: ignore[union-attr]
+            if built:
+                row = self._rows[state] = _sorted_row(built)
+        return default if row is None else row
+
+    def step(self, state: int, token_id: int) -> int | None:
+        """``self.get(state, {}).get(token_id)``, building no row."""
+        row = self._rows.get(state)
+        if row is not None or self._complete:
+            return None if row is None else row.get(token_id)
+        return self._walk.step(state, token_id)  # type: ignore[union-attr]
+
+    def __getitem__(self, state: int) -> dict[int, int]:
+        row = self.get(state)
+        if row is None:
+            raise KeyError(state)
+        return row
+
+    def _all(self) -> dict[int, dict[int, int]]:
+        if not self._complete:
+            for state in range(self.num_states):
+                self.get(state)  # memoises every non-empty row
+            self._rows = dict(sorted(self._rows.items()))
+            self._complete = True
+            self._walk = None
+        return self._rows
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._all())
+
+    def __len__(self) -> int:
+        return len(self._all())
+
+    def __reduce__(self) -> tuple:
+        return TokenRows, (self.transitions, self.num_states, None, self._num_edges)
+
+
 @dataclass
 class TokenAutomaton:
     """A token-space automaton: edges are vocabulary token ids.
 
-    ``edges[q][token_id]`` is the successor state.  ``prefix_live`` marks
-    states whose path-so-far still lies within the prefix region (edges
-    *into* such states are exempt from decoding rules).  When
-    ``dynamic_canonical`` is set, paths must additionally be canonical
-    encodings — enforced by the executor at traversal time.
+    ``edges[q][token_id]`` is the successor state; ``edges`` is a plain dict
+    or, for an automaton :meth:`GraphCompiler.compile_all_tokens` proved
+    minimal, :class:`TokenRows` that build each row on first read.
+    ``prefix_live`` marks states whose path-so-far still lies within the
+    prefix region (edges *into* such states are exempt from decoding
+    rules).  When ``dynamic_canonical`` is set, paths must additionally be
+    canonical encodings — enforced by the executor at traversal time.
     """
 
     start: int
     accepts: frozenset[int]
-    edges: dict[int, dict[int, int]] = field(default_factory=dict)
+    edges: Mapping[int, dict[int, int]] = field(default_factory=dict)
     prefix_live: frozenset[int] = frozenset()
     dynamic_canonical: bool = False
     #: Memoised array lowering (see :meth:`arrays`); not part of identity.
@@ -109,6 +198,13 @@ class TokenAutomaton:
         """Token edges leaving *state* (empty dict if none)."""
         return self.edges.get(state, {})
 
+    def step(self, state: int, token_id: int) -> int | None:
+        """The successor of *state* on *token_id* (``None`` if no edge);
+        lazy rows answer it without building the row."""
+        if isinstance(self.edges, TokenRows):
+            return self.edges.step(state, token_id)
+        return self.edges.get(state, {}).get(token_id)
+
     def is_prefix_edge(self, dst: int) -> bool:
         """True iff an edge landing at *dst* lies within the prefix region."""
         return dst in self.prefix_live
@@ -116,6 +212,8 @@ class TokenAutomaton:
     @property
     def num_states(self) -> int:
         """Number of distinct states mentioned by the automaton."""
+        if isinstance(self.edges, TokenRows):
+            return self.edges.num_states
         seen = {self.start} | set(self.accepts) | set(self.edges)
         for row in self.edges.values():
             seen.update(row.values())
@@ -124,38 +222,27 @@ class TokenAutomaton:
     @property
     def num_edges(self) -> int:
         """Total number of token edges."""
+        if isinstance(self.edges, TokenRows):
+            return self.edges.num_edges
         return sum(len(row) for row in self.edges.values())
 
     def accepts_tokens(self, tokens: Iterable[int]) -> bool:
         """True iff the token path exists and ends in an accepting state."""
-        state = self.start
+        state: int | None = self.start
         for tok in tokens:
-            nxt = self.edges.get(state, {}).get(tok)
-            if nxt is None:
+            state = self.step(state, tok)
+            if state is None:
                 return False
-            state = nxt
         return state in self.accepts
 
     def arrays(
         self, vocab_size: int | None = None, intervals: bool = False
     ) -> AutomatonArrays:
-        """The array lowering of this automaton (built once, then memoised).
-
-        ``vocab_size`` (the width of the logits rows the token ids index)
-        is recorded on the first call and ignored afterwards; it defaults
-        to one past the largest token id.  ``intervals=True`` (first call
-        only) stores each row as
-        sorted token-id interval runs instead of dense parallel arrays —
-        see :class:`~repro.core.arrays.AutomatonArrays`.
-        """
+        """The array lowering of this automaton (made once, then memoised;
+        each row is lowered on first touch).  ``vocab_size`` and
+        ``intervals`` are accepted and ignored."""
         if self._arrays is None:
-            if vocab_size is None:
-                vocab_size = 1 + max(
-                    (tok for row in self.edges.values() for tok in row), default=-1
-                )
-            self._arrays = AutomatonArrays(
-                self.edges, self.prefix_live, vocab_size, intervals=intervals
-            )
+            self._arrays = AutomatonArrays(self.edges, self.prefix_live)
         return self._arrays
 
     # -- state-space reductions --------------------------------------------------
@@ -328,8 +415,11 @@ class CompiledQuery:
 
     @property
     def is_empty(self) -> bool:
-        """True iff no token path reaches acceptance (RLM001 territory)."""
+        """True iff no token path reaches acceptance (RLM001 territory).
+        A proven-minimal automaton is trim: it is empty iff nothing accepts."""
         automaton = self.token_automaton
+        if automaton._minimal:
+            return not automaton.accepts
         seen = {automaton.start}
         stack = [automaton.start]
         while stack:
@@ -471,12 +561,14 @@ class GraphCompiler:
 
     Every compilation is minimized (:meth:`TokenAutomaton.minimized`; the
     token-level pass is skipped only when :meth:`compile_all_tokens` has
-    proved the automaton minimal on its character-level product) and
-    lowered to interval-compressed arrays — a pure state/edge/byte shrink;
-    every match stream is bit-identical to the unminimized automaton's (the
-    differential grid pins this against hand-built unminimized
-    compilations).  The static analyzer is *not* run here: a compilation
-    computes its :attr:`~CompiledQuery.report` when somebody reads it.
+    proved the automaton minimal on its character-level product) — a pure
+    state/edge shrink; every match stream is bit-identical to the
+    unminimized automaton's (the differential grid pins this against
+    hand-built unminimized compilations).  A proven-minimal automaton's
+    token rows are built, and lowered to arrays, the first time a
+    traversal touches their state.  The static analyzer is *not* run
+    here: a compilation computes its :attr:`~CompiledQuery.report` when
+    somebody reads it.
     ``disk_cache`` (a directory path or a prebuilt
     :class:`~repro.core.compile_cache.CompileDiskCache`) persists
     compilations across processes and runs: worker respawns, ``--resume``
@@ -605,13 +697,13 @@ class GraphCompiler:
     def _from_disk(self, entry: CompileCacheEntry, query: SimpleSearchQuery) -> CompiledQuery:
         """A persisted compilation as this compiler would have built it for
         *query*: same automata, the persisted report (if one had been
-        computed), this tokenizer and analyzer.
-
-        The entry was written without its array lowering (arrays rebuild
-        faster than they pickle); lower it now so executors share one
-        lowering, exactly as a cold compile would.
+        computed), this tokenizer and analyzer.  Lazy token rows were
+        persisted as their char product; they walk this compiler's trie.
         """
-        compiled = CompiledQuery(
+        edges = entry.token_automaton.edges
+        if isinstance(edges, TokenRows):
+            edges._walk = SharedWalk(self._trie, edges.transitions)
+        return CompiledQuery(
             query=query,
             tokenizer=self.tokenizer,
             char_dfa=entry.char_dfa,
@@ -623,11 +715,6 @@ class GraphCompiler:
             _analyzer=self.analyzer,
             _char_infinite=entry.char_infinite,
         )
-        if compiled.token_automaton.accepts:
-            compiled.token_automaton.arrays(
-                vocab_size=len(self.tokenizer), intervals=True
-            )
-        return compiled
 
     def _compile_uncached(self, query: SimpleSearchQuery) -> CompiledQuery:
         char_dfa = compile_dfa(query.query_string.query_str)
@@ -671,9 +758,6 @@ class GraphCompiler:
         raw_states = token_automaton.num_states
         raw_edges = token_automaton.num_edges
         token_automaton = token_automaton.minimized()
-        # Lower to arrays now: cached compilations then share the lowering
-        # across every executor that runs this query.
-        token_automaton.arrays(vocab_size=len(self.tokenizer), intervals=True)
         return CompiledQuery(
             query=query,
             tokenizer=self.tokenizer,
@@ -696,30 +780,26 @@ class GraphCompiler:
         token.
 
         States of the result are product states (char state, prefix state or
-        dead); with no prefix they coincide with char states.
+        dead); with no prefix they coincide with char states.  When
+        :meth:`_proves_minimal` holds, the rows are :class:`TokenRows`, built
+        when first read; otherwise every row is built here.  Either way one
+        walk serves all states; only lazy rows keep it (and its memo).
         """
         product, prefix_live = _prefix_product(char_dfa, prefix_closure)
         states = product.states
-        # One walk for all states; its memo is dropped with it on return.
+        minimal = self._proves_minimal(product, states, prefix_live)
         walk = SharedWalk(self._trie, product.transitions)
-        edges: dict[int, dict[int, int]] = {}
-        for state in states:
-            row = walk.row(state)
-            if row:
-                # Canonical ascending-token-id row order: makes equivalent
-                # states' rows identical (the minimizer's bit-identity
-                # precondition), matches the reference scan's natural
-                # order, and maximises the interval-run compression below.
-                # (Sorting the int keys alone is ~2.5x faster than sorting
-                # the item pairs.)
-                tokens = sorted(row)
-                edges[state] = dict(zip(tokens, map(row.__getitem__, tokens)))
+        edges: Mapping[int, dict[int, int]]
+        if minimal:
+            edges = TokenRows(product.transitions, len(states), walk)
+        else:
+            edges = {q: _sorted_row(row) for q in states if (row := walk.row(q))}
         return TokenAutomaton(
             start=product.start,
             accepts=product.accepts,
             edges=edges,
             prefix_live=prefix_live,
-            _minimal=self._proves_minimal(product, states, prefix_live),
+            _minimal=minimal,
         )
 
     def _proves_minimal(
@@ -741,8 +821,8 @@ class GraphCompiler:
         3. :func:`~repro.automata.partition.refine` on the product, labelled
            like the token pass, merges nothing.
 
-        Rows are already in ascending token id and ``edges`` in ascending
-        state, so minimizing would rebuild this automaton exactly.
+        Rows are in ascending token id and ``edges`` in ascending state, so
+        minimizing would rebuild this automaton exactly.
         """
         if states != list(range(len(states))):
             return False

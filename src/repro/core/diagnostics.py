@@ -11,26 +11,10 @@ died with it, using the same big-int walk DP as the uniform sampler.
 from __future__ import annotations
 
 from repro.automata.walks import WalkCounter
+from repro.core.analyze import TokenGraphView
 from repro.core.compiler import TokenAutomaton
 
 __all__ = ["EliminationTracker"]
-
-
-class _TokenGraphView:
-    """Duck-typed DFA view of a token automaton (for :class:`WalkCounter`)."""
-
-    def __init__(self, automaton: TokenAutomaton) -> None:
-        self.accepts = automaton.accepts
-        self.transitions = automaton.edges
-        seen = {automaton.start} | set(automaton.accepts) | set(automaton.edges)
-        for row in automaton.edges.values():
-            seen.update(row.values())
-        self._states = sorted(seen)
-        self.start = automaton.start
-
-    @property
-    def states(self) -> list[int]:
-        return self._states
 
 
 class EliminationTracker:
@@ -43,7 +27,7 @@ class EliminationTracker:
     """
 
     def __init__(self, automaton: TokenAutomaton, max_tokens: int) -> None:
-        self._counter = WalkCounter(_TokenGraphView(automaton), max_length=max_tokens)
+        self._counter = WalkCounter(TokenGraphView(automaton), max_length=max_tokens)
         self.max_tokens = max_tokens
         self.eliminated = 0
         self.events = 0

@@ -260,7 +260,7 @@ class Executor:
             self._cache = logits_cache
         else:
             self._cache = LogitsCache(model)
-        self._arrays = self.automaton.arrays(model.vocab_size)
+        self._arrays = self.automaton.arrays()
         q = compiled.query
         if q.top_k_sampling is None and q.top_p_sampling is None and q.temperature == 1.0:
             self.policy: DecodingPolicy | None = None
@@ -657,7 +657,7 @@ class Executor:
         tokens = tuple(self.tokenizer.encode(strings[0]))
         state = automaton.start
         for tok in tokens:
-            nxt = automaton.successors(state).get(tok)
+            nxt = automaton.step(state, tok)
             if nxt is None:
                 return automaton.start, (), 0.0
             state = nxt
@@ -810,7 +810,7 @@ class Executor:
             prefix_tokens = self.tokenizer.encode(sampled_prefix)
             state = automaton.start
             for tok in prefix_tokens:
-                nxt = automaton.successors(state).get(tok)
+                nxt = automaton.step(state, tok)
                 if nxt is None:
                     return None  # canonical prefix not walkable (re-tokenization boundary)
                 state = nxt

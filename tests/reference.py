@@ -12,12 +12,16 @@ engine used to ship as user-selectable forks (``backend="dict"``,
   small-fan-out selection alone.  Executors run in the parent process, so
   the pin holds under worker pools too.
 * :func:`compile_unminimized` hand-builds a compilation that skips token
-  minimization and interval lowering, from the compiler's public stage
+  minimization and builds every token row up front
+  (:func:`compile_all_tokens_eager`), from the compiler's public stage
   functions (the same chain ``benchmarks/e2e/tracing.py`` replays), and
   :func:`unminimized_compiler` seeds a compiler's cache with it so the
   scheduler can run the unminimized automaton too.
 * :func:`compile_all_tokens_scan` is the paper's Appendix-B per-token scan,
-  the differential target for the trie-guided ``compile_all_tokens``.
+  the differential target for the trie-guided ``compile_all_tokens``;
+  :func:`compile_all_tokens_eager` is that construction with every row
+  built at once, as it was before proven-minimal rows were built on first
+  read.
 * :func:`reference_partition` is the set-based Hopcroft (implicit dead
   state, full ``reverse`` table) that ``DFA.minimized`` and
   ``TokenAutomaton.minimized`` each used to carry a copy of, with
@@ -42,6 +46,7 @@ import numpy as np
 import pytest
 
 from repro.automata.dfa import DFA
+from repro.automata.trie import SharedWalk
 from repro.core import executor as executor_module
 from repro.core.compiler import (
     CompilationCache,
@@ -127,7 +132,7 @@ def expansion_path(path: str) -> Iterator[None]:
 
 
 def compile_unminimized(compiler: GraphCompiler, query) -> CompiledQuery:
-    """*query* compiled without token minimization or interval rows."""
+    """*query* compiled without token minimization, every row built."""
     char_dfa = compile_dfa(query.query_string.query_str)
     prefix_dfa = None
     if query.query_string.prefix_str is not None:
@@ -142,10 +147,12 @@ def compile_unminimized(compiler: GraphCompiler, query) -> CompiledQuery:
             prefixes_of(prefix_dfa).intersect(prefixes_of(char_dfa)).minimized()
         )
     if query.tokenization_strategy is QueryTokenizationStrategy.ALL_TOKENS:
-        automaton = compiler.compile_all_tokens(char_dfa, prefix_closure)
+        automaton = compile_all_tokens_eager(compiler, char_dfa, prefix_closure)
     else:
         automaton = compiler.compile_canonical(char_dfa, prefix_closure)
-    automaton.arrays(vocab_size=len(compiler.tokenizer), intervals=False)
+        if automaton.dynamic_canonical:
+            automaton = compile_all_tokens_eager(compiler, char_dfa, prefix_closure)
+            automaton.dynamic_canonical = True
     return CompiledQuery(
         query=query,
         tokenizer=compiler.tokenizer,
@@ -170,6 +177,27 @@ def unminimized_compiler(tokenizer, query) -> GraphCompiler:
     compiler = GraphCompiler(tokenizer, cache=CompilationCache())
     compiler.cache.put(compiler.cache_key(query), compile_unminimized(compiler, query))
     return compiler
+
+
+def compile_all_tokens_eager(
+    compiler: GraphCompiler, char_dfa: DFA, prefix_closure: DFA | None
+) -> TokenAutomaton:
+    """``compile_all_tokens`` with every row built up front, as plain dicts
+    in ascending state and token id — never :class:`TokenRows`, and never
+    flagged minimal."""
+    product, prefix_live = _prefix_product(char_dfa, prefix_closure)
+    walk = SharedWalk(compiler._trie, product.transitions)
+    edges = {}
+    for state in product.states:
+        row = walk.row(state)
+        if row:
+            edges[state] = dict(sorted(row.items()))
+    return TokenAutomaton(
+        start=product.start,
+        accepts=product.accepts,
+        edges=edges,
+        prefix_live=prefix_live,
+    )
 
 
 def compile_all_tokens_scan(

@@ -1,5 +1,5 @@
-"""Persistent compile cache, token-automaton minimization, interval arrays,
-and the size-aware in-memory compilation cache.
+"""Persistent compile cache, token-automaton minimization, lazily lowered
+arrays, and the size-aware in-memory compilation cache.
 
 Covers the compile-time fast path's correctness edges: disk entries round
 trip bit-identically, corrupted/version-mismatched entries warn and miss
@@ -70,6 +70,40 @@ class TestDiskRoundTrip:
         assert b.token_automaton.accepts == a.token_automaton.accepts
         assert b.token_automaton.prefix_live == a.token_automaton.prefix_live
 
+    def test_lazy_entry_persists_the_char_product(self, tok, tmp_path):
+        """A proven-minimal compile is written as its char product — never
+        the trie, never the rows — and a fresh compiler loading it builds
+        rows equal to a cold eager compile's."""
+        from repro.core.compiler import TokenRows
+
+        query = SearchQuery("The ((cat)|(dog)) sat", prefix="The")
+        cold = GraphCompiler(tok, disk_cache=tmp_path).compile(query)
+        edges = cold.token_automaton.edges
+        assert isinstance(edges, TokenRows)
+        entry = pickle.loads(next(tmp_path.glob("*.relmc")).read_bytes())
+        stored = entry.token_automaton.edges
+        assert isinstance(stored, TokenRows)
+        assert stored.transitions == edges.transitions
+        assert stored._walk is None and not stored._rows  # bound on load
+        before = len(pickle.dumps(edges))
+        assert len(edges) > 0  # builds every row
+        assert len(pickle.dumps(edges)) == before
+
+        compiler = GraphCompiler(tok, cache=False, disk_cache=tmp_path)
+        loaded = compiler.compile(query)
+        assert loaded.metrics.source == "disk"
+        eager = compile_unminimized(compiler, query).token_automaton
+        lazy = loaded.token_automaton
+        assert (lazy.num_states, lazy.num_edges) == (eager.num_states, eager.num_edges)
+        arr, ref = lazy.arrays(), eager.arrays()
+        for state in range(eager.num_states):
+            assert lazy.edges.get(state) == eager.edges.get(state)
+            assert list(lazy.successors(state).items()) == list(
+                eager.successors(state).items()
+            )
+            assert _lowered(arr, state) == _lowered(ref, state)
+        assert lazy.edges == eager.edges
+
     def test_disk_hit_results_bit_identical(self, tok, lm, tmp_path):
         cold = run_streams(lm, tok, GraphCompiler(tok, disk_cache=tmp_path))
         warm = run_streams(lm, tok, GraphCompiler(tok, disk_cache=tmp_path))
@@ -133,6 +167,33 @@ class TestCorruptionHandling:
         with pytest.warns(RuntimeWarning, match="mismatch"):
             assert c.compile(SearchQuery(PATTERNS[0])).metrics.source == "cold"
         assert c.disk_cache.invalid == 1
+
+    def test_version_1_entry_is_a_plain_miss(self, tok, tmp_path, monkeypatch):
+        """Version 1 pickled every token row as a plain dict.  The version is
+        hashed into the file name, so a version-1 entry sits under another
+        fingerprint: the current cache never opens it and recompiles with
+        no warning, and the old file stays on disk."""
+        import repro.core.compile_cache as compile_cache
+
+        from .reference import compile_all_tokens_eager
+
+        assert COMPILE_CACHE_VERSION == 2
+        monkeypatch.setattr(compile_cache, "COMPILE_CACHE_VERSION", 1)
+        old = self.entry_path(tok, tmp_path)
+        entry = pickle.loads(old.read_bytes())
+        assert entry.version == 1
+        entry.token_automaton = compile_all_tokens_eager(
+            GraphCompiler(tok), entry.char_dfa, entry.prefix_closure
+        )
+        old.write_bytes(pickle.dumps(entry))
+        monkeypatch.undo()
+
+        c = GraphCompiler(tok, disk_cache=tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert c.compile(SearchQuery(PATTERNS[0])).metrics.source == "cold"
+        assert (c.disk_cache.misses, c.disk_cache.invalid) == (1, 0)
+        assert old.exists() and len(list(tmp_path.glob("*.relmc"))) == 2
 
     def test_wrong_object_type_warns(self, tmp_path):
         cache = CompileDiskCache(tmp_path)
@@ -204,46 +265,60 @@ class TestCompileMetrics:
         assert "compile_ms" in s.stats.as_dict()
 
 
-class TestIntervalArrays:
-    def test_interval_rows_expand_to_plain_rows(self, tok):
-        compiler = GraphCompiler(tok)
+def _lowered(arrays, state):
+    row = arrays.row(state)
+    if row is None:
+        return None
+    return row.token_ids.tolist(), row.dst_states.tolist(), row.is_prefix.tolist()
+
+
+class TestLazyArrays:
+    def test_lazy_lowering_equals_eager_lowering(self, tok):
+        """A proven-minimal compile builds and lowers each row on first
+        touch; every row equals the eager build's (``tests/reference.py``)
+        lowered by the same arrays, and the bytes cover only what was
+        lowered."""
+        compiler = GraphCompiler(tok, cache=False)
         for pattern in PATTERNS:
-            a = compiler.compile(SearchQuery(pattern))
-            arr = a.token_automaton.arrays(vocab_size=len(tok))
-            assert arr.intervals
-            for state, row in a.token_automaton.edges.items():
-                if not row:
-                    assert arr.row(state) is None or arr.row(state).num_edges == 0
-                    continue
-                expanded = arr.row(state)
-                assert list(expanded.token_ids) == list(row.keys())
-                assert list(expanded.dst_states) == list(row.values())
-            b = compile_unminimized(compiler, SearchQuery(pattern))
-            brr = b.token_automaton.arrays(vocab_size=len(tok))
-            assert not brr.intervals
+            for prefix in (None, "The"):
+                query = SearchQuery(pattern, prefix=prefix)
+                lazy = compiler.compile(query).token_automaton
+                eager = compile_unminimized(compiler, query).token_automaton
+                assert lazy._minimal, pattern
+                arr = lazy.arrays(vocab_size=len(tok), intervals=True)
+                assert arr.bytes_estimate == 0
+                ref = eager.arrays()
+                for state in range(lazy.num_states):
+                    assert _lowered(arr, state) == _lowered(ref, state)
+                    assert arr.row(state) is arr.row(state)
+                assert arr.bytes_estimate == ref.bytes_estimate > 0
 
-    def test_compression_reduces_bytes_on_runs(self):
+    def test_bytes_cover_rows_lowered_so_far(self):
         from repro.core.arrays import AutomatonArrays
 
-        # One state, 1000 consecutive tokens to the same destination.
-        edges = {0: {t: 1 for t in range(1000)}, 1: {}}
-        a = AutomatonArrays(edges, frozenset(), 1024, intervals=True)
-        b = AutomatonArrays(edges, frozenset(), 1024, intervals=False)
-        assert a.states_compressed == 1
-        assert a.interval_runs == 1
-        assert a.bytes_estimate < b.bytes_estimate / 10
-        row = a.row(0)
-        assert list(row.token_ids) == list(range(1000))
+        edges = {0: {t: 1 for t in range(1000)}, 1: {5: 2}}
+        arrays = AutomatonArrays(edges, frozenset())
+        assert arrays.bytes_estimate == 0
+        assert arrays.row(2) is None
+        assert arrays.bytes_estimate == 0
+        assert arrays.row(1).token_ids.tolist() == [5]
+        small = arrays.bytes_estimate
+        assert small > 0
+        row = arrays.row(0)
+        assert row.token_ids.tolist() == list(range(1000))
         assert set(row.dst_states.tolist()) == {1}
+        assert arrays.bytes_estimate > 100 * small
 
-    def test_incompressible_rows_stay_eager(self):
+    def test_prefix_mask_covers_every_destination(self):
+        """``is_prefix`` comes from a boolean state mask; destinations past
+        the largest live state are not live."""
         from repro.core.arrays import AutomatonArrays
 
-        # Alternating destinations: every run has length 1 — no win.
-        edges = {0: {t: t % 2 for t in range(100)}}
-        a = AutomatonArrays(edges, frozenset(), 128, intervals=True)
-        assert a.states_compressed == 0
-        assert a.row(0).num_edges == 100
+        edges = {0: {1: 1, 2: 2, 3: 7, 4: 3}, 3: {9: 0}}
+        arrays = AutomatonArrays(edges, frozenset({0, 2}))
+        assert arrays.row(0).is_prefix.tolist() == [False, True, False, False]
+        assert arrays.row(3).is_prefix.tolist() == [True]
+        assert AutomatonArrays(edges, frozenset()).row(0).is_prefix.tolist() == [False] * 4
 
 
 class TestTokenMinimization:

@@ -266,7 +266,9 @@ class TestTrieVsScan:
     def test_sub_walks_are_shared_and_dropped(self, env, monkeypatch):
         """One (trie node, state) expansion serves every source state that
         reaches it — strictly fewer expansions than walking each state on
-        its own — and the memo dies with the ``compile_all_tokens`` call."""
+        its own — and the memo dies once every row is built: with the
+        ``compile_all_tokens`` call when it builds them all, at the first
+        full iteration of lazy :class:`TokenRows`."""
         import gc
         import weakref
 
@@ -307,6 +309,19 @@ class TestTrieVsScan:
         automaton = compiler.compile_all_tokens(char_dfa, closure)
         gc.collect()
         assert automaton.num_edges > 0
+        assert isinstance(automaton.edges, compiler_module.TokenRows)
+        assert len(made) == 1 and made[0]() is not None
+        # Every char is a token here, so a state has a row iff it has a char edge.
+        assert len(automaton.edges) == sum(1 for q in states if product.transitions.get(q))
+        gc.collect()
+        assert [ref() for ref in made] == [None]
+        assert sum(map(len, automaton.edges.values())) == automaton.num_edges
+
+        made.clear()
+        monkeypatch.setattr(GraphCompiler, "_proves_minimal", lambda *a: False)
+        eager = compiler.compile_all_tokens(char_dfa, closure)
+        gc.collect()
+        assert eager.edges == automaton.edges
         assert [ref() for ref in made] == [None]
 
 
@@ -359,6 +374,29 @@ class TestMinimizationCounts:
                 assert not compiled.is_empty
         assert compiler.cache.misses + compiler.cache.hits == 4 * len(kinds)
         assert levels == ["char"] * compiler.cache.misses
+
+    def test_lambada_first_match_builds_only_expanded_rows(self, env):
+        """... and its token rows are built when the search first touches
+        them: the literal context is fast-forwarded by token steps, which
+        build nothing, and every row built is one the executor lowered for
+        an expansion — a small fraction of the automaton."""
+        from repro.core.api import prepare
+        from repro.core.compiler import TokenRows
+        from repro.experiments.lambada_eval import STRATEGIES, build_query
+
+        item = env.lambada.items[0]
+        for strategy in STRATEGIES:
+            session = prepare(
+                env.model("xl"), env.tokenizer, build_query(item, strategy),
+                compiler=GraphCompiler(env.tokenizer), max_expansions=3000,
+            )
+            assert next(iter(session), None) is not None, strategy
+            automaton = session.compiled.token_automaton
+            assert isinstance(automaton.edges, TokenRows)
+            built = set(automaton.edges._rows)
+            assert built <= set(automaton.arrays()._rows), strategy
+            assert 0 < len(built) <= session.stats.nodes_expanded, strategy
+            assert 4 * len(built) < automaton.num_states, strategy
 
     def test_vocabulary_missing_a_base_character_still_merges(self):
         """Why the pass stays: ``b`` is not a token, so after ``x`` and

@@ -126,3 +126,70 @@ def test_prefix_region_states_are_sound(words, prefix_len):
         if len(text) < 12:
             for tid, dst in automaton.successors(state).items():
                 stack.append((dst, text + _TOK.vocab.token_of(tid)))
+
+
+def _lowered_rows(automaton):
+    arrays = automaton.arrays()
+    out = []
+    for state in range(automaton.num_states):
+        row = arrays.row(state)
+        out.append(
+            None
+            if row is None
+            else (row.token_ids.tolist(), row.dst_states.tolist(), row.is_prefix.tolist())
+        )
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=_language, prefix_len=st.integers(0, 3))
+def test_lazy_rows_equal_eager_build(words, prefix_len):
+    """A proven-minimal compile builds each token row on first read; row
+    for row — edges, lowered arrays, state and edge counts, compile
+    metrics, single-edge ``step`` — it equals the eager build
+    (``tests/reference.py``) minimized by the token-level pass; ``step``
+    builds no row, and a full iteration drops the shared walk."""
+    from repro.core.compiler import TokenRows
+
+    from .reference import compile_unminimized
+
+    pattern = "(" + "|".join(f"({w})" for w in words) + ")"
+    prefix = sorted(words)[0][:prefix_len] or None
+    query = SearchQuery(pattern, prefix=prefix)
+    compiler = GraphCompiler(_TOK, cache=False)
+    compiled = compiler.compile(query)
+    lazy = compiled.token_automaton
+    eager = compile_unminimized(compiler, query).token_automaton
+    assert not isinstance(eager.edges, TokenRows)
+    expected = eager.minimized()
+    assert lazy._minimal == isinstance(lazy.edges, TokenRows)
+    assert (lazy.start, lazy.accepts, lazy.prefix_live) == (
+        expected.start, expected.accepts, expected.prefix_live
+    )
+    assert (lazy.num_states, lazy.num_edges) == (expected.num_states, expected.num_edges)
+    metrics = compiled.metrics
+    assert (
+        metrics.token_states, metrics.token_edges,
+        metrics.minimized_states, metrics.minimized_edges,
+    ) == (eager.num_states, eager.num_edges, expected.num_states, expected.num_edges)
+    # One edge at a time, before any row is built: every token of every
+    # row, tried from every state, plus a few ids no row holds.
+    tokens = {tok for row in expected.edges.values() for tok in row}
+    tokens |= {0, 1, len(_TOK) - 1, len(_TOK)}
+    for state in range(expected.num_states):
+        for tok in tokens:
+            assert lazy.step(state, tok) == expected.successors(state).get(tok)
+    if isinstance(lazy.edges, TokenRows):
+        assert lazy.edges._rows == {}  # step builds no row
+    for state in range(expected.num_states):
+        assert list(lazy.successors(state).items()) == list(
+            expected.successors(state).items()
+        )
+    assert _lowered_rows(lazy) == _lowered_rows(expected)
+    assert lazy.edges == expected.edges
+    assert [list(row.items()) for row in lazy.edges.values()] == [
+        list(row.items()) for row in expected.edges.values()
+    ]
+    if isinstance(lazy.edges, TokenRows):
+        assert lazy._minimal and eager.num_states == expected.num_states
+        assert lazy.edges._walk is None  # forced by the iteration above

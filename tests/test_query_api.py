@@ -194,7 +194,7 @@ class TestRemovedKeywords:
             "WorkerPool": lambda **kw: WorkerPool(model, 1, **kw).shutdown(),
             "Executor": lambda **kw: Executor(model, compiled, **kw),
             "GraphCompiler": lambda **kw: GraphCompiler(tokenizer, **kw),
-            "AutomatonArrays": lambda **kw: AutomatonArrays({}, frozenset(), 8, **kw),
+            "AutomatonArrays": lambda **kw: AutomatonArrays({}, frozenset(), **kw),
             "SearchSession": lambda **kw: SearchSession(model, tokenizer, query, **kw),
             "prepare": lambda **kw: prepare(model, tokenizer, query, **kw),
             "search_many": lambda **kw: search_many(model, tokenizer, [query], **kw),
