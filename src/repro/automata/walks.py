@@ -13,6 +13,9 @@ maximum sequence length, i.e. counting walks of bounded length.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+from typing import NamedTuple
 
 from repro.automata.dfa import DFA
 
@@ -39,6 +42,8 @@ class WalkCounter:
         self.max_length = max_length
         base = {q: (1 if q in dfa.accepts else 0) for q in dfa.states}
         self._levels: list[dict[int, int]] = [base]
+        #: Memoised draws, by (state, remaining); see :meth:`_step`.
+        self._steps: dict[tuple[int, int], _WalkStep] = {}
 
     def counts_at(self, level: int) -> dict[int, int]:
         """Walk counts with remaining budget *level* (0 ≤ level ≤
@@ -80,11 +85,30 @@ class WalkCounter:
         }
         return stop, weights
 
+    def _step(self, state: int, remaining: int) -> _WalkStep:
+        """The draw out of *state* with budget *remaining*, memoised: its
+        stop weight, total weight, the cumulative weight ends of its edges
+        in character order, and those edges' characters and targets."""
+        key = (state, remaining)
+        step = self._steps.get(key)
+        if step is None:
+            stop, weights = self.edge_weights(state, remaining)
+            chars = sorted(weights)
+            ends = list(itertools.accumulate((weights[ch] for ch in chars), initial=stop))
+            transitions = self.dfa.transitions.get(state, {})
+            step = self._steps[key] = _WalkStep(
+                stop, ends[-1], ends[1:], chars, [transitions[ch] for ch in chars]
+            )
+        return step
+
     def sample(self, rng) -> str | None:
         """Sample one string uniformly from the (bounded) language.
 
         Returns ``None`` when the language is empty within ``max_length``.
         ``rng`` is a :class:`random.Random`-like object (needs ``randrange``).
+        Each step is one ``randrange`` over the step's total weight, and
+        the pick is the first edge, in character order, whose cumulative
+        weight end exceeds it.
         """
         if self.total() == 0:
             return None
@@ -92,22 +116,14 @@ class WalkCounter:
         remaining = self.max_length
         out: list[str] = []
         while True:
-            stop, weights = self.edge_weights(state, remaining)
-            total = stop + sum(weights.values())
-            pick = rng.randrange(total)
-            if pick < stop:
+            step = self._step(state, remaining)
+            pick = rng.randrange(step.total)
+            if pick < step.stop:
                 return "".join(out)
-            pick -= stop
-            for ch in sorted(weights):
-                w = weights[ch]
-                if pick < w:
-                    out.append(ch)
-                    state = self.dfa.transitions[state][ch]
-                    remaining -= 1
-                    break
-                pick -= w
-            else:  # pragma: no cover - weights always cover pick
-                raise AssertionError("weight bookkeeping error")
+            i = bisect.bisect_right(step.ends, pick)
+            out.append(step.chars[i])
+            state = step.dsts[i]
+            remaining -= 1
 
     def sample_uniform_edges(self, rng, max_steps: int | None = None) -> str | None:
         """Sample by weighing *edges* uniformly (the biased strategy of
@@ -123,16 +139,26 @@ class WalkCounter:
         remaining = steps
         out: list[str] = []
         while True:
-            stop, weights = self.edge_weights(state, remaining)
-            options = (["<stop>"] if stop else []) + sorted(weights)
+            step = self._step(state, remaining)
+            options = step.stop + len(step.chars)
             if not options:
                 return None
-            choice = options[rng.randrange(len(options))]
-            if choice == "<stop>":
+            pick = rng.randrange(options) - step.stop
+            if pick < 0:
                 return "".join(out)
-            out.append(choice)
-            state = self.dfa.transitions[state][choice]
+            out.append(step.chars[pick])
+            state = step.dsts[pick]
             remaining -= 1
+
+
+class _WalkStep(NamedTuple):
+    """One memoised :class:`WalkCounter` step (see ``WalkCounter._step``)."""
+
+    stop: int
+    total: int
+    ends: list[int]
+    chars: list[str]
+    dsts: list[int]
 
 
 def count_accepting_walks(dfa: DFA, max_length: int | None = None) -> int:

@@ -11,7 +11,11 @@ Two traversals are provided, matching the paper:
   uniformly over the prefix language using exact walk counts (§3.3's
   combinatorics; Appendix C explains why uniform edge sampling is biased),
   then the suffix is sampled from the model restricted to automaton edges
-  that survive the decoding policy.
+  that survive the decoding policy.  A step's options and cumulative
+  weights are a function of the row it reads and the state it is in, so
+  they are built once per (row, state) — a :class:`_StepTable`, memoised
+  per live logits-cache row — and every later step out of that pair is
+  one draw.
 
 Top-k/top-p pruning happens per expansion: an edge whose token falls
 outside the decision rule is dropped, transitively eliminating every string
@@ -20,13 +24,14 @@ through it — the complexity-control lever §3.3 describes.
 Frontier expansion is vectorized: per-state edge arrays (see
 :mod:`repro.core.arrays`) turn each expansion into a few fancy-indexing
 operations plus a stable sort, and Dijkstra pushes one lazy heap entry per
-expansion (see :class:`_LazyGroup`) instead of one per edge.  States with
-at most ``_SCALAR_FANOUT_CUTOFF`` edges take a scalar loop over the edge
-dict instead (shortest path and sampling; array setup costs more than the
-loop there).  The two expansions produce bit-identical match streams (same
+expansion (see :class:`_LazyGroup`) instead of one per edge.  In shortest
+path, states with at most ``_SCALAR_FANOUT_CUTOFF`` edges take a scalar
+loop over the edge dict instead (array setup costs more than the loop
+there).  The two expansions produce bit-identical match streams (same
 order, same log-probabilities): edge costs are the same float64 values, and
 array order mirrors the edge dict's insertion order so tie-breaking agrees
-— the differential suite pins the cutoff to either extreme to compare them.
+— the differential suite pins the cutoff to either extreme to compare them,
+and compares the sampler and beam search with scalar references.
 
 Every traversal is implemented as a *stepwise generator* (:meth:`Executor.steps`)
 that yields two kinds of events: :class:`LmRequest` (the traversal needs model
@@ -72,7 +77,7 @@ from repro.core.compiler import CompiledQuery
 from repro.core.query import QuerySearchStrategy, QueryTokenizationStrategy
 from repro.core.results import ExecutionStats, MatchResult
 from repro.lm.base import LanguageModel, LogitsCache
-from repro.lm.decoding import DecodingPolicy, RowVerdicts
+from repro.lm.decoding import DecodingPolicy, RowMemo, RowVerdicts
 
 __all__ = ["Executor", "LmRequest"]
 
@@ -81,8 +86,9 @@ class LmRequest:
     """A suspended traversal's demand for next-token scores.
 
     ``contexts`` is the batch of token contexts to score (one LM round).
-    ``raw`` requests unscaled cached log-probabilities (prefix fast-forward
-    bypasses decoding rules); otherwise the driver sends back a list of
+    ``raw`` requests the cached rows themselves (prefix fast-forward
+    bypasses decoding rules; random sampling applies them once per step
+    table); otherwise the driver sends back a list of
     ``(scaled_logprobs, allowed_mask)`` pairs.  ``count_batch`` mirrors the
     historical stats split: single-context random-sampling lookups never
     counted toward ``lm_batches``.
@@ -112,10 +118,10 @@ class LmRequest:
         self.lookahead = lookahead
 
 
-#: At or below this fan-out shortest path and sampling expand a state with
-#: the scalar edge loop: array setup (fancy indexing + argsort) costs more
-#: than a loop over a handful of edges.  Both expansions are exactly
-#: equivalent, so the match stream is unaffected by where the line sits.
+#: At or below this fan-out shortest path expands a state with the scalar
+#: edge loop: array setup (fancy indexing + argsort) costs more than a loop
+#: over a handful of edges.  Both expansions are exactly equivalent, so the
+#: match stream is unaffected by where the line sits.
 _SCALAR_FANOUT_CUTOFF = 16
 
 #: Length bound, in characters, on the prefix strings random sampling
@@ -154,6 +160,27 @@ class _LazyGroup:
         self.suf = suf
         self.base = base
         self.tokens = tokens
+
+
+class _StepTable:
+    """One random-sampling step out of a state given a row: the surviving
+    options as ``(token_id, dst_state, logprob)`` — the EOS option, when
+    allowed, first as ``(None, None, logprob)`` — the cumulative weights
+    :meth:`random.Random.choices` draws from, and the edges the policy
+    pruned, counted again on every use.
+
+    Built once per (row, state) and exact: a step drawn from the table
+    consumes the RNG and picks exactly as a step that rebuilt it would.
+    """
+
+    __slots__ = ("options", "cum", "pruned")
+
+    def __init__(
+        self, options: list[tuple[int | None, int | None, float]], cum: list[float], pruned: int
+    ) -> None:
+        self.options = options
+        self.cum = cum
+        self.pruned = pruned
 
 
 def _prefix_region(closure: DFA, text: str) -> str:
@@ -261,6 +288,8 @@ class Executor:
         else:
             self._cache = LogitsCache(model)
         self._arrays = self.automaton.arrays()
+        #: Random sampling's step tables: raw row -> {state: _StepTable}.
+        self._step_tables = RowMemo()
         q = compiled.query
         if q.top_k_sampling is None and q.top_p_sampling is None and q.temperature == 1.0:
             self.policy: DecodingPolicy | None = None
@@ -320,13 +349,15 @@ class Executor:
         out = []
         for lp in rows:
             self.stats.tokens_scored += lp.size
-            if request.raw:
-                out.append(lp)
-            elif self._verdicts is None:
-                out.append((lp, lp > -np.inf))
-            else:
-                out.append(self._verdicts(lp))
+            out.append(lp if request.raw else self._judge(lp))
         return out
+
+    def _judge(self, lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(scaled_logprobs, allowed_mask)`` of raw row *lp* under the
+        query's decoding policy."""
+        if self._verdicts is None:
+            return lp, lp > -np.inf
+        return self._verdicts(lp)
 
     def _make_result(
         self,
@@ -793,9 +824,12 @@ class Executor:
         self, prefix_counter: WalkCounter | None
     ) -> Generator[Any, Any, MatchResult | None]:
         """One sampling attempt (stepwise generator; returns the
-        :class:`MatchResult` or ``None`` as its generator return value)."""
+        :class:`MatchResult` or ``None`` as its generator return value).
+
+        Each step reads the raw row of the current context and draws from
+        the :class:`_StepTable` of (that row, the current state), built on
+        the pair's first step (see :meth:`_step_table`)."""
         automaton = self.automaton
-        eos = self.model.eos_id
         tokens: list[int] = []
         suffix_logprob = 0.0
         total_logprob = 0.0
@@ -834,63 +868,24 @@ class Executor:
                 return self._make_result(
                     tuple(tokens), -suffix_logprob, -total_logprob, sampled_prefix
                 )
-            (lp, mask), = yield LmRequest([tuple(tokens)], count_batch=False)
-            eos_allowed = bool(at_accept and mask[eos] and np.isfinite(lp[eos]))
-            if row is not None and row.num_edges > _SCALAR_FANOUT_CUTOFF:
-                sel_tokens, sel_dsts, costs, _ = self._expand_vectorized(
-                    row,
-                    tuple(tokens),
-                    lp,
-                    mask,
-                    prefix_bypass=False,
-                    count_nonfinite_prunes=False,
-                    record_eliminations=False,
-                )
-                sel_lps = -costs
-                num_options = int(sel_lps.size) + (1 if eos_allowed else 0)
-                if num_options == 0:
-                    return None
-                if eos_allowed:
-                    weights = np.exp(np.concatenate(([float(lp[eos])], sel_lps)))
+            (raw,) = yield LmRequest([tuple(tokens)], raw=True, count_batch=False)
+            if self._dynamic_prune:
+                # Canonicity prunes by path, so this step's options are its own.
+                table = self._step_table(raw, row, tokens, at_accept)
+            else:
+                tables = self._step_tables.lookup(raw)
+                if tables is None:
+                    tables = self._step_tables.store(raw, {})
+                table = tables.get(state)
+                if table is None:
+                    table = tables[state] = self._step_table(raw, row, tokens, at_accept)
                 else:
-                    weights = np.exp(sel_lps)
-                weights /= weights.sum()
-                choice = self._rng.choices(range(num_options), weights=weights, k=1)[0]
-                if eos_allowed and choice == 0:
-                    logprob = float(lp[eos])
-                    total_logprob += logprob
-                    suffix_logprob += logprob
-                    return self._make_result(
-                        tuple(tokens), -suffix_logprob, -total_logprob, sampled_prefix
-                    )
-                i = choice - 1 if eos_allowed else choice
-                logprob = float(sel_lps[i])
-                total_logprob += logprob
-                suffix_logprob += logprob
-                tokens.append(int(sel_tokens[i]))
-                state = int(sel_dsts[i])
-                continue
-            options: list[tuple[int | None, float]] = []
-            if eos_allowed:
-                options.append((None, float(lp[eos])))
-            for token_id in automaton.successors(state):
-                if not mask[token_id]:
-                    self.stats.pruned_edges += 1
-                    continue
-                if not np.isfinite(lp[token_id]):
-                    continue
-                if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(
-                    tuple(tokens) + (token_id,)
-                ):
-                    self.stats.pruned_edges += 1
-                    continue
-                options.append((token_id, float(lp[token_id])))
+                    self.stats.pruned_edges += table.pruned
+            options = table.options
             if not options:
                 return None
-            weights = np.exp(np.array([w for _, w in options]))
-            weights /= weights.sum()
-            choice = self._rng.choices(range(len(options)), weights=weights, k=1)[0]
-            token_id, logprob = options[choice]
+            choice = self._rng.choices(range(len(options)), cum_weights=table.cum, k=1)[0]
+            token_id, dst, logprob = options[choice]
             total_logprob += logprob
             suffix_logprob += logprob
             if token_id is None:  # EOS: stop and emit
@@ -898,4 +893,46 @@ class Executor:
                     tuple(tokens), -suffix_logprob, -total_logprob, sampled_prefix
                 )
             tokens.append(token_id)
-            state = automaton.successors(state)[token_id]
+            state = dst
+
+    def _step_table(
+        self, raw: np.ndarray, row: StateRow | None, tokens: list[int], at_accept: bool
+    ) -> _StepTable:
+        """The sampling step out of *row*'s state given the raw scores
+        *raw*, counting its pruned edges.
+
+        The decoding policy is applied here, the surviving edges come from
+        :meth:`_expand_vectorized`, and the cumulative weights are the
+        ones :meth:`random.Random.choices` builds from ``weights=``: the
+        options' probabilities renormalised to sum to one.  When every
+        one of them underflows (a low temperature on unlikely options)
+        they are taken relative to the largest instead.
+        """
+        lp, mask = self._judge(raw)
+        pruned_before = self.stats.pruned_edges
+        eos = self.model.eos_id
+        options: list[tuple[int | None, int | None, float]] = []
+        if at_accept and mask[eos] and np.isfinite(lp[eos]):
+            options.append((None, None, float(lp[eos])))
+        if row is not None:
+            sel_tokens, sel_dsts, costs, _ = self._expand_vectorized(
+                row,
+                tuple(tokens),
+                lp,
+                mask,
+                prefix_bypass=False,
+                count_nonfinite_prunes=False,
+                record_eliminations=False,
+            )
+            options += zip(sel_tokens.tolist(), sel_dsts.tolist(), (-costs).tolist())
+        pruned = self.stats.pruned_edges - pruned_before
+        if not options:
+            return _StepTable(options, [], pruned)
+        lps = np.array([option[2] for option in options])
+        weights = np.exp(lps)
+        total = weights.sum()
+        if total == 0.0:
+            weights = np.exp(lps - lps.max())
+            total = weights.sum()
+        weights /= total
+        return _StepTable(options, list(itertools.accumulate(weights.tolist())), pruned)

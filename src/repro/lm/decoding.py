@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-__all__ = ["DecodingPolicy", "RowVerdicts", "GREEDY", "UNRESTRICTED"]
+__all__ = ["DecodingPolicy", "RowMemo", "RowVerdicts", "GREEDY", "UNRESTRICTED"]
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,48 @@ class DecodingPolicy:
         return out
 
 
-class _Judged(weakref.ref[np.ndarray]):
-    """A weak reference to a judged row carrying the row's top-k threshold
-    (``None`` when the row ties at it) and its memo key."""
+class _RowEntry(weakref.ref[np.ndarray]):
+    """A weak reference to a row carrying its memo key and memoised value."""
 
-    __slots__ = ("key", "kth")
+    __slots__ = ("key", "value")
     key: int
-    kth: float | None
+    value: Any
+
+
+class RowMemo(dict[int, _RowEntry]):
+    """Values memoised per live row object.
+
+    Rows are the logits cache's shared, immutable arrays, so the memo is
+    keyed by ``id(row)``: each entry is a weak reference to the row whose
+    callback removes the entry when the row is freed.  The memo therefore
+    holds one entry per live row and never keeps a row alive that the
+    cache evicted (an ``id`` reused by a later row misses: its entry's
+    referent is not that row).
+    """
+
+    def lookup(self, row: np.ndarray, default: Any = None) -> Any:
+        """The value memoised for *row*, else *default*."""
+        entry = self.get(id(row))
+        if entry is None or entry() is not row:
+            return default
+        return entry.value
+
+    def store(self, row: np.ndarray, value: Any) -> Any:
+        """Memoise *value* for *row*; returns *value*."""
+        entry = _RowEntry(row, self._forget)
+        entry.key = id(row)
+        entry.value = value
+        self[entry.key] = entry
+        return value
+
+    def _forget(self, entry: _RowEntry) -> None:
+        if self.get(entry.key) is entry:
+            del self[entry.key]
+
+
+#: :meth:`RowMemo.lookup`'s answer for a row it has not seen (a memoised
+#: threshold may be ``None``).
+_UNSEEN = object()
 
 
 class RowVerdicts:
@@ -132,31 +168,24 @@ class RowVerdicts:
     fewer than ``k`` are finite), except on a row that ties at ``kth``,
     where :meth:`DecodingPolicy.allowed_mask` breaks the tie by index.  So
     the threshold — or "ties" — is computed on the first sight of a row
-    object and memoised; later sights cost one comparison.  Rows are the
-    logits cache's shared, immutable arrays, so the memo is keyed by
-    ``id``: each entry is a weak reference whose callback removes it when
-    the row is freed.  The memo therefore holds one entry per live row and
-    never keeps a row alive that the cache evicted.  Other rules (top-p)
-    take :meth:`DecodingPolicy.allowed_mask` on every call.
+    object and memoised in a :class:`RowMemo`; later sights cost one
+    comparison.  Other rules (top-p) take
+    :meth:`DecodingPolicy.allowed_mask` on every call.
     """
 
     def __init__(self, policy: DecodingPolicy) -> None:
         self.policy = policy
         self._top_k = policy.top_k if policy.top_p is None or policy.top_p >= 1.0 else None
-        self._memo: dict[int, _Judged] = {}
+        self._memo = RowMemo()
 
     def __call__(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         policy = self.policy
         scaled = policy.scaled_logprobs(row)
         if self._top_k is None:
             return scaled, policy.allowed_mask(row)
-        judged = self._memo.get(id(row))
-        if judged is None or judged() is not row:
-            judged = _Judged(row, self._forget)
-            judged.key = id(row)
-            judged.kth = self._threshold(scaled)
-            self._memo[judged.key] = judged
-        kth = judged.kth
+        kth = self._memo.lookup(row, _UNSEEN)
+        if kth is _UNSEEN:
+            kth = self._memo.store(row, self._threshold(scaled))
         if kth is None:
             return scaled, policy.allowed_mask(row)
         if kth == -np.inf:
@@ -174,10 +203,6 @@ class RowVerdicts:
         if kth > -np.inf and int(np.count_nonzero(scaled >= kth)) > k:
             return None
         return kth
-
-    def _forget(self, judged: _Judged) -> None:
-        if self._memo.get(judged.key) is judged:
-            del self._memo[judged.key]
 
     def __len__(self) -> int:
         """Rows currently memoised (all of them alive)."""

@@ -6,11 +6,14 @@ engine used to ship as user-selectable forks (``backend="dict"``,
 
 * :func:`expansion_path` pins *how* frontier edges are expanded for the
   duration of a ``with`` block — ``"dict"`` is the scalar reference (every
-  state takes the per-edge loop over the edge dict, and beam search runs
-  :func:`reference_beam_search` below), ``"arrays"`` forces the vectorized
+  shortest-path state takes the per-edge loop over the edge dict, beam
+  search runs :func:`reference_beam_search` and random sampling
+  :func:`reference_sample_once` below), ``"arrays"`` forces the vectorized
   row expansion for every state, ``"default"`` leaves the production
   small-fan-out selection alone.  Executors run in the parent process, so
   the pin holds under worker pools too.
+* :func:`reference_walk_sample` / :func:`reference_walk_sample_uniform_edges`
+  are the per-step linear scans ``WalkCounter``'s memoised draws replaced.
 * :func:`compile_unminimized` hand-builds a compilation that skips token
   minimization and builds every token row up front
   (:func:`compile_all_tokens_eager`), from the compiler's public stage
@@ -47,6 +50,7 @@ import pytest
 
 from repro.automata.dfa import DFA
 from repro.automata.trie import SharedWalk
+from repro.automata.walks import WalkCounter
 from repro.core import executor as executor_module
 from repro.core.compiler import (
     CompilationCache,
@@ -119,6 +123,131 @@ def reference_beam_search(self: Executor) -> Iterator:
             self.stats.pruned_edges += len(candidates) - width
 
 
+def reference_sample_once(self: Executor, prefix_counter) -> Iterator:
+    """Scalar sampling attempt: every step rebuilds its options with a
+    Python loop over the edge dict, its weights with ``np.exp`` and its
+    draw with ``random.choices(weights=...)``.  The oracle for
+    ``Executor._sample_once`` (the low-temperature rescue included), with
+    the prefix drawn by :func:`reference_walk_sample` /
+    :func:`reference_walk_sample_uniform_edges`."""
+    automaton = self.automaton
+    eos = self.model.eos_id
+    tokens: list[int] = []
+    suffix_logprob = 0.0
+    total_logprob = 0.0
+    sampled_prefix = None
+    if prefix_counter is not None:
+        if self.query.uniform_edge_sampling:
+            sampled_prefix = reference_walk_sample_uniform_edges(prefix_counter, self._rng)
+        else:
+            sampled_prefix = reference_walk_sample(prefix_counter, self._rng)
+        if sampled_prefix is None:
+            return None
+        prefix_tokens = self.tokenizer.encode(sampled_prefix)
+        state = automaton.start
+        for tok in prefix_tokens:
+            nxt = automaton.step(state, tok)
+            if nxt is None:
+                return None
+            state = nxt
+        tokens.extend(prefix_tokens)
+    else:
+        state = automaton.start
+    while True:
+        if len(tokens) >= self.max_tokens:
+            return None
+        at_accept = state in automaton.accepts
+        if self._dynamic_prune and at_accept:
+            at_accept = self.tokenizer.is_canonical(tuple(tokens))
+        successors = automaton.successors(state)
+        if not successors and not at_accept:
+            return None
+        if not successors and not self.query.require_eos:
+            return self._make_result(
+                tuple(tokens), -suffix_logprob, -total_logprob, sampled_prefix
+            )
+        ((lp, mask),) = yield LmRequest([tuple(tokens)], count_batch=False)
+        options: list[tuple[int | None, float]] = []
+        if at_accept and mask[eos] and np.isfinite(lp[eos]):
+            options.append((None, float(lp[eos])))
+        for token_id in successors:
+            if not mask[token_id]:
+                self.stats.pruned_edges += 1
+                continue
+            if not np.isfinite(lp[token_id]):
+                continue
+            if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(
+                tuple(tokens) + (token_id,)
+            ):
+                self.stats.pruned_edges += 1
+                continue
+            options.append((token_id, float(lp[token_id])))
+        if not options:
+            return None
+        lps = np.array([w for _, w in options])
+        weights = np.exp(lps)
+        if weights.sum() == 0.0:
+            weights = np.exp(lps - lps.max())
+        weights /= weights.sum()
+        choice = self._rng.choices(range(len(options)), weights=weights, k=1)[0]
+        token_id, logprob = options[choice]
+        total_logprob += logprob
+        suffix_logprob += logprob
+        if token_id is None:
+            return self._make_result(
+                tuple(tokens), -suffix_logprob, -total_logprob, sampled_prefix
+            )
+        tokens.append(token_id)
+        state = successors[token_id]
+
+
+def reference_walk_sample(counter: WalkCounter, rng) -> str | None:
+    """Uniform string draw by a linear scan: rebuild the ``edge_weights``
+    dict at every step, sort it, and walk it down with one ``randrange``.
+    The oracle for ``WalkCounter.sample``."""
+    if counter.total() == 0:
+        return None
+    state = counter.dfa.start
+    remaining = counter.max_length
+    out: list[str] = []
+    while True:
+        stop, weights = counter.edge_weights(state, remaining)
+        pick = rng.randrange(stop + sum(weights.values()))
+        if pick < stop:
+            return "".join(out)
+        pick -= stop
+        for ch in sorted(weights):
+            if pick < weights[ch]:
+                out.append(ch)
+                state = counter.dfa.transitions[state][ch]
+                remaining -= 1
+                break
+            pick -= weights[ch]
+        else:  # pragma: no cover - weights always cover pick
+            raise AssertionError("weight bookkeeping error")
+
+
+def reference_walk_sample_uniform_edges(
+    counter: WalkCounter, rng, max_steps: int | None = None
+) -> str | None:
+    """Uniform *edge* draw (Appendix C) rebuilding the sorted option list
+    at every step.  The oracle for ``WalkCounter.sample_uniform_edges``."""
+    state = counter.dfa.start
+    remaining = counter.max_length if max_steps is None else max_steps
+    out: list[str] = []
+    while True:
+        stop, weights = counter.edge_weights(state, remaining)
+        options = (["<stop>"] if stop else []) + sorted(weights)
+        if not options:
+            return None
+        choice = options[rng.randrange(len(options))]
+        if choice == "<stop>":
+            return "".join(out)
+        out.append(choice)
+        state = counter.dfa.transitions[state][choice]
+        remaining -= 1
+
+
 @contextlib.contextmanager
 def expansion_path(path: str) -> Iterator[None]:
     """Pin the executor's edge-expansion path (see the module docstring)."""
@@ -128,6 +257,7 @@ def expansion_path(path: str) -> Iterator[None]:
             patch.setattr(executor_module, "_SCALAR_FANOUT_CUTOFF", cutoff)
         if path == "dict":
             patch.setattr(Executor, "_beam_search", reference_beam_search)
+            patch.setattr(Executor, "_sample_once", reference_sample_once)
         yield
 
 

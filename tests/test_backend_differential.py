@@ -4,13 +4,17 @@
 The engine has one production expansion path per traversal; the scalar
 per-edge loop over the edge dict is the reference it is compared to
 (:mod:`tests.reference` pins either path for the duration of a ``with``
-block, and holds the test-side scalar beam search).  The vectorized path
-must be an *exact* drop-in: the same match stream, in the same order, with
-the same per-token and total log-probabilities, and the same
-prune/expansion statistics.  We check this across shortest-path, beam, and
-random-sampling traversals, over a grid of seeded query/model combinations
-covering prefixes, top-k, require-eos, canonical tokenization, and
-Levenshtein edits.
+block, and holds the test-side scalar beam search and the per-step
+sampler).  The vectorized path must be an *exact* drop-in: the same match
+stream, in the same order, with the same per-token and total
+log-probabilities, and the same prune/expansion statistics.  We check this
+across shortest-path, beam, and random-sampling traversals, over a grid of
+seeded query/model combinations covering prefixes, top-k, top-p with
+temperature, require-eos, canonical tokenization (enumerated and dynamic),
+uniform-edge prefix draws, and Levenshtein edits.  Random sampling is
+compared with :func:`tests.reference.reference_sample_once`, which rebuilds
+every step's options and weights: the engine's step tables, built once per
+(row, state), must leave the RNG in the same state too.
 
 Also here: unit tests for the machinery the fast path is built from —
 :class:`AutomatonArrays`, :meth:`DecodingPolicy.allowed_mask_for`,
@@ -29,9 +33,11 @@ from repro.core.api import prepare
 from repro.core.compiler import CompilationCache, GraphCompiler
 from repro.core.preprocessors import LevenshteinPreprocessor
 from repro.core.query import (
+    QueryString,
     QuerySearchStrategy,
     QueryTokenizationStrategy,
     SearchQuery,
+    SimpleSearchQuery,
 )
 from repro.lm.base import LogitsCache
 from repro.lm.decoding import DecodingPolicy
@@ -81,6 +87,17 @@ COMBOS = [
     ("random_env_small", "env_small",
      SearchQuery("The ((man)|(woman)) was", strategy=RANDOM,
                  num_samples=25, seed=12)),
+    ("random_topp_temperature", "tiny",
+     SearchQuery("The ((cat)|(dog)|(man)|(woman))", strategy=RANDOM,
+                 num_samples=40, top_p=0.9, temperature=0.7, seed=13)),
+    ("random_dynamic_canonical", "tiny",
+     SearchQuery("The [a-z]+", strategy=RANDOM, num_samples=30,
+                 tokenization=CANONICAL, sequence_length=8, seed=14)),
+    ("random_uniform_edges", "tiny",
+     SimpleSearchQuery(
+         query_string=QueryString("((a)|(b{1,3}))c", prefix_str="(a)|(b{1,3})"),
+         search_strategy=RANDOM, num_samples=40, seed=15,
+         uniform_edge_sampling=True)),
 ]
 
 
@@ -116,11 +133,13 @@ class TestBackendsAreBitIdentical:
     )
     def test_match_streams_identical(self, model, tokenizer, env, name, source, query):
         m, tok = _world(source, model, tokenizer, env)
-        got_dict, stats_dict = _run(m, tok, query, "dict")
+        got_dict, session_dict = _run_session(m, tok, query, "dict")
+        stats_dict = session_dict.stats
         assert len(got_dict) > 0, f"combo {name} produced no matches"
         # Vectorized for every state, and the production small-fan-out mix.
         for path in ("arrays", "default"):
-            got_arr, stats_arr = _run(m, tok, query, path)
+            got_arr, session_arr = _run_session(m, tok, query, path)
+            stats_arr = session_arr.stats
             assert len(got_dict) == len(got_arr)
             for a, b in zip(got_dict, got_arr):
                 assert a.text == b.text
@@ -131,6 +150,14 @@ class TestBackendsAreBitIdentical:
             assert stats_dict.pruned_edges == stats_arr.pruned_edges
             assert stats_dict.lm_calls == stats_arr.lm_calls
             assert stats_dict.failed_attempts == stats_arr.failed_attempts
+            assert stats_dict.tokens_scored == stats_arr.tokens_scored
+            assert stats_dict.lm_batches == stats_arr.lm_batches
+            # Memoised sampling steps draw exactly what the per-step
+            # reference draws, so the RNG ends in the same state.
+            assert (
+                session_dict.executor._rng.getstate()
+                == session_arr.executor._rng.getstate()
+            )
 
     def test_unknown_backend_rejected(self, model, tokenizer):
         """There is no backend switch any more: the keyword itself is
@@ -372,7 +399,7 @@ PARALLEL_GRID = [1, 2, 4]
 
 
 class TestParallelSchedulerDifferential:
-    """The 13-combo grid across worker counts vs serial scheduling.
+    """The 16-combo grid across worker counts vs serial scheduling.
 
     Sharding a round across model-replica processes must be invisible:
     the same matches, in the same order, with bit-identical
@@ -608,7 +635,7 @@ class TestSampleTokenFallback:
 
 
 class TestPrefixCacheDifferential:
-    """The 13-combo grid, cache-on vs cache-off, over the transformer.
+    """The 16-combo grid, cache-on vs cache-off, over the transformer.
 
     Incremental K/V decoding may differ from the full re-forward in the
     last ulp (BLAS reassociation over different matmul shapes), but every
@@ -728,7 +755,7 @@ class TestPrefixCacheDifferential:
 
 
 class TestMinimizationDifferential:
-    """The 13-combo grid: minimized (what the compiler always produces) vs
+    """The 16-combo grid: minimized (what the compiler always produces) vs
     a hand-built unminimized compilation.
 
     Token-automaton minimization merges states and the interval lowering

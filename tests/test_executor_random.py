@@ -139,3 +139,20 @@ class TestTopKInteraction:
         )
         texts = {r.text for r in prepare(model, tokenizer, query)}
         assert len(texts) == 1
+
+
+class TestLowTemperature:
+    @pytest.mark.parametrize("temperature", [1.0, 0.05])
+    def test_underflowing_options_still_sample(self, model, tokenizer, temperature):
+        """At temperature 0.05 every option's scaled probability underflows
+        to 0.0: the weights are then taken relative to the likeliest option
+        instead of dividing 0 by 0 (which made ``random.choices`` raise)."""
+        query = _random_query(
+            "The ((qqq)|(zzx)) sat", prefix="The", n=20, temperature=temperature
+        )
+        session = prepare(model, tokenizer, query)
+        results = list(session)
+        assert len(results) == 20
+        assert {r.text for r in results} <= {"The qqq sat", "The zzx sat"}
+        assert all(np.isfinite(r.logprob) for r in results)
+        assert session.stats.failed_attempts == 0

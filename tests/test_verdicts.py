@@ -13,7 +13,8 @@ Each fast form is compared with the form it replaced, kept in
   ``(scaled_logprobs, allowed_mask)`` on rows with threshold ties,
   ``top_k >= V``, ``-inf`` entries, ``temperature != 1`` and ``top_p``,
   judges a row once, and never keeps alive a row the logits cache
-  evicted.
+  evicted — nor do random sampling's step tables, kept in the same
+  :class:`~repro.lm.decoding.RowMemo`.
 
 Run in CI with a pinned seed::
 
@@ -33,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import prepare
-from repro.core.query import SearchQuery
+from repro.core.query import QuerySearchStrategy, SearchQuery
 from repro.lm.base import LanguageModel, LogitsCache
 from repro.lm.decoding import DecodingPolicy, RowVerdicts
 from repro.lm.ngram import NGramModel
@@ -194,3 +195,35 @@ def test_memo_never_keeps_an_evicted_row_alive():
     # Live judged rows only: the cache's 8 and the one the traversal holds.
     assert len(verdicts) <= executor._cache.capacity + 1
     assert all(judged() is not None for judged in verdicts._memo.values())
+
+
+def test_step_tables_never_keep_an_evicted_row_alive():
+    """Random sampling's step tables live in the same kind of row memo: a
+    row the cache evicts takes its tables with it."""
+    model = _Unretained(NGramModel.train_on_text(TINY_CORPUS, _TOK, order=4, alpha=0.1))
+    query = SearchQuery(
+        "The [a-z]{1,5}( [a-z]{1,5})?",
+        strategy=QuerySearchStrategy.RANDOM_SAMPLING, num_samples=400, seed=0,
+    )
+    session = prepare(model, _TOK, query, logits_cache=LogitsCache(model, capacity=8))
+    samples = iter(session)
+    next(samples)
+    executor = session.executor
+    store, tables = executor._cache._store, executor._step_tables
+    # A row deep in the sample (no EOS padding in its key): the start rows
+    # are read by every sample and never age out.
+    key = next(
+        k for k, row in store.items() if id(row) in tables and _TOK.eos_id not in k
+    )
+    probe = weakref.ref(store[key])
+    for _ in itertools.islice(samples, 300):
+        if key not in store:
+            break
+    assert key not in store  # evicted from the 8-row cache
+    for _ in itertools.islice(samples, 5):  # let the traversal drop its last rows
+        pass
+    gc.collect()
+    assert probe() is None
+    # Live rows' tables only: the cache's 8 and the one the traversal holds.
+    assert len(tables) <= executor._cache.capacity + 1
+    assert all(entry() is not None for entry in tables.values())

@@ -1,4 +1,11 @@
-"""Tests for walk counting and uniform sampling (repro.automata.walks)."""
+"""Tests for walk counting and uniform sampling (repro.automata.walks).
+
+The memoised draws (``WalkCounter.sample`` / ``sample_uniform_edges``) are
+compared with the per-step linear scans kept in :mod:`tests.reference`
+over random DFAs, bounds and seeds.  Run in CI with a pinned seed::
+
+    pytest -q tests/test_walks.py --hypothesis-seed=0
+"""
 
 from __future__ import annotations
 
@@ -9,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.dfa import DFA
 from repro.automata.walks import WalkCounter, count_accepting_walks, sample_uniform_string
 from repro.regex import compile_dfa
+from tests.reference import reference_walk_sample, reference_walk_sample_uniform_edges
 
 
 class TestCounts:
@@ -120,8 +129,6 @@ class TestUniformSampling:
 )
 def test_count_equals_set_size(strings):
     """For explicit finite languages, the walk count equals the set size."""
-    from repro.automata.dfa import DFA
-
     dfa = DFA.from_strings(strings)
     assert count_accepting_walks(dfa, max_length=6) == len(strings)
 
@@ -135,10 +142,48 @@ def test_count_equals_set_size(strings):
 )
 def test_every_member_sampleable(strings, seed):
     """Uniform sampling can produce every member of a small language."""
-    from repro.automata.dfa import DFA
-
     dfa = DFA.from_strings(strings)
     wc = WalkCounter(dfa, max_length=5)
     rng = random.Random(seed)
     seen = {wc.sample(rng) for _ in range(30 * len(strings))}
     assert seen == set(strings)
+
+
+@st.composite
+def _random_dfas(draw) -> DFA:
+    """Partial DFAs over ``abc`` with up to six states: cycles, dead ends
+    and unreachable or non-co-reachable states included."""
+    num_states = draw(st.integers(1, 6))
+    transitions = {}
+    for q in range(num_states):
+        row = {}
+        for ch in "abc":
+            dst = draw(st.one_of(st.none(), st.integers(0, num_states - 1)))
+            if dst is not None:
+                row[ch] = dst
+        if row:
+            transitions[q] = row
+    accepts = draw(st.frozensets(st.integers(0, num_states - 1)))
+    return DFA(start=0, accepts=accepts, transitions=transitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dfa=_random_dfas(),
+    max_length=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_memoised_draws_equal_the_linear_scan(dfa, max_length, seed, data):
+    """A memoised step draws exactly what the per-step scan draws: the same
+    strings, and the RNG left in the same state, for both samplers."""
+    max_steps = data.draw(st.one_of(st.none(), st.integers(0, max_length)))
+    counter = WalkCounter(dfa, max_length=max_length)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(8):
+        assert counter.sample(rng) == reference_walk_sample(counter, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+        assert counter.sample_uniform_edges(rng, max_steps) == (
+            reference_walk_sample_uniform_edges(counter, ref_rng, max_steps)
+        )
+        assert rng.getstate() == ref_rng.getstate()
