@@ -9,9 +9,7 @@ persistent disk cache's warm start, which must recompile zero
 queries), the multi-query scheduler's cross-query coalescing (8
 templated knowledge queries must issue <= 0.35x the serial LM rounds),
 the query-set relational analysis (the ``QuerySetAnalyzer`` pass over
-the knowledge portfolio),
-the process-parallel round sharding (workers=4 must reach >= 1.8x
-the workers=1 round throughput on machines with >= 4 CPUs), and the
+the knowledge portfolio), and the
 validation service (sustained q/s and p50/p99 first-match latency at 1
 vs 8 concurrent clients over the NDJSON server, next to the cold one-shot
 latency; recorded, not gated), and records
@@ -425,62 +423,6 @@ def bench_incremental(env, repeats: int) -> dict:
     return out
 
 
-def bench_parallel(env, repeats: int) -> dict:
-    """Round throughput when sharding LM rounds across worker processes.
-
-    One coalesced round of 96 transformer contexts (a compute-heavy
-    forward, no caches — the shape :class:`WorkerPool` exists for),
-    evaluated through the same pool API at workers 1, 2, and 4.
-    workers=1 runs inline in-process and is the serial baseline; the
-    acceptance bar (``speedup_4v1 >= 1.8``) is only meaningful — and only
-    enforced — on a machine with >= 4 CPUs (CI runners); single-CPU
-    containers record the numbers but skip the gate.
-    """
-    import numpy as np
-
-    from repro.core.parallel import WorkerPool
-    from repro.lm.transformer import TransformerConfig, TransformerModel
-
-    tok = env.tokenizer
-    config = TransformerConfig(
-        vocab_size=len(tok), block_size=32, n_layer=4, n_head=4, n_embd=96
-    )
-    model = TransformerModel(config, eos_id=tok.eos_id, seed=0, kv_cache_mb=None)
-    n_ctx = 96
-    contexts = [
-        [(5 * b + 3 * t) % (len(tok) - 1) + 1 for t in range(12)] for b in range(n_ctx)
-    ]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    out: dict = {"cpus": cpus, "contexts_per_round": n_ctx}
-    reference = None
-    for workers in (1, 2, 4):
-        with WorkerPool(model, workers, min_shard_size=1) as pool:
-            before = pool.stats()["shards_dispatched"]
-            rows = pool.logprobs_batch(contexts)  # warm-up: segments get created here
-            shards = pool.stats()["shards_dispatched"] - before
-            if reference is None:
-                reference = rows
-            else:
-                for a, b in zip(reference, rows):
-                    assert np.allclose(a, b, atol=1e-9), "sharding diverged"
-            median, _ = _median_time(
-                lambda: pool.logprobs_batch(contexts), repeats
-            )
-        out[f"workers_{workers}"] = {
-            "ms_per_round": round(1000 * median, 3),
-            "rounds_per_s": round(1.0 / median, 2),
-            "shards_dispatched": shards,
-        }
-    out["speedup_4v1"] = round(
-        out["workers_1"]["ms_per_round"] / out["workers_4"]["ms_per_round"], 2
-    )
-    out["gate"] = "enforced" if cpus >= 4 else f"skipped ({cpus} cpu(s), need >= 4)"
-    return out
-
-
 def bench_service(env, repeats: int) -> dict:
     """Validation-service round trips: sustained q/s and first-match latency.
 
@@ -593,7 +535,6 @@ def main(argv=None) -> int:
         "scheduler": bench_scheduler(args.repeats),
         "analyze_set": bench_analyze_set(args.repeats),
         "incremental": bench_incremental(env, args.repeats),
-        "parallel": bench_parallel(env, args.repeats),
         "service": bench_service(env, args.repeats),
     }
     # Atomic write: a crashed or interrupted run must never leave a
@@ -640,12 +581,6 @@ def main(argv=None) -> int:
         failures.append(
             f"n-gram CSR speedup {incremental['ngram_csr']['speedup']}x is "
             "below the 2x bar"
-        )
-    parallel = report["parallel"]
-    if parallel["gate"] == "enforced" and parallel["speedup_4v1"] < 1.8:
-        failures.append(
-            f"parallel speedup {parallel['speedup_4v1']}x (workers=4 vs 1) "
-            "is below the 1.8x bar"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -31,7 +31,11 @@ def test_bench_fig5_relm_extraction(env, benchmark):
     series = log.valid_unique_over_time()
     rows = [[f"{t * 1000:.1f} ms", count] for t, count in series[:: max(1, len(series) // 10)]]
     print_table("Figure 5 (ReLM): unique valid URLs over time", ["elapsed", "unique valid"], rows)
-    assert series[-1][1] > 0
+    # EXPERIMENTS.md's Fig. 5 shape: a cumulative count that never falls
+    # and reaches 30 unique valid URLs (33 of 40 attempts are recorded).
+    counts = [count for _, count in series]
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert counts[-1] >= 30
 
 
 def test_bench_fig6_fig10_method_comparison(env, benchmark):

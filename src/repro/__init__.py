@@ -51,7 +51,6 @@ from repro.core import (
     SuffixFilterPreprocessor,
     TokenAutomaton,
     TransducerPreprocessor,
-    WorkerPool,
     analyze_query,
     prepare,
     search,
@@ -106,7 +105,6 @@ __all__ = [
     "QueryBudget",
     "ScheduledQuery",
     "SchedulerStats",
-    "WorkerPool",
     "SearchQuery",
     "SimpleSearchQuery",
     "QueryString",

@@ -22,31 +22,31 @@ entry point — library users should call :func:`repro.search` directly.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import math
 import sys
 
 __all__ = ["main", "build_parser"]
 
 
 def _positive_seconds(text: str) -> float:
-    """``--shard-timeout``: a deadline must leave a shard some time."""
+    """``--deadline``: a finite number of seconds > 0 (``QueryBudget``'s rule)."""
     try:
         value = float(text)
     except ValueError:
         value = float("nan")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be a number of seconds > 0, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds > 0, got {text!r}")
     return value
 
 
-def _retry_count(text: str) -> int:
-    """``--max-retries``: supervision is always on; 0 degrades at once."""
+def _positive_int(text: str) -> int:
+    """A count or cap that must be >= 1 (budgets, concurrency, cadence)."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -71,16 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strategy", choices=["shortest", "random", "beam"], default="shortest")
         p.add_argument("--tokenization", choices=["all", "canonical"], default="all")
         p.add_argument("--samples", type=int, default=10, help="samples for --strategy random")
-        p.add_argument("--max-matches", type=int, default=10)
+        p.add_argument("--max-matches", type=_positive_int, default=10)
         p.add_argument("--edits", type=int, default=0, help="Levenshtein preprocessor distance")
         p.add_argument("--require-eos", action="store_true")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
-            "--deadline", type=float, default=None,
+            "--deadline", type=_positive_seconds, default=None,
             help="per-query wall-clock budget in seconds (enforced by the scheduler)",
         )
         p.add_argument(
-            "--max-lm-calls", type=int, default=None,
+            "--max-lm-calls", type=_positive_int, default=None,
             help="per-query LM-call budget (enforced by the scheduler)",
         )
         p.add_argument("--log", default=None, help="append matches to this JSONL file")
@@ -91,26 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=["xl", "small"], default="xl")
         p.add_argument("--scale", choices=["test", "full"], default="test")
         p.add_argument(
-            "--concurrency", type=int, default=concurrency,
+            "--concurrency", type=_positive_int, default=concurrency,
             help="queries serviced per coalesced model round; a request the "
                  "logits cache answers takes no slot (for 'query', >1 engages "
                  "the scheduler)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=0,
-            help="shard each coalesced LM round across N model-replica "
-                 "processes (for 'query', >1 engages the scheduler; results "
-                 "are unchanged)",
-        )
-        p.add_argument(
-            "--max-retries", type=_retry_count, default=2,
-            help="failed-shard re-deliveries before the in-process fallback "
-                 "(worker supervision; 0 falls back on the first failure)",
-        )
-        p.add_argument(
-            "--shard-timeout", type=_positive_seconds, default=None,
-            help="seconds before an unanswered shard is declared hung and "
-                 "retried on a respawned worker (default: wait forever)",
         )
         p.add_argument(
             "--kv-cache-mb", type=float, default=None,
@@ -125,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--compile-cache", default=None, metavar="DIR",
             help="persistent compile-cache directory: compiled automata are "
-                 "reused across runs, restarts and worker respawns (entries "
+                 "reused across runs and restarts (entries "
                  "are fingerprinted by query + tokenizer + compiler options; "
                  "stale or corrupt entries just miss)",
         )
@@ -141,21 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
                  "the rest (a missing checkpoint file is a fresh run)",
         )
         p.add_argument(
-            "--checkpoint-every", type=int, default=1,
+            "--checkpoint-every", type=_positive_int, default=1,
             help="completed rounds between checkpoint snapshots (cadence vs. "
-                 "overhead; see cookbook §13)",
+                 "overhead; see cookbook §12)",
         )
 
     query = sub.add_parser("query", help="run a regex query against the built-in model")
     add_query_args(query)
     add_engine_args(query, concurrency=1)
-    query.add_argument(
-        "--inject-fault", action="append", default=None, metavar="SPEC",
-        help="testing only: deterministically fail a shard delivery; SPEC "
-             "is KIND:ROUND:SHARD[:SECONDS] with KIND in "
-             "{crash,hang,slow,error}, ROUND an integer, '*' or '*/N' "
-             "(repeatable)",
-    )
 
     experiment = sub.add_parser("experiment", help="run one paper experiment")
     experiment.add_argument(
@@ -342,10 +319,6 @@ _STAT_LINES = {
     "compilation cache": ("hits", "misses", "entries"),
     "compile disk cache": ("hits", "misses", "writes", "invalid"),
     "prefix-state cache": ("hits", "misses", "hit_rate", "evictions", "bytes"),
-    "parallel": (
-        "workers", "rounds", "parallel_rounds", "shards_dispatched",
-        "retries", "respawns", "degraded_rounds",
-    ),
     "service": (
         "sessions_opened", "queries_submitted", "queries_admitted",
         "queries_completed", "queries_truncated", "queries_cancelled",
@@ -367,32 +340,25 @@ def _stat_line(name, stats, label=None, note="") -> None:
     print(f"# {label or name}: {' '.join(shown)}{note}", file=sys.stderr)
 
 
-def _engine_lines(model, compiler, pool, logits_cache) -> None:
+def _engine_lines(model, compiler, logits_cache) -> None:
     """One line per shared engine object, each from its own ``stats()``."""
     owners = {
         "logits cache": logits_cache,
         "compilation cache": compiler.cache,
         "compile disk cache": compiler.disk_cache,
         "prefix-state cache": model.prefix_cache,
-        "parallel": pool,
     }
     for name, owner in owners.items():
         if owner is not None:
             _stat_line(name, owner.stats())
 
 
-@contextlib.contextmanager
 def _build_engine(args, env):
     """Build what ``query`` and ``serve`` run on, once, from the engine
-    flags: yields ``(model, compiler, pool)``.
+    flags: returns ``(model, compiler)``.
 
     Each knob is applied to the object that owns it: ``--kv-cache-mb`` /
-    ``--no-kv-cache`` to the model, ``--compile-cache`` to the compiler,
-    ``--workers`` / ``--max-retries`` / ``--shard-timeout`` /
-    ``--inject-fault`` to the :class:`WorkerPool` (``None`` without
-    ``--workers N``, N > 1).  The pool lives exactly as long as the
-    ``with`` block — every worker process and pooled shared-memory segment
-    is reclaimed on the way out, Ctrl-C included.
+    ``--no-kv-cache`` to the model, ``--compile-cache`` to the compiler.
     """
     model = env.model(args.model)
     if args.no_kv_cache:
@@ -408,25 +374,10 @@ def _build_engine(args, env):
             cache=CompilationCache(max_entries=512),
             disk_cache=args.compile_cache,
         )
-    from repro.core.faults import FaultPlan
-    from repro.core.parallel import WorkerPool
-
-    specs = getattr(args, "inject_fault", None)  # a 'query'-only flag
-    fault_plan = FaultPlan.parse_all(specs) if specs else None
-    pool_cm = contextlib.nullcontext()
-    if args.workers > 1:
-        pool_cm = WorkerPool(
-            model,
-            args.workers,
-            max_retries=args.max_retries,
-            shard_timeout=args.shard_timeout,
-            fault_plan=fault_plan,
-        )
-    with pool_cm as pool:
-        yield model, compiler, pool
+    return model, compiler
 
 
-def _cmd_query_scheduled(args, env, queries, compiler, pool) -> int:
+def _cmd_query_scheduled(args, env, queries, compiler) -> int:
     """Many patterns (or budgets): run through the multi-query scheduler."""
     from repro.core.logging import MatchWriter
     from repro.core.scheduler import QueryBudget
@@ -435,7 +386,6 @@ def _cmd_query_scheduled(args, env, queries, compiler, pool) -> int:
         args.model,
         compiler=compiler,
         concurrency=args.concurrency,
-        worker_pool=pool,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -484,7 +434,7 @@ def _cmd_query_scheduled(args, env, queries, compiler, pool) -> int:
     _stat_line("scheduler", stats)
     if args.checkpoint:
         _stat_line("checkpoint", stats, note=f" path={args.checkpoint}")
-    _engine_lines(scheduler.model, compiler, pool, scheduler.logits_cache)
+    _engine_lines(scheduler.model, compiler, scheduler.logits_cache)
     for handle in handles:
         latency = handle.latency if handle.latency is not None else 0.0
         _stat_line(
@@ -512,15 +462,13 @@ def _cmd_query(args) -> int:
         or args.concurrency > 1
         or args.deadline is not None
         or args.max_lm_calls is not None
-        or args.workers > 1
         or args.checkpoint is not None
         or args.resume
-        or args.inject_fault
     )
-    with _build_engine(args, env) as (model, compiler, pool):
-        if scheduled:
-            return _cmd_query_scheduled(args, env, queries, compiler, pool)
-        return _cmd_query_single(args, env, queries[0], model, compiler)
+    model, compiler = _build_engine(args, env)
+    if scheduled:
+        return _cmd_query_scheduled(args, env, queries, compiler)
+    return _cmd_query_single(args, env, queries[0], model, compiler)
 
 
 def _cmd_query_single(args, env, query, model, compiler) -> int:
@@ -549,7 +497,7 @@ def _cmd_query_single(args, env, query, model, compiler) -> int:
         print(f"# wrote {writer.count} matches to {args.log}", file=sys.stderr)
     _stat_line("query", {"matches": count, **session.stats.as_dict()})
     _stat_line("compile", session.compiled.metrics.as_dict())
-    _engine_lines(model, compiler, None, logits_cache)
+    _engine_lines(model, compiler, logits_cache)
     return 0
 
 
@@ -852,33 +800,32 @@ def _cmd_serve(args) -> int:
     def ready(host: str, port: int) -> None:
         print(f"# listening {host}:{port}", file=sys.stderr, flush=True)
 
-    with _build_engine(args, env) as (model, compiler, pool):
-        service = SchedulerService(
-            model,
-            env.tokenizer,
-            compiler=compiler,
-            logits_cache=env.logits_cache(args.model),
-            concurrency=args.concurrency,
-            admission_max_cost=args.admission_max_cost,
-            max_inflight=args.max_inflight,
-            lm_calls_per_minute=args.lm_calls_per_minute,
-            default_window=args.window,
-            progress_every=args.progress_every,
-            worker_pool=pool,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            max_expansions=50_000,
-        )
-        try:
-            asyncio.run(run_server(service, args.host, args.port, ready=ready))
-        except KeyboardInterrupt:  # signal handler not installable (rare)
-            service.close()
+    model, compiler = _build_engine(args, env)
+    service = SchedulerService(
+        model,
+        env.tokenizer,
+        compiler=compiler,
+        logits_cache=env.logits_cache(args.model),
+        concurrency=args.concurrency,
+        admission_max_cost=args.admission_max_cost,
+        max_inflight=args.max_inflight,
+        lm_calls_per_minute=args.lm_calls_per_minute,
+        default_window=args.window,
+        progress_every=args.progress_every,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+        resume=args.resume,
+        max_expansions=50_000,
+    )
+    try:
+        asyncio.run(run_server(service, args.host, args.port, ready=ready))
+    except KeyboardInterrupt:  # signal handler not installable (rare)
+        service.close()
     stats = service.stats_snapshot()
     _stat_line("service", stats)
     if args.checkpoint:
         _stat_line("checkpoint", stats, note=f" path={args.checkpoint}")
-    _engine_lines(model, compiler, pool, service.logits_cache)
+    _engine_lines(model, compiler, service.logits_cache)
     return 0
 
 

@@ -25,7 +25,6 @@ from repro.core.compiler import (
 )
 from repro.core.diagnostics import EliminationTracker
 from repro.core.executor import Executor, LmRequest
-from repro.core.parallel import WorkerPool
 from repro.core.scheduler import QueryBudget, QueryScheduler, ScheduledQuery
 from repro.core.preprocessors import (
     CaseFoldPreprocessor,
@@ -54,7 +53,6 @@ __all__ = [
     "QueryBudget",
     "ScheduledQuery",
     "SchedulerStats",
-    "WorkerPool",
     "LmRequest",
     "MatchWriter",
     "read_matches",

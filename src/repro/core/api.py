@@ -29,7 +29,6 @@ from typing import Any, Iterator, Sequence
 
 from repro.core.compiler import CompiledQuery, GraphCompiler
 from repro.core.executor import Executor
-from repro.core.parallel import WorkerPool
 from repro.core.query import SimpleSearchQuery
 from repro.core.findings import QueryReport
 from repro.core.results import ExecutionStats, MatchResult
@@ -48,9 +47,7 @@ class SearchSession:
     ``compiler=`` to reuse a caller-owned :class:`GraphCompiler` (and its
     compilation cache) across sessions.  ``compiled.metrics`` says what
     this query's compile cost and where it came from (``source`` is
-    ``"cold"``, ``"memory"`` or ``"disk"``).  A session runs in-process;
-    to shard its model rounds across a :class:`WorkerPool`, run the query
-    through ``search_many([query], worker_pool=pool)``.
+    ``"cold"``, ``"memory"`` or ``"disk"``).
     """
 
     def __init__(
@@ -116,7 +113,6 @@ def search_many(
     compiler: GraphCompiler | None = None,
     logits_cache: LogitsCache | None = None,
     budget: QueryBudget | None = None,
-    worker_pool: WorkerPool | None = None,
     checkpoint: str | None = None,
     checkpoint_every: int = 1,
     resume: bool = False,
@@ -131,14 +127,6 @@ def search_many(
     ``budget`` (optional) applies to every query; use the scheduler
     directly for per-query budgets.
 
-    ``worker_pool`` shards each coalesced round across a caller-owned
-    :class:`~repro.core.parallel.WorkerPool`'s model replicas (``with
-    WorkerPool(model, 4) as pool: search_many(..., worker_pool=pool)``;
-    shard sizing, supervision and fault injection are the pool's own
-    knobs).  On the n-gram sharding changes no result; on the transformer
-    texts and tokens are identical and log-probabilities agree to 1e-9
-    (see :class:`QueryScheduler`).
-
     ``checkpoint=PATH`` snapshots progress every ``checkpoint_every``
     completed rounds (and on interruption); ``resume=True`` restores
     completed queries from that snapshot before running the rest, so an
@@ -151,7 +139,6 @@ def search_many(
         compiler=compiler,
         logits_cache=logits_cache,
         concurrency=concurrency,
-        worker_pool=worker_pool,
         checkpoint_path=checkpoint,
         checkpoint_every=checkpoint_every,
         resume=resume,

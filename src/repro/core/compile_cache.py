@@ -2,8 +2,8 @@
 
 The in-process :class:`~repro.core.compiler.CompilationCache` makes
 templated query loops cheap *within* one run, but every fresh process —
-a new CLI invocation, a ``--resume`` after an interrupt, a respawned
-worker's parent re-preparing its sweep — pays cold compilation again, and
+a new CLI invocation, a ``--resume`` after an interrupt, a restarted
+service — pays cold compilation again, and
 the bench shows cold compilation dominates cold-start cost.  Outlines-style
 guided generation (Willard & Louf) precomputes the FSM–vocabulary index
 once and reuses it across runs; this module is the same move for ReLM's

@@ -57,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompileMetrics:
-    """What one compilation cost and produced (see cookbook §14).
+    """What one compilation cost and produced (see cookbook §13).
 
     ``token_states``/``token_edges`` describe the automaton as constructed;
     ``minimized_states``/``minimized_edges`` describe what the executor
@@ -571,7 +571,7 @@ class GraphCompiler:
     somebody reads it.
     ``disk_cache`` (a directory path or a prebuilt
     :class:`~repro.core.compile_cache.CompileDiskCache`) persists
-    compilations across processes and runs: worker respawns, ``--resume``
+    compilations across processes and runs: service restarts, ``--resume``
     sweeps, and fresh CLI invocations skip straight to the compiled
     automaton.
     """

@@ -46,10 +46,9 @@ class ExecutionStats:
     increments lives here.  Everything else is read from the object that
     owns it: compile shape, cost and cache provenance from
     ``compiled.metrics`` (:class:`~repro.core.compiler.CompileMetrics`),
-    prefix-state (KV) cache traffic from ``model.prefix_cache.stats()``,
-    sharding and supervision counters from ``pool.stats()``.  Those owners
-    are shared between queries; a window over one is two snapshots
-    subtracted.
+    prefix-state (KV) cache traffic from ``model.prefix_cache.stats()``.
+    Those owners are shared between queries; a window over one is two
+    snapshots subtracted.
     """
 
     lm_calls: int = 0
@@ -127,8 +126,8 @@ class SchedulerStats:
     grow with every round, so the scheduler only fills them when
     constructed with ``record_history=True``.
 
-    Worker-pool, prefix-state-cache and compilation-cache counters are not
-    mirrored here: read ``pool.stats()``, ``model.prefix_cache.stats()``,
+    Prefix-state-cache and compilation-cache counters are not
+    mirrored here: read ``model.prefix_cache.stats()``,
     ``compiler.cache.stats()`` / ``compiler.disk_cache.stats()`` and each
     handle's ``compiled.metrics``.
     """

@@ -52,6 +52,7 @@ Guarantees:
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
@@ -65,7 +66,6 @@ from repro.core.checkpoint import QuerySnapshot, RunCheckpoint, query_fingerprin
 from repro.core.compiler import CompiledQuery, GraphCompiler
 from repro.core.executor import Executor, LmRequest
 from repro.core.findings import QueryReport
-from repro.core.parallel import WorkerPool
 from repro.core.query import SimpleSearchQuery
 from repro.core.results import ExecutionStats, MatchResult, SchedulerStats
 from repro.lm.base import LanguageModel, LogitsCache
@@ -93,11 +93,32 @@ class QueryBudget:
     inline from the cache or by a round — so a query can overrun a
     deadline by at most one LM round and never exceeds ``max_lm_calls``
     at all (a request that would cross the cap is not answered).
+
+    A limit that is set must be satisfiable: ``deadline`` a finite number
+    of seconds > 0, ``max_lm_calls`` and ``max_results`` integers >= 1
+    (``ValueError`` otherwise), so no budget silently runs unbounded or
+    yields past a cap of zero.
     """
 
     deadline: float | None = None
     max_lm_calls: int | None = None
     max_results: int | None = None
+
+    def __post_init__(self) -> None:
+        deadline = self.deadline
+        if deadline is not None and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+            or not math.isfinite(deadline)
+            or deadline <= 0
+        ):
+            raise ValueError(f"deadline must be a finite number of seconds > 0, got {deadline!r}")
+        for name in ("max_lm_calls", "max_results"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 1
+            ):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class ScheduledQuery:
@@ -197,21 +218,6 @@ class QueryScheduler:
     queries share its incremental-decoding savings; it owns its counters
     (``model.prefix_cache.stats()``).
 
-    ``worker_pool`` (a caller-owned
-    :class:`~repro.core.parallel.WorkerPool` over *model*) shards each
-    round's deduped missing-context set across the pool's model-replica
-    processes; shard sizing, retries and fault injection are the pool's
-    own knobs.  Shards are contiguous slices evaluated in the order the
-    serial path would use, so on a model that scores each context
-    independently (the n-gram) sharding changes no result — the
-    differential grid pins bit-identity at every worker count.  On the
-    transformer a sharded round's batched GEMMs may move the last ulp:
-    texts and tokens are identical and log-probabilities agree to 1e-9
-    (see :mod:`repro.core.parallel`).  The caller owns the pool's
-    lifetime (``with WorkerPool(model, 4) as pool: ...``) and may share
-    it across schedulers; sharding and supervision counters are the
-    pool's (``pool.stats()``).
-
     Remaining keyword arguments become per-executor defaults
     (``batch_size``, ``max_expansions``, ...), overridable
     per :meth:`submit`.
@@ -228,7 +234,6 @@ class QueryScheduler:
         clock: Callable[[], float] = time.monotonic,
         record_history: bool = False,
         admission_max_cost: int | None = None,
-        worker_pool: WorkerPool | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 1,
         resume: bool = False,
@@ -270,9 +275,6 @@ class QueryScheduler:
         #: finish at submit time with zero LM calls and empty results.
         self.admission_max_cost = admission_max_cost
         self.executor_defaults = executor_defaults
-        # Process-parallel evaluation: an attached pool serves each round's
-        # missing-context set.  Without one everything stays in-process.
-        self._pool = worker_pool
         # Checkpoint/resume state (see :mod:`repro.core.checkpoint`): a
         # snapshot is written after every ``checkpoint_every`` completed
         # rounds, at the end of a clean :meth:`run`, and best-effort on
@@ -369,9 +371,8 @@ class QueryScheduler:
         **Interruption.**  When driving from the main thread, ``run``
         installs a deferred SIGINT handler: the first Ctrl-C finishes the
         round in flight, writes a checkpoint (when ``checkpoint_path`` is
-        set) and raises ``KeyboardInterrupt`` — which unwinds the caller's
-        ``with WorkerPool(...)`` block, unlinking every pooled
-        shared-memory segment; a second Ctrl-C escalates immediately.  Any
+        set) and raises ``KeyboardInterrupt``; a second Ctrl-C escalates
+        immediately.  Any
         other exception escaping the drive loop triggers the same
         best-effort checkpoint before propagating, so a crashed sweep is
         resumable too.
@@ -442,9 +443,9 @@ class QueryScheduler:
     def _round(self, chosen: list[ScheduledQuery]) -> None:
         """Run one coalesced round: cache detection pass, the chosen
         queries' lookahead (each evaluated now, against the cache as it
-        stands), one scoring call for the contexts still missing (sharded
-        across the worker pool when attached), then fold the rows into
-        the cache, credit per-query stats, and resume the generators."""
+        stands), one scoring call for the contexts still missing, then
+        fold the rows into the cache, credit per-query stats, and resume
+        the generators."""
         cache = self.logits_cache
         plan = cache.begin_round([sq._pending.contexts for sq in chosen])
         for sq in chosen:
@@ -454,12 +455,7 @@ class QueryScheduler:
                 )
         started = time.perf_counter()
         missing = plan.missing_contexts()
-        if not missing:
-            fresh = []
-        elif self._pool is not None:
-            fresh = self._pool.logprobs_batch(missing)
-        else:
-            fresh = cache.model.logprobs_batch(missing)
+        fresh = cache.model.logprobs_batch(missing) if missing else []
         rows, hits, misses = cache.finish_round(plan, fresh)
         wall_ms = (time.perf_counter() - started) * 1e3
         size = plan.total_contexts

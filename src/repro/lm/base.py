@@ -24,22 +24,18 @@ __all__ = ["LanguageModel", "LogitsCache", "CountingModel", "ModelSpec", "RoundP
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A picklable recipe for rebuilding a model in another process.
+    """A picklable recipe for rebuilding a model: weights and config.
 
-    The parallel evaluation service (:mod:`repro.core.parallel`) ships one
-    spec to each worker, which calls :meth:`build` exactly once to obtain a
-    private replica.  Models customise what crosses the process boundary via
-    ``__getstate__``/``__setstate__`` — derived state (LRU row caches,
-    optimiser moments, prefix-state caches) is dropped and rebuilt fresh on
-    the worker side, so the payload stays small and replicas start cold.
+    :meth:`build` returns a fresh, cold replica — the benchmark harness
+    builds one per repetition so no run inherits another's caches.  Models
+    customise what the payload holds via ``__getstate__``/``__setstate__``
+    — derived state (LRU row caches, optimiser moments, prefix-state caches)
+    is dropped and regrown empty by the replica, so the payload stays small.
     """
 
     #: Pickled model payload (already serialised, so the spec itself stays
-    #: cheap to re-pickle when crossing a ``spawn`` process boundary).
+    #: cheap to copy or re-pickle).
     payload: bytes
-    #: Mirrors of the interface constants workers need before building.
-    vocab_size: int
-    eos_id: int
 
     def build(self) -> "LanguageModel":
         """Reconstruct a private model replica from the payload."""
@@ -150,17 +146,13 @@ class LanguageModel(ABC):
         return out
 
     def spec(self) -> ModelSpec:
-        """A picklable :class:`ModelSpec` that rebuilds this model elsewhere.
+        """A picklable :class:`ModelSpec` that builds cold replicas of this model.
 
         The default pickles the model itself; models override
         ``__getstate__`` to strip derived caches from the payload rather
         than overriding this method.
         """
-        return ModelSpec(
-            payload=pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL),
-            vocab_size=self.vocab_size,
-            eos_id=self.eos_id,
-        )
+        return ModelSpec(payload=pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
 
     def sequence_logprob(self, tokens: Sequence[int], prefix: Sequence[int] = ()) -> float:
         """Total ``log p(tokens | prefix)`` under the chain rule.
@@ -232,8 +224,8 @@ class RoundPlan:
     :meth:`LogitsCache.finish_round`.  Everything is keyed by the model's
     :attr:`~LanguageModel.row_key`.  ``missing`` maps each round-unique
     uncached key to the first context that requested it, in first-request
-    order — the evaluation order every backend (in-process or worker pool)
-    must preserve for bit-identical results — and ``overlay`` snapshots
+    order — the evaluation order the model call must preserve for
+    bit-identical results — and ``overlay`` snapshots
     the rows that were already cached when the round began.  ``lookahead``
     maps keys no group asked for (:meth:`LogitsCache.add_lookahead`) to
     their context: they are evaluated after the missing ones in the same
@@ -361,9 +353,9 @@ class LogitsCache:
 
         Internally this is :meth:`begin_round` (detect the round-unique
         missing contexts) + one model call + :meth:`finish_round`
-        (attribute rows).  Callers that evaluate the missing set elsewhere
-        — e.g. shard it across a worker pool — use the split-phase API
-        directly.
+        (attribute rows).  Callers that act between the two phases — the
+        scheduler adds each query's lookahead to the plan — use the
+        split-phase API directly.
         """
         plan = self.begin_round(groups)
         fresh = self.model.logprobs_batch(plan.missing_contexts()) if plan.missing else []
@@ -375,9 +367,8 @@ class LogitsCache:
         model.
 
         Returns a :class:`RoundPlan`; the caller evaluates
-        ``plan.missing_contexts()`` however it likes (in-process, or
-        sharded across a worker pool) and hands the resulting rows — in the
-        same order — to :meth:`finish_round`.
+        ``plan.missing_contexts()`` (one ``logprobs_batch`` call) and hands
+        the resulting rows — in the same order — to :meth:`finish_round`.
         """
         row_key = self._key
         # The round-local overlay snapshots every row the round needs: rows

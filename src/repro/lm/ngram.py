@@ -343,12 +343,12 @@ class NGramModel(LanguageModel):
             P[rows_a] = sub / (level["totals"][cis_a][:, None] + self.alpha)
         return list(np.log(P))
 
-    # -- process transport -----------------------------------------------------
+    # -- pickling --------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Pickle without the LRU row cache.
 
-        Worker replicas (see :mod:`repro.core.parallel`) rebuild a fresh
-        cache on their side; shipping cached rows would bloat the spec
+        A replica built from :meth:`~repro.lm.base.LanguageModel.spec`
+        starts with an empty cache; pickling cached rows would bloat the spec
         payload without changing any result (rows are a pure function of
         the counts).
         """

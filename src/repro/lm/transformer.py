@@ -393,16 +393,15 @@ class TransformerModel(LanguageModel):
                 print(f"step {step}: loss {loss:.4f}")
         return losses
 
-    # -- process transport -------------------------------------------------------
+    # -- pickling ----------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Pickle weights + config only.
 
         Optimiser moments are training-only state, and the prefix-state
         (KV) cache holds derived arrays a replica can regrow — both are
         dropped so :meth:`~repro.lm.base.LanguageModel.spec` payloads stay
-        lean.  The KV *budget* is preserved so worker replicas (see
-        :mod:`repro.core.parallel`) rebuild an empty cache of the same
-        size.
+        lean.  The KV *budget* is preserved so a replica built from the
+        spec regrows an empty cache of the same size.
         """
         state = self.__dict__.copy()
         state["_adam_m"] = {}

@@ -1,8 +1,8 @@
 """Validation-as-a-service: the engine as a long-lived daemon.
 
 Every other entry point in this repository is one-shot: compile, run,
-exit — and the compile cache, prefix-state (KV) cache, logits cache, and
-worker pool are torn down with the process.  The paper frames validation
+exit — and the compile cache, prefix-state (KV) cache and logits cache
+are torn down with the process.  The paper frames validation
 as queries against a shared executor (§3.1), and the natural deployment
 shape for that executor is a *service*: a persistent process that keeps
 all of the PR 1–8 machinery warm and answers many concurrent clients.

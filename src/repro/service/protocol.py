@@ -33,6 +33,7 @@ are rejected before parsing.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Mapping
 
 from repro.core.preprocessors import LevenshteinPreprocessor
@@ -43,6 +44,7 @@ from repro.core.query import (
     SimpleSearchQuery,
 )
 from repro.core.results import MatchResult
+from repro.core.scheduler import QueryBudget
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -161,6 +163,8 @@ def _opt_number(
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"{key!r} must be a number")
+    if not math.isfinite(value):  # ``json.loads`` parses NaN and Infinity
+        raise ProtocolError(f"{key!r} must be a finite number")
     if integral:
         if isinstance(value, float) and not value.is_integer():
             raise ProtocolError(f"{key!r} must be an integer")
@@ -168,13 +172,13 @@ def _opt_number(
     return value
 
 
-def validate_submit(frame: Mapping[str, Any]) -> tuple[str, SimpleSearchQuery, dict[str, Any]]:
-    """Validate a ``submit`` frame; returns ``(id, query, budget_kwargs)``.
+def validate_submit(frame: Mapping[str, Any]) -> tuple[str, SimpleSearchQuery, QueryBudget]:
+    """Validate a ``submit`` frame; returns ``(id, query, budget)``.
 
-    The budget dict is ready to splat into
-    :class:`~repro.core.scheduler.QueryBudget`.  Any shape problem —
-    missing id, non-object query spec, non-numeric budget field — raises
-    :class:`ProtocolError` with a message safe to echo to the client.
+    Any shape problem — missing id, non-object query spec, non-numeric or
+    unsatisfiable budget field (``max_results: 0``, a non-finite
+    ``deadline``) — raises :class:`ProtocolError` with a message safe to
+    echo to the client.
     """
     query_id = _require_str(frame, "id")
     if len(query_id) > 200:
@@ -186,11 +190,14 @@ def validate_submit(frame: Mapping[str, Any]) -> tuple[str, SimpleSearchQuery, d
     budget_spec = frame.get("budget", {})
     if not isinstance(budget_spec, dict):
         raise ProtocolError("'budget' must be an object")
-    budget = {
-        "deadline": _opt_number(budget_spec, "deadline"),
-        "max_lm_calls": _opt_number(budget_spec, "max_lm_calls", integral=True),
-        "max_results": _opt_number(budget_spec, "max_results", integral=True),
-    }
+    try:
+        budget = QueryBudget(
+            deadline=_opt_number(budget_spec, "deadline"),
+            max_lm_calls=_opt_number(budget_spec, "max_lm_calls", integral=True),
+            max_results=_opt_number(budget_spec, "max_results", integral=True),
+        )
+    except ValueError as exc:
+        raise ProtocolError(f"bad budget: {exc}") from None
     return query_id, query, budget
 
 

@@ -13,7 +13,7 @@ server a thread.
 :func:`run_server` is the ``repro serve`` entry point: it installs
 SIGTERM/SIGINT handlers that trigger the graceful drain (stop accepting,
 stop admitting, finish or checkpoint in-flight rounds, flush terminal
-frames, release the worker pool) and returns once the drain completes.
+frames) and returns once the drain completes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import asyncio
 import signal
 from typing import Any, Callable
 
-from repro.core.scheduler import QueryBudget
 from repro.service import protocol
 from repro.service.sessions import ClientSession, SchedulerService
 
@@ -210,11 +209,11 @@ class ValidationServer:
                 )
             return True
         if frame_type == "submit":
-            query_id, query, budget_kwargs = protocol.validate_submit(frame)
+            query_id, query, budget = protocol.validate_submit(frame)
             window = frame.get("window")
             if window is not None and (isinstance(window, bool) or not isinstance(window, int)):
                 raise protocol.ProtocolError("'window' must be an integer")
-            session.submit(query_id, query, QueryBudget(**budget_kwargs), window=window)
+            session.submit(query_id, query, budget, window=window)
             return True
         if frame_type == "cancel":
             session.cancel(self._frame_id(frame))

@@ -5,16 +5,14 @@ daemon exists to keep: one :class:`~repro.core.compiler.GraphCompiler`
 (in-memory compilation cache, optionally a persistent
 :class:`~repro.core.compile_cache.CompileDiskCache`), one shared
 :class:`~repro.lm.base.LogitsCache`, the model's prefix-state (KV)
-cache, and — when the caller hands one in — a
-:class:`~repro.core.parallel.WorkerPool` of model replicas.  A dedicated
-**engine thread** drives :class:`~repro.core.scheduler.QueryScheduler`
+cache.  A dedicated **engine thread** drives :class:`~repro.core.scheduler.QueryScheduler`
 rounds over that state; queries arrive from any number of client
 sessions and leave as per-client delivery callbacks (the asyncio server
 wraps them in ``loop.call_soon_threadsafe``).
 
 Schedulers are *generations*: one scheduler instance drains a wave of
 queries, its aggregate stats are folded into :class:`ServiceStats`, and
-the instance is dropped — the caches and the pool outlive it, which is
+the instance is dropped — the caches outlive it, which is
 the entire point.  A fresh generation starts when the next submission
 arrives, so a long-lived service never accumulates dead query handles.
 
@@ -53,7 +51,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.core.compiler import CompilationCache, GraphCompiler
-from repro.core.parallel import WorkerPool
 from repro.core.query import SimpleSearchQuery
 from repro.core.results import SchedulerStats
 from repro.core.scheduler import QueryBudget, QueryScheduler, ScheduledQuery
@@ -234,9 +231,7 @@ class SchedulerService:
     compiler built with ``disk_cache=`` keeps compilations across
     restarts).  ``checkpoint_path`` (+ ``resume``) wires the scheduler's
     checkpoint/resume machinery through drain and restart.
-    ``worker_pool`` is a caller-owned :class:`WorkerPool` that every
-    scheduler generation reuses; it must outlive the service (close the
-    service first).  ``progress_every`` is how many drive-loop turns in
+    ``progress_every`` is how many drive-loop turns in
     which a query advanced — a model round, or a quantum of answers the
     warm logits cache gave inline — pass between its ``progress`` frames.
     ``clock`` is injectable for deterministic quota tests.
@@ -255,7 +250,6 @@ class SchedulerService:
         lm_calls_per_minute: int | None = None,
         default_window: int = 64,
         progress_every: int = 4,
-        worker_pool: WorkerPool | None = None,
         checkpoint_path: str | None = None,
         checkpoint_every: int = 1,
         resume: bool = False,
@@ -295,7 +289,6 @@ class SchedulerService:
         self.resume = resume
         self.clock = clock
         self.executor_defaults = executor_defaults
-        self._pool = worker_pool
         self.stats = ServiceStats()
         self._cond = threading.Condition()
         self._pending: deque[_Ticket] = deque()
@@ -421,7 +414,6 @@ class SchedulerService:
         if prefix is not None:
             snapshot["prefix_hits"] = prefix.hits
             snapshot["prefix_misses"] = prefix.misses
-        snapshot["workers"] = self._pool.workers if self._pool is not None else 1
         snapshot["draining"] = self._draining
         return snapshot
 
@@ -436,7 +428,7 @@ class SchedulerService:
 
     def _retire_generation(self) -> None:
         """Fold the live generation's aggregates into the service totals
-        and drop it (caches and pool stay warm).  Lock held by caller."""
+        and drop it (caches stay warm).  Lock held by caller."""
         sched = self._scheduler
         if sched is None:
             return
@@ -556,7 +548,6 @@ class SchedulerService:
                 compiler=self.compiler,
                 logits_cache=self.logits_cache,
                 concurrency=self.concurrency,
-                worker_pool=self._pool,
                 admission_max_cost=self.admission_max_cost,
                 checkpoint_path=self.checkpoint_path,
                 checkpoint_every=self.checkpoint_every,

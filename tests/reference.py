@@ -10,8 +10,7 @@ engine used to ship as user-selectable forks (``backend="dict"``,
   search runs :func:`reference_beam_search` and random sampling
   :func:`reference_sample_once` below), ``"arrays"`` forces the vectorized
   row expansion for every state, ``"default"`` leaves the production
-  small-fan-out selection alone.  Executors run in the parent process, so
-  the pin holds under worker pools too.
+  small-fan-out selection alone.
 * :func:`reference_walk_sample` / :func:`reference_walk_sample_uniform_edges`
   are the per-step linear scans ``WalkCounter``'s memoised draws replaced.
 * :func:`compile_unminimized` hand-builds a compilation that skips token

@@ -24,8 +24,6 @@ Also here: unit tests for the machinery the fast path is built from —
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -393,151 +391,6 @@ class TestSchedulerSerialEquivalence:
         assert cold.stats.logits_hits == serial_stats.logits_hits
 
 
-#: The process-parallel grid: worker counts.  workers=1 exercises the knob
-#: plumbing without a pool.
-PARALLEL_GRID = [1, 2, 4]
-
-
-class TestParallelSchedulerDifferential:
-    """The 16-combo grid across worker counts vs serial scheduling.
-
-    Sharding a round across model-replica processes must be invisible:
-    the same matches, in the same order, with bit-identical
-    log-probabilities and identical traversal statistics.  (The n-gram's
-    block evaluation is row-independent, so even float equality is exact
-    under any sharding.)  Pools are class-shared — one fork set per
-    (model, workers), injected via ``worker_pool=``; ``min_shard_size=1``
-    forces even the grid's tiny rounds through shared memory.
-    """
-
-    @pytest.fixture(scope="class")
-    def pools(self, model, env):
-        from repro.core.parallel import WorkerPool
-
-        sources = {"tiny": model, "env_small": env.model("small")}
-        created: dict = {}
-
-        def get(source, workers):
-            if workers <= 1:
-                return None
-            key = (source, workers)
-            if key not in created:
-                created[key] = WorkerPool(
-                    sources[source], workers, min_shard_size=1
-                )
-            return created[key]
-
-        yield get
-        for pool in created.values():
-            pool.shutdown()
-
-    @pytest.fixture(scope="class")
-    def serial_baseline(self):
-        return {}
-
-    @pytest.mark.parametrize("workers", PARALLEL_GRID, ids=[f"w{w}" for w in PARALLEL_GRID])
-    @pytest.mark.parametrize(
-        "name,source,query", COMBOS, ids=[c[0] for c in COMBOS]
-    )
-    def test_grid_matches_serial(
-        self, model, tokenizer, env, pools, serial_baseline,
-        name, source, query, workers,
-    ):
-        from repro.core.scheduler import QueryBudget, QueryScheduler
-
-        m, tok = _world(source, model, tokenizer, env)
-        if name not in serial_baseline:
-            serial_baseline[name] = _run_scheduled(m, tok, query)
-        serial, serial_stats = serial_baseline[name]
-
-        pool = pools(source, workers)
-        # The pool is shared across the grid: this run's share of its
-        # counters is two snapshots subtracted.
-        before = pool.stats() if pool is not None else {}
-        scheduler = QueryScheduler(m, tok, concurrency=1, worker_pool=pool)
-        handle = scheduler.submit(query, budget=QueryBudget(max_results=200))
-        scheduler.run()
-
-        assert len(handle.results) == len(serial)
-        assert len(serial) > 0, f"combo {name} produced no matches"
-        for a, b in zip(serial, handle.results):
-            assert a.text == b.text
-            assert a.tokens == b.tokens
-            # Bit-identical, not approximately equal: sharding moves
-            # *work*, never *results*.
-            assert a.total_logprob == b.total_logprob
-            assert a.logprob == b.logprob
-            assert a.canonical == b.canonical
-        assert handle.stats.lm_calls == serial_stats.lm_calls
-        assert handle.stats.tokens_scored == serial_stats.tokens_scored
-        assert handle.stats.pruned_edges == serial_stats.pruned_edges
-        assert handle.stats.failed_attempts == serial_stats.failed_attempts
-        assert handle.stats.logits_hits == serial_stats.logits_hits
-        assert handle.stats.logits_misses == serial_stats.logits_misses
-        stats = scheduler.stats
-        if workers > 1:
-            after = pool.stats()
-            assert after["workers"] == workers
-            parallel_rounds = after["parallel_rounds"] - before["parallel_rounds"]
-            shards = after["shards_dispatched"] - before["shards_dispatched"]
-            # min_shard_size=1: every multi-context round must have sharded.
-            assert parallel_rounds > 0 or stats.rounds == 0 or (
-                stats.contexts_serviced <= stats.rounds  # all 1-context rounds
-            )
-            assert shards >= parallel_rounds
-
-    def test_transformer_lookahead_rounds_sharded_match_serial(self, tokenizer):
-        """The transformer-backed case: its rounds carry lookahead contexts
-        (width 8 by default), and here they are cut into shards across two
-        replicas.  Each query's stream is the serial width-1 stream — texts
-        and tokens exactly, log-probabilities to 1e-9 (a shard is another
-        batch composition, which may move a BLAS sum's last bits)."""
-        from tests.conftest import TINY_CORPUS
-
-        from repro.core.parallel import WorkerPool
-        from repro.core.scheduler import QueryBudget, QueryScheduler
-        from repro.lm.transformer import TransformerConfig, TransformerModel
-
-        config = TransformerConfig(
-            vocab_size=len(tokenizer), block_size=32, n_layer=2, n_head=2, n_embd=32
-        )
-        lm = TransformerModel(config, eos_id=tokenizer.eos_id, seed=42, kv_cache_mb=16.0)
-        lm.fit([tokenizer.encode(line) for line in TINY_CORPUS[:50]],
-               steps=60, batch_size=8, seed=42)
-        queries = [
-            SearchQuery("The ((cat)|(dog)|(man)|(woman)) ((sat)|(ate)|(was))"),
-            SearchQuery("The ((man)|(woman)) was trained in ((art)|(medicine))", top_k=25),
-            SearchQuery("The cat ((sat)|(ate)) [a-z]{1,2}", prefix="The cat"),
-        ]
-        serial = [
-            list(itertools.islice(
-                prepare(lm.spec().build(), tokenizer, q, max_expansions=20000, batch_size=1), 40
-            ))
-            for q in queries
-        ]
-        with WorkerPool(lm, 2, min_shard_size=1) as pool:
-            before = pool.stats()
-            scheduler = QueryScheduler(
-                lm, tokenizer, concurrency=len(queries), worker_pool=pool,
-                max_expansions=20000,
-            )
-            handles = [
-                scheduler.submit(q, budget=QueryBudget(max_results=40)) for q in queries
-            ]
-            scheduler.run()
-            after = pool.stats()
-        assert sum(h.stats.lookahead_contexts for h in handles) > 0
-        assert after["parallel_rounds"] > before["parallel_rounds"]
-        for handle, want in zip(handles, serial):
-            assert len(want) > 0
-            assert [(m.text, m.tokens, m.canonical) for m in handle.results] == [
-                (m.text, m.tokens, m.canonical) for m in want
-            ]
-            for a, b in zip(handle.results, want):
-                assert a.total_logprob == pytest.approx(b.total_logprob, abs=1e-9)
-                assert a.logprob == pytest.approx(b.logprob, abs=1e-9)
-
-
 class TestSharedLogitsCache:
     def test_shared_cache_across_executors(self, model, tokenizer):
         shared = LogitsCache(model, capacity=4096)
@@ -762,8 +615,7 @@ class TestMinimizationDifferential:
     changes how rows are stored, but the canonical (sorted) edge order
     makes both invisible to every traversal: the same matches, in the
     same order, with bit-identical log-probabilities and identical
-    traversal statistics, on both expansion paths and under sharded
-    scheduling.  The unminimized side is built by hand from the
+    traversal statistics, on both expansion paths.  The unminimized side is built by hand from the
     compiler's public stage functions (:func:`tests.reference.compile_unminimized`).
     """
 
@@ -799,44 +651,6 @@ class TestMinimizationDifferential:
         assert shape_on.minimized_states <= shape_on.token_states
         # The hand-built side really is the unminimized machine.
         assert shape_off.minimized_states == shape_off.token_states == shape_on.token_states
-
-    #: A sharded subset: enough to catch a sharding/ordering interaction
-    #: without re-running the whole parallel grid twice.
-    MIN_PARALLEL_SUBSET = [
-        ("shortest_plain", 2),
-        ("random_topk_eos", 2),
-        ("beam_topk_prefix", 2),
-    ]
-
-    @pytest.mark.parametrize(
-        "combo_name,workers", MIN_PARALLEL_SUBSET,
-        ids=[f"{n}_w{w}" for n, w in MIN_PARALLEL_SUBSET],
-    )
-    def test_minimize_under_workers(self, model, tokenizer, env, combo_name, workers):
-        from repro.core.parallel import WorkerPool
-        from repro.core.scheduler import QueryBudget, QueryScheduler
-
-        name, source, query = next(c for c in COMBOS if c[0] == combo_name)
-        m, tok = _world(source, model, tokenizer, env)
-        streams = {}
-        with WorkerPool(m, workers, min_shard_size=1) as pool:
-            for minimize in (False, True):
-                compiler = (
-                    GraphCompiler(tok, cache=True)
-                    if minimize
-                    else unminimized_compiler(tok, query)
-                )
-                scheduler = QueryScheduler(
-                    m, tok, compiler=compiler, concurrency=1, worker_pool=pool,
-                )
-                handle = scheduler.submit(query, budget=QueryBudget(max_results=200))
-                scheduler.run()
-                streams[minimize] = [
-                    (mt.tokens, mt.text, mt.logprob, mt.total_logprob)
-                    for mt in handle.results
-                ]
-        assert streams[True] == streams[False]
-        assert len(streams[True]) > 0
 
 
 class TestCliCacheCounters:

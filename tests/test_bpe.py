@@ -207,3 +207,86 @@ class TestHeapMergeEquivalence:
         chunk = "thecatsatonthematthedogatethings" * 3
         _SHARED._cache.pop(chunk, None)
         assert _SHARED._bpe_chunk(chunk) == _bpe_chunk_reference(_SHARED, chunk)
+
+
+#: Characters of the random training corpora below: letters that merge
+#: into words, a digit run and punctuation, so the pretokenizer's chunk
+#: kinds (leading-space words, digit runs, symbol runs, bare spaces) all
+#: appear.
+_PAIR_CORPUS_CHARS = "abcab  1."
+
+
+def _random_segmentation(data, tokenizer, text):
+    """A random split of *text* into vocabulary tokens, longest piece
+    first so shrinking moves toward the greedy (often canonical) split."""
+    vocab = tokenizer.vocab
+    longest = max(len(t) for t in vocab.tokens)
+    ids = []
+    pos = 0
+    while pos < len(text):
+        options = [
+            vocab.id_of(text[pos:pos + n])
+            for n in range(min(longest, len(text) - pos), 0, -1)
+            if text[pos:pos + n] in vocab
+        ]
+        ids.append(data.draw(st.sampled_from(options)))
+        pos += len(vocab.token_of(ids[-1]))
+    return ids
+
+
+class TestCanonicalPairRule:
+    """BPE canonicity as a property of adjacent token pairs, checked on
+    tokenizers trained on random corpora with this repo's pretokenizer.
+
+    One half holds outright: a sequence whose every adjacent pair is the
+    canonical encoding of the pair's own text is canonical.  The other half
+    — a canonical sequence has only canonical pairs — fails at a run of
+    spaces: the pretokenizer's ``" +"`` takes a whole run, so the run's last
+    space is a token of its own before a word or digit, while the same
+    pair alone decodes to one ``" ?[0-9]+"``-style chunk (DESIGN.md,
+    "canonical pair rule").  A non-canonical pair inside a canonical
+    sequence must be exactly that case: a left token made only of spaces
+    that follows a space.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_pairs_decide_canonicity_but_at_space_runs(self, data):
+        lines = data.draw(
+            st.lists(
+                st.text(alphabet=_PAIR_CORPUS_CHARS, min_size=1, max_size=16),
+                min_size=1, max_size=8,
+            )
+        )
+        merges = data.draw(st.integers(1, 40))
+        tokenizer = train_bpe(lines, vocab_size=len(ALPHABET) + 1 + merges)
+        text = " ".join(lines)
+        start = data.draw(st.integers(0, len(text) - 1))
+        sub = text[start:start + data.draw(st.integers(2, 14))]
+        if data.draw(st.booleans()):
+            ids = tokenizer.encode(sub)
+        else:
+            ids = _random_segmentation(data, tokenizer, sub)
+        tokens = [tokenizer.vocab.token_of(t) for t in ids]
+        bad_pairs = [
+            i for i, pair in enumerate(zip(ids, ids[1:])) if not tokenizer.is_canonical(pair)
+        ]
+        if not bad_pairs:
+            assert tokenizer.is_canonical(ids), tokens
+        elif tokenizer.is_canonical(ids):
+            for i in bad_pairs:
+                assert tokens[i].strip(" ") == "" and i > 0 and tokens[i - 1].endswith(" "), (
+                    tokens, i,
+                )
+
+    def test_space_run_counterexample(self):
+        """The pinned counterexample: with the one merge ``" " + "1"``,
+        ``" 1  1"`` encodes as ``[" 1", " ", " ", "1"]`` (chunks ``" 1"``,
+        ``"  "``, ``"1"``), yet its last pair ``(" ", "1")`` alone is the
+        chunk ``" 1"``, whose encoding is the one token ``" 1"``."""
+        tokenizer = train_bpe([" 1", " 1"], vocab_size=len(ALPHABET) + 2)
+        assert tokenizer.merges == [(" ", "1")]
+        ids = tokenizer.encode(" 1  1")
+        assert [tokenizer.vocab.token_of(t) for t in ids] == [" 1", " ", " ", "1"]
+        assert tokenizer.is_canonical(ids)
+        assert not tokenizer.is_canonical(ids[2:])

@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import search_many
-from repro.core.parallel import WorkerPool
 from repro.core.query import SearchQuery
 from repro.core.scheduler import QueryBudget, QueryScheduler
 
@@ -108,37 +107,3 @@ def test_interrupt_any_round_resume_reproduces_run(
             assert res.stats.as_dict() == base.stats.as_dict() or (
                 res.stats.lm_calls == base.stats.lm_calls
             )
-
-
-def test_interrupted_parallel_sweep_resumes_identically(model, tokenizer, tmp_path):
-    """The workers=2 variant of the round-trip (one pinned case — pools
-    are too slow to spawn inside a hypothesis loop)."""
-    budget = QueryBudget(max_results=5)
-    queries = [SearchQuery(p) for p in PATTERNS]
-    baseline = _uninterrupted(model, tokenizer, queries, budget)
-    path = str(tmp_path / "run.ckpt")
-    with WorkerPool(model, 2, min_shard_size=1) as pool:
-        interrupted = QueryScheduler(
-            model,
-            tokenizer,
-            checkpoint_path=path,
-            worker_pool=pool,
-            concurrency=4,
-        )
-        for q in queries:
-            interrupted.submit(q, budget=budget)
-        for _ in range(10):
-            if not interrupted.step():
-                break
-        interrupted.save_checkpoint()
-        resumed = search_many(
-            model,
-            tokenizer,
-            queries,
-            budget=budget,
-            checkpoint=path,
-            resume=True,
-            worker_pool=pool,
-            concurrency=4,
-        )
-    assert _result_sets(resumed) == _result_sets(baseline)

@@ -162,26 +162,62 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--fairness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["query", "serve"])
     @pytest.mark.parametrize(
-        "command, flag, value",
+        "flag, value",
         [
-            ("query", "--shard-timeout", "0"),
-            ("query", "--max-retries", "-1"),
-            ("serve", "--shard-timeout", "-1"),
+            ("--workers", "2"),
+            ("--max-retries", "1"),
+            ("--shard-timeout", "5"),
+            ("--inject-fault", "crash:0:0"),
         ],
     )
-    def test_bad_supervision_flags_are_usage_errors(self, command, flag, value, capsys):
-        """A zero shard deadline would respawn workers on every sharded
-        round, and supervision cannot be turned off: both are rejected
-        before any engine is built, naming the flag, without a traceback."""
-        argv = [command, "--workers", "2", flag, value]
+    def test_removed_pool_flags_are_usage_errors(self, command, flag, value, capsys):
+        """One process evaluates the model: the pool's flags are gone."""
+        argv = [command, flag, value]
         if command == "query":
             argv.insert(1, "The cat")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert flag in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("query", "--deadline", "nan"),
+            ("query", "--deadline", "inf"),
+            ("query", "--deadline", "0"),
+            ("query", "--max-lm-calls", "0"),
+            ("query", "--max-matches", "0"),
+            ("query", "--max-matches", "-1"),
+            ("query", "--concurrency", "0"),
+            ("query", "--checkpoint-every", "0"),
+            ("submit", "--deadline", "-2"),
+            ("submit", "--max-matches", "0"),
+            ("submit", "--max-lm-calls", "x"),
+            ("serve", "--concurrency", "0"),
+            ("serve", "--checkpoint-every", "0"),
+        ],
+    )
+    def test_bad_budget_and_scheduler_flags_are_usage_errors(
+        self, command, flag, value, capsys
+    ):
+        """A budget no query can honour and a scheduler setting the
+        scheduler refuses are rejected before any engine is built, naming
+        the flag, without a traceback."""
+        argv = [command, flag, value]
+        if command in ("query", "submit"):
+            argv.insert(1, "The cat")
+        if command == "submit":
+            argv += ["--port", "1"]
+        if flag == "--checkpoint-every":
+            argv += ["--checkpoint", "unused.ckpt"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert flag in err and "Traceback" not in err
+        assert f"argument {flag}:" in err.splitlines()[-1] and "Traceback" not in err
 
     def test_query_command(self, capsys):
         code = main(["query", "The ((cat)|(dog))", "--max-matches", "2"])

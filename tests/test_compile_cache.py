@@ -3,7 +3,7 @@ arrays, and the size-aware in-memory compilation cache.
 
 Covers the compile-time fast path's correctness edges: disk entries round
 trip bit-identically, corrupted/version-mismatched entries warn and miss
-(never crash), warm runs recompile nothing, worker/resume runs share the
+(never crash), warm runs recompile nothing, resumed runs share the
 directory, and the in-memory cache evicts by bytes as well as by entry
 count.
 """

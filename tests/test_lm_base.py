@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lm.base import LanguageModel, LogitsCache
+from repro.lm.base import LanguageModel, LogitsCache, ModelSpec
 from repro.lm.decoding import DecodingPolicy
 
 
@@ -157,3 +157,69 @@ class TestSequenceLogprob:
         a = model.sequence_logprob([1, 2])
         b = model.sequence_logprob([1]) + model.sequence_logprob([2], prefix=[1])
         assert abs(a - b) < 1e-12
+
+
+def _contexts(n, depth=3, vocab=300):
+    return [[(7 * i + 3 * t) % (vocab - 1) + 1 for t in range(depth)] for i in range(n)]
+
+
+class TestModelSpec:
+    def test_ngram_roundtrip_bit_identical(self, model):
+        spec = model.spec()
+        assert isinstance(spec, ModelSpec)
+        rebuilt = spec.build()
+        assert rebuilt.vocab_size == model.vocab_size
+        assert rebuilt.eos_id == model.eos_id
+        for ctx in _contexts(5, vocab=model.vocab_size):
+            assert np.array_equal(rebuilt.logprobs(ctx), model.logprobs(ctx))
+
+    def test_ngram_lru_cache_not_shipped(self, model):
+        model.logprobs([1, 2])  # warm the model's private LRU
+        rebuilt = model.spec().build()
+        assert len(rebuilt._cache) == 0
+
+    def test_transformer_strips_optimizer_keeps_kv_budget(self, tokenizer):
+        from repro.lm.transformer import TransformerConfig, TransformerModel
+
+        config = TransformerConfig(
+            vocab_size=len(tokenizer), block_size=16, n_layer=1, n_head=2, n_embd=16
+        )
+        m = TransformerModel(config, eos_id=tokenizer.eos_id, seed=0, kv_cache_mb=4.0)
+        m.fit([list(range(1, 25))], steps=2, batch_size=1, seed=0)
+        assert m._adam_t > 0
+        rebuilt = m.spec().build()
+        assert rebuilt._adam_t == 0 and rebuilt._adam_m == {}
+        assert rebuilt.prefix_cache is not None
+        assert rebuilt.prefix_cache.max_bytes == m.prefix_cache.max_bytes
+        # A replica scores exactly like its source (same weights, and its
+        # own empty prefix cache does not change full-forward results).
+        got = rebuilt.logprobs_batch([[1, 2, 3]])
+        want = m.logprobs_batch([[1, 2, 3]])
+        assert np.allclose(got[0], want[0], atol=1e-12)
+
+
+class TestBatchDedupe:
+    class _Counting(LanguageModel):
+        def __init__(self, vocab_size=32):
+            self.vocab_size = vocab_size
+            self.eos_id = 0
+            self.calls = 0
+
+        def logprobs(self, context):
+            self.calls += 1
+            row = np.full(self.vocab_size, -np.log(self.vocab_size))
+            return row
+
+    def test_default_batch_scores_each_unique_context_once(self):
+        m = self._Counting()
+        rows = m.logprobs_batch([[1, 2], [3], [1, 2], [3], [1, 2]])
+        assert m.calls == 2  # two unique contexts, five rows
+        assert len(rows) == 5
+        assert rows[0] is rows[2] is rows[4]  # duplicates share the row
+
+    def test_logits_cache_batch_dedupes_before_the_model(self):
+        m = self._Counting()
+        cache = LogitsCache(m, capacity=64)
+        cache.logprobs_batch([[1], [2], [1], [2], [1]])
+        assert m.calls == 2
+        assert cache.misses == 2 and cache.hits == 3

@@ -23,9 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import prepare, search_many
+from repro.core.api import prepare
 from repro.core.executor import Executor, _LazyGroup, _peek_pops
-from repro.core.parallel import WorkerPool
 from repro.core.query import QueryTokenizationStrategy, SearchQuery
 from repro.core.scheduler import QueryBudget, QueryScheduler
 from repro.lm.base import CountingModel, LanguageModel, LogitsCache, RoundPlan
@@ -418,10 +417,10 @@ _PORTFOLIO = [
 _TOP = 25
 
 
-def _scheduled(model, width, concurrency=4, pool=None, cache=None):
+def _scheduled(model, width, concurrency=4, cache=None):
     counting = CountingModel(model)
     scheduler = QueryScheduler(
-        counting, _TOK, concurrency=concurrency, worker_pool=pool,
+        counting, _TOK, concurrency=concurrency,
         logits_cache=cache(counting) if cache is not None else None,
         batch_size=width, max_expansions=600,
     )
@@ -483,22 +482,6 @@ def test_scheduler_agrees_with_serial(serial_streams, concurrency):
     assert stats.contexts_serviced >= counting.contexts_scored
     for h in handles:
         assert h.stats.logits_hits + h.stats.logits_misses == h.stats.lm_calls
-
-
-def test_two_worker_pool_agrees_with_serial(serial_streams):
-    want = serial_streams
-    model = _fresh_transformer()
-    with WorkerPool(model, 2, min_shard_size=1) as pool:
-        handles, stats, _ = _scheduled(model, None, pool=pool)
-        _assert_same_streams([h.results for h in handles], want)
-        assert sum(h.stats.lookahead_contexts for h in handles) > 0
-        # One query alone through the pool: same width, same stream.
-        (handle,) = search_many(
-            model, _TOK, [_PORTFOLIO[0]], concurrency=1, worker_pool=pool,
-            budget=QueryBudget(max_results=_TOP), max_expansions=600,
-        )
-        _assert_same_streams([handle.results], want[:1])
-        assert handle.stats.lookahead_contexts > 0
 
 
 # -- harness-shaped proxies ------------------------------------------------------

@@ -97,11 +97,15 @@ class TestSearchApi:
 
 #: Every keyword the "one owner per knob" change removed, by the callable
 #: that used to accept it.  Each knob now lives on exactly one object — the
-#: ``WorkerPool`` (shard sizing, supervision, fault injection), the model
-#: (KV cache), the ``GraphCompiler`` (disk cache) — which the layers take
-#: prebuilt.  No alias may creep back: all of these must be ``TypeError``.
+#: model (KV cache), the ``GraphCompiler`` (disk cache) — which the layers
+#: take prebuilt.  No alias may creep back: all of these must be
+#: ``TypeError``.
+#: The process pool's knobs, and ``worker_pool`` itself: one process
+#: evaluates the model (the pool lost on every shape measured; DESIGN.md's
+#: options ledger).
 _POOL_KNOBS = (
     "workers", "min_shard_size", "max_retries", "backoff_base", "shard_timeout", "fault_plan",
+    "worker_pool",
 )
 _KV_KNOBS = ("kv_cache", "kv_cache_mb")
 #: Set planning, deleted from the scheduler: it saved no model context the
@@ -114,9 +118,6 @@ _DRIVE_LOOP_KNOBS = ("pipeline", "compile_ahead")
 #: workload or experiment ever had more queries waiting than ``concurrency``.
 _FAIRNESS_KNOBS = ("fairness",)
 REMOVED_KEYWORDS = {
-    # The worker-side logits cache never hit (the parent ships only its own
-    # cache's misses); the start method and backoff cap are constants.
-    "WorkerPool": ("worker_cache_size", "start_method", "backoff_cap"),
     # A private cache is sized by ``logits_cache=LogitsCache(model, capacity=n)``;
     # the sampled-prefix length bound is a constant.
     "Executor": ("backend", "cache_size", "max_prefix_chars"),
@@ -139,9 +140,9 @@ REMOVED_KEYWORDS = {
 }
 
 #: Stats fields deleted because another object owns the counter — read it
-#: there (``pool.stats()``, ``model.prefix_cache.stats()``,
-#: ``compiler.cache.stats()``, ``compiled.metrics``) — or, for the planner
-#: counters, because the mechanism they counted is gone.  No compatibility
+#: there (``model.prefix_cache.stats()``, ``compiler.cache.stats()``,
+#: ``compiled.metrics``) — or, for the pool and planner counters, because
+#: the mechanism they counted is gone.  No compatibility
 #: property may creep back: all of these must be ``AttributeError``.
 _POOL_MIRRORS = (
     "workers", "shards_dispatched", "parallel_rounds", "retries", "respawns",
@@ -177,7 +178,6 @@ class TestRemovedKeywords:
         from repro.core.arrays import AutomatonArrays
         from repro.core.compiler import GraphCompiler
         from repro.core.executor import Executor
-        from repro.core.parallel import WorkerPool
         from repro.core.scheduler import QueryScheduler
         from repro.service import SchedulerService
 
@@ -191,7 +191,6 @@ class TestRemovedKeywords:
             Executor(model, compiled, **svc.executor_defaults)
 
         return {
-            "WorkerPool": lambda **kw: WorkerPool(model, 1, **kw).shutdown(),
             "Executor": lambda **kw: Executor(model, compiled, **kw),
             "GraphCompiler": lambda **kw: GraphCompiler(tokenizer, **kw),
             "AutomatonArrays": lambda **kw: AutomatonArrays({}, frozenset(), **kw),
@@ -217,7 +216,6 @@ class TestRemovedKeywords:
         from repro.core.api import SearchSession, search_many
         from repro.core.compiler import GraphCompiler
         from repro.core.executor import Executor
-        from repro.core.parallel import WorkerPool
         from repro.core.scheduler import QueryScheduler
         from repro.service import SchedulerService
 
@@ -232,19 +230,12 @@ class TestRemovedKeywords:
         assert len(named(Executor.__init__)) == 6
         assert len(named(GraphCompiler.__init__)) == 4
         assert named(SearchSession.__init__) == ["compiler"]
-        assert len(named(search_many)) == 8
-        assert len(named(QueryScheduler.__init__)) == 10
-        assert len(named(SchedulerService.__init__)) == 13
-        for fn in (search_many, QueryScheduler.__init__, SchedulerService.__init__):
-            assert "worker_pool" in named(fn)
-        assert [
-            p.name
-            for p in inspect.signature(WorkerPool.__init__).parameters.values()
-            if p.kind is p.KEYWORD_ONLY
-        ] == ["min_shard_size", "max_retries", "backoff_base", "shard_timeout", "fault_plan"]
+        assert len(named(search_many)) == 7
+        assert len(named(QueryScheduler.__init__)) == 9
+        assert len(named(SchedulerService.__init__)) == 12
 
         # Stats objects carry only what their owner increments; a counter
-        # another object owns (pool, prefix cache, compilation caches,
+        # another object owns (prefix cache, compilation caches,
         # CompileMetrics) is read there, never mirrored here.
         import dataclasses
 
@@ -257,36 +248,20 @@ class TestRemovedKeywords:
                 with pytest.raises(AttributeError):
                     getattr(cls(), removed)
 
-    def test_pool_rounds_are_one_call(self):
-        """The pool's split-phase round API is deleted: a round is one
-        ``logprobs_batch`` call, and ``repro.core`` exports no ticket."""
+    def test_worker_pool_is_gone(self):
+        """One process evaluates the model: the pool, its fault injector
+        and their exports are deleted, not hidden."""
+        import importlib
+
+        import repro
         import repro.core
-        from repro.core import parallel
-        from repro.core.parallel import WorkerPool
 
-        for module in (repro.core, parallel):
-            assert not hasattr(module, "RoundTicket")
-            assert "RoundTicket" not in module.__all__
-        for method in ("dispatch", "collect"):
-            assert not hasattr(WorkerPool, method)
-
-    def test_pool_attaches_one_way_and_fails_one_way(self, model):
-        """``worker_pool=`` is the only way to attach a pool (no model
-        adapter), a pool takes a live model only (no ``ModelSpec``), and
-        supervision is the only failure contract (no fail-fast
-        ``max_retries=None``); ``shutdown`` has no alias."""
-        import repro.core
-        from repro.core import parallel
-        from repro.core.parallel import WorkerPool
-
-        for module in (repro.core, parallel):
-            assert not hasattr(module, "PooledModel")
-            assert "PooledModel" not in module.__all__
-        assert not hasattr(WorkerPool, "close")
-        with pytest.raises(ValueError, match="max_retries"):
-            WorkerPool(model, 2, max_retries=None)
-        with pytest.raises(TypeError, match="LanguageModel"):
-            WorkerPool(model.spec(), 2)
+        for module in (repro, repro.core):
+            assert not hasattr(module, "WorkerPool")
+            assert "WorkerPool" not in module.__all__
+        for name in ("repro.core.parallel", "repro.core.faults"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(name)
 
     def test_as_dict_enumerates_every_field(self):
         """Each report's ``as_dict()`` is its dataclass fields (plus the

@@ -9,8 +9,8 @@ whose row it already holds is a hit.  What must hold:
   context's row to the bit;
 * proxies (``.inner``) report the wrapped model's key; the transformer
   keeps the whole context (``tuple``);
-* every execution path (serial executor, scheduler at concurrency 1 and 4, a
-  2-worker pool) yields the stream it yields over a cache keyed by whole
+* every execution path (serial executor, scheduler at concurrency 1 and 4)
+  yields the stream it yields over a cache keyed by whole
   contexts (:class:`tests.reference.FullContextLogitsCache`), with the same
   counters apart from cache hits / misses and the model rounds they cause;
 * a checkpoint whose rows are keyed by whole contexts resumes with every
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.core.checkpoint import RunCheckpoint, save_checkpoint
 from repro.core.compiler import GraphCompiler
 from repro.core.executor import Executor
-from repro.core.parallel import WorkerPool
 from repro.core.query import SearchQuery
 from repro.core.scheduler import QueryBudget, QueryScheduler
 from repro.experiments.bias import FIGURE7_CONFIGS, bias_query
@@ -184,10 +183,10 @@ def _serial(model, tokenizer, queries, cache):
     return out
 
 
-def _scheduled(model, tokenizer, queries, cache, concurrency, pool=None, limit=_LIMIT):
+def _scheduled(model, tokenizer, queries, cache, concurrency, limit=_LIMIT):
     scheduler = QueryScheduler(
         model, tokenizer, logits_cache=cache, concurrency=concurrency,
-        worker_pool=pool, max_expansions=_EXPANSIONS,
+        max_expansions=_EXPANSIONS,
     )
     handles = [scheduler.submit(q, budget=QueryBudget(max_results=limit)) for q in queries]
     scheduler.run()
@@ -221,11 +220,6 @@ def _check_every_path(model, tokenizer, queries):
         reference = _scheduled(model, tokenizer, queries, full, concurrency)
         _assert_agrees(reference, want, reference)
         _assert_agrees(_scheduled(model, tokenizer, queries, keyed, concurrency), want, reference)
-    with WorkerPool(model, 2, min_shard_size=1) as pool:
-        keyed, full = caches()
-        reference = _scheduled(model, tokenizer, queries, full, 4, pool)
-        _assert_agrees(reference, want, reference)
-        _assert_agrees(_scheduled(model, tokenizer, queries, keyed, 4, pool), want, reference)
 
 
 def test_environment_queries_agree_on_every_path(env):

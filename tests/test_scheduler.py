@@ -141,6 +141,22 @@ class TestBudgets:
         serial = _serial_matches(model, tokenizer, SearchQuery(WIDE), limit=2)
         assert [m.text for m in handle.results] == [m.text for m in serial]
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_results": 0}, {"max_results": -1}, {"max_results": True},
+            {"max_results": 2.0}, {"max_lm_calls": 0}, {"max_lm_calls": -5},
+            {"deadline": float("nan")}, {"deadline": float("inf")},
+            {"deadline": 0}, {"deadline": -1.0}, {"deadline": True},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_unsatisfiable_budget_is_refused(self, kwargs):
+        """A cap of zero once yielded one match (the cap was checked after
+        the append) and a NaN deadline ran unbounded; neither is a budget."""
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            QueryBudget(**kwargs)
+
     def test_unbudgeted_query_runs_to_completion(self, model, tokenizer):
         scheduler = QueryScheduler(model, tokenizer)
         handle = scheduler.submit(SearchQuery(WIDE))
@@ -523,33 +539,21 @@ class TestInlineAnswers:
         # The short query finished while the long one still had work left.
         assert handles[1].stats.lm_calls < sum(steps[: len(steps) // 2])
 
-    @pytest.mark.parametrize("workers", [None, 2], ids=["plain", "pool"])
-    def test_ready_queries_are_never_stranded(self, model, tokenizer, warm, workers):
+    def test_ready_queries_are_never_stranded(self, model, tokenizer, warm):
         """Over warm caches nobody is ever *waiting*, so ``run()`` must
-        keep going for queries that are merely ready — with and without a
-        worker pool attached."""
-        from repro.core.parallel import WorkerPool
-
+        keep going for queries that are merely ready."""
         counting, cache = warm
         self._warm_up(counting, cache, tokenizer, self.PORTFOLIO)
         serial = [
             _serial_matches(model, tokenizer, q, **kw) for q, kw in self.PORTFOLIO
         ]
-        pool = WorkerPool(counting, workers, min_shard_size=1) if workers else None
-        try:
-            scheduler = QueryScheduler(
-                counting, tokenizer, logits_cache=cache, worker_pool=pool
-            )
-            handles = [scheduler.submit(q, **kw) for q, kw in self.PORTFOLIO]
-            scheduler.run()
-            dispatched = pool.stats()["shards_dispatched"] if pool else 0
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        scheduler = QueryScheduler(counting, tokenizer, logits_cache=cache)
+        handles = [scheduler.submit(q, **kw) for q, kw in self.PORTFOLIO]
+        scheduler.run()
         assert all(h.done and not h.truncated for h in handles)
         assert [h.results for h in handles] == serial
         assert scheduler.stats.rounds == 0
-        assert counting.total_rounds == 0 and dispatched == 0
+        assert counting.total_rounds == 0
 
     def test_executor_run_attribution_on_a_shared_cache(
         self, model, tokenizer, monkeypatch
@@ -679,3 +683,20 @@ class TestSchedulerSurface:
         for h in handles:
             assert per_query[h.name] == h.results
         assert len(scheduler.merged) == sum(len(h.results) for h in handles)
+
+    def test_shared_cache_for_another_model_is_rejected(self, model, tokenizer):
+        """A shared logits cache answers for the model it wraps; one built
+        over another model would silently serve the wrong rows."""
+        from repro.core.api import SearchSession
+
+        other = CountingModel(model)
+        with pytest.raises(ValueError, match="different model"):
+            SearchSession(
+                model, tokenizer, SearchQuery("The cat"), logits_cache=LogitsCache(other)
+            )
+        with pytest.raises(ValueError, match="different model"):
+            QueryScheduler(model, tokenizer, logits_cache=LogitsCache(other))
+        session = SearchSession(
+            model, tokenizer, SearchQuery("The cat"), logits_cache=LogitsCache(model)
+        )
+        assert [m.text for m in session] == ["The cat"]

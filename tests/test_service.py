@@ -315,81 +315,71 @@ class TestWarmQueries:
 
 
 # ---------------------------------------------------------------------------
-class TestFaultsThroughTheService:
-    def test_fault_injecting_pool_is_bit_identical_with_one_terminal_frame(
+class TestBudgetValidation:
+    #: Budgets ``json.loads`` accepts but no query can honour: each once
+    #: yielded a match past a cap of zero or ran unbounded.
+    UNSATISFIABLE = [
+        b'{"deadline": NaN}',
+        b'{"deadline": Infinity}',
+        b'{"deadline": 0}',
+        b'{"max_results": 0}',
+        b'{"max_results": -1}',
+        b'{"max_lm_calls": 0}',
+        b'{"deadline": NaN, "max_results": 0}',
+    ]
+
+    def test_validate_submit_refuses_unsatisfiable_budgets(self):
+        for budget in self.UNSATISFIABLE:
+            frame = json.loads(
+                b'{"type": "submit", "id": "b", "query": {"pattern": "The cat"}, '
+                b'"budget": ' + budget + b"}"
+            )
+            with pytest.raises(protocol.ProtocolError):
+                protocol.validate_submit(frame)
+        _, _, budget = protocol.validate_submit(
+            {"type": "submit", "id": "b", "query": {"pattern": "a"},
+             "budget": {"deadline": 2.5, "max_results": 1, "max_lm_calls": 3.0}}
+        )
+        assert budget == QueryBudget(deadline=2.5, max_lm_calls=3, max_results=1)
+
+    def test_unsatisfiable_budget_draws_an_error_frame_and_the_connection_survives(
         self, model, tokenizer
     ):
-        """Resilience is the pool's business, so faults reach the service
-        through the same door as workers do: a caller-built
-        ``WorkerPool(fault_plan=...)`` handed in as ``worker_pool=``.  A
-        worker SIGKILLed mid-round and clean in-worker errors change
-        wall-clock only — every stream equals the serial run, and every
-        submit still gets exactly one terminal frame."""
-        from repro.core.api import search_many
-        from repro.core.faults import FaultPlan, FaultSpec
-        from repro.core.parallel import WorkerPool
-
-        patterns = [
-            "The ((cat)|(dog)|(man)|(woman))", "The (cat|dog) (ran|sat)", "A (man|woman)",
-        ]
-        budget = QueryBudget(max_results=6)
-        serial = [
-            handle.results
-            for handle in search_many(
-                model, tokenizer, [SearchQuery(p) for p in patterns], budget=budget
-            )
-        ]
-        assert all(serial)
-        plan = FaultPlan.of(
-            FaultSpec("crash", round_index=0, shard=0),
-            FaultSpec("error", every=2, shard=-1),
-        )
-
-        async def scenario(pool):
-            async with serving(
-                model, tokenizer, worker_pool=pool, concurrency=len(patterns)
-            ) as (server, service):
+        async def scenario():
+            async with serving(model, tokenizer) as (server, service):
                 reader, writer, _ = await raw_connect(server.host, server.port)
-                for i, pattern in enumerate(patterns):
-                    writer.write(protocol.encode_frame({
-                        "type": "submit",
-                        "id": f"q{i}",
-                        "query": protocol.query_to_wire(SearchQuery(pattern)),
-                        "budget": {"max_results": budget.max_results},
-                    }))
+                for i, budget in enumerate(self.UNSATISFIABLE):
+                    writer.write(
+                        b'{"type": "submit", "id": "bad%d", ' % i
+                        + b'"query": {"pattern": "The ((cat)|(dog))"}, "budget": '
+                        + budget + b"}\n"
+                    )
+                writer.write(protocol.encode_frame({
+                    "type": "submit", "id": "good",
+                    "query": protocol.query_to_wire(SearchQuery("The ((cat)|(dog))")),
+                    "budget": {"max_results": 1},
+                }))
                 await writer.drain()
-                done = set()
                 frames = await read_frames_until(
-                    reader,
-                    lambda f: f["type"] == "done"
-                    and (done.add(f["id"]) or len(done) == len(patterns)),
-                    timeout=120.0,
+                    reader, lambda f: f["type"] == "done" and f["id"] == "good"
                 )
-                # Frames are ordered per connection: anything the engine
-                # emitted after the last ``done`` precedes the stats reply.
-                writer.write(protocol.encode_frame({"type": "stats"}))
-                await writer.drain()
-                frames += await read_frames_until(reader, lambda f: f["type"] == "stats")
                 writer.close()
-                assert service.stats_snapshot()["workers"] == 2
-                return frames
+                return frames, service.stats.frames_malformed
 
-        with WorkerPool(
-            model, 2, min_shard_size=1, backoff_base=0.01, fault_plan=plan
-        ) as pool:
-            frames = asyncio.run(scenario(pool))
-            assert pool.faults_injected >= 1 and pool.retries >= 1
-            assert not pool.closed  # the service borrowed it, the caller owns it
-        for i, expected in enumerate(serial):
-            terminal = [f for f in frames if f["type"] == "done" and f["id"] == f"q{i}"]
-            assert len(terminal) == 1
-            assert terminal[0]["status"] in ("ok", "truncated")
-            got = [
-                protocol.match_from_wire(f["match"])
-                for f in frames
-                if f["type"] == "match" and f["id"] == f"q{i}"
-            ]
-            assert got == expected  # full dataclass equality, logprobs included
+        frames, malformed = asyncio.run(scenario())
+        errors = [f for f in frames if f["type"] == "error"]
+        assert [f["id"] for f in errors] == [
+            f"bad{i}" for i in range(len(self.UNSATISFIABLE))
+        ]
+        assert all(
+            any(field in f["message"] for field in ("deadline", "max_results", "max_lm_calls"))
+            for f in errors
+        )
+        assert malformed == len(self.UNSATISFIABLE)
+        # No bad submit reached the engine: not one match or done for it.
+        assert all(f.get("id") == "good" for f in frames if f["type"] in ("match", "done"))
+        matches = [f for f in frames if f["type"] == "match"]
+        assert len(matches) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ code patterns quietly break that:
     ``repro/core/`` whose enclosing scope neither calls
     ``close()``/``unlink()`` nor sits in a ``try``/``finally``: segments
     that outlive their owner leak OS handles (and under spawn, whole
-    blocks) on error paths, which the chaos suite then observes as
-    cross-run nondeterminism.
+    blocks) on error paths, which later runs observe as cross-run
+    nondeterminism.
 
 Suppression: append ``# det: ok`` to the offending line, or extend
 ``ALLOWLIST`` below with ``path::line-pattern`` entries (kept explicit so
@@ -91,7 +91,8 @@ WALL_CLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
 CORE_PATH_MARKERS = ("repro/core/", "repro/lm/")
 
 #: Paths where shared-memory allocations must be paired with reclamation
-#: (DET004): the process-parallel engine lives here.
+#: (DET004): nothing in the engine allocates shared memory today, and any
+#: future use there must reclaim what it allocates.
 SHM_PATH_MARKERS = ("repro/core/",)
 
 #: Attribute calls that count as shared-memory reclamation.

@@ -5,14 +5,15 @@ End-to-end exercise of the daemon from the outside, the way an operator
 would run it:
 
 1. Start ``repro serve`` on a random port with a persistent compile
-   cache, 2 LM workers, and an admission cost cap.
+   cache and an admission cost cap; the server evaluates the model
+   in-process.
 2. Run three concurrent clients against it: one streams a query to
    completion, one cancels mid-stream with a one-match window, and one
    submits a query whose statically-bounded LM cost exceeds the
    admission cap (must be rejected with zero LM calls).
-3. SIGTERM the server and require a clean exit (code 0) with **zero**
-   leaked ``/dev/shm`` segments from the worker pool's shared-memory
-   logits transport.
+3. SIGTERM the server and require a clean exit (code 0) that leaves
+   **zero** new ``/dev/shm`` segments behind (nothing the server runs may
+   leak shared memory).
 4. Restart the server against the same ``--compile-cache`` directory and
    re-run the streamed query: the warm run must recompile nothing (disk
    cache misses == 0) and return bit-identical matches.
@@ -176,7 +177,6 @@ def main() -> int:
     try:
         server = Server(
             "--compile-cache", str(compile_cache),
-            "--workers", "2",
             "--admission-max-cost", str(ADMISSION_CAP),
             "--scale", "test",
         )
