@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "concurrently through the multi-query scheduler",
         )
         p.add_argument("--prefix", default=None, help="prefix regex (conditioned, not decoded)")
-        p.add_argument("--top-k", type=int, default=None, help="top-k decision rule")
-        p.add_argument("--strategy", choices=["shortest", "random", "beam"], default="shortest")
+        p.add_argument("--top-k", type=_positive_int, default=None, help="top-k decision rule")
+        p.add_argument("--strategy", choices=["shortest", "random"], default="shortest")
         p.add_argument("--tokenization", choices=["all", "canonical"], default="all")
         p.add_argument("--samples", type=int, default=10, help="samples for --strategy random")
         p.add_argument("--max-matches", type=_positive_int, default=10)
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
              "model) exceeds this, before any LM call",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=8,
+        "--max-inflight", type=_positive_int, default=8,
         help="per-client cap on concurrently running queries",
     )
     serve.add_argument(
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-client LM-call rate quota (sliding 60s window)",
     )
     serve.add_argument(
-        "--window", type=int, default=64,
+        "--window", type=_positive_int, default=64,
         help="default per-query match-delivery window (backpressure "
              "credit) for clients that do not choose one",
     )
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--host", default="127.0.0.1")
     submit.add_argument("--port", type=int, required=True, help="server port")
     submit.add_argument(
-        "--window", type=int, default=64,
+        "--window", type=_positive_int, default=64,
         help="initial match-delivery window (auto-replenished)",
     )
     submit.add_argument(
@@ -271,7 +271,6 @@ def _build_queries(args):
     strategy = {
         "shortest": relm.QuerySearchStrategy.SHORTEST_PATH,
         "random": relm.QuerySearchStrategy.RANDOM_SAMPLING,
-        "beam": relm.QuerySearchStrategy.BEAM,
     }[args.strategy]
     tokenization = (
         relm.QueryTokenizationStrategy.CANONICAL

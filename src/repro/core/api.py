@@ -9,7 +9,9 @@ Mirrors the paper's Figure 4 / Figure 11 usage::
 
 The returned iterator is lazy: shortest-path queries stream matches in
 decreasing probability until the language is exhausted; random queries are
-an unbounded sample stream unless ``num_samples`` bounds them.
+an unbounded sample stream unless ``num_samples`` bounds them.  There is
+one drive loop: a session's iterator is a :class:`QueryScheduler` holding
+that one query, stepped until the next match and suspended there.
 
 Repeated-query workloads should reuse one :class:`GraphCompiler` (its
 compilation cache skips recompiling repeated patterns) and may share one
@@ -67,7 +69,27 @@ class SearchSession:
         self.executor = Executor(model, self.compiled, **executor_kwargs)
 
     def __iter__(self) -> Iterator[MatchResult]:
-        return self.executor.run()
+        """Stream the matches: the executor runs as the only query of a
+        :class:`QueryScheduler`, which hands it back at every match, so
+        nothing past a match is expanded or scored until the caller asks
+        for the next one.  Matches are handed over, not kept: an unbounded
+        random stream holds none of the ones it has yielded."""
+        executor = self.executor
+        scheduler = QueryScheduler(
+            executor.model,
+            self.compiler.tokenizer,
+            compiler=self.compiler,
+            logits_cache=executor._cache,
+            concurrency=1,
+        )
+        handle = scheduler._enqueue(executor, QueryBudget())
+        step = scheduler.step
+        running = True
+        while running:
+            running = step()
+            if handle.results:
+                matches, handle.results = handle.results, []
+                yield from matches
 
     @property
     def stats(self) -> ExecutionStats:

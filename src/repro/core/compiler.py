@@ -309,8 +309,8 @@ class TokenAutomaton:
         member) and takes that member's edges in ascending token id.  The
         token language is unchanged, and because compiled edge rows are
         canonically sorted by token id, every traversal order — heap
-        tie-breaks, beam argsorts, the sampling RNG stream — is
-        bit-identical to the unminimized automaton's.  A quotient of a trim
+        tie-breaks, the sampling RNG stream — is bit-identical to the
+        unminimized automaton's.  A quotient of a trim
         automaton is trim, so the result needs no further trimming.
 
         An automaton :meth:`GraphCompiler.compile_all_tokens` proved minimal

@@ -31,18 +31,17 @@ there).  The two expansions produce bit-identical match streams (same
 order, same log-probabilities): edge costs are the same float64 values, and
 array order mirrors the edge dict's insertion order so tie-breaking agrees
 — the differential suite pins the cutoff to either extreme to compare them,
-and compares the sampler and beam search with scalar references.
+and compares the sampler with a scalar reference.
 
-Every traversal is implemented as a *stepwise generator* (:meth:`Executor.steps`)
-that yields two kinds of events: :class:`LmRequest` (the traversal needs model
+Both traversals are *stepwise generators* (:meth:`Executor.steps`) that
+yield two kinds of events: :class:`LmRequest` (the traversal needs model
 scores for a batch of contexts and suspends until they are sent back) and
-:class:`~repro.core.results.MatchResult`.  :meth:`Executor.run` drives the
-generator against the executor's own logits cache — the single-query serial
-path — while :class:`~repro.core.scheduler.QueryScheduler` drives many
-executors' generators at once, coalescing their ``LmRequest`` contexts into
-shared LM rounds.  Both drivers call :meth:`Executor.finish_request` to apply
-the decoding policy and update stats, so the match stream is identical no
-matter who drives.
+:class:`~repro.core.results.MatchResult`.  One driver runs them:
+:class:`~repro.core.scheduler.QueryScheduler`, which coalesces many
+executors' ``LmRequest`` contexts into shared LM rounds, and which a
+single :func:`~repro.core.api.search` runs with that one query.  It calls
+:meth:`Executor.finish_request` to apply the decoding policy and update
+stats, so the match stream is the same whichever queries share a round.
 
 Accelerator batching (§3.3) is *lookahead, not reordering*.  Dijkstra pops
 and scores one node at a time — that is what makes the yield order exact —
@@ -65,7 +64,6 @@ import functools
 import heapq
 import itertools
 import random
-import time
 from typing import Any, Callable, Generator, Iterator
 
 import numpy as np
@@ -228,8 +226,9 @@ def _peek_pops(heap: list[tuple]) -> Iterator[tuple[int | None, tuple[int, ...]]
 class Executor:
     """Runs one compiled query against one model.
 
-    Instantiate per query; :meth:`run` returns the stream of
-    :class:`~repro.core.results.MatchResult` tuples.  ``stats`` accumulates
+    Instantiate per query; :meth:`steps` is its traversal, for a driver
+    (:class:`~repro.core.scheduler.QueryScheduler`, or a
+    :func:`~repro.core.api.prepare` session) to run.  ``stats`` accumulates
     counters across the run (lm calls, pruned edges, ...).
 
     ``logits_cache`` lets several executors over the same model share one
@@ -398,15 +397,13 @@ class Executor:
 
         Yields :class:`LmRequest` and :class:`MatchResult` events; after an
         ``LmRequest`` the driver must ``send()`` back the result of
-        :meth:`finish_request`.  Used directly by the multi-query scheduler;
-        :meth:`run` is the single-query driver.
+        :meth:`finish_request`.  Driven by
+        :class:`~repro.core.scheduler.QueryScheduler`.
         """
         if self.language_empty:
             return self._empty_traversal()
         if self.query.search_strategy is QuerySearchStrategy.SHORTEST_PATH:
             return self._shortest_path()
-        if self.query.search_strategy is QuerySearchStrategy.BEAM:
-            return self._beam_search()
         return self._random_sampling()
 
     def _empty_traversal(self) -> Iterator:
@@ -414,45 +411,6 @@ class Executor:
         cache warm-up — finish immediately with zero matches."""
         return
         yield  # pragma: no cover - makes this a generator
-
-    def run(self) -> Iterator[MatchResult]:
-        """Execute the query; yields matches per the traversal strategy.
-
-        Drives :meth:`steps` against the executor's own logits cache: a
-        fully cached ``LmRequest`` is answered by the all-hit probe
-        (:meth:`~repro.lm.base.LogitsCache.cached_rows`), any other with a
-        one-group split-phase round — the request's lookahead, evaluated
-        only now that it missed, rides in the same model call — whose
-        per-request hit/miss tallies stay exact on a shared cache.
-        """
-        gen = self.steps()
-        cache = self._cache
-        payload = None
-        while True:
-            try:
-                event = gen.send(payload)
-            except StopIteration:
-                return
-            if isinstance(event, LmRequest):
-                started = time.perf_counter()
-                rows = cache.cached_rows(event.contexts)
-                if rows is not None:
-                    self.stats.logits_hits += len(rows)
-                else:
-                    plan = cache.begin_round([event.contexts])
-                    if event.lookahead is not None:
-                        self.stats.lookahead_contexts += cache.add_lookahead(
-                            plan, event.lookahead()
-                        )
-                    fresh = cache.model.logprobs_batch(plan.missing_contexts())
-                    (rows,), (hits,), (misses,) = cache.finish_round(plan, fresh)
-                    self.stats.logits_hits += hits
-                    self.stats.logits_misses += misses
-                self.stats.lm_wall_ms += (time.perf_counter() - started) * 1e3
-                payload = self.finish_request(event, rows)
-            else:
-                yield event
-                payload = None
 
     # -- vectorized edge expansion -------------------------------------------------
     def _expand_vectorized(
@@ -703,93 +661,6 @@ class Executor:
             for tok, lp in zip(tokens, rows):
                 total += -float(lp[tok])
         return state, tokens, total
-
-    # -- beam search -----------------------------------------------------------
-    def _beam_search(self) -> Iterator[MatchResult]:
-        """Synchronous beam search: a bounded frontier advanced one token
-        per step.
-
-        The paper notes "any traversal algorithm can be used with the
-        Executor"; beam search trades the completeness and exact ordering
-        of Dijkstra for O(beam_width) memory — useful on automata whose
-        Dijkstra frontier explodes.  Yields are grouped per depth and
-        sorted by probability within the group.
-        """
-        automaton = self.automaton
-        eos = self.model.eos_id
-        width = self.query.beam_width
-        #: beam entries: (total_cost, suffix_cost, state, tokens)
-        start_state, start_tokens, start_total = yield from self._fast_forward_prefix()
-        beam: list[tuple[float, float, int, tuple[int, ...]]] = [
-            (start_total, 0.0, start_state, start_tokens)
-        ]
-        seen_texts: set[str] = set()
-        for _depth in range(self.max_tokens + 1):
-            if not beam:
-                return
-            emitted: list[tuple[float, float, tuple[int, ...]]] = []
-            #: per-expansion candidate arrays
-            #: (totals, suffixes, dst_states, token_ids, parent_tokens) —
-            #: survivors are materialised into tuples only after selection.
-            groups: list[
-                tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
-            ] = []
-            scored = yield LmRequest([entry[3] for entry in beam])
-            for (total, suffix, state, tokens), (lp, mask) in zip(beam, scored):
-                self.stats.nodes_expanded += 1
-                if state in automaton.accepts and (
-                    not self._dynamic_prune or self.tokenizer.is_canonical(tokens)
-                ):
-                    if self.query.require_eos:
-                        if mask[eos] and np.isfinite(lp[eos]):
-                            cost = -float(lp[eos])
-                            emitted.append((total + cost, suffix + cost, tokens))
-                    else:
-                        emitted.append((total, suffix, tokens))
-                if len(tokens) >= self.max_tokens:
-                    continue
-                row = self._arrays.row(state)
-                if row is None:
-                    continue
-                sel_tokens, sel_dsts, costs, sel_prefix = self._expand_vectorized(
-                    row, tokens, lp, mask, record_eliminations=False
-                )
-                if not sel_tokens.size:
-                    continue
-                groups.append(
-                    (
-                        total + costs,
-                        np.where(sel_prefix, suffix, suffix + costs),
-                        sel_dsts,
-                        sel_tokens,
-                        tokens,
-                    )
-                )
-            for total, suffix, tokens in sorted(emitted):
-                yield from self._emit(tokens, suffix, total, seen_texts)
-            if not groups:
-                beam = []
-                continue
-            tot_all = np.concatenate([g[0] for g in groups])
-            suf_all = np.concatenate([g[1] for g in groups])
-            dst_all = np.concatenate([g[2] for g in groups])
-            tok_all = np.concatenate([g[3] for g in groups])
-            gid = np.repeat(np.arange(len(groups)), [g[0].size for g in groups])
-            # Stable sort over the concatenation keeps ties in beam-entry
-            # then edge order.  Only the surviving width get tuples.
-            order = np.argsort(tot_all, kind="stable")
-            if order.size > width:
-                self.stats.pruned_edges += int(order.size) - width
-                order = order[:width]
-            beam = [
-                (
-                    float(tot_all[i]),
-                    float(suf_all[i]),
-                    int(dst_all[i]),
-                    groups[gid[i]][4] + (int(tok_all[i]),),
-                )
-                for i in order.tolist()
-            ]
 
     # -- randomized traversal ----------------------------------------------------
     def _random_sampling(self) -> Iterator[MatchResult]:

@@ -30,18 +30,13 @@ class QuerySearchStrategy(enum.Enum):
     """Traversal algorithm over the LLM automaton (§3.3).
 
     The paper's executor accepts "any traversal algorithm"; shortest path
-    and random sampling are the two it uses, and beam search is provided
-    as the natural third (bounded-frontier best-first, trading
-    completeness for memory).
+    and random sampling are the two it uses, and the two provided.
     """
 
     #: Dijkstra over -log p: yields matches in decreasing probability.
     SHORTEST_PATH = "shortest_path"
     #: Randomized traversal: unbiased sampling of matches (infinite stream).
     RANDOM_SAMPLING = "random_sampling"
-    #: Synchronous beam search: keep the ``beam_width`` best partial paths
-    #: per step; yields accepting paths as the beam reaches them.
-    BEAM = "beam"
 
 
 class QueryTokenizationStrategy(enum.Enum):
@@ -102,7 +97,6 @@ class SimpleSearchQuery:
     require_eos: bool = False
     preprocessors: tuple = ()
     uniform_edge_sampling: bool = False
-    beam_width: int = 16
     seed: int | None = None
 
     def with_(self, **changes: Any) -> "SimpleSearchQuery":
@@ -122,7 +116,6 @@ def SearchQuery(
     num_samples: int | None = None,
     require_eos: bool = False,
     preprocessors: Sequence = (),
-    beam_width: int = 16,
     seed: int | None = None,
 ) -> SimpleSearchQuery:
     """The Figure 4 convenience constructor.
@@ -145,6 +138,5 @@ def SearchQuery(
         num_samples=num_samples,
         require_eos=require_eos,
         preprocessors=tuple(preprocessors),
-        beam_width=beam_width,
         seed=seed,
     )

@@ -69,13 +69,11 @@ class ExecutionStats:
     #: and cached with a request that missed, counted in ``lm_calls`` only
     #: when — and if — their node is popped.
     lookahead_contexts: int = 0
-    #: Coalesced scheduler rounds this query participated in (0 when the
-    #: query ran serially through :meth:`Executor.run`, and 0 under a
-    #: scheduler whose warm cache answered every request inline).
+    #: Coalesced scheduler rounds this query took part in: one per request
+    #: that missed the logits cache (0 when a warm cache answered every
+    #: request inline).  Round wall-clock is the scheduler's
+    #: (``SchedulerStats.lm_wall_ms``).
     scheduler_rounds: int = 0
-    #: LM-round wall-clock spent inside :meth:`Executor.run` (0 under a
-    #: scheduler, which times whole rounds in ``SchedulerStats.lm_wall_ms``).
-    lm_wall_ms: float = 0.0
 
     @property
     def mean_batch_size(self) -> float:

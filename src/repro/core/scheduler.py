@@ -24,10 +24,11 @@ Guarantees:
 
 * **Serial equivalence** — interleaving only changes *when* contexts are
   scored, never their values: each query's match stream (order, tokens,
-  log-probabilities) is bit-identical to a standalone
-  :meth:`Executor.run`.  The differential suite pins this for every seeded
-  combo at concurrency 1, and the property suite for random multi-query
-  mixes.
+  log-probabilities) is bit-identical to the query driven alone (a
+  :func:`~repro.core.api.search` is this scheduler with one query; the
+  test suite's ``reference_drive`` is the serial loop it is checked
+  against).  The differential suite pins this for every seeded combo at
+  concurrency 1, and the property suite for random multi-query mixes.
 * **Budgets** — per-query wall-clock deadline, LM-call cap, and result cap
   (:class:`QueryBudget`), enforced before every request is answered —
   inline from the cache or by a round: a query over budget is stopped
@@ -37,9 +38,9 @@ Guarantees:
   next boundary; a cancelled query never issues another LM call.
 * **Rotation** — when a round cannot service every waiting query
   (``concurrency`` caps queries per *model round*; a cached answer takes
-  no slot, but a query is handed back to the drive loop at the first
-  inline answer after a match and after ``_INLINE_QUANTUM`` inline
-  answers, so a long warm query cannot starve its peers), the start
+  no slot, but a query is handed back to the drive loop after a match
+  and after ``_INLINE_QUANTUM`` inline answers, so a long warm query
+  cannot starve its peers), the start
   position rotates round-robin across rounds, so every query is serviced
   regardless of submission order.
 * **Admission control** — queries the static analyzer proves fruitless
@@ -149,11 +150,6 @@ class ScheduledQuery:
         self.executor = executor
         self.budget = budget
         self.submitted_at = submitted_at
-        #: Static-analyzer verdict for this query (``None`` when the
-        #: shared compiler runs with analysis disabled).  Its first read:
-        #: a scheduled query is analyzed here, for the admission decision
-        #: that follows, not inside ``compile``.
-        self.report: QueryReport | None = compiled.report
         self.results: list[MatchResult] = []
         self.done = False
         self.truncated = False
@@ -169,6 +165,17 @@ class ScheduledQuery:
         #: ``None`` at the start and after a match.
         self._answer: Any = None
         self._cancelled = False
+        #: Whether a request can cross a budget line (a deadline or an
+        #: LM-call cap): an unmetered, uncancelled query skips the check.
+        self._metered = budget.deadline is not None or budget.max_lm_calls is not None
+
+    @property
+    def report(self) -> QueryReport | None:
+        """Static-analyzer verdict for this query (``None`` when the
+        shared compiler runs with analysis disabled), computed on first
+        read: :meth:`QueryScheduler.submit` reads it for admission, not
+        ``compile``."""
+        return self.compiled.report
 
     @property
     def stats(self) -> ExecutionStats:
@@ -289,6 +296,8 @@ class QueryScheduler:
         self._interrupt_requested = False
         self.stats = SchedulerStats()
         self.queries: list[ScheduledQuery] = []
+        #: The unfinished queries, in submission order: what a turn walks.
+        self._active: list[ScheduledQuery] = []
         #: Every match in global yield order, as ``(query_name, match)`` —
         #: the merged stream the property suite checks is a permutation of
         #: the per-query serial streams.  Populated only when
@@ -316,6 +325,30 @@ class QueryScheduler:
         A query that fails to compile (e.g. a regex syntax error) raises
         here with nothing registered.
         """
+        submitted_at = self.clock()
+        compiled = self.compiler.compile(query)
+        kwargs = dict(self.executor_defaults)
+        kwargs.update(executor_overrides)
+        executor = Executor(self.model, compiled, logits_cache=self.logits_cache, **kwargs)
+        if compiled.metrics is not None:
+            self.stats.compile_ms += compiled.metrics.compile_ms
+        handle = self._enqueue(
+            executor, budget if budget is not None else QueryBudget(), name, submitted_at
+        )
+        self._admit(handle)
+        return handle
+
+    def _enqueue(
+        self,
+        executor: Executor,
+        budget: QueryBudget,
+        name: str | None = None,
+        submitted_at: float | None = None,
+    ) -> ScheduledQuery:
+        """Register a built *executor* as a runnable query and return its
+        handle: no compile, no analysis, no admission (``submit`` adds
+        those; a :class:`~repro.core.api.SearchSession` drives its own
+        executor through this alone)."""
         index = len(self.queries)
         # Names key per-query latency (and the merged stream), so they must
         # be unique — a repeated name (e.g. the same CLI pattern twice) is
@@ -326,26 +359,19 @@ class QueryScheduler:
         while unique in self._names:
             unique = f"{base}#{suffix}"
             suffix += 1
-        submitted_at = self.clock()
-        compiled = self.compiler.compile(query)
-        kwargs = dict(self.executor_defaults)
-        kwargs.update(executor_overrides)
-        executor = Executor(self.model, compiled, logits_cache=self.logits_cache, **kwargs)
         handle = ScheduledQuery(
             index=index,
             name=unique,
-            query=query,
-            compiled=compiled,
+            query=executor.query,
+            compiled=executor.compiled,
             executor=executor,
-            budget=budget if budget is not None else QueryBudget(),
-            submitted_at=submitted_at,
+            budget=budget,
+            submitted_at=self.clock() if submitted_at is None else submitted_at,
         )
-        if compiled.metrics is not None:
-            self.stats.compile_ms += compiled.metrics.compile_ms
         self._names.add(unique)
         self.queries.append(handle)
+        self._active.append(handle)
         self.stats.queries_submitted += 1
-        self._admit(handle)
         return handle
 
     def _admit(self, sq: ScheduledQuery) -> None:
@@ -412,33 +438,25 @@ class QueryScheduler:
 
         One turn: advance every active query — answering fully cached LM
         demands inline, collecting matches, enforcing budgets and
-        cancellations — until it misses the cache or is handed back (an
-        inline answer after a match, or its inline quantum used); then, if
-        any query missed, pick up to ``concurrency`` of them (rotating
-        round-robin), service their contexts in one coalesced cache
-        round, and resume them with the scores.  A turn in which nobody
-        missed runs no round at all.
+        cancellations — until it misses the cache or is handed back (see
+        :meth:`_advance`); then, if any query missed, pick up to
+        ``concurrency`` of them (rotating round-robin), service their
+        contexts in one coalesced cache round, and resume them with the
+        scores.  A turn in which nobody missed runs no round at all.
         """
-        self._maybe_resume()
-        waiting = self._gather_waiting()
-        if waiting:
-            self._round(self._select(waiting))
-        return any(not sq.done for sq in self.queries)
-
-    def _gather_waiting(self) -> list[ScheduledQuery]:
-        """Advance every runnable query and return the ones left waiting
-        on an LM round — those whose next request misses the cache."""
+        if self.resume and not self._resume_attempted:
+            self._maybe_resume()
         waiting = []
-        for sq in self.queries:
-            if sq.done:
-                continue
+        for sq in tuple(self._active):
             if sq._pending is None:
                 self._advance(sq)
-            else:  # parked on an earlier turn, not yet picked for a round
-                self._enforce_budget(sq)
+            elif sq._cancelled or sq._metered:  # parked, not yet picked for a round
+                self._enforce_budget(sq, sq._pending)
             if sq._pending is not None:  # cleared when a query finishes
                 waiting.append(sq)
-        return waiting
+        if waiting:
+            self._round(waiting if len(waiting) <= self.concurrency else self._select(waiting))
+        return bool(self._active)
 
     def _round(self, chosen: list[ScheduledQuery]) -> None:
         """Run one coalesced round: cache detection pass, the chosen
@@ -459,28 +477,29 @@ class QueryScheduler:
         rows, hits, misses = cache.finish_round(plan, fresh)
         wall_ms = (time.perf_counter() - started) * 1e3
         size = plan.total_contexts
-        self.stats.rounds += 1
-        self.stats.contexts_serviced += size
-        self.stats.max_round_size = max(self.stats.max_round_size, size)
-        self.stats.lm_wall_ms += wall_ms
+        stats = self.stats
+        stats.rounds += 1
+        stats.contexts_serviced += size
+        if size > stats.max_round_size:
+            stats.max_round_size = size
+        stats.lm_wall_ms += wall_ms
         if self.record_history:
-            self.stats.round_sizes.append(size)
-            self.stats.round_members.append(tuple(sq.name for sq in chosen))
-            self.stats.round_wall_ms.append(wall_ms)
+            stats.round_sizes.append(size)
+            stats.round_members.append(tuple(sq.name for sq in chosen))
+            stats.round_wall_ms.append(wall_ms)
         for sq, group_rows, h, m in zip(chosen, rows, hits, misses):
             request = sq._pending
             sq._pending = None
-            sq.stats.logits_hits += h
-            sq.stats.logits_misses += m
-            sq.stats.scheduler_rounds += 1
+            query_stats = sq.executor.stats
+            query_stats.logits_hits += h
+            query_stats.logits_misses += m
+            query_stats.scheduler_rounds += 1
             sq._answer = sq.executor.finish_request(request, group_rows)
             self._advance(sq)
-        self._rounds_since_checkpoint += 1
-        if (
-            self.checkpoint_path is not None
-            and self._rounds_since_checkpoint >= self.checkpoint_every
-        ):
-            self.save_checkpoint()
+        if self.checkpoint_path is not None:
+            self._rounds_since_checkpoint += 1
+            if self._rounds_since_checkpoint >= self.checkpoint_every:
+                self.save_checkpoint()
 
     # -- checkpoint / resume ------------------------------------------------------
     def save_checkpoint(self) -> None:
@@ -551,6 +570,7 @@ class QueryScheduler:
         sq._gen.close()
         sq._pending = None
         sq.done = True
+        self._active.remove(sq)
         sq.resumed = True
         sq.truncated = snap.truncated
         sq.truncated_reason = snap.truncated_reason
@@ -578,22 +598,27 @@ class QueryScheduler:
         (budgets checked first, exactly as before a round) and the
         generator keeps going; the first request with a miss is parked in
         ``_pending`` for a coalesced round.  The query is handed back —
-        ready, its next answer already in ``sq._answer`` — at the first
-        inline answer after a match, so ``step()``-granular observers see
-        a match as soon as they did when every request took a round, and
-        after :data:`_INLINE_QUANTUM` inline answers, so peers get their
-        turn.  A query no inline answer touches runs from round to round
-        exactly as before: matches never end its turn, only a miss does.
+        ready, its next answer already in ``sq._answer`` — after
+        :data:`_INLINE_QUANTUM` inline answers, so peers get their turn,
+        and after a match: at the first inline answer past it, so
+        ``step()``-granular observers see a match as soon as they did when
+        every request took a round, while a request past it that misses
+        still joins this turn's round with its peers.  Alone, a query has
+        no peer to share a round with, so it is handed back at the match
+        itself: its generator stays suspended there, and nothing past a
+        match is expanded or scored before the caller has it (what a
+        :func:`~repro.core.api.search` stream relies on).
         """
         if sq._cancelled:
             self._finish(sq, truncated=True, reason="cancelled")
             return
+        gen = sq._gen
+        answer, sq._answer = sq._answer, None
         answered = 0
         matched = False
         while True:
-            answer, sq._answer = sq._answer, None
             try:
-                event = sq._gen.send(answer)
+                event = gen.send(answer)
             except StopIteration:
                 self._finish(sq, truncated=False)
                 return
@@ -605,45 +630,50 @@ class QueryScheduler:
                 if limit is not None and len(sq.results) >= limit:
                     self._finish(sq, truncated=True, reason="max_results")
                     return
+                if len(self._active) == 1:
+                    return
                 matched = True
+                answer = None
                 continue
-            sq._pending = event
-            self._enforce_budget(sq)
-            if sq.done:
+            if (sq._cancelled or sq._metered) and self._enforce_budget(sq, event):
                 return
             rows = self.logits_cache.cached_rows(event.contexts)
             if rows is None:
+                sq._pending = event
                 return
-            sq._pending = None
-            sq.stats.logits_hits += len(rows)
-            sq._answer = sq.executor.finish_request(event, rows)
+            sq.executor.stats.logits_hits += len(rows)
+            answer = sq.executor.finish_request(event, rows)
             answered += 1
             if matched or answered == _INLINE_QUANTUM:
+                sq._answer = answer
                 return
 
-    def _enforce_budget(self, sq: ScheduledQuery) -> None:
-        """Stop *sq* before its pending request is answered — inline or
-        by a round — if it is cancelled or over budget."""
+    def _enforce_budget(self, sq: ScheduledQuery, request: LmRequest) -> bool:
+        """Stop *sq* before *request* is answered — inline or by a round —
+        if it is cancelled or over budget; returns whether it stopped."""
         if sq._cancelled:
             self._finish(sq, truncated=True, reason="cancelled")
-            return
+            return True
         budget = sq.budget
         if (
             budget.deadline is not None
             and self.clock() - sq.submitted_at >= budget.deadline
         ):
             self._finish(sq, truncated=True, reason="deadline")
-            return
+            return True
         if (
             budget.max_lm_calls is not None
-            and sq.stats.lm_calls + len(sq._pending.contexts) > budget.max_lm_calls
+            and sq.stats.lm_calls + len(request.contexts) > budget.max_lm_calls
         ):
             self._finish(sq, truncated=True, reason="max_lm_calls")
+            return True
+        return False
 
     def _finish(self, sq: ScheduledQuery, truncated: bool, reason: str | None = None) -> None:
         sq._gen.close()
         sq._pending = None
         sq.done = True
+        self._active.remove(sq)
         sq.truncated = truncated
         sq.truncated_reason = reason
         sq.latency = self.clock() - sq.submitted_at
@@ -659,11 +689,9 @@ class QueryScheduler:
 
     # -- selection ----------------------------------------------------------------
     def _select(self, waiting: list[ScheduledQuery]) -> list[ScheduledQuery]:
-        """Pick which waiting queries join this round (≤ ``concurrency``)."""
-        if len(waiting) <= self.concurrency:
-            return waiting
-        # round_robin: rotate the start position across rounds so every
-        # query gets serviced regardless of submission order.
+        """Pick which of more than ``concurrency`` waiting queries join
+        this round: rotate the start position across rounds so every query
+        gets serviced regardless of submission order."""
         total = len(self.queries)
         ranked = sorted(
             waiting, key=lambda sq: (sq.index - self._rr_next) % total

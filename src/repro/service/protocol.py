@@ -45,6 +45,7 @@ from repro.core.query import (
 )
 from repro.core.results import MatchResult
 from repro.core.scheduler import QueryBudget
+from repro.lm.decoding import DecodingPolicy
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -92,7 +93,6 @@ DONE_STATUSES = ("ok", "truncated", "cancelled", "rejected", "interrupted")
 _STRATEGIES = {
     "shortest": QuerySearchStrategy.SHORTEST_PATH,
     "random": QuerySearchStrategy.RANDOM_SAMPLING,
-    "beam": QuerySearchStrategy.BEAM,
 }
 _STRATEGY_NAMES = {v: k for k, v in _STRATEGIES.items()}
 _TOKENIZATIONS = {
@@ -233,7 +233,6 @@ def query_to_wire(query: SimpleSearchQuery) -> dict[str, Any]:
         ("sequence_length", query.sequence_length, None),
         ("num_samples", query.num_samples, None),
         ("require_eos", query.require_eos, False),
-        ("beam_width", query.beam_width, 16),
         ("seed", query.seed, None),
         ("edits", edits, 0),
         ("uniform_edge_sampling", query.uniform_edge_sampling, False),
@@ -289,8 +288,14 @@ def query_from_wire(spec: Mapping[str, Any]) -> SimpleSearchQuery:
             num_samples=_opt_number(spec, "num_samples", integral=True),
             require_eos=require_eos,
             preprocessors=(LevenshteinPreprocessor(int(edits)),) if edits else (),
-            beam_width=_opt_number(spec, "beam_width", integral=True) or 16,
             seed=_opt_number(spec, "seed", integral=True),
+        )
+        # The decision rules' own checks (top_k >= 1, top_p in (0, 1],
+        # temperature > 0), here so a bad rule is this frame's error.
+        DecodingPolicy(
+            top_k=query.top_k_sampling,
+            top_p=query.top_p_sampling,
+            temperature=query.temperature,
         )
     except ProtocolError:
         raise

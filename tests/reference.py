@@ -4,13 +4,15 @@
 engine used to ship as user-selectable forks (``backend="dict"``,
 ``GraphCompiler(minimize_tokens=False)``) lives here instead, as oracles:
 
+* :func:`reference_drive` is the serial drive loop ``Executor.run`` was
+  before one-query sessions ran through the scheduler: the oracle for
+  what a :func:`~repro.core.api.search` has done when it yields a match.
 * :func:`expansion_path` pins *how* frontier edges are expanded for the
   duration of a ``with`` block — ``"dict"`` is the scalar reference (every
-  shortest-path state takes the per-edge loop over the edge dict, beam
-  search runs :func:`reference_beam_search` and random sampling
-  :func:`reference_sample_once` below), ``"arrays"`` forces the vectorized
-  row expansion for every state, ``"default"`` leaves the production
-  small-fan-out selection alone.
+  shortest-path state takes the per-edge loop over the edge dict and
+  random sampling runs :func:`reference_sample_once` below), ``"arrays"``
+  forces the vectorized row expansion for every state, ``"default"``
+  leaves the production small-fan-out selection alone.
 * :func:`reference_walk_sample` / :func:`reference_walk_sample_uniform_edges`
   are the per-step linear scans ``WalkCounter``'s memoised draws replaced.
 * :func:`compile_unminimized` hand-builds a compilation that skips token
@@ -62,6 +64,7 @@ from repro.core.compiler import (
 )
 from repro.core.executor import Executor, LmRequest
 from repro.core.query import QueryTokenizationStrategy
+from repro.core.results import MatchResult
 from repro.lm.base import LanguageModel, LogitsCache
 from repro.regex import compile_dfa
 
@@ -70,56 +73,42 @@ from repro.regex import compile_dfa
 _CUTOFFS = {"dict": 1 << 30, "arrays": 0, "default": None}
 
 
-def reference_beam_search(self: Executor) -> Iterator:
-    """Scalar beam search: a Python loop per edge, eager candidate tuples,
-    one stable sort per depth.  The oracle for ``Executor._beam_search``."""
-    automaton = self.automaton
-    eos = self.model.eos_id
-    width = self.query.beam_width
-    start_state, start_tokens, start_total = yield from self._fast_forward_prefix()
-    beam = [(start_total, 0.0, start_state, start_tokens)]
-    seen_texts: set[str] = set()
-    for _depth in range(self.max_tokens + 1):
-        if not beam:
+def reference_drive(executor: Executor) -> Iterator[MatchResult]:
+    """Drive ``executor.steps()`` serially against the executor's own
+    logits cache, yielding each match as the generator yields it.
+
+    A fully cached request is answered by the all-hit probe
+    (:meth:`~repro.lm.base.LogitsCache.cached_rows`), any other by a
+    one-group split-phase round whose lookahead — evaluated only now that
+    the request missed — rides in the same model call, with exact
+    per-request hit/miss tallies on a shared cache.
+    """
+    gen = executor.steps()
+    cache = executor._cache
+    payload = None
+    while True:
+        try:
+            event = gen.send(payload)
+        except StopIteration:
             return
-        emitted = []
-        candidates = []
-        scored = yield LmRequest([entry[3] for entry in beam])
-        for (total, suffix, state, tokens), (lp, mask) in zip(beam, scored):
-            self.stats.nodes_expanded += 1
-            if state in automaton.accepts and (
-                not self._dynamic_prune or self.tokenizer.is_canonical(tokens)
-            ):
-                if self.query.require_eos:
-                    if mask[eos] and np.isfinite(lp[eos]):
-                        cost = -float(lp[eos])
-                        emitted.append((total + cost, suffix + cost, tokens))
-                else:
-                    emitted.append((total, suffix, tokens))
-            if len(tokens) >= self.max_tokens:
-                continue
-            for token_id, dst in automaton.successors(state).items():
-                is_prefix = automaton.is_prefix_edge(dst)
-                if not is_prefix and not mask[token_id]:
-                    self.stats.pruned_edges += 1
-                    continue
-                if not np.isfinite(lp[token_id]):
-                    self.stats.pruned_edges += 1
-                    continue
-                new_tokens = tokens + (token_id,)
-                if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(new_tokens):
-                    self.stats.pruned_edges += 1
-                    continue
-                cost = -float(lp[token_id])
-                candidates.append(
-                    (total + cost, suffix if is_prefix else suffix + cost, dst, new_tokens)
-                )
-        for total, suffix, tokens in sorted(emitted):
-            yield from self._emit(tokens, suffix, total, seen_texts)
-        candidates.sort(key=lambda entry: entry[0])
-        beam = candidates[:width]
-        if len(candidates) > width:
-            self.stats.pruned_edges += len(candidates) - width
+        if isinstance(event, LmRequest):
+            rows = cache.cached_rows(event.contexts)
+            if rows is not None:
+                executor.stats.logits_hits += len(rows)
+            else:
+                plan = cache.begin_round([event.contexts])
+                if event.lookahead is not None:
+                    executor.stats.lookahead_contexts += cache.add_lookahead(
+                        plan, event.lookahead()
+                    )
+                fresh = cache.model.logprobs_batch(plan.missing_contexts())
+                (rows,), (hits,), (misses,) = cache.finish_round(plan, fresh)
+                executor.stats.logits_hits += hits
+                executor.stats.logits_misses += misses
+            payload = executor.finish_request(event, rows)
+        else:
+            yield event
+            payload = None
 
 
 def reference_sample_once(self: Executor, prefix_counter) -> Iterator:
@@ -255,7 +244,6 @@ def expansion_path(path: str) -> Iterator[None]:
         if cutoff is not None:
             patch.setattr(executor_module, "_SCALAR_FANOUT_CUTOFF", cutoff)
         if path == "dict":
-            patch.setattr(Executor, "_beam_search", reference_beam_search)
             patch.setattr(Executor, "_sample_once", reference_sample_once)
         yield
 

@@ -4,11 +4,11 @@
 The engine has one production expansion path per traversal; the scalar
 per-edge loop over the edge dict is the reference it is compared to
 (:mod:`tests.reference` pins either path for the duration of a ``with``
-block, and holds the test-side scalar beam search and the per-step
-sampler).  The vectorized path must be an *exact* drop-in: the same match
+block, and holds the test-side per-step sampler and the serial drive
+loop).  The vectorized path must be an *exact* drop-in: the same match
 stream, in the same order, with the same per-token and total
 log-probabilities, and the same prune/expansion statistics.  We check this
-across shortest-path, beam, and random-sampling traversals, over a grid of
+across the shortest-path and random-sampling traversals, over a grid of
 seeded query/model combinations covering prefixes, top-k, top-p with
 temperature, require-eos, canonical tokenization (enumerated and dynamic),
 uniform-edge prefix draws, and Levenshtein edits.  Random sampling is
@@ -39,11 +39,10 @@ from repro.core.query import (
 )
 from repro.lm.base import LogitsCache
 from repro.lm.decoding import DecodingPolicy
-from tests.reference import expansion_path, unminimized_compiler
+from tests.reference import expansion_path, reference_drive, unminimized_compiler
 
 SHORTEST = QuerySearchStrategy.SHORTEST_PATH
 RANDOM = QuerySearchStrategy.RANDOM_SAMPLING
-BEAM = QuerySearchStrategy.BEAM
 CANONICAL = QueryTokenizationStrategy.CANONICAL
 
 #: The differential grid: (name, model source, query).  Each row is one
@@ -63,13 +62,6 @@ COMBOS = [
     ("shortest_edits", "tiny",
      SearchQuery("The cat", preprocessors=(LevenshteinPreprocessor(1),),
                  top_k=20, seed=5)),
-    ("beam_plain", "tiny",
-     SearchQuery("The ((cat)|(dog)|(man)|(woman))", strategy=BEAM,
-                 beam_width=3, seed=6)),
-    ("beam_topk_prefix", "tiny",
-     SearchQuery("The ((man)|(woman)) was trained in ((art)|(medicine))",
-                 prefix="The ((man)|(woman)) was trained in",
-                 strategy=BEAM, beam_width=4, top_k=25, seed=7)),
     ("random_plain", "tiny",
      SearchQuery("The ((cat)|(dog))", strategy=RANDOM, num_samples=40, seed=8)),
     ("random_topk_eos", "tiny",
@@ -308,6 +300,21 @@ class TestCompilationCache:
         assert (compiler.cache.hits, compiler.cache.misses) == (1, 1)
 
 
+def _run_serial(model, tokenizer, query, path="default", limit=200):
+    """:func:`_run` with the executor driven by
+    :func:`tests.reference.reference_drive`, the serial loop."""
+    from repro.core.executor import Executor
+
+    matches = []
+    with expansion_path(path):
+        executor = Executor(model, GraphCompiler(tokenizer).compile(query))
+        for match in reference_drive(executor):
+            matches.append(match)
+            if len(matches) >= limit:
+                break
+    return matches, executor.stats
+
+
 def _run_scheduled(model, tokenizer, query, path="default", limit=200):
     from repro.core.scheduler import QueryBudget, QueryScheduler
 
@@ -320,7 +327,8 @@ def _run_scheduled(model, tokenizer, query, path="default", limit=200):
 
 class TestSchedulerSerialEquivalence:
     """A single query through the scheduler at concurrency 1 is
-    byte-identical to :meth:`Executor.run` — same matches, same order, same
+    byte-identical to the serial drive loop
+    (:func:`tests.reference.reference_drive`) — same matches, same order, same
     log-probabilities, same traversal statistics — for every seeded combo
     in the differential grid, on the vectorized path and on the scalar
     reference (whose scheduled run must in turn equal the vectorized
@@ -334,7 +342,7 @@ class TestSchedulerSerialEquivalence:
         self, model, tokenizer, env, name, source, query, path
     ):
         m, tok = _world(source, model, tokenizer, env)
-        serial, serial_stats = _run(m, tok, query, "arrays")
+        serial, serial_stats = _run_serial(m, tok, query, "arrays")
         sched, sched_stats = _run_scheduled(m, tok, query, path)
         assert len(serial) == len(sched)
         assert len(serial) > 0, f"combo {name} produced no matches"
@@ -366,7 +374,7 @@ class TestSchedulerSerialEquivalence:
         from repro.lm.base import CountingModel
 
         m, tok = _world(source, model, tokenizer, env)
-        serial, serial_stats = _run(m, tok, query)
+        serial, serial_stats = _run_serial(m, tok, query)
         counting = CountingModel(m)
         cache = LogitsCache(counting, capacity=65536)
         passes = []
@@ -488,7 +496,7 @@ class TestSampleTokenFallback:
 
 
 class TestPrefixCacheDifferential:
-    """The 16-combo grid, cache-on vs cache-off, over the transformer.
+    """The 14-combo grid, cache-on vs cache-off, over the transformer.
 
     Incremental K/V decoding may differ from the full re-forward in the
     last ulp (BLAS reassociation over different matmul shapes), but every
@@ -608,7 +616,7 @@ class TestPrefixCacheDifferential:
 
 
 class TestMinimizationDifferential:
-    """The 16-combo grid: minimized (what the compiler always produces) vs
+    """The 14-combo grid: minimized (what the compiler always produces) vs
     a hand-built unminimized compilation.
 
     Token-automaton minimization merges states and the interval lowering

@@ -198,6 +198,11 @@ class TestCLI:
             ("submit", "--max-lm-calls", "x"),
             ("serve", "--concurrency", "0"),
             ("serve", "--checkpoint-every", "0"),
+            ("serve", "--max-inflight", "0"),
+            ("serve", "--window", "0"),
+            ("submit", "--window", "0"),
+            ("query", "--top-k", "0"),
+            ("submit", "--top-k", "-3"),
         ],
     )
     def test_bad_budget_and_scheduler_flags_are_usage_errors(
@@ -218,6 +223,17 @@ class TestCLI:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err.splitlines()[-1] and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["query", "submit"])
+    def test_beam_strategy_is_a_usage_error(self, command, capsys):
+        """Two traversals, the paper's: ``--strategy beam`` is gone."""
+        argv = [command, "The cat", "--strategy", "beam"]
+        if command == "submit":
+            argv += ["--port", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --strategy:" in capsys.readouterr().err.splitlines()[-1]
 
     def test_query_command(self, capsys):
         code = main(["query", "The ((cat)|(dog))", "--max-matches", "2"])

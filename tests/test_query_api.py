@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.api import prepare, search
@@ -95,6 +97,56 @@ class TestSearchApi:
             prepare(model, tokenizer, SearchQuery("(unclosed"))
 
 
+class TestSearchStreamsLazily:
+    """``search()`` runs its query through a one-query scheduler that hands
+    it back at every match: when the k-th match reaches the caller, the
+    traversal has done exactly what the serial loop
+    (:func:`tests.reference.reference_drive`) had done — nothing past the
+    match is expanded, asked of the model or scored — and the session keeps
+    none of the matches it handed over."""
+
+    QUERIES = [
+        SearchQuery("The ((cat)|(dog)|(man)|(woman)) [a-z]+", top_k=40),
+        SearchQuery("The [a-z]+", strategy=QuerySearchStrategy.RANDOM_SAMPLING, seed=1),
+    ]
+
+    @pytest.mark.parametrize("query", QUERIES, ids=["shortest", "random"])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_counters_after_k_matches_equal_the_serial_loop(self, model, tokenizer, query, k):
+        from repro.core.compiler import GraphCompiler
+        from repro.core.executor import Executor
+        from tests.reference import reference_drive
+
+        def counters(stats):
+            return stats.nodes_expanded, stats.lm_calls, stats.logits_misses
+
+        serial = Executor(model, GraphCompiler(tokenizer).compile(query))
+        want = list(itertools.islice(reference_drive(serial), k))
+        session = prepare(model, tokenizer, query)
+        got = list(itertools.islice(iter(session), k))
+        assert len(got) == k and got == want
+        assert counters(session.stats) == counters(serial.stats)
+        assert session.stats.lm_calls > 0
+
+    def test_unbounded_random_stream_holds_no_matches(self, model, tokenizer, monkeypatch):
+        from repro.core.scheduler import QueryScheduler
+
+        handles = []
+        enqueue = QueryScheduler._enqueue
+
+        def spy(self, *args, **kwargs):
+            handles.append(enqueue(self, *args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(QueryScheduler, "_enqueue", spy)
+        query = SearchQuery("The [a-z]+", strategy=QuerySearchStrategy.RANDOM_SAMPLING, seed=2)
+        stream = search(model, tokenizer, query)
+        draws = list(itertools.islice(stream, 5000))
+        assert len(draws) == 5000
+        (handle,) = handles
+        assert handle.results == [] and not handle.done
+
+
 #: Every keyword the "one owner per knob" change removed, by the callable
 #: that used to accept it.  Each knob now lives on exactly one object — the
 #: model (KV cache), the ``GraphCompiler`` (disk cache) — which the layers
@@ -118,6 +170,10 @@ _DRIVE_LOOP_KNOBS = ("pipeline", "compile_ahead")
 #: workload or experiment ever had more queries waiting than ``concurrency``.
 _FAIRNESS_KNOBS = ("fairness",)
 REMOVED_KEYWORDS = {
+    # The beam traversal is deleted: shortest path and random sampling are
+    # the paper's two (DESIGN.md's options ledger).
+    "SearchQuery": ("beam_width",),
+    "SimpleSearchQuery": ("beam_width",),
     # A private cache is sized by ``logits_cache=LogitsCache(model, capacity=n)``;
     # the sampled-prefix length bound is a constant.
     "Executor": ("backend", "cache_size", "max_prefix_chars"),
@@ -157,9 +213,11 @@ _PLANNER_COUNTERS = (
     "per_query_subsumed",
 )
 REMOVED_STATS_FIELDS = {
+    # ``lm_wall_ms``: a query's rounds are the scheduler's, timed there
+    # (``SchedulerStats.lm_wall_ms``); only the deleted serial loop filled it.
     "ExecutionStats": _POOL_MIRRORS + _PREFIX_MIRRORS + (
         "compilation_cache_hits", "compilation_cache_misses", "compilation_cache_disk_hits",
-        "token_states", "token_edges", "minimized_states", "compile_ms",
+        "token_states", "token_edges", "minimized_states", "compile_ms", "lm_wall_ms",
     ),
     "SchedulerStats": (
         _POOL_MIRRORS + _PREFIX_MIRRORS + _COMPILE_CACHE_MIRRORS + _PLANNER_COUNTERS
@@ -191,6 +249,8 @@ class TestRemovedKeywords:
             Executor(model, compiled, **svc.executor_defaults)
 
         return {
+            "SearchQuery": lambda **kw: SearchQuery("The cat", **kw),
+            "SimpleSearchQuery": lambda **kw: SimpleSearchQuery(QueryString("The cat"), **kw),
             "Executor": lambda **kw: Executor(model, compiled, **kw),
             "GraphCompiler": lambda **kw: GraphCompiler(tokenizer, **kw),
             "AutomatonArrays": lambda **kw: AutomatonArrays({}, frozenset(), **kw),
@@ -242,11 +302,20 @@ class TestRemovedKeywords:
         from repro.core.results import ExecutionStats, SchedulerStats
         from repro.service import ServiceStats
 
-        for cls, size in ((ExecutionStats, 13), (SchedulerStats, 17), (ServiceStats, 19)):
+        for cls, size in ((ExecutionStats, 12), (SchedulerStats, 17), (ServiceStats, 19)):
             assert len(dataclasses.fields(cls)) == size, cls.__name__
             for removed in REMOVED_STATS_FIELDS[cls.__name__]:
                 with pytest.raises(AttributeError):
                     getattr(cls(), removed)
+
+    def test_beam_traversal_is_gone(self):
+        """Two traversals, the paper's: the beam strategy and its engine
+        loop are deleted, not hidden, and so is the serial drive loop."""
+        from repro.core.executor import Executor
+
+        assert [s.name for s in QuerySearchStrategy] == ["SHORTEST_PATH", "RANDOM_SAMPLING"]
+        for name in ("_beam_search", "run"):
+            assert not hasattr(Executor, name)
 
     def test_worker_pool_is_gone(self):
         """One process evaluates the model: the pool, its fault injector

@@ -342,17 +342,50 @@ class TestBudgetValidation:
         )
         assert budget == QueryBudget(deadline=2.5, max_lm_calls=3, max_results=1)
 
+    #: Query fields the wire parses but no query can run with, and the
+    #: word each one's error names: the decision rules' own checks, and
+    #: the deleted beam traversal.
+    UNRUNNABLE = [
+        (b'"top_k": 0', "top_k"),
+        (b'"top_k": -3', "top_k"),
+        (b'"top_p": 0', "top_p"),
+        (b'"top_p": 1.5', "top_p"),
+        (b'"temperature": 0', "temperature"),
+        (b'"temperature": -1', "temperature"),
+        (b'"strategy": "beam"', "strategy"),
+    ]
+
+    def test_validate_submit_refuses_unrunnable_queries(self):
+        for field, word in self.UNRUNNABLE:
+            frame = json.loads(
+                b'{"type": "submit", "id": "q", "query": {"pattern": "The cat", '
+                + field + b"}}"
+            )
+            with pytest.raises(protocol.ProtocolError, match=word):
+                protocol.validate_submit(frame)
+
     def test_unsatisfiable_budget_draws_an_error_frame_and_the_connection_survives(
         self, model, tokenizer
     ):
+        """A bad budget or an unrunnable query spec is that frame's
+        ``error`` (carrying its id), never a later ``rejected``; the
+        connection keeps serving."""
+        budget_fields = ("deadline", "max_results", "max_lm_calls")
+        bad = [
+            (b'{"pattern": "The ((cat)|(dog))"}', budget, budget_fields)
+            for budget in self.UNSATISFIABLE
+        ] + [
+            (b'{"pattern": "The ((cat)|(dog))", ' + field + b"}", b"{}", (word,))
+            for field, word in self.UNRUNNABLE
+        ]
+
         async def scenario():
             async with serving(model, tokenizer) as (server, service):
                 reader, writer, _ = await raw_connect(server.host, server.port)
-                for i, budget in enumerate(self.UNSATISFIABLE):
+                for i, (query, budget, _) in enumerate(bad):
                     writer.write(
-                        b'{"type": "submit", "id": "bad%d", ' % i
-                        + b'"query": {"pattern": "The ((cat)|(dog))"}, "budget": '
-                        + budget + b"}\n"
+                        b'{"type": "submit", "id": "bad%d", "query": ' % i
+                        + query + b', "budget": ' + budget + b"}\n"
                     )
                 writer.write(protocol.encode_frame({
                     "type": "submit", "id": "good",
@@ -368,14 +401,10 @@ class TestBudgetValidation:
 
         frames, malformed = asyncio.run(scenario())
         errors = [f for f in frames if f["type"] == "error"]
-        assert [f["id"] for f in errors] == [
-            f"bad{i}" for i in range(len(self.UNSATISFIABLE))
-        ]
-        assert all(
-            any(field in f["message"] for field in ("deadline", "max_results", "max_lm_calls"))
-            for f in errors
-        )
-        assert malformed == len(self.UNSATISFIABLE)
+        assert [f["id"] for f in errors] == [f"bad{i}" for i in range(len(bad))]
+        for frame, (_, _, words) in zip(errors, bad):
+            assert any(word in frame["message"] for word in words), frame
+        assert malformed == len(bad)
         # No bad submit reached the engine: not one match or done for it.
         assert all(f.get("id") == "good" for f in frames if f["type"] in ("match", "done"))
         matches = [f for f in frames if f["type"] == "match"]
