@@ -49,11 +49,26 @@ class DFA:
     ``transitions[q]`` maps a character to the unique successor state.  The
     empty language is represented by a DFA whose start state is non-accepting
     and has no outgoing edges.
+
+    Two facts a constructor proves are recorded rather than re-derived:
+    ``_trim`` (every state lies on a start→accept path — bar the empty
+    language's lone start — and states are numbered ``0 … n-1``), set by :meth:`trimmed`, :meth:`minimized`,
+    :meth:`from_nfa`, the product constructions and the compiler's prefix
+    closure / prefix product; and ``_minimal``, set by :meth:`minimized`.
+    On a DFA carrying them :meth:`trimmed` / :meth:`minimized` return
+    ``self`` and :meth:`is_empty` reads ``accepts``.  The facts describe
+    the tables as built, so a DFA is never mutated in place: build a new
+    one.  :meth:`is_trim` still computes, because it is what a proof (the
+    compiler's minimality check) asks, and a proof must not trust a flag.
     """
 
     start: int
     accepts: frozenset[int]
     transitions: dict[int, dict[str, int]] = field(default_factory=dict)
+    #: Recorded facts (see above); not part of identity.  Pickles made
+    #: before they existed read the class default ``False``.
+    _trim: bool = field(default=False, repr=False, compare=False)
+    _minimal: bool = field(default=False, repr=False, compare=False)
 
     # -- basic queries -------------------------------------------------------
     @property
@@ -76,11 +91,13 @@ class DFA:
 
     def is_empty(self) -> bool:
         """Return True iff the language is empty."""
+        if self._trim:
+            return not self.accepts
         return not self._coaccessible_states()
 
     def is_trim(self) -> bool:
         """Return True iff every state lies on a path from the start state
-        to an accepting state."""
+        to an accepting state (computed, whatever ``_trim`` records)."""
         return len(self._coaccessible_states()) == len(self.states)
 
     def has_cycle(self) -> bool:
@@ -222,9 +239,12 @@ class DFA:
                     queue.append(nxt)
         return seen
 
-    def _coaccessible_states(self) -> set[int]:
+    def _coaccessible_states(self, accessible: set[int] | None = None) -> set[int]:
+        """Accessible states from which an accepting state is reachable
+        (*accessible*, when the caller has it, saves the forward walk)."""
         reverse: dict[int, set[int]] = {}
-        accessible = self._accessible_states()
+        if accessible is None:
+            accessible = self._accessible_states()
         for src, row in self.transitions.items():
             if src not in accessible:
                 continue
@@ -244,10 +264,12 @@ class DFA:
         """Remove states not on any path from start to an accepting state.
 
         The start state is always kept (a trim DFA for the empty language is
-        a lone, non-accepting start state).
+        a lone, non-accepting start state).  A DFA recorded as trim is
+        returned unchanged.
         """
-        accessible = self._accessible_states()
-        useful = self._coaccessible_states() & accessible
+        if self._trim:
+            return self
+        useful = self._coaccessible_states(self._accessible_states())
         keep = useful | {self.start}
         remap = {old: new for new, old in enumerate(sorted(keep))}
         transitions: dict[int, dict[str, int]] = {}
@@ -262,7 +284,9 @@ class DFA:
             if row:
                 transitions[remap[src]] = row
         accepts = frozenset(remap[q] for q in self.accepts if q in keep)
-        return DFA(start=remap[self.start], accepts=accepts, transitions=transitions)
+        return DFA(
+            start=remap[self.start], accepts=accepts, transitions=transitions, _trim=True
+        )
 
     def minimized(self) -> "DFA":
         """Return the minimal equivalent DFA (trim, partial).
@@ -270,11 +294,14 @@ class DFA:
         The state partition comes from :func:`repro.automata.partition.refine`;
         each block is named by its id (ids ascend with the block's minimum
         member) and takes that member's transitions.  A quotient of a trim
-        automaton is trim, so the result needs no further trimming.
+        automaton is trim, so the result needs no further trimming.  A DFA
+        recorded as minimal is returned unchanged.
         """
+        if self._minimal:
+            return self
         dfa = self.trimmed()
-        if not dfa.accepts:
-            return dfa
+        if not dfa.accepts:  # the empty language: a lone start state
+            return DFA(start=dfa.start, accepts=dfa.accepts, _trim=True, _minimal=True)
         block_of, representatives = refine(
             dfa.transitions, {q: q in dfa.accepts for q in dfa.states}
         )
@@ -287,6 +314,8 @@ class DFA:
             start=block_of[dfa.start],
             accepts=frozenset(block_of[q] for q in dfa.accepts),
             transitions=transitions,
+            _trim=True,
+            _minimal=True,
         )
 
     # -- canonical form ------------------------------------------------------
@@ -342,10 +371,11 @@ class DFA:
 
         ``accept_rule(in_a, in_b)`` decides acceptance of a product state.
         Missing transitions are modelled with a dead state (``None``) so
-        union/difference behave correctly on partial DFAs.  ``max_states``
-        bounds the number of *explored* pair states; exceeding it raises
-        :class:`ProductBudgetExceeded` (the analyzer's degrade-to-unknown
-        hook) instead of materialising a blowup.
+        union/difference behave correctly on partial DFAs; a pair that can
+        never accept because a side the rule needs is dead is not explored.
+        ``max_states`` bounds the number of *explored* pair states;
+        exceeding it raises :class:`ProductBudgetExceeded` (the analyzer's
+        degrade-to-unknown hook) instead of materialising a blowup.
         """
         start = (self.start, other.start)
         ids: dict[tuple[int | None, int | None], int] = {start: 0}
@@ -360,6 +390,11 @@ class DFA:
 
         if is_accepting(start):
             accepts.add(0)
+        # A side that has died stays dead, so where the rule cannot accept
+        # without it (intersection: either side; difference: the left)
+        # such a pair is never explored: trimming would only drop it.
+        live_without_a = accept_rule(False, False) or accept_rule(False, True)
+        live_without_b = accept_rule(False, False) or accept_rule(True, False)
         while queue:
             pair = queue.popleft()
             pid = ids[pair]
@@ -374,6 +409,8 @@ class DFA:
                 na = self.transitions.get(a, {}).get(ch) if a is not None else None
                 nb = other.transitions.get(b, {}).get(ch) if b is not None else None
                 if na is None and nb is None:
+                    continue
+                if (na is None and not live_without_a) or (nb is None and not live_without_b):
                     continue
                 nxt = (na, nb)
                 nid = ids.get(nxt)

@@ -165,14 +165,33 @@ def count_accepting_walks(dfa: DFA, max_length: int | None = None) -> int:
     """Count accepted strings exactly.
 
     With ``max_length=None`` the automaton must be acyclic (finite
-    language); the count is then over all lengths.  Cyclic automata require
+    language); the count is then over all lengths, in one post-order pass
+    over the states the start reaches (O(edges)).  Cyclic automata require
     an explicit bound.
     """
-    if max_length is None:
-        if dfa.has_cycle():
-            raise ValueError("language is infinite; supply max_length to unroll")
-        max_length = max(len(dfa.states), 1)
-    return WalkCounter(dfa, max_length).total()
+    if max_length is not None:
+        return WalkCounter(dfa, max_length).total()
+    # Iterative DFS: a state is counted once every successor is; meeting a
+    # state still on the path is a cycle.
+    counts: dict[int, int] = {}
+    on_path = {dfa.start}
+    stack = [(dfa.start, iter(dfa.transitions.get(dfa.start, {}).values()))]
+    while stack:
+        state, successors = stack[-1]
+        for nxt in successors:
+            if nxt in on_path:
+                raise ValueError("language is infinite; supply max_length to unroll")
+            if nxt not in counts:
+                on_path.add(nxt)
+                stack.append((nxt, iter(dfa.transitions.get(nxt, {}).values())))
+                break
+        else:
+            stack.pop()
+            on_path.discard(state)
+            counts[state] = int(state in dfa.accepts) + sum(
+                map(counts.__getitem__, dfa.transitions.get(state, {}).values())
+            )
+    return counts[dfa.start]
 
 
 def sample_uniform_string(dfa: DFA, rng, max_length: int = 256) -> str | None:

@@ -24,30 +24,49 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Callable
 
 __all__ = ["main", "build_parser"]
 
 
-def _positive_seconds(text: str) -> float:
-    """``--deadline``: a finite number of seconds > 0 (``QueryBudget``'s rule)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number of seconds > 0, got {text!r}")
-    return value
+def _finite_positive(unit: str) -> Callable[[str], float]:
+    """An argparse type: a finite number of *unit* > 0."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number of {unit} > 0, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """A count or cap that must be >= 1 (budgets, concurrency, cadence)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(lowest: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= *lowest*."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: ``--deadline``: ``QueryBudget``'s rule.
+_positive_seconds = _finite_positive("seconds")
+#: A count or cap that must be >= 1 (budgets, samples, concurrency, cadence).
+_positive_int = _int_at_least(1)
+#: ``--edits``: a Levenshtein distance.
+_nonnegative_int = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,9 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top-k", type=_positive_int, default=None, help="top-k decision rule")
         p.add_argument("--strategy", choices=["shortest", "random"], default="shortest")
         p.add_argument("--tokenization", choices=["all", "canonical"], default="all")
-        p.add_argument("--samples", type=int, default=10, help="samples for --strategy random")
+        p.add_argument(
+            "--samples", type=_positive_int, default=10, help="samples for --strategy random"
+        )
         p.add_argument("--max-matches", type=_positive_int, default=10)
-        p.add_argument("--edits", type=int, default=0, help="Levenshtein preprocessor distance")
+        p.add_argument(
+            "--edits", type=_nonnegative_int, default=0, help="Levenshtein preprocessor distance"
+        )
         p.add_argument("--require-eos", action="store_true")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
@@ -97,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "the scheduler)",
         )
         p.add_argument(
-            "--kv-cache-mb", type=float, default=None,
+            "--kv-cache-mb", type=_finite_positive("MiB"), default=None,
             help="prefix-state (KV) cache budget in MiB for models with "
                  "incremental decoding (default: the model's built-in 64 MiB)",
         )
@@ -156,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--tokenization", choices=["all", "canonical"], default="all"
         )
         p.add_argument(
-            "--edits", type=int, default=0, help="Levenshtein preprocessor distance"
+            "--edits", type=_nonnegative_int, default=0, help="Levenshtein preprocessor distance"
         )
         p.add_argument(
-            "--sequence-length", type=int, default=None,
+            "--sequence-length", type=_positive_int, default=None,
             help="token horizon the query would run with (bounds the cost model)",
         )
         p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -363,7 +386,7 @@ def _build_engine(args, env):
     if args.no_kv_cache:
         model.disable_prefix_cache()
     elif args.kv_cache_mb is not None:
-        model.enable_prefix_cache(int(args.kv_cache_mb * (1 << 20)))
+        model.enable_prefix_cache(math.ceil(args.kv_cache_mb * (1 << 20)))
     compiler = env.compiler
     if args.compile_cache is not None:
         from repro.core.compiler import CompilationCache, GraphCompiler

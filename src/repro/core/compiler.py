@@ -55,13 +55,41 @@ __all__ = [
 ]
 
 
+class _EdgeCount:
+    """The descriptor behind :attr:`CompileMetrics.token_edges` /
+    ``minimized_edges``: holds an int, or the lazy :class:`TokenRows` of a
+    proven-minimal compilation, whose ``num_edges`` is counted when the
+    metric is first read and then kept in its place.
+
+    Values live in the instance ``__dict__`` under the field's own name,
+    so pickles made before the descriptor read unchanged.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, metrics: "CompileMetrics | None", owner: type | None = None) -> int:
+        if metrics is None:
+            return 0  # the field's default
+        value = metrics.__dict__[self.name]
+        if isinstance(value, TokenRows):
+            value = metrics.__dict__[self.name] = value.num_edges
+        return value
+
+    def __set__(self, metrics: "CompileMetrics", value: "int | TokenRows") -> None:
+        metrics.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class CompileMetrics:
     """What one compilation cost and produced (see cookbook §13).
 
     ``token_states``/``token_edges`` describe the automaton as constructed;
     ``minimized_states``/``minimized_edges`` describe what the executor
-    actually traverses (after token-level minimization).
+    actually traverses (after token-level minimization).  On a compilation
+    whose rows are built on first touch the edge counts are taken when
+    first read (a walk over every state), so a compile that nobody asks
+    for them never pays for it.
     ``compile_ms`` is the wall-clock of the :meth:`GraphCompiler.compile`
     call that produced this object — near zero on cache hits.  ``source``
     records where the compilation came from: ``"cold"`` (built from
@@ -71,15 +99,31 @@ class CompileMetrics:
     """
 
     token_states: int = 0
-    token_edges: int = 0
+    token_edges: int = _EdgeCount()  # type: ignore[assignment]
     minimized_states: int = 0
-    minimized_edges: int = 0
+    minimized_edges: int = _EdgeCount()  # type: ignore[assignment]
     compile_ms: float = 0.0
     source: str = "cold"
 
     def as_dict(self) -> dict[str, int | float | str]:
         """Plain-dict view for JSON reports: exactly the fields."""
         return asdict(self)
+
+    def _timed(self, compile_ms: float, source: str | None = None) -> "CompileMetrics":
+        """A copy carrying *compile_ms* (and *source*), made from the stored
+        values, so an edge count not yet taken stays untaken
+        (``dataclasses.replace`` would read — and count — every field)."""
+        fields = {**vars(self), "compile_ms": compile_ms}
+        if source is not None:
+            fields["source"] = source
+        return CompileMetrics(**fields)
+
+
+def _edge_count(automaton: "TokenAutomaton") -> "int | TokenRows":
+    """What :class:`CompileMetrics` stores for *automaton*'s edge count:
+    lazy rows count theirs when the metric is read."""
+    edges = automaton.edges
+    return edges if isinstance(edges, TokenRows) else automaton.num_edges
 
 
 def _sorted_row(row: dict[int, int]) -> dict[int, int]:
@@ -124,6 +168,11 @@ class TokenRows(Mapping[int, dict[int, int]]):
                 else self._walk.count(range(self.num_states))  # type: ignore[union-attr]
             )
         return self._num_edges
+
+    @property
+    def held_edges(self) -> int:
+        """Edges held now: the char product's plus the token rows built."""
+        return sum(map(len, self.transitions.values())) + sum(map(len, self._rows.values()))
 
     def get(  # type: ignore[override]
         self, state: int, default: dict[int, int] | None = None
@@ -438,13 +487,14 @@ def prefixes_of(dfa: DFA) -> DFA:
     ``L(dfa)``.
 
     Because our DFAs are trim, this is simply the same automaton with every
-    state accepting.
+    state accepting — which is trim too, and recorded so.
     """
     trimmed = dfa.trimmed()
     return DFA(
         start=trimmed.start,
         accepts=frozenset(trimmed.states),
         transitions={q: dict(row) for q, row in trimmed.transitions.items()},
+        _trim=True,
     )
 
 
@@ -485,11 +535,16 @@ class CompilationCache:
         """Rough resident size of one entry, from its automaton shape.
 
         Per state: the edge dict plus array-row overhead; per edge: dict
-        slot plus three array cells.  Deliberately cheap and deterministic —
-        this sizes the byte budget, it is not an exact memory audit.
+        slot plus three array cells.  Lazy :class:`TokenRows` count the
+        edges they hold when the entry is put — their char product and the
+        rows built so far — not the ones they could build.  Deliberately
+        cheap and deterministic — this sizes the byte budget, it is not an
+        exact memory audit.
         """
         automaton = compiled.token_automaton
-        return 128 * automaton.num_states + 40 * automaton.num_edges
+        edges = getattr(automaton, "edges", None)
+        held = edges.held_edges if isinstance(edges, TokenRows) else automaton.num_edges
+        return 128 * automaton.num_states + 40 * held
 
     def get(self, key: Hashable) -> CompiledQuery | None:
         """The cached compilation for *key* (LRU-touched), or ``None``."""
@@ -652,9 +707,7 @@ class GraphCompiler:
                     return self._bind(loaded, query, started, source="disk")
         compiled = self._compile_uncached(query)
         assert compiled.metrics is not None
-        compiled.metrics = replace(
-            compiled.metrics, compile_ms=(time.perf_counter() - started) * 1e3
-        )
+        compiled.metrics = compiled.metrics._timed((time.perf_counter() - started) * 1e3)
         if fingerprint is not None and self.disk_cache is not None:
             self.disk_cache.put(fingerprint, CompileCacheEntry.from_compiled(compiled))
         if key is not None:
@@ -686,13 +739,11 @@ class GraphCompiler:
             automaton = compiled.token_automaton
             base = CompileMetrics(
                 token_states=automaton.num_states,
-                token_edges=automaton.num_edges,
+                token_edges=_edge_count(automaton),
                 minimized_states=automaton.num_states,
-                minimized_edges=automaton.num_edges,
+                minimized_edges=_edge_count(automaton),
             )
-        return replace(
-            base, compile_ms=(time.perf_counter() - started) * 1e3, source=source
-        )
+        return base._timed((time.perf_counter() - started) * 1e3, source)
 
     def _from_disk(self, entry: CompileCacheEntry, query: SimpleSearchQuery) -> CompiledQuery:
         """A persisted compilation as this compiler would have built it for
@@ -756,7 +807,7 @@ class GraphCompiler:
         else:
             token_automaton = self.compile_canonical(char_dfa, prefix_closure)
         raw_states = token_automaton.num_states
-        raw_edges = token_automaton.num_edges
+        raw_edges = _edge_count(token_automaton)
         token_automaton = token_automaton.minimized()
         return CompiledQuery(
             query=query,
@@ -769,7 +820,7 @@ class GraphCompiler:
                 token_states=raw_states,
                 token_edges=raw_edges,
                 minimized_states=token_automaton.num_states,
-                minimized_edges=token_automaton.num_edges,
+                minimized_edges=_edge_count(token_automaton),
             ),
             _analyzer=self.analyzer,
         )
@@ -896,7 +947,9 @@ def _prefix_product(char_dfa: DFA, prefix_closure: DFA | None) -> tuple[DFA, fro
 
     Returns ``(product, prefix_live)`` where ``prefix_live`` contains the
     product states whose prefix component is still alive.  With no prefix
-    the input DFA is returned unchanged and nothing is live.
+    the input DFA is returned unchanged and nothing is live.  The product
+    follows every char transition and accepts by the char component, so
+    over a char DFA recorded as trim it is trim, and recorded so.
     """
     if prefix_closure is None:
         return char_dfa, frozenset()
@@ -937,5 +990,10 @@ def _prefix_product(char_dfa: DFA, prefix_closure: DFA | None) -> tuple[DFA, fro
             row[ch] = pid((dst, np_))
         if row:
             transitions[sid] = row
-    product = DFA(start=ids[start_pair], accepts=frozenset(accepts), transitions=transitions)
+    product = DFA(
+        start=ids[start_pair],
+        accepts=frozenset(accepts),
+        transitions=transitions,
+        _trim=char_dfa._trim,
+    )
     return product, frozenset(live)

@@ -203,6 +203,19 @@ class TestCLI:
             ("submit", "--window", "0"),
             ("query", "--top-k", "0"),
             ("submit", "--top-k", "-3"),
+            ("query", "--edits", "-1"),
+            ("query", "--edits", "x"),
+            ("submit", "--edits", "-2"),
+            ("lint", "--edits", "-1"),
+            ("query", "--samples", "0"),
+            ("query", "--samples", "-2"),
+            ("submit", "--samples", "0"),
+            ("query", "--kv-cache-mb", "nan"),
+            ("query", "--kv-cache-mb", "0"),
+            ("query", "--kv-cache-mb", "-1"),
+            ("serve", "--kv-cache-mb", "inf"),
+            ("explain", "--sequence-length", "-3"),
+            ("lint", "--sequence-length", "0"),
         ],
     )
     def test_bad_budget_and_scheduler_flags_are_usage_errors(

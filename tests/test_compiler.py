@@ -375,6 +375,60 @@ class TestMinimizationCounts:
         assert compiler.cache.misses + compiler.cache.hits == 4 * len(kinds)
         assert levels == ["char"] * compiler.cache.misses
 
+    def test_lambada_cold_compiles_walk_each_automaton_once(self, env, monkeypatch):
+        """... and walks each DFA it builds once.  Per cold compile of a
+        §4.4 query: four co-accessibility walks (the two subset
+        constructions, the prefix-closure product and the minimality
+        proof's ``is_trim``), six for ``no_stop`` (its completion trie and
+        difference product), each after one forward walk.  The
+        ``trimmed()`` / ``minimized()`` / ``is_empty()`` calls in between
+        read what those constructors recorded.  No edge count is taken:
+        nothing reads it.  (Before the facts were recorded: 10 and 13
+        co-accessibility walks, 18 and 24 forward walks, one
+        ``SharedWalk.count`` per compile.)"""
+        from repro.automata.dfa import DFA
+        from repro.automata.trie import SharedWalk
+        from repro.core.preprocessors import _completion_language
+        from repro.experiments.lambada_eval import STRATEGIES, build_query
+
+        walks: list[str] = []
+        for cls, name in (
+            (DFA, "_coaccessible_states"), (DFA, "_accessible_states"), (SharedWalk, "count"),
+        ):
+            def spy(*args, _name=name, _original=getattr(cls, name), **kwargs):
+                walks.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+        compiler = GraphCompiler(env.tokenizer, cache=False, analyzer=False)
+        for kind in sorted({item.kind for item in env.lambada.items}):
+            item = env.lambada.of_kind(kind)[0]
+            for strategy in STRATEGIES:
+                _completion_language.cache_clear()  # ``no_stop`` builds its trie cold
+                walks.clear()
+                compiled = compiler.compile(build_query(item, strategy))
+                trims = 6 if strategy == "no_stop" else 4
+                assert walks.count("_coaccessible_states") == trims, (kind, strategy)
+                assert walks.count("_accessible_states") == trims, (kind, strategy)
+                assert "count" not in walks, (kind, strategy)
+                metrics = compiled.metrics
+                assert metrics.token_edges == metrics.minimized_edges > 0
+                assert walks.count("count") == 1  # taken when first read
+
+    def test_lazy_entry_is_sized_by_what_it_holds(self, env):
+        """The compilation cache sizes a lazy-row entry from its char
+        product and the rows built so far (none, at ``put``), not from the
+        edge count it could build."""
+        from repro.experiments.lambada_eval import build_query
+
+        compiler = GraphCompiler(env.tokenizer, analyzer=False)
+        compiled = compiler.compile(build_query(env.lambada.items[0], "baseline"))
+        rows = compiled.token_automaton.edges
+        char_edges = sum(map(len, rows.transitions.values()))
+        assert not rows._rows and rows._num_edges is None
+        assert compiler.cache.bytes_estimate == 128 * rows.num_states + 40 * char_edges
+        assert char_edges < rows.num_edges
+
     def test_lambada_first_match_builds_only_expanded_rows(self, env):
         """... and its token rows are built when the search first touches
         them: the literal context is fast-forwarded by token steps, which

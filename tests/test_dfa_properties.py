@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.dfa import DFA
+from repro.automata.walks import WalkCounter
+from repro.core.compiler import _prefix_product, prefixes_of
 from repro.regex import compile_dfa
 
 ALPHABET = "ab"
@@ -145,3 +147,84 @@ class TestMinimality:
         trimmed = dfa.trimmed()
         assert 2 not in {dst for row in trimmed.transitions.values() for dst in row.values()}
         assert language(trimmed) == language(dfa)
+
+
+def random_acyclic_dfa(rng: random.Random, num_states: int, alphabet: str) -> DFA:
+    """An acyclic DFA (edges only climb state ids), unreachable and dead
+    states included."""
+    transitions: dict[int, dict[str, int]] = {}
+    for q in range(num_states - 1):
+        row = {ch: rng.randrange(q + 1, num_states) for ch in alphabet if rng.random() < 0.75}
+        if row:
+            transitions[q] = row
+    accepting = frozenset(q for q in range(num_states) if rng.random() < 0.3)
+    return DFA(start=0, accepts=accepting, transitions=transitions)
+
+
+class TestAcyclicCount:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.randoms(use_true_random=False))
+    def test_one_pass_count_equals_the_unrolled_walk_count(self, n, rng):
+        """``count_strings()`` with no bound (one post-order pass) equals
+        the level-by-level walk count unrolled to the number of states."""
+        dfa = random_acyclic_dfa(rng, n, "abc")
+        assert dfa.count_strings() == WalkCounter(dfa, len(dfa.states)).total()
+
+
+def unflagged(dfa: DFA) -> DFA:
+    """The same tables with no recorded facts: every call recomputes."""
+    return DFA(
+        start=dfa.start,
+        accepts=dfa.accepts,
+        transitions={q: dict(row) for q, row in dfa.transitions.items()},
+    )
+
+
+def ordered(dfa: DFA) -> tuple:
+    """A DFA with its row order made visible (``==`` on dicts ignores it)."""
+    return (dfa.start, sorted(dfa.accepts), sorted(
+        (q, list(row.items())) for q, row in dfa.transitions.items()
+    ))
+
+
+def assert_facts_hold(flagged: DFA) -> None:
+    """What a DFA's recorded facts promise, checked against recomputation:
+    ``trimmed()``, ``minimized()`` and ``is_empty()`` answer as they do on
+    an unflagged copy, and the facts themselves are true."""
+    assert flagged._trim
+    plain = unflagged(flagged)
+    assert ordered(flagged.trimmed()) == ordered(plain.trimmed())
+    assert ordered(flagged.minimized()) == ordered(plain.minimized())
+    assert flagged.is_empty() == plain.is_empty()
+    assert flagged.is_trim() or not flagged.accepts  # the empty language's lone start
+    assert flagged.states == list(range(len(flagged.states)))
+    if flagged._minimal:
+        assert len(plain.minimized().states) == len(flagged.states)
+
+
+class TestRecordedFacts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
+    def test_flagged_calls_equal_unflagged_calls(self, n, rng):
+        """Every constructor that records a fact: trim, minimize, the three
+        products, the prefix closure and the compiler's prefix product."""
+        dfa = random_dfa(rng, n, ALPHABET)
+        other = random_dfa(rng, rng.randint(1, 4), ALPHABET)
+        minimal = dfa.minimized()
+        assert minimal._minimal
+        for flagged in (
+            dfa.trimmed(),
+            minimal,
+            dfa.intersect(other),
+            dfa.union(other),
+            dfa.difference(other),
+            prefixes_of(dfa),
+            _prefix_product(minimal, prefixes_of(other).minimized())[0],
+        ):
+            assert_facts_hold(flagged)
+
+    @pytest.mark.parametrize("pattern", SEED_PATTERNS)
+    def test_subset_construction_records_trim(self, pattern):
+        raw = compile_dfa(pattern, minimize=False)  # ``DFA.from_nfa``
+        assert_facts_hold(raw)
+        assert_facts_hold(compile_dfa(pattern))

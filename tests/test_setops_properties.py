@@ -170,6 +170,18 @@ class TestProductBudget:
             a.intersect(b, max_states=2)
         assert excinfo.value.max_states == 2
 
+    def test_pairs_that_cannot_accept_are_not_explored(self):
+        """An intersection stops where either side dies, a difference where
+        its left side does: ``abc`` against ``ab[a-z]+`` explores the four
+        pairs along ``abc`` and never a pair whose ``abc`` side is dead
+        (a fifth state, over a budget of four)."""
+        a = compile_dfa("abc")
+        b = compile_dfa("ab[a-z]+")
+        assert set(a.intersect(b, max_states=4).enumerate_strings()) == {"abc"}
+        assert a.difference(b, max_states=4).is_empty()
+        with pytest.raises(ProductBudgetExceeded):
+            a.union(b, max_states=4)  # a union accepts with one side dead
+
     def test_generous_budget_is_identical(self):
         rng = random.Random(11)
         for _ in range(20):
