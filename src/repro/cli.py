@@ -65,7 +65,7 @@ def _int_at_least(lowest: int) -> Callable[[str], int]:
 _positive_seconds = _finite_positive("seconds")
 #: A count or cap that must be >= 1 (budgets, samples, concurrency, cadence).
 _positive_int = _int_at_least(1)
-#: ``--edits``: a Levenshtein distance.
+#: ``--edits`` (a Levenshtein distance) and ``--admission-max-cost``.
 _nonnegative_int = _int_at_least(0)
 
 
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_engine_args(serve, concurrency=8)
     serve.add_argument(
-        "--admission-max-cost", type=int, default=None,
+        "--admission-max-cost", type=_nonnegative_int, default=None,
         help="reject queries whose static LM-call bound (EXPLAIN cost "
              "model) exceeds this, before any LM call",
     )
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-client cap on concurrently running queries",
     )
     serve.add_argument(
-        "--lm-calls-per-minute", type=int, default=None,
+        "--lm-calls-per-minute", type=_positive_int, default=None,
         help="per-client LM-call rate quota (sliding 60s window)",
     )
     serve.add_argument(
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
              "credit) for clients that do not choose one",
     )
     serve.add_argument(
-        "--progress-every", type=int, default=4,
+        "--progress-every", type=_positive_int, default=4,
         help="drive-loop turns in which a query advanced (a model round, or "
              "a quantum of cached answers) between its progress frames",
     )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
@@ -127,7 +126,8 @@ class SchedulerStats:
     Prefix-state-cache and compilation-cache counters are not
     mirrored here: read ``model.prefix_cache.stats()``,
     ``compiler.cache.stats()`` / ``compiler.disk_cache.stats()`` and each
-    handle's ``compiled.metrics``.
+    handle's ``compiled.metrics``.  Nor are per-query facts: a handle
+    carries its own ``latency`` and ``report.verdict``.
     """
 
     rounds: int = 0
@@ -155,12 +155,6 @@ class SchedulerStats:
     queries_resumed: int = 0
     #: Compile wall-clock summed over every query this scheduler compiled.
     compile_ms: float = 0.0
-    #: Static-analyzer verdict (``"ok"``/``"warning"``/``"error"``) per
-    #: query name, recorded at submit (absent when analysis is disabled).
-    per_query_verdict: dict[str, str] = field(default_factory=dict)
-    #: Wall-clock seconds from submit to completion, keyed by query name
-    #: (the scheduler de-duplicates names at submit, so keys never collide).
-    per_query_latency: dict[str, float] = field(default_factory=dict)
 
     @property
     def mean_round_size(self) -> float:
@@ -171,7 +165,7 @@ class SchedulerStats:
         """Plain-dict view for logging/reporting: every field except the
         per-round history lists, plus the derived ``mean_round_size``."""
         out = {
-            f.name: copy(getattr(self, f.name))
+            f.name: getattr(self, f.name)
             for f in fields(self)
             if f.name not in _HISTORY_FIELDS
         }

@@ -252,6 +252,8 @@ class QueryScheduler:
             raise ValueError("resume=True requires a checkpoint_path")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        if admission_max_cost is not None and admission_max_cost < 0:
+            raise ValueError("admission_max_cost must be >= 0")
         if "dedupe" in executor_defaults:
             # ``dedupe`` here once selected set planning; falling through
             # to ``Executor``'s text-dedupe switch would silently change
@@ -285,13 +287,16 @@ class QueryScheduler:
         # Checkpoint/resume state (see :mod:`repro.core.checkpoint`): a
         # snapshot is written after every ``checkpoint_every`` completed
         # rounds, at the end of a clean :meth:`run`, and best-effort on
-        # interruption; ``resume=True`` restores completed queries (and
-        # preloads the logits cache) from ``checkpoint_path`` the first
-        # time :meth:`run`/:meth:`step` executes.
+        # interruption; ``resume=True`` reads ``checkpoint_path`` once, the
+        # first time :meth:`run`/:meth:`step` executes: it preloads the
+        # logits cache and restores completed queries, then and at every
+        # later submit, from the done snapshots no query has used yet.
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self._resume_attempted = False
+        #: Unused done snapshots of the resumed checkpoint, by fingerprint.
+        self._snapshots: dict[str, list[QuerySnapshot]] = {}
         self._rounds_since_checkpoint = 0
         self._interrupt_requested = False
         self.stats = SchedulerStats()
@@ -336,6 +341,8 @@ class QueryScheduler:
             executor, budget if budget is not None else QueryBudget(), name, submitted_at
         )
         self._admit(handle)
+        if self._snapshots and not handle.done:
+            self._resume_query(handle)
         return handle
 
     def _enqueue(
@@ -349,10 +356,13 @@ class QueryScheduler:
         handle: no compile, no analysis, no admission (``submit`` adds
         those; a :class:`~repro.core.api.SearchSession` drives its own
         executor through this alone)."""
-        index = len(self.queries)
-        # Names key per-query latency (and the merged stream), so they must
-        # be unique — a repeated name (e.g. the same CLI pattern twice) is
-        # suffixed with the handle's index rather than silently colliding.
+        # Indices only grow, so a handle keeps its place in the round-robin
+        # rotation after :meth:`forget_finished` drops its finished peers.
+        index = self.stats.queries_submitted
+        # Names key the merged stream and round members, so they must be
+        # unique among the handles held — a repeated name (e.g. the same CLI
+        # pattern twice) is suffixed with the handle's index rather than
+        # silently colliding.
         base = name if name is not None else f"q{index}"
         unique = base
         suffix = index
@@ -378,7 +388,6 @@ class QueryScheduler:
         """Admission control on a freshly compiled query."""
         report = sq.report
         if report is not None:
-            self.stats.per_query_verdict[sq.name] = report.verdict
             if report.has_errors:
                 self._finish(sq, truncated=True, reason="rejected")
             elif (
@@ -388,6 +397,14 @@ class QueryScheduler:
                 and report.cost.lm_calls_bound > self.admission_max_cost
             ):
                 self._finish(sq, truncated=True, reason="rejected_cost")
+
+    def forget_finished(self) -> None:
+        """Drop every finished handle from :attr:`queries` (and its name),
+        so a long-lived scheduler holds only the queries still running.
+        Aggregate :attr:`stats` are kept; a dropped handle is no longer
+        checkpointed and its name may be reused."""
+        self.queries = list(self._active)
+        self._names = {sq.name for sq in self._active}
 
     # -- driving ------------------------------------------------------------------
     def run(self) -> list[ScheduledQuery]:
@@ -540,8 +557,9 @@ class QueryScheduler:
         self._rounds_since_checkpoint = 0
 
     def _maybe_resume(self) -> None:
-        """Restore completed queries from ``checkpoint_path`` (first
-        drive only, ``resume=True`` only; a missing file is a fresh run)."""
+        """Read ``checkpoint_path`` and restore the queries submitted so
+        far (first drive only, ``resume=True`` only; a missing file is a
+        fresh run)."""
         if not self.resume or self._resume_attempted:
             return
         self._resume_attempted = True
@@ -549,21 +567,21 @@ class QueryScheduler:
         if not os.path.exists(self.checkpoint_path):
             return
         loaded = ckpt_mod.load_checkpoint(self.checkpoint_path)
-        # Snapshots are matched to submitted queries by content
-        # fingerprint, in submission order — never by position — so a
-        # reordered or extended query list resumes correctly: anything
-        # without a matching done-snapshot simply runs fresh.
-        buckets: dict[str, list[QuerySnapshot]] = {}
         for snap in loaded.queries:
             if snap.done:
-                buckets.setdefault(snap.fingerprint, []).append(snap)
-        for sq in self.queries:
-            if sq.done:  # e.g. rejected at submit by admission control
-                continue
-            bucket = buckets.get(query_fingerprint(sq.query))
-            if bucket:
-                self._restore_query(sq, bucket.pop(0))
+                self._snapshots.setdefault(snap.fingerprint, []).append(snap)
+        for sq in tuple(self._active):  # a query rejected at submit stays rejected
+            self._resume_query(sq)
         self.logits_cache.preload(loaded.cache_rows)
+
+    def _resume_query(self, sq: ScheduledQuery) -> None:
+        """Restore *sq* from an unused done snapshot of its content
+        fingerprint, if there is one.  Snapshots are matched in submission
+        order — never by position — so a reordered or extended query list
+        resumes correctly: anything without a match simply runs fresh."""
+        bucket = self._snapshots.get(query_fingerprint(sq.query))
+        if bucket:
+            self._restore_query(sq, bucket.pop(0))
 
     def _restore_query(self, sq: ScheduledQuery, snap: QuerySnapshot) -> None:
         """Reinstate *sq* from its snapshot without running its traversal."""
@@ -579,7 +597,6 @@ class QueryScheduler:
         for key, value in snap.stats.items():
             if hasattr(sq.stats, key):
                 setattr(sq.stats, key, value)
-        self.stats.per_query_latency[sq.name] = snap.latency
         self.stats.queries_resumed += 1
         if snap.truncated_reason == "cancelled":
             self.stats.queries_cancelled += 1
@@ -677,7 +694,6 @@ class QueryScheduler:
         sq.truncated = truncated
         sq.truncated_reason = reason
         sq.latency = self.clock() - sq.submitted_at
-        self.stats.per_query_latency[sq.name] = sq.latency
         if reason == "cancelled":
             self.stats.queries_cancelled += 1
         elif reason in ("rejected", "rejected_cost"):
@@ -692,7 +708,7 @@ class QueryScheduler:
         """Pick which of more than ``concurrency`` waiting queries join
         this round: rotate the start position across rounds so every query
         gets serviced regardless of submission order."""
-        total = len(self.queries)
+        total = self.stats.queries_submitted
         ranked = sorted(
             waiting, key=lambda sq: (sq.index - self._rr_next) % total
         )

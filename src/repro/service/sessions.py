@@ -10,11 +10,13 @@ rounds over that state; queries arrive from any number of client
 sessions and leave as per-client delivery callbacks (the asyncio server
 wraps them in ``loop.call_soon_threadsafe``).
 
-Schedulers are *generations*: one scheduler instance drains a wave of
-queries, its aggregate stats are folded into :class:`ServiceStats`, and
-the instance is dropped — the caches outlive it, which is
-the entire point.  A fresh generation starts when the next submission
-arrives, so a long-lived service never accumulates dead query handles.
+One scheduler serves the whole life of the service, over caches that
+stay warm, which is the entire point.  Queries arrive in *waves*: a wave
+ends when no query is unfinished.  There the service checkpoints the
+wave (when it ran a query of its own) and the scheduler forgets the
+wave's finished handles (:meth:`~repro.core.scheduler.QueryScheduler.forget_finished`),
+so a long-lived service never accumulates dead query handles, while the
+scheduler's counters run on.
 
 **Backpressure** is windowed, not buffered: every query carries a credit
 count (initially the client's requested window), each streamed match
@@ -52,7 +54,6 @@ from typing import Any, Callable
 
 from repro.core.compiler import CompilationCache, GraphCompiler
 from repro.core.query import SimpleSearchQuery
-from repro.core.results import SchedulerStats
 from repro.core.scheduler import QueryBudget, QueryScheduler, ScheduledQuery
 from repro.lm.base import LanguageModel, LogitsCache
 from repro.service import protocol
@@ -74,12 +75,12 @@ _STATUS_BY_REASON = {
 
 @dataclass
 class ServiceStats:
-    """Service-lifetime counters (the ``# service:`` line / ``stats`` frame).
+    """Counters the service itself increments (the ``# service:`` line /
+    ``stats`` frame).  ``generations`` counts the waves drained.
 
-    Scheduler-generation aggregates (:data:`_GENERATION_FIELDS`) are
-    folded in when a generation retires;
-    :meth:`SchedulerService.stats_snapshot` adds the live generation and
-    the shared caches' own counters on top.
+    :meth:`SchedulerService.stats_snapshot` adds the scheduler's own
+    round, compile and checkpoint counters and the shared caches' counters
+    on top; none of them is copied here.
     """
 
     sessions_opened: int = 0
@@ -95,28 +96,10 @@ class ServiceStats:
     backpressure_stalls: int = 0
     frames_malformed: int = 0
     generations: int = 0
-    rounds: int = 0
-    contexts_serviced: int = 0
-    lm_wall_ms: float = 0.0
-    compile_ms: float = 0.0
-    checkpoints_written: int = 0
-    queries_resumed: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-dict view (what the ``stats`` frame carries)."""
         return asdict(self)
-
-
-#: The :class:`SchedulerStats` aggregates each scheduler generation adds to
-#: the same-named :class:`ServiceStats` totals.
-_GENERATION_FIELDS = (
-    "rounds",
-    "contexts_serviced",
-    "lm_wall_ms",
-    "compile_ms",
-    "checkpoints_written",
-    "queries_resumed",
-)
 
 
 @dataclass
@@ -140,6 +123,8 @@ class _Ticket:
     progress_lm_calls: int = 0
     stalled: bool = False
     cancelled: bool = False
+    #: Why a failed engine round stopped the query (``"engine: ..."``).
+    failure: str | None = None
     done_sent: bool = False
 
 
@@ -234,7 +219,9 @@ class SchedulerService:
     ``progress_every`` is how many drive-loop turns in
     which a query advanced — a model round, or a quantum of answers the
     warm logits cache gave inline — pass between its ``progress`` frames.
-    ``clock`` is injectable for deterministic quota tests.
+    ``clock`` is injectable for deterministic quota tests.  One
+    :class:`~repro.core.scheduler.QueryScheduler`, built here, serves the
+    service's whole life.
     """
 
     def __init__(
@@ -256,44 +243,46 @@ class SchedulerService:
         clock: Callable[[], float] = time.monotonic,
         **executor_defaults: Any,
     ) -> None:
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if default_window < 1:
             raise ValueError("default_window must be >= 1")
-        if resume and checkpoint_path is None:
-            raise ValueError("resume=True requires a checkpoint_path")
-        self.model = model
-        self.tokenizer = tokenizer
+        if progress_every < 1:
+            raise ValueError("progress_every must be >= 1")
+        if lm_calls_per_minute is not None and lm_calls_per_minute < 1:
+            raise ValueError("lm_calls_per_minute must be >= 1")
         if compiler is None:
             compiler = GraphCompiler(tokenizer, cache=CompilationCache(max_entries=512))
-        elif compiler.tokenizer is not tokenizer:
-            raise ValueError("compiler was built for a different tokenizer")
+        # The scheduler checks the settings it shares with the service.
+        self._scheduler = QueryScheduler(
+            model,
+            tokenizer,
+            compiler=compiler,
+            logits_cache=logits_cache,
+            concurrency=concurrency,
+            admission_max_cost=admission_max_cost,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            resume=resume,
+            clock=clock,
+            **executor_defaults,
+        )
+        self.model = model
         self.compiler = compiler
-        if logits_cache is None:
-            logits_cache = LogitsCache(model, capacity=65536)
-        elif logits_cache.model is not model:
-            raise ValueError("shared logits_cache was built for a different model")
-        self.logits_cache = logits_cache
-        self.concurrency = concurrency
-        self.admission_max_cost = admission_max_cost
+        self.logits_cache = self._scheduler.logits_cache
+        self.executor_defaults = executor_defaults
         self.max_inflight = max_inflight
         self.lm_calls_per_minute = lm_calls_per_minute
         self.default_window = default_window
         self.progress_every = progress_every
         self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
-        self.resume = resume
         self.clock = clock
-        self.executor_defaults = executor_defaults
+        #: Whether the scheduler's last turn left a query unfinished.
+        self._unfinished = False
         self.stats = ServiceStats()
         self._cond = threading.Condition()
         self._pending: deque[_Ticket] = deque()
         self._active: list[_Ticket] = []
-        self._scheduler: QueryScheduler | None = None
         self._draining = False
         self._stop_requested = False
         self._stopped = threading.Event()
@@ -395,12 +384,18 @@ class SchedulerService:
 
     # -- stats ----------------------------------------------------------------------
     def stats_snapshot(self) -> dict[str, Any]:
-        """Service counters plus live-generation and shared-cache state."""
+        """Service counters plus the scheduler's and the shared caches'."""
+        sched = self._scheduler.stats
         with self._cond:
             snapshot = self.stats.as_dict()
-            live = self._scheduler.stats if self._scheduler is not None else None
-        if live is not None:
-            self._fold_into(snapshot, live)
+        snapshot.update(
+            rounds=sched.rounds,
+            contexts_serviced=sched.contexts_serviced,
+            lm_wall_ms=sched.lm_wall_ms,
+            compile_ms=sched.compile_ms,
+            checkpoints_written=sched.checkpoints_written,
+            queries_resumed=sched.queries_resumed,
+        )
         cache = self.compiler.cache
         if cache is not None:
             snapshot["compile_memory_hits"] = cache.hits
@@ -421,30 +416,24 @@ class SchedulerService:
         """The ``stats`` response frame."""
         return {"type": "stats", "stats": self.stats_snapshot()}
 
-    @staticmethod
-    def _fold_into(totals: dict[str, Any], sched: SchedulerStats) -> None:
-        for name in _GENERATION_FIELDS:
-            totals[name] += getattr(sched, name)
-
-    def _retire_generation(self) -> None:
-        """Fold the live generation's aggregates into the service totals
-        and drop it (caches stay warm).  Lock held by caller."""
+    def _end_wave(self) -> None:
+        """Close the wave the scheduler holds: checkpoint it, count it, and
+        forget its finished handles (caches stay warm).  Lock held by
+        caller."""
         sched = self._scheduler
-        if sched is None:
+        if not sched.queries:  # nothing since the last wave, or only failed compiles
             return
-        # A generation that finished a query of its own has something to
-        # persist, even if warm caches answered it without a single round;
-        # one that only replayed a checkpoint must not overwrite it.
+        # A wave that finished a query of its own has something to persist,
+        # even if warm caches answered it without a single round; one that
+        # only replayed a checkpoint must not overwrite it.
         ran = any(sq.done and not sq.resumed for sq in sched.queries)
         if self.checkpoint_path is not None and ran:
             try:
                 sched.save_checkpoint()
             except Exception as exc:  # pragma: no cover - disk full etc.
-                warnings.warn(f"final generation checkpoint failed: {exc}", RuntimeWarning)
-        if sched.queries:  # a generation whose only submit failed to compile drained nothing
-            self.stats.generations += 1
-        self._fold_into(vars(self.stats), sched.stats)
-        self._scheduler = None
+                warnings.warn(f"wave checkpoint failed: {exc}", RuntimeWarning)
+        self.stats.generations += 1
+        sched.forget_finished()
 
     # -- the engine thread -----------------------------------------------------------
     def _run(self) -> None:
@@ -458,16 +447,15 @@ class SchedulerService:
                     self._pending.clear()
                 for ticket in pending:
                     self._admit(ticket)
-                sched = self._scheduler
-                if sched is not None:
-                    try:
-                        sched.step()
-                    except Exception as exc:
-                        self._engine_failure(exc)
+                try:
+                    self._unfinished = self._scheduler.step()
+                except Exception as exc:
+                    self._engine_failure(exc)
                 self._account_lm_usage()
                 with self._cond:
                     self._flush(force=stop)
-                    self._maybe_rotate()
+                    if not self._unfinished:
+                        self._end_wave()
                 if stop and self._handle_stop():
                     return
         finally:
@@ -475,10 +463,7 @@ class SchedulerService:
 
     def _work_available(self) -> bool:
         """Lock held.  Anything for the engine to do right now?"""
-        if self._stop_requested or self._pending:
-            return True
-        sched = self._scheduler
-        if sched is not None and any(not sq.done for sq in sched.queries):
+        if self._stop_requested or self._pending or self._unfinished:
             return True
         for ticket in self._active:
             if ticket.done_sent or ticket.session.closed:
@@ -526,9 +511,8 @@ class SchedulerService:
                     return
         # Compile (inside submit) outside the lock; a failed submit leaves
         # nothing registered in the scheduler.
-        sched = self._ensure_scheduler()
         try:
-            handle = sched.submit(ticket.query, budget=ticket.budget, name=ticket.name)
+            handle = self._scheduler.submit(ticket.query, budget=ticket.budget, name=ticket.name)
         except Exception as exc:
             with self._cond:
                 self._emit_done(ticket, "rejected", f"compile: {exc}")
@@ -539,23 +523,6 @@ class SchedulerService:
                 handle.cancel()
             self._active.append(ticket)
             self.stats.queries_admitted += 1
-
-    def _ensure_scheduler(self) -> QueryScheduler:
-        if self._scheduler is None:
-            self._scheduler = QueryScheduler(
-                self.model,
-                self.tokenizer,
-                compiler=self.compiler,
-                logits_cache=self.logits_cache,
-                concurrency=self.concurrency,
-                admission_max_cost=self.admission_max_cost,
-                checkpoint_path=self.checkpoint_path,
-                checkpoint_every=self.checkpoint_every,
-                resume=self.resume and self.checkpoint_path is not None,
-                clock=self.clock,
-                **self.executor_defaults,
-            )
-        return self._scheduler
 
     def _account_lm_usage(self) -> None:
         """Attribute per-query LM-call deltas to the rate-quota windows."""
@@ -609,8 +576,11 @@ class SchedulerService:
             else:
                 ticket.stalled = False
             if handle.done and undelivered == 0:
-                status = _STATUS_BY_REASON.get(handle.truncated_reason, "truncated")
-                self._emit_done(ticket, status, handle.truncated_reason)
+                if ticket.failure is not None:
+                    self._emit_done(ticket, "interrupted", ticket.failure)
+                else:
+                    status = _STATUS_BY_REASON.get(handle.truncated_reason, "truncated")
+                    self._emit_done(ticket, status, handle.truncated_reason)
                 continue
             if handle.done and ticket.cancelled:
                 # A client-side cancel drops the undelivered tail — even of
@@ -678,51 +648,32 @@ class SchedulerService:
                 frame["latency_ms"] = round(1000.0 * handle.latency, 3)
         ticket.session.deliver(frame)
 
-    def _maybe_rotate(self) -> None:
-        """Retire a fully-drained generation.  Lock held by caller."""
-        sched = self._scheduler
-        if sched is not None and all(sq.done for sq in sched.queries):
-            self._retire_generation()
-
     def _engine_failure(self, exc: Exception) -> None:
-        """A scheduler round crashed: fail its queries, keep the service."""
+        """A scheduler turn crashed: stop every unfinished query — each one
+        a client did not cancel ends ``interrupted`` with reason
+        ``engine: <exc>`` — and keep the scheduler for the next submit."""
         warnings.warn(f"service engine round failed: {exc!r}", RuntimeWarning)
+        sched = self._scheduler
         with self._cond:
-            sched = self._scheduler
-            if sched is not None:
-                for sq in sched.queries:
-                    if not sq.done:
-                        sq.cancel()
-                try:
-                    while sched.step():
-                        pass
-                except Exception:
-                    # Cancellation could not unwind cleanly; fail tickets
-                    # directly and drop the generation.
-                    for ticket in self._active:
-                        if not ticket.done_sent and not (
-                            ticket.handle is not None and ticket.handle.done
-                        ):
-                            self._emit_done(ticket, "interrupted", f"engine: {exc}")
-                    self._active = [t for t in self._active if not t.done_sent]
-                    self._scheduler = None
+            for ticket in self._active:
+                if not ticket.cancelled and not ticket.handle.done:
+                    ticket.failure = f"engine: {exc}"
+            for sq in sched.queries:
+                sq.cancel()
+        # A cancelled query finishes at its next turn without an LM call.
+        self._unfinished = sched.step()
 
     def _handle_stop(self) -> bool:
         """Drain semantics; returns True when the engine should exit."""
         with self._cond:
-            sched = self._scheduler
-            unfinished = (
-                [sq for sq in sched.queries if not sq.done] if sched is not None else []
-            )
-            if unfinished and self.checkpoint_path is None:
+            if self._unfinished and self.checkpoint_path is None:
                 # No durable story: keep stepping until in-flight work ends.
                 return False
-            if unfinished:
+            if self._unfinished:
                 # Checkpoint at the round boundary we are already on, then
                 # tell the affected clients their queries were interrupted.
-                assert sched is not None
                 try:
-                    sched.save_checkpoint()
+                    self._scheduler.save_checkpoint()
                 except Exception as exc:  # pragma: no cover - disk full etc.
                     warnings.warn(f"drain checkpoint failed: {exc}", RuntimeWarning)
                 for ticket in self._active:
@@ -736,5 +687,5 @@ class SchedulerService:
                 if not ticket.session.closed:
                     self._emit_done(ticket, "rejected", "draining")
             self._pending.clear()
-            self._retire_generation()
+            self._end_wave()
             return True

@@ -483,16 +483,16 @@ class TestEmptyShortCircuitScheduled:
         assert {m.text for m in good.results} == {"The cat"}
         stats = scheduler.stats
         assert stats.queries_rejected == 1
-        assert stats.per_query_verdict[bad.name] == "error"
-        assert stats.per_query_verdict[good.name] in ("ok", "warning")
+        assert bad.report.verdict == "error"
+        assert good.report.verdict in ("ok", "warning")
 
     def test_rejection_in_stats_dict(self, tokenizer):
         _, scheduler = self._counting_scheduler(tokenizer)
-        scheduler.submit(empty_query())
+        handle = scheduler.submit(empty_query())
         scheduler.run()
         payload = scheduler.stats.as_dict()
         assert payload["queries_rejected"] == 1
-        assert "per_query_verdict" in payload
+        assert handle.report.verdict == "error"
 
     def test_without_admission_control_short_circuits(self, tokenizer):
         # Admission is off when the compiler analyzes nothing.

@@ -157,7 +157,7 @@ class TestDifferentialSweep:
         assert scheduler.stats.queries_rejected == len(rejected_handles)
         assert counting.total_calls == 0
         for handle in rejected_handles:
-            assert scheduler.stats.per_query_verdict[handle.name] == "error"
+            assert handle.report.verdict == "error"
 
     def test_error_queries_yield_no_matches_serially(self):
         """Even without admission control, error queries produce nothing."""

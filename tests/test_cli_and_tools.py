@@ -200,6 +200,9 @@ class TestCLI:
             ("serve", "--checkpoint-every", "0"),
             ("serve", "--max-inflight", "0"),
             ("serve", "--window", "0"),
+            ("serve", "--progress-every", "0"),
+            ("serve", "--lm-calls-per-minute", "0"),
+            ("serve", "--admission-max-cost", "-1"),
             ("submit", "--window", "0"),
             ("query", "--top-k", "0"),
             ("submit", "--top-k", "-3"),

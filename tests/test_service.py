@@ -314,6 +314,107 @@ class TestWarmQueries:
         assert 0 < stream.progress["lm_calls"] <= stream.stats["lm_calls"]
 
 
+class FlakyModel(LanguageModel):
+    """Raise on one chosen model dispatch, answer every other one."""
+
+    def __init__(self, inner: LanguageModel, fail_on: int) -> None:
+        self.inner = inner
+        self.fail_on = fail_on
+        self.dispatches = 0
+        self.vocab_size = inner.vocab_size
+        self.eos_id = inner.eos_id
+        self.max_sequence_length = inner.max_sequence_length
+
+    def logprobs(self, context):
+        return self.logprobs_batch([context])[0]
+
+    def logprobs_batch(self, contexts):
+        self.dispatches += 1
+        if self.dispatches == self.fail_on:
+            raise RuntimeError("flaky accelerator")
+        return self.inner.logprobs_batch(contexts)
+
+
+class TestWarmScheduler:
+    """One scheduler serves a service's whole life."""
+
+    QUERIES = ("The cat", "The dog", "The ((cat)|(dog))")
+
+    @staticmethod
+    async def _ask_each(server, queries):
+        streams = []
+        async with await ServiceClient.connect(server.host, server.port) as client:
+            for query in queries:  # one at a time: each query is a wave
+                stream = await client.submit(SearchQuery(query))
+                await stream.collect()
+                streams.append(stream)
+        return streams
+
+    def test_a_life_builds_one_scheduler_and_forgets_finished_queries(
+        self, model, tokenizer, monkeypatch
+    ):
+        from repro.service import sessions
+
+        built = []
+
+        class CountingScheduler(QueryScheduler):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sessions, "QueryScheduler", CountingScheduler)
+
+        async def scenario():
+            async with serving(model, tokenizer) as (server, service):
+                streams = await self._ask_each(server, self.QUERIES)
+                return streams, service.stats_snapshot()
+
+        streams, stats = asyncio.run(scenario())
+        assert [s.status for s in streams] == ["ok"] * len(self.QUERIES)
+        assert len(built) == 1
+        assert stats["generations"] == len(self.QUERIES)
+        sched = built[0]
+        assert sched.queries == [] and sched.stats.queries_submitted == len(self.QUERIES)
+        assert stats["rounds"] == sched.stats.rounds > 0
+        assert stats["compile_ms"] == sched.stats.compile_ms > 0
+
+    def test_stats_snapshot_keys_are_unchanged(self, model, tokenizer):
+        """The ``# service:`` line and the ``stats`` frame read these."""
+        service = SchedulerService(model, tokenizer)
+        assert set(service.stats_snapshot()) == {
+            "sessions_opened", "sessions_closed", "queries_submitted",
+            "queries_admitted", "queries_completed", "queries_truncated",
+            "queries_cancelled", "queries_rejected", "queries_interrupted",
+            "matches_streamed", "backpressure_stalls", "frames_malformed",
+            "generations", "rounds", "contexts_serviced", "lm_wall_ms",
+            "compile_ms", "checkpoints_written", "queries_resumed",
+            "compile_memory_hits", "compile_memory_misses",
+            "logits_hits", "logits_misses", "draining",
+        }
+
+    @pytest.mark.filterwarnings("ignore:service engine round failed")
+    def test_failed_round_interrupts_and_the_next_submit_is_answered(
+        self, model, tokenizer
+    ):
+        """A model that raises mid-round stops the query as ``interrupted``
+        (the client cancelled nothing); the service keeps serving."""
+        pattern = "The ((cat)|(dog))"
+        reference = list(search(model, tokenizer, SearchQuery(pattern)))
+        flaky = FlakyModel(model, fail_on=1)
+
+        async def scenario():
+            async with serving(flaky, tokenizer) as (server, service):
+                broken, after = await self._ask_each(server, [pattern, pattern])
+                return broken, after, service.stats_snapshot()
+
+        broken, after, stats = asyncio.run(scenario())
+        assert broken.status == "interrupted"
+        assert broken.reason == "engine: flaky accelerator"
+        assert after.status == "ok" and after.matches == reference
+        assert stats["queries_interrupted"] == 1 and stats["queries_cancelled"] == 0
+        assert stats["queries_completed"] == 1
+
+
 # ---------------------------------------------------------------------------
 class TestBudgetValidation:
     #: Budgets ``json.loads`` accepts but no query can honour: each once
@@ -569,7 +670,9 @@ class TestQuotas:
 
 
 class TestSettings:
-    @pytest.mark.parametrize("kwargs", [{"concurrency": 0}, {"checkpoint_every": 0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"concurrency": 0}, {"checkpoint_every": 0}, {"admission_max_cost": -1}]
+    )
     def test_scheduler_settings_refused_at_construction(self, model, tokenizer, kwargs):
         """A setting the scheduler refuses is refused when the service is
         built, with the scheduler's message — not on the engine thread at
@@ -579,6 +682,14 @@ class TestSettings:
         with pytest.raises(ValueError) as service_error:
             SchedulerService(model, tokenizer, **kwargs)
         assert str(service_error.value) == str(scheduler_error.value)
+
+    @pytest.mark.parametrize("kwargs", [{"progress_every": 0}, {"lm_calls_per_minute": 0}])
+    def test_service_settings_refused_at_construction(self, model, tokenizer, kwargs):
+        """``progress_every=0`` would send a progress frame on every engine
+        turn and ``lm_calls_per_minute=0`` would reject every query."""
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            SchedulerService(model, tokenizer, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +910,50 @@ class TestDrainAndResume:
                     return await stream.collect()
 
         assert asyncio.run(resumed()) == reference
+
+    def test_restart_keeps_a_snapshot_past_fresh_queries(self, model, tokenizer, tmp_path):
+        """Life 1 runs B; life 2 runs a fresh A first, then B: B is still
+        answered from life 1's checkpoint."""
+        ckpt = str(tmp_path / "service.ckpt")
+        a, b = "The ((cat)|(dog))", "The ((man)|(woman))"
+
+        async def life(queries, **kwargs):
+            async with serving(model, tokenizer, checkpoint_path=ckpt, **kwargs) as (server, _):
+                return await TestWarmScheduler._ask_each(server, queries)
+
+        (first_b,) = asyncio.run(life([b]))
+        fresh_a, resumed_b = asyncio.run(life([a, b], resume=True))
+        assert first_b.stats["resumed"] is False
+        assert fresh_a.status == "ok" and fresh_a.stats["resumed"] is False
+        assert resumed_b.stats["resumed"] is True
+        assert resumed_b.matches == first_b.matches
+
+    def test_resume_reads_the_checkpoint_once(self, model, tokenizer, tmp_path, monkeypatch):
+        from repro.core import checkpoint as ckpt_mod
+
+        ckpt = str(tmp_path / "service.ckpt")
+        queries = TestWarmScheduler.QUERIES
+
+        async def life(**kwargs):
+            async with serving(model, tokenizer, checkpoint_path=ckpt, **kwargs) as (server, service):
+                streams = await TestWarmScheduler._ask_each(server, queries)
+                return streams, service.stats_snapshot()
+
+        asyncio.run(life())
+        loads = []
+        real_load = ckpt_mod.load_checkpoint
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(ckpt_mod, "load_checkpoint", counting_load)
+        streams, stats = asyncio.run(life(resume=True))
+        assert stats["generations"] == len(queries)
+        assert loads == [ckpt]
+        # The checkpoint holds the last wave: finished queries are forgotten,
+        # so what a long-lived service persists stays bounded.
+        assert [s.stats["resumed"] for s in streams] == [False, False, True]
 
     def test_drain_without_checkpoint_finishes_inflight(self, model, tokenizer):
         reference = self.reference(model, tokenizer)
