@@ -85,19 +85,30 @@ def test_bench_a2_trie_vs_scan(env, compiler, benchmark):
 
 
 def test_bench_canonical_enumeration_cost(env, compiler, benchmark):
-    """Cost of the enumerate-and-encode canonical construction on a
-    moderately sized finite language (12 * 110 * 100 dates)."""
+    """Cost of the canonical construction on a moderately sized finite
+    language (6 months * 110 days * 10 years): within the eager bound, so
+    the whole product is built and trimmed, and it must hold exactly one
+    token path per string — each string's canonical encoding."""
     months = "|".join(
         f"({m})" for m in ["January", "February", "March", "April", "May", "June"]
     )
-    # 6 * 110 * 10 = 6600 strings: inside the enumeration limit.
+    # 6 * 110 * 10 = 6600 strings: inside EAGER_CANONICAL_STRINGS.
     dfa = compile_dfa(f"({months}) [0-9]{{1,2}}, 173[0-9]")
     automaton = benchmark.pedantic(
         lambda: compiler.compile_canonical(dfa, None), rounds=1, iterations=1
     )
     print(f"\ncanonical automaton: {automaton.num_states} states, "
-          f"{automaton.num_edges} edges, dynamic={automaton.dynamic_canonical}")
-    assert not automaton.dynamic_canonical
+          f"{automaton.num_edges} edges")
+    paths = []
+    stack = [(automaton.start, ())]
+    while stack:
+        state, path = stack.pop()
+        if state in automaton.accepts:
+            paths.append(path)
+        stack.extend((dst, path + (tok,)) for tok, dst in automaton.successors(state).items())
+    tokenizer = compiler.tokenizer
+    assert len(paths) == len({tokenizer.decode(p) for p in paths}) == 6600
+    assert all(list(p) == tokenizer.encode(tokenizer.decode(p)) for p in paths)
 
 
 def test_bench_compilation_cache(env, benchmark):

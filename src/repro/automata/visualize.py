@@ -63,11 +63,12 @@ def token_automaton_to_dot(automaton, tokenizer, name: str = "llm_automaton") ->
         f'  __start [shape=point, label=""];',
         f"  __start -> {automaton.start};",
     ]
+    edges = sorted(automaton.edges.items())  # first: a lazy product's labels grow with it
     for state in automaton.accepts:
         lines.append(f"  {state} [shape=doublecircle];")
     for state in automaton.prefix_live:
         lines.append(f'  {state} [style=filled, fillcolor="lightgrey"];')
-    for src, row in sorted(automaton.edges.items()):
+    for src, row in edges:
         for token_id, dst in sorted(row.items()):
             label = _quote(tokenizer.vocab.token_of(token_id))
             lines.append(f'  {src} -> {dst} [label="{label}"];')

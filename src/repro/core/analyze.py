@@ -199,7 +199,7 @@ class QueryAnalyzer:
         if query is None:
             query = compiled.query
         char_dfa = compiled.char_dfa
-        automaton = compiled.token_automaton
+        automaton = compiled.token_automaton.measured
         findings: list[Finding] = []
 
         char_empty = char_dfa.is_empty()
@@ -247,7 +247,7 @@ class QueryAnalyzer:
                 )
             )
 
-        findings.extend(self._check_canonical_divergence(query, automaton, cost))
+        findings.extend(self._check_canonical_divergence(query, cost))
 
         findings.sort(key=lambda f: (-int(f.severity), f.code))
         return QueryReport(
@@ -353,26 +353,9 @@ class QueryAnalyzer:
         )
 
     def _check_canonical_divergence(
-        self,
-        query: SimpleSearchQuery,
-        automaton: "TokenAutomaton",
-        cost: CostEstimate,
+        self, query: SimpleSearchQuery, cost: CostEstimate
     ) -> list[Finding]:
         """RLM005: canonical-vs-all-encodings divergence hazards."""
-        if automaton.dynamic_canonical:
-            return [
-                Finding(
-                    code="RLM005",
-                    severity=Severity.WARNING,
-                    message=(
-                        "canonical compilation could not enumerate the language; "
-                        "falling back to the all-encodings automaton with dynamic "
-                        "canonicality pruning (per-edge encode checks at traversal "
-                        "time)"
-                    ),
-                    data={"mode": "dynamic_fallback"},
-                )
-            ]
         if (
             query.tokenization_strategy is QueryTokenizationStrategy.ALL_TOKENS
             and not cost.language_infinite

@@ -25,7 +25,7 @@ executor is bit-identical to the scalar per-edge loop's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 import numpy as np
 
@@ -61,13 +61,10 @@ class AutomatonArrays:
     """
 
     def __init__(
-        self, edges: Mapping[int, Mapping[int, int]], prefix_live: frozenset[int]
+        self, edges: Mapping[int, Mapping[int, int]], prefix_live: AbstractSet[int]
     ) -> None:
         self._edges = edges
-        # ``_live[q]`` is True iff q is prefix-live; the trailing False cell
-        # answers every state beyond the largest live one.
-        self._live = np.zeros(max(prefix_live, default=-1) + 2, dtype=bool)
-        self._live[list(prefix_live)] = True
+        self._live = prefix_live
         self._rows: dict[int, StateRow | None] = {}
         self.bytes_estimate = 0
 
@@ -79,11 +76,12 @@ class AutomatonArrays:
         edges = self._edges.get(state)
         lowered: StateRow | None = None
         if edges:
-            dst_states = np.fromiter(edges.values(), dtype=np.intp, count=len(edges))
+            count = len(edges)
+            dst_states = np.fromiter(edges.values(), dtype=np.intp, count=count)
             lowered = StateRow(
-                np.fromiter(edges, dtype=np.intp, count=len(edges)),
+                np.fromiter(edges, dtype=np.intp, count=count),
                 dst_states,
-                self._live[np.minimum(dst_states, self._live.size - 1)],
+                np.fromiter(map(self._live.__contains__, edges.values()), dtype=bool, count=count),
             )
             self.bytes_estimate += (
                 lowered.token_ids.nbytes + dst_states.nbytes + lowered.is_prefix.nbytes

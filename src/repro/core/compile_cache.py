@@ -11,8 +11,7 @@ compiled queries.
 
 Entries are keyed by a content fingerprint of everything compilation
 depends on (regex + prefix strings, tokenization strategy, preprocessor
-signatures, tokenizer fingerprint, enumeration limit, minimization flag)
-plus the on-disk format version, so a cache directory can be shared by
+signatures, tokenizer fingerprint) plus the on-disk format version, so a cache directory can be shared by
 concurrent runs and survives tokenizer or code changes safely: anything
 stale simply misses.  Writes are atomic (``mkstemp`` + ``fsync`` +
 ``os.replace``, the :mod:`repro.core.checkpoint` pattern) so a crashed or
@@ -41,8 +40,10 @@ __all__ = ["CompileCacheEntry", "CompileDiskCache", "COMPILE_CACHE_VERSION"]
 #: On-disk format version.  Bump on any change to what entries contain or
 #: how fingerprints are derived; it is hashed into every fingerprint, so old
 #: entries are plain misses, never read.  Version 2: a proven-minimal
-#: automaton's rows persist as its char product.
-COMPILE_CACHE_VERSION = 2
+#: automaton's rows persist as its char product.  Version 3: a canonical
+#: query is its canonical product (version 2 held a large or cyclic one as
+#: the bare all-encodings automaton, which the executor used to prune).
+COMPILE_CACHE_VERSION = 3
 
 
 @dataclass
@@ -53,7 +54,8 @@ class CompileCacheEntry:
     before pickling (rows lower on first touch after loading), and lazy
     :class:`~repro.core.compiler.TokenRows` pickle as the char product they
     walk, not as rows or the vocabulary trie; the compiler re-binds its
-    trie on load.  The query object itself is *not* stored — entries
+    trie on load, and its tokenizer to a
+    :class:`~repro.core.compiler.CanonicalRows` product.  The query object itself is *not* stored — entries
     are rebound to the incoming query, exactly like in-memory cache hits,
     so runtime fields (seed, sample counts, decoding rules) stay per-query.
     """

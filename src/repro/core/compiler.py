@@ -11,10 +11,10 @@ produces the *LLM Automaton*, whose edges are vocabulary token ids:
   a path.  When the result is provably minimal, each state's row is built
   (and lowered to arrays) the first time a traversal touches the state.
 * **Canonical encodings** (conditional generation): only the tokenizer's
-  canonical encoding of each string is kept.  Finite, small languages are
-  enumerated and re-encoded exactly (the paper's first recovery option);
-  infinite or huge languages fall back to the all-encodings automaton plus
-  dynamic canonicality pruning in the executor (the second option).
+  canonical encoding of each string is kept: the all-encodings automaton
+  times (last token, space before it) under the tokenizer's exact pair
+  rule, built whole for small finite languages and row by row on first
+  touch otherwise.
 
 Prefix handling: the compiler also tracks, per state, whether the string
 read so far is still within the *prefix region* — a prefix of some string
@@ -28,7 +28,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import AbstractSet, Hashable, Iterable, Iterator, Mapping
 
 from repro.automata.dfa import DFA
 from repro.automata.partition import refine
@@ -47,12 +47,17 @@ from repro.tokenizers.bpe import BPETokenizer
 __all__ = [
     "TokenAutomaton",
     "TokenRows",
+    "CanonicalRows",
     "CompiledQuery",
     "CompileMetrics",
     "CompilationCache",
     "GraphCompiler",
     "prefixes_of",
 ]
+
+#: A finite canonical language of at most this many strings has its whole
+#: product built at compile time; others build rows on first touch.
+EAGER_CANONICAL_STRINGS = 20000
 
 
 class _EdgeCount:
@@ -122,6 +127,7 @@ class CompileMetrics:
 def _edge_count(automaton: "TokenAutomaton") -> "int | TokenRows":
     """What :class:`CompileMetrics` stores for *automaton*'s edge count:
     lazy rows count theirs when the metric is read."""
+    automaton = automaton.measured
     edges = automaton.edges
     return edges if isinstance(edges, TokenRows) else automaton.num_edges
 
@@ -216,6 +222,81 @@ class TokenRows(Mapping[int, dict[int, int]]):
         return TokenRows, (self.transitions, self.num_states, None, self._num_edges)
 
 
+class CanonicalRows(Mapping[int, dict[int, int]]):
+    """The canonical product over the all-encodings automaton *base*, its
+    rows built on first touch (as :class:`TokenRows`; iteration builds all).
+
+    A state is (base state, last token, whether a space precedes that
+    token — kept only for a token of spaces), numbered as first reached;
+    a base edge on token *b* survives iff ``tokenizer.may_follow`` allows
+    *b* after the last token.  :attr:`accepts` / :attr:`prefix_live` hold
+    the states numbered so far with their base state's label.  Pickles
+    without the tokenizer, which the loader sets again.
+    """
+
+    def __init__(self, base: "TokenAutomaton", tokenizer: BPETokenizer | None) -> None:
+        self.base = base
+        self.tokenizer = tokenizer
+        self.accepts: set[int] = set()
+        self.prefix_live: set[int] = set()
+        self._keys: list[tuple[int, int | None, bool]] = []
+        self._ids: dict[tuple[int, int | None, bool], int] = {}
+        self._rows: dict[int, dict[int, int]] = {}
+        self._complete = False
+        self._state((base.start, None, False))
+
+    def _state(self, key: tuple[int, int | None, bool]) -> int:
+        state = self._ids.get(key)
+        if state is None:
+            state = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+            if key[0] in self.base.accepts:
+                self.accepts.add(state)
+            if key[0] in self.base.prefix_live:
+                self.prefix_live.add(state)
+        return state
+
+    def get(  # type: ignore[override]
+        self, state: int, default: dict[int, int] | None = None
+    ) -> dict[int, int] | None:
+        row = self._rows.get(state)
+        if row is None and not self._complete:
+            q, last, after_space = self._keys[state]
+            text = self.tokenizer.vocab.token_of  # type: ignore[union-attr]
+            space = last is not None and text(last).endswith(" ")
+            follows = self.tokenizer.may_follow  # type: ignore[union-attr]
+            built = {
+                tok: self._state((dst, tok, space and not text(tok).strip(" ")))
+                for tok, dst in self.base.successors(q).items()
+                if follows(last, after_space, tok)
+            }
+            if built:
+                row = self._rows[state] = built
+        return default if row is None else row
+
+    def __getitem__(self, state: int) -> dict[int, int]:
+        row = self.get(state)
+        if row is None:
+            raise KeyError(state)
+        return row
+
+    def __iter__(self) -> Iterator[int]:
+        if not self._complete:
+            state = 0
+            while state < len(self._keys):  # grows as rows reach new states
+                self.get(state)
+                state += 1
+            self._rows = dict(sorted(self._rows.items()))
+            self._complete = True
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "tokenizer": None}
+
+
 @dataclass
 class TokenAutomaton:
     """A token-space automaton: edges are vocabulary token ids.
@@ -225,15 +306,15 @@ class TokenAutomaton:
     minimal, :class:`TokenRows` that build each row on first read.
     ``prefix_live`` marks states whose path-so-far still lies within the
     prefix region (edges *into* such states are exempt from decoding
-    rules).  When ``dynamic_canonical`` is set, paths must additionally be
-    canonical encodings — enforced by the executor at traversal time.
+    rules).  A canonical product built on first touch has
+    :class:`CanonicalRows` as ``edges`` and their growing label sets as
+    ``accepts`` / ``prefix_live``.
     """
 
     start: int
-    accepts: frozenset[int]
+    accepts: AbstractSet[int]
     edges: Mapping[int, dict[int, int]] = field(default_factory=dict)
-    prefix_live: frozenset[int] = frozenset()
-    dynamic_canonical: bool = False
+    prefix_live: AbstractSet[int] = frozenset()
     #: Memoised array lowering (see :meth:`arrays`); not part of identity.
     _arrays: AutomatonArrays | None = field(
         default=None, repr=False, compare=False
@@ -257,6 +338,14 @@ class TokenAutomaton:
     def is_prefix_edge(self, dst: int) -> bool:
         """True iff an edge landing at *dst* lies within the prefix region."""
         return dst in self.prefix_live
+
+    @property
+    def measured(self) -> "TokenAutomaton":
+        """The automaton :class:`CompileMetrics` and the analyzer read: this
+        one, or the all-encodings automaton a :class:`CanonicalRows` product
+        filters, so that neither builds the product."""
+        edges = self.edges
+        return edges.base if isinstance(edges, CanonicalRows) else self
 
     @property
     def num_states(self) -> int:
@@ -344,7 +433,6 @@ class TokenAutomaton:
             accepts=frozenset(remap[q] for q in self.accepts if q in keep),
             edges=edges,
             prefix_live=frozenset(remap[q] for q in self.prefix_live if q in keep),
-            dynamic_canonical=self.dynamic_canonical,
         )
 
     def minimized(self) -> "TokenAutomaton":
@@ -363,9 +451,10 @@ class TokenAutomaton:
         automaton is trim, so the result needs no further trimming.
 
         An automaton :meth:`GraphCompiler.compile_all_tokens` proved minimal
-        on its character-level product is returned unchanged.
+        on its character-level product is returned unchanged, and so is a
+        canonical product built on first touch (:class:`CanonicalRows`).
         """
-        if self._minimal:
+        if self._minimal or isinstance(self.edges, CanonicalRows):
             return self
         base = self.trimmed()
         if not base.accepts:
@@ -384,7 +473,6 @@ class TokenAutomaton:
             accepts=frozenset(block_of[q] for q in base.accepts),
             edges=edges,
             prefix_live=frozenset(block_of[q] for q in base.prefix_live),
-            dynamic_canonical=base.dynamic_canonical,
         )
 
 
@@ -465,8 +553,9 @@ class CompiledQuery:
     @property
     def is_empty(self) -> bool:
         """True iff no token path reaches acceptance (RLM001 territory).
-        A proven-minimal automaton is trim: it is empty iff nothing accepts."""
-        automaton = self.token_automaton
+        A proven-minimal automaton is trim: it is empty iff nothing accepts.
+        (Every string has a canonical encoding: a product reads its base.)"""
+        automaton = self.token_automaton.measured
         if automaton._minimal:
             return not automaton.accepts
         seen = {automaton.start}
@@ -502,8 +591,8 @@ class CompilationCache:
     """A bounded LRU cache of compiled queries, shareable across compilers.
 
     Keys capture everything compilation depends on — regex and prefix
-    strings, tokenization strategy, the preprocessor pipeline's signature,
-    the tokenizer fingerprint, and the enumeration limit — so templated
+    strings, tokenization strategy, the preprocessor pipeline's signature
+    and the tokenizer fingerprint — so templated
     experiment loops (bias/toxicity/memorization compile hundreds of
     near-identical patterns) skip straight to the compiled automaton.
     Runtime-only query fields (seed, sample counts, decoding rules) are
@@ -539,9 +628,9 @@ class CompilationCache:
         edges they hold when the entry is put — their char product and the
         rows built so far — not the ones they could build.  Deliberately
         cheap and deterministic — this sizes the byte budget, it is not an
-        exact memory audit.
+        exact memory audit.  A canonical product is sized by its base.
         """
-        automaton = compiled.token_automaton
+        automaton = compiled.token_automaton.measured
         edges = getattr(automaton, "edges", None)
         held = edges.held_edges if isinstance(edges, TokenRows) else automaton.num_edges
         return 128 * automaton.num_states + 40 * held
@@ -634,13 +723,11 @@ class GraphCompiler:
     def __init__(
         self,
         tokenizer: BPETokenizer,
-        enumeration_limit: int = 20000,
         cache: CompilationCache | bool | None = None,
         analyzer: QueryAnalyzer | bool | None = None,
         disk_cache: CompileDiskCache | str | os.PathLike[str] | None = None,
     ) -> None:
         self.tokenizer = tokenizer
-        self.enumeration_limit = enumeration_limit
         self._trie = Trie(tokenizer.vocab.ordinary_items())
         #: Characters that are tokens by themselves (see ``_proves_minimal``).
         self._char_tokens = frozenset(
@@ -676,7 +763,6 @@ class GraphCompiler:
             query.tokenization_strategy,
             tuple(signatures),
             self._fingerprint,
-            self.enumeration_limit,
         )
 
     def compile(self, query: SimpleSearchQuery) -> CompiledQuery:
@@ -736,7 +822,7 @@ class GraphCompiler:
         """Metrics for a cache hit: the cached shape, this call's latency."""
         base = compiled.metrics
         if base is None:
-            automaton = compiled.token_automaton
+            automaton = compiled.token_automaton.measured
             base = CompileMetrics(
                 token_states=automaton.num_states,
                 token_edges=_edge_count(automaton),
@@ -749,9 +835,13 @@ class GraphCompiler:
         """A persisted compilation as this compiler would have built it for
         *query*: same automata, the persisted report (if one had been
         computed), this tokenizer and analyzer.  Lazy token rows were
-        persisted as their char product; they walk this compiler's trie.
+        persisted as their char product; they walk this compiler's trie (and
+        a canonical product checks pairs with this tokenizer).
         """
-        edges = entry.token_automaton.edges
+        automaton = entry.token_automaton
+        if isinstance(automaton.edges, CanonicalRows):
+            automaton.edges.tokenizer = self.tokenizer
+        edges = automaton.measured.edges
         if isinstance(edges, TokenRows):
             edges._walk = SharedWalk(self._trie, edges.transitions)
         return CompiledQuery(
@@ -806,7 +896,7 @@ class GraphCompiler:
             token_automaton = self.compile_all_tokens(char_dfa, prefix_closure)
         else:
             token_automaton = self.compile_canonical(char_dfa, prefix_closure)
-        raw_states = token_automaton.num_states
+        raw_states = token_automaton.measured.num_states
         raw_edges = _edge_count(token_automaton)
         token_automaton = token_automaton.minimized()
         return CompiledQuery(
@@ -819,7 +909,7 @@ class GraphCompiler:
             metrics=CompileMetrics(
                 token_states=raw_states,
                 token_edges=raw_edges,
-                minimized_states=token_automaton.num_states,
+                minimized_states=token_automaton.measured.num_states,
                 minimized_edges=_edge_count(token_automaton),
             ),
             _analyzer=self.analyzer,
@@ -889,57 +979,27 @@ class GraphCompiler:
 
     # -- canonical construction ---------------------------------------------------
     def compile_canonical(self, char_dfa: DFA, prefix_closure: DFA | None) -> TokenAutomaton:
-        """Canonical-encodings automaton (§3.2, Figure 3b).
-
-        Finite languages within ``enumeration_limit`` strings are enumerated
-        and re-encoded exactly; otherwise returns the all-encodings
-        automaton flagged for dynamic canonicality pruning.
-        """
-        finite = not char_dfa.has_cycle()
-        if finite and char_dfa.count_strings() <= self.enumeration_limit:
-            return self._canonical_by_enumeration(char_dfa, prefix_closure)
-        automaton = self.compile_all_tokens(char_dfa, prefix_closure)
-        automaton.dynamic_canonical = True
-        return automaton
-
-    def _canonical_by_enumeration(
-        self, char_dfa: DFA, prefix_closure: DFA | None
-    ) -> TokenAutomaton:
-        tokenizer = self.tokenizer
-        next_id = 1
-        edges: dict[int, dict[int, int]] = {}
-        accepts: set[int] = set()
-        prefix_live: set[int] = set()
-
-        def live(text: str) -> bool:
-            if prefix_closure is None:
-                return False
-            return prefix_closure.accepts_string(text)
-
-        if live(""):
-            prefix_live.add(0)
-        for string in char_dfa.enumerate_strings():
-            tokens = tokenizer.encode(string)
-            state = 0
-            consumed = ""
-            for tok in tokens:
-                consumed += tokenizer.vocab.token_of(tok)
-                row = edges.setdefault(state, {})
-                nxt = row.get(tok)
-                if nxt is None:
-                    nxt = next_id
-                    next_id += 1
-                    row[tok] = nxt
-                state = nxt
-                if live(consumed):
-                    prefix_live.add(state)
-            accepts.add(state)
-        return TokenAutomaton(
-            start=0,
-            accepts=frozenset(accepts),
-            edges={state: dict(sorted(row.items())) for state, row in edges.items()},
-            prefix_live=frozenset(prefix_live),
+        """Canonical-encodings automaton (§3.2, Figure 3b): the
+        :class:`CanonicalRows` product, built whole and trimmed (then
+        minimized by :meth:`compile`) for a finite language of at most
+        :data:`EAGER_CANONICAL_STRINGS` strings, else row by row."""
+        product, prefix_live = _prefix_product(char_dfa, prefix_closure)
+        states = product.states
+        if states == list(range(len(states))):  # rows on first touch, no minimality proof
+            walk = SharedWalk(self._trie, product.transitions)
+            base = TokenAutomaton(
+                product.start, product.accepts, TokenRows(product.transitions, len(states), walk),
+                prefix_live,
+            )
+        else:
+            base = self.compile_all_tokens(char_dfa, prefix_closure)
+        rows = CanonicalRows(base, self.tokenizer)
+        product = TokenAutomaton(
+            start=0, accepts=rows.accepts, edges=rows, prefix_live=rows.prefix_live
         )
+        if char_dfa.has_cycle() or char_dfa.count_strings() > EAGER_CANONICAL_STRINGS:
+            return product
+        return product.trimmed()
 
 
 def _prefix_product(char_dfa: DFA, prefix_closure: DFA | None) -> tuple[DFA, frozenset[int]]:

@@ -277,8 +277,6 @@ class Executor:
             self.max_tokens = 0
             self._rng = random.Random(compiled.query.seed)
             self.elimination_tracker = None
-            self._canonical_required = False
-            self._dynamic_prune = False
             return
         if logits_cache is not None:
             if logits_cache.model is not model:
@@ -307,13 +305,6 @@ class Executor:
             self.elimination_tracker = EliminationTracker(
                 self.automaton, q.sequence_length or model.max_sequence_length
             )
-        self._canonical_required = (
-            q.tokenization_strategy is QueryTokenizationStrategy.CANONICAL
-            or self.automaton.dynamic_canonical
-        )
-        #: dynamic canonicality pruning applies when the automaton is the
-        #: all-encodings graph but only canonical paths should survive.
-        self._dynamic_prune = self.automaton.dynamic_canonical
 
     # -- shared helpers -----------------------------------------------------------
     @functools.cached_property
@@ -388,7 +379,9 @@ class Executor:
             text=text,
             logprob=-suffix_cost,
             total_logprob=-total_cost,
-            canonical=self.tokenizer.is_canonical(tokens, text),
+            # A canonical query's automaton holds canonical paths only.
+            canonical=self.query.tokenization_strategy is QueryTokenizationStrategy.CANONICAL
+            or self.tokenizer.is_canonical(tokens, text),
             prefix_text=prefix_text,
         )
 
@@ -455,26 +448,7 @@ class Executor:
                 np.empty(0, dtype=float),
                 np.empty(0, dtype=bool),
             )
-        sel_tokens = token_ids[ok]
-        sel_dsts = row.dst_states[ok]
-        sel_prefix = row.is_prefix[ok]
-        costs = -lps[ok]
-        if self._dynamic_prune:
-            keep = np.ones(sel_tokens.size, dtype=bool)
-            for i, tok in enumerate(sel_tokens.tolist()):
-                if not self.tokenizer.is_canonical_prefix(tokens + (tok,)):
-                    keep[i] = False
-                    self.stats.pruned_edges += 1
-                    if record_eliminations and self.elimination_tracker is not None:
-                        self.elimination_tracker.record_pruned_edge(
-                            int(sel_dsts[i]), len(tokens)
-                        )
-            if not keep.all():
-                sel_tokens = sel_tokens[keep]
-                sel_dsts = sel_dsts[keep]
-                sel_prefix = sel_prefix[keep]
-                costs = costs[keep]
-        return sel_tokens, sel_dsts, costs, sel_prefix
+        return token_ids[ok], row.dst_states[ok], -lps[ok], row.is_prefix[ok]
 
     # -- Dijkstra ------------------------------------------------------------------
     def _shortest_path(self) -> Iterator[MatchResult]:
@@ -511,8 +485,7 @@ class Executor:
                 yield from self._emit(tokens, suffix, total, seen_texts)
                 continue
             if state in automaton.accepts and not self.query.require_eos:
-                if not self._dynamic_prune or self.tokenizer.is_canonical(tokens):
-                    yield from self._emit(tokens, suffix, total, seen_texts)
+                yield from self._emit(tokens, suffix, total, seen_texts)
             expansions += 1
             self.stats.nodes_expanded += 1
             if self.max_expansions is not None and expansions >= self.max_expansions:
@@ -529,9 +502,7 @@ class Executor:
             ((lp, mask),) = yield LmRequest(
                 [tokens], lookahead=ahead if self.stats.matches_yielded else None
             )
-            if needs_eos and mask[eos] and np.isfinite(lp[eos]) and (
-                not self._dynamic_prune or self.tokenizer.is_canonical(tokens)
-            ):
+            if needs_eos and mask[eos] and np.isfinite(lp[eos]):
                 cost = -float(lp[eos])
                 heapq.heappush(
                     heap,
@@ -573,15 +544,11 @@ class Executor:
                 if not np.isfinite(lp[token_id]):
                     self._record_prune(dst, len(tokens))
                     continue
-                new_tokens = tokens + (token_id,)
-                if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(new_tokens):
-                    self._record_prune(dst, len(tokens))
-                    continue
                 cost = -float(lp[token_id])
                 new_suffix = suffix if is_prefix else suffix + cost
                 heapq.heappush(
                     heap,
-                    (total + cost, counter, dst, new_tokens, total + cost, new_suffix),
+                    (total + cost, counter, dst, tokens + (token_id,), total + cost, new_suffix),
                 )
                 counter += 1
 
@@ -634,7 +601,8 @@ class Executor:
         search over its ambiguous encodings.  Returns the start state, the
         prefix token path, and its heuristic cost.  Falls back to the
         automaton start when the prefix is absent, non-literal, or its
-        canonical tokens are not walkable (enumerated-trie corner cases).
+        canonical tokens are not walkable (a canonical query whose matches
+        encode the prefix differently).
         """
         automaton = self.automaton
         prefix_dfa = self.compiled.prefix_dfa
@@ -729,8 +697,6 @@ class Executor:
             if len(tokens) >= self.max_tokens:
                 return None
             at_accept = state in automaton.accepts
-            if self._dynamic_prune and at_accept:
-                at_accept = self.tokenizer.is_canonical(tuple(tokens))
             row = self._arrays.row(state)
             if row is None and not at_accept:
                 return None
@@ -740,18 +706,14 @@ class Executor:
                     tuple(tokens), -suffix_logprob, -total_logprob, sampled_prefix
                 )
             (raw,) = yield LmRequest([tuple(tokens)], raw=True, count_batch=False)
-            if self._dynamic_prune:
-                # Canonicity prunes by path, so this step's options are its own.
-                table = self._step_table(raw, row, tokens, at_accept)
+            tables = self._step_tables.lookup(raw)
+            if tables is None:
+                tables = self._step_tables.store(raw, {})
+            table = tables.get(state)
+            if table is None:
+                table = tables[state] = self._step_table(raw, row, tokens, at_accept)
             else:
-                tables = self._step_tables.lookup(raw)
-                if tables is None:
-                    tables = self._step_tables.store(raw, {})
-                table = tables.get(state)
-                if table is None:
-                    table = tables[state] = self._step_table(raw, row, tokens, at_accept)
-                else:
-                    self.stats.pruned_edges += table.pruned
+                self.stats.pruned_edges += table.pruned
             options = table.options
             if not options:
                 return None

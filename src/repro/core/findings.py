@@ -16,8 +16,8 @@ Stable codes (never renumber; retire by leaving a gap):
              can produce
 ``RLM003``   infinite language without an explicit ``sequence_length``
 ``RLM004``   state blowup — automaton size exceeds the analyzer threshold
-``RLM005``   canonical-vs-all divergence — dynamic canonicality fallback, or
-             ambiguous encodings inflating the all-encodings path count
+``RLM005``   canonical-vs-all divergence — ambiguous encodings inflating
+             the all-encodings path count
 ``RLM006``   dead states — token-automaton states that cannot reach acceptance
 ``RLM007``   duplicate query — language-equivalent to an earlier query in the
              set (minimized-DFA canonical forms are equal)

@@ -57,6 +57,7 @@ class BPETokenizer:
     def __post_init__(self) -> None:
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
         self._cache: dict[str, tuple[int, ...]] = {}
+        self._pairs: dict[tuple[int | None, int], bool] = {}
 
     # -- core encode/decode ----------------------------------------------------
     def _bpe_chunk(self, chunk: str) -> tuple[int, ...]:
@@ -127,56 +128,46 @@ class BPETokenizer:
         return self.vocab.decode(token_ids)
 
     # -- canonicality ----------------------------------------------------------
-    def _canonical_agreement(self, ids: tuple[int, ...], text: str) -> tuple[int, bool]:
-        """How many leading *ids* agree with ``encode(text)``, and whether
-        *ids* is exactly that encoding; *text* must be ``decode(ids)``.
-
-        Compared chunk by chunk against the cached per-chunk encodings, so
-        no encoding is assembled and the walk stops at the first chunk
-        that differs.  Ordinary tokens are non-empty, so ids that agree
-        on every chunk cover the text exactly.
-        """
-        cache = self._cache
-        pos = 0
-        for chunk in pretokenize(text):
-            expected = cache.get(chunk) or self._bpe_chunk(chunk)
-            end = pos + len(expected)
-            got = ids[pos:end]
-            if got != expected:
-                agree = 0
-                while agree < len(got) and got[agree] == expected[agree]:
-                    agree += 1
-                return pos + agree, False
-            pos = end
-        return pos, pos == len(ids)
-
-    def _ordinary(self, token_ids: Sequence[int]) -> tuple[int, ...]:
-        """*token_ids* without its specials."""
-        specials = self.vocab.special_ids
-        if specials.isdisjoint(token_ids):
-            return tuple(token_ids)
-        return tuple(t for t in token_ids if t not in specials)
-
     def is_canonical(self, token_ids: Sequence[int], text: str | None = None) -> bool:
         """True iff *token_ids* is exactly the canonical encoding of the
         string it decodes to.  Specials (EOS) are ignored.  A caller that
-        has already decoded the tokens passes the string as *text*."""
-        ids = self._ordinary(token_ids)
-        return self._canonical_agreement(ids, self.decode(ids) if text is None else text)[1]
+        has already decoded the tokens passes the string as *text*.
 
-    def is_canonical_prefix(self, token_ids: Sequence[int]) -> bool:
-        """True iff *token_ids* could be a prefix of some canonical encoding.
-
-        Used by the dynamic canonical traversal (§3.2, option 2).  The
-        final token may differ from the canonical encoding of the decoded
-        prefix — BPE may re-tokenize the last chunk once more characters
-        arrive — but all earlier tokens must match it.
+        Compared chunk by chunk against the cached per-chunk encodings, so
+        no encoding is assembled and the walk stops at the first chunk
+        that differs.  Ordinary tokens are non-empty, so ids that agree on
+        every chunk cover the text exactly.
         """
-        ids = self._ordinary(token_ids)
-        if not ids:
-            return True
-        agree, _ = self._canonical_agreement(ids, self.decode(ids))
-        return agree >= len(ids) - 1
+        specials = self.vocab.special_ids
+        ids = tuple(token_ids)
+        if not specials.isdisjoint(ids):
+            ids = tuple(t for t in ids if t not in specials)
+        pos = 0
+        for chunk in pretokenize(self.decode(ids) if text is None else text):
+            expected = self._cache.get(chunk) or self._bpe_chunk(chunk)
+            if ids[pos:pos + len(expected)] != expected:
+                return False
+            pos += len(expected)
+        return pos == len(ids)
+
+    def may_follow(self, last: int | None, after_space: bool, token_id: int) -> bool:
+        """True iff *token_id* may follow *last* (``None`` at the start) in
+        a canonical encoding; *after_space*: a space precedes *last*.
+
+        The exact local rule (DESIGN.md, "canonical pair rule"): the pair
+        must be canonical (memoised), save that the pretokenizer's ``" +"``
+        takes a whole run of spaces, so a token of spaces after a space may
+        precede any token not starting with a space."""
+        key = (last, token_id)
+        ok = self._pairs.get(key)
+        if ok is None:
+            ok = self._pairs[key] = self.is_canonical(
+                (token_id,) if last is None else key  # type: ignore[arg-type]
+            )
+        if ok or not after_space:
+            return ok
+        text = self.vocab.token_of
+        return not text(last).strip(" ") and not text(token_id).startswith(" ")  # type: ignore[arg-type]
 
     def encode_noncanonical(self, text: str, rng) -> list[int]:
         """One *non-canonical* encoding of *text*: the canonical encoding

@@ -16,7 +16,7 @@ engine used to ship as user-selectable forks (``backend="dict"``,
 * :func:`reference_walk_sample` / :func:`reference_walk_sample_uniform_edges`
   are the per-step linear scans ``WalkCounter``'s memoised draws replaced.
 * :func:`compile_unminimized` hand-builds a compilation that skips token
-  minimization and builds every token row up front
+  minimization and builds every all-encodings row up front
   (:func:`compile_all_tokens_eager`), from the compiler's public stage
   functions (the same chain ``benchmarks/e2e/tracing.py`` replays), and
   :func:`unminimized_compiler` seeds a compiler's cache with it so the
@@ -36,9 +36,12 @@ engine used to ship as user-selectable forks (``backend="dict"``,
   token tuple, as it was before ``LanguageModel.row_key``;
   :func:`padded_context_key` is the n-gram's key as it was written then (a
   padded list of the whole context, sliced).
-* :func:`reference_is_canonical` / :func:`reference_is_canonical_prefix`
-  are the re-encode forms of the tokenizer's canonicity checks, and
-  :func:`reference_decode` the per-id loop ``Vocabulary.decode`` replaced.
+* :func:`reference_is_canonical` is the re-encode form of the tokenizer's
+  canonicity check, and :func:`reference_decode` the per-id loop
+  ``Vocabulary.decode`` replaced.
+* :func:`reference_canonical_by_enumeration` is enumerate-and-encode, the
+  canonical compile the product construction replaced below 20 000
+  strings.
 """
 
 from __future__ import annotations
@@ -145,8 +148,6 @@ def reference_sample_once(self: Executor, prefix_counter) -> Iterator:
         if len(tokens) >= self.max_tokens:
             return None
         at_accept = state in automaton.accepts
-        if self._dynamic_prune and at_accept:
-            at_accept = self.tokenizer.is_canonical(tuple(tokens))
         successors = automaton.successors(state)
         if not successors and not at_accept:
             return None
@@ -163,11 +164,6 @@ def reference_sample_once(self: Executor, prefix_counter) -> Iterator:
                 self.stats.pruned_edges += 1
                 continue
             if not np.isfinite(lp[token_id]):
-                continue
-            if self._dynamic_prune and not self.tokenizer.is_canonical_prefix(
-                tuple(tokens) + (token_id,)
-            ):
-                self.stats.pruned_edges += 1
                 continue
             options.append((token_id, float(lp[token_id])))
         if not options:
@@ -249,7 +245,8 @@ def expansion_path(path: str) -> Iterator[None]:
 
 
 def compile_unminimized(compiler: GraphCompiler, query) -> CompiledQuery:
-    """*query* compiled without token minimization, every row built."""
+    """*query* compiled without token minimization: all encodings with
+    every row built, or ``compile_canonical``'s product, unminimized."""
     char_dfa = compile_dfa(query.query_string.query_str)
     prefix_dfa = None
     if query.query_string.prefix_str is not None:
@@ -267,9 +264,6 @@ def compile_unminimized(compiler: GraphCompiler, query) -> CompiledQuery:
         automaton = compile_all_tokens_eager(compiler, char_dfa, prefix_closure)
     else:
         automaton = compiler.compile_canonical(char_dfa, prefix_closure)
-        if automaton.dynamic_canonical:
-            automaton = compile_all_tokens_eager(compiler, char_dfa, prefix_closure)
-            automaton.dynamic_canonical = True
     return CompiledQuery(
         query=query,
         tokenizer=compiler.tokenizer,
@@ -277,11 +271,13 @@ def compile_unminimized(compiler: GraphCompiler, query) -> CompiledQuery:
         prefix_dfa=prefix_dfa,
         prefix_closure=prefix_closure,
         token_automaton=automaton,
+        # Measured as the compiler measures: a canonical product built on
+        # first touch by the all-encodings automaton it filters.
         metrics=CompileMetrics(
-            token_states=automaton.num_states,
-            token_edges=automaton.num_edges,
-            minimized_states=automaton.num_states,
-            minimized_edges=automaton.num_edges,
+            token_states=automaton.measured.num_states,
+            token_edges=automaton.measured.num_edges,
+            minimized_states=automaton.measured.num_states,
+            minimized_edges=automaton.measured.num_edges,
         ),
     )
 
@@ -453,7 +449,6 @@ def reference_minimized_tokens(automaton: TokenAutomaton) -> TokenAutomaton:
         accepts=frozenset(block_of[q] for q in base.accepts),
         edges={bid: dict(sorted(row.items())) for bid, row in edges.items()},
         prefix_live=frozenset(block_of[q] for q in base.prefix_live),
-        dynamic_canonical=base.dynamic_canonical,
     ).trimmed()
 
 
@@ -491,10 +486,54 @@ def reference_is_canonical(tokenizer, token_ids) -> bool:
     return ids == tokenizer.encode(tokenizer.decode(ids))
 
 
-def reference_is_canonical_prefix(tokenizer, token_ids) -> bool:
-    """All but the last non-special id agree with ``encode(decode(ids))``."""
-    ids = [t for t in token_ids if not tokenizer.vocab.is_special(t)]
-    if not ids:
-        return True
-    canonical = tokenizer.encode(tokenizer.decode(ids))
-    return ids == canonical or canonical[: len(ids) - 1] == ids[:-1]
+def canonical_by_pair_rule(tokenizer, token_ids) -> bool:
+    """Whether the non-special *token_ids* pass ``BPETokenizer.may_follow``
+    token by token — the walk ``compile_canonical``'s product makes, so
+    this is what it accepts for one sequence."""
+    last, after_space = None, False
+    for tok in (t for t in token_ids if not tokenizer.vocab.is_special(t)):
+        if not tokenizer.may_follow(last, after_space, tok):
+            return False
+        after_space = last is not None and tokenizer.vocab.token_of(last).endswith(" ")
+        last = tok
+    return True
+
+
+def reference_canonical_by_enumeration(
+    tokenizer, char_dfa: DFA, prefix_closure: DFA | None
+) -> TokenAutomaton:
+    """The canonical automaton by enumerate-and-encode (§3.2's first
+    recovery option): a trie of ``encode(s)`` over every string *s* of the
+    finite *char_dfa*, a state prefix-live iff the text read to it is in
+    *prefix_closure*.  The oracle for ``GraphCompiler.compile_canonical``'s
+    product construction, which shipped it below 20 000 strings."""
+    next_id = 1
+    edges: dict[int, dict[int, int]] = {}
+    accepts: set[int] = set()
+    prefix_live: set[int] = set()
+
+    def live(text: str) -> bool:
+        return prefix_closure is not None and prefix_closure.accepts_string(text)
+
+    if live(""):
+        prefix_live.add(0)
+    for string in char_dfa.enumerate_strings():
+        state = 0
+        consumed = ""
+        for tok in tokenizer.encode(string):
+            consumed += tokenizer.vocab.token_of(tok)
+            row = edges.setdefault(state, {})
+            nxt = row.get(tok)
+            if nxt is None:
+                nxt = row[tok] = next_id
+                next_id += 1
+            state = nxt
+            if live(consumed):
+                prefix_live.add(state)
+        accepts.add(state)
+    return TokenAutomaton(
+        start=0,
+        accepts=frozenset(accepts),
+        edges={state: dict(sorted(row.items())) for state, row in edges.items()},
+        prefix_live=frozenset(prefix_live),
+    )

@@ -10,7 +10,7 @@ stream, in the same order, with the same per-token and total
 log-probabilities, and the same prune/expansion statistics.  We check this
 across the shortest-path and random-sampling traversals, over a grid of
 seeded query/model combinations covering prefixes, top-k, top-p with
-temperature, require-eos, canonical tokenization (enumerated and dynamic),
+temperature, require-eos, canonical tokenization (product built whole and on first touch),
 uniform-edge prefix draws, and Levenshtein edits.  Random sampling is
 compared with :func:`tests.reference.reference_sample_once`, which rebuilds
 every step's options and weights: the engine's step tables, built once per

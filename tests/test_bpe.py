@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.automata.alphabet import ALPHABET, is_alphabet_string
 from repro.tokenizers.bpe import BPETokenizer, pretokenize, train_bpe
 from repro.tokenizers.vocab import EOS_TOKEN, Vocabulary
+from tests.reference import canonical_by_pair_rule
 
 _TEXT = st.text(alphabet="".join(ALPHABET), max_size=40)
 
@@ -133,16 +134,18 @@ class TestCanonicality:
         assert tokenizer.is_canonical(ids)
 
     def test_canonical_prefix_accepts_partial_chunks(self, tokenizer):
+        """Every prefix of a canonical encoding passes the pair rule, so
+        the canonical product keeps the path while its last chunk grows."""
         full = tokenizer.encode("The cat sat.")
         for i in range(len(full) + 1):
-            assert tokenizer.is_canonical_prefix(full[:i]), full[:i]
+            assert canonical_by_pair_rule(tokenizer, full[:i]), full[:i]
 
     def test_noncanonical_interior_rejected_as_prefix(self, tokenizer):
         the = tokenizer.encode("The")
         if len(the) == 1:
             chars = [tokenizer.vocab.id_of(c) for c in "The"]
             suffix = tokenizer.encode(" cat")
-            assert not tokenizer.is_canonical_prefix(chars + suffix)
+            assert not canonical_by_pair_rule(tokenizer, chars + suffix)
 
     def test_encode_noncanonical_roundtrips(self, tokenizer):
         rng = random.Random(0)
@@ -210,10 +213,10 @@ class TestHeapMergeEquivalence:
 
 
 #: Characters of the random training corpora below: letters that merge
-#: into words, a digit run and punctuation, so the pretokenizer's chunk
-#: kinds (leading-space words, digit runs, symbol runs, bare spaces) all
-#: appear.
-_PAIR_CORPUS_CHARS = "abcab  1."
+#: into words, runs of spaces, digits, punctuation and newlines, so the
+#: pretokenizer's chunk kinds (leading-space words, digit runs, symbol
+#: runs, bare spaces, newline runs) all appear.
+_PAIR_CORPUS_CHARS = "abcab   12.,!\n"
 
 
 def _random_segmentation(data, tokenizer, text):
@@ -235,18 +238,17 @@ def _random_segmentation(data, tokenizer, text):
 
 
 class TestCanonicalPairRule:
-    """BPE canonicity as a property of adjacent token pairs, checked on
-    tokenizers trained on random corpora with this repo's pretokenizer.
-
-    One half holds outright: a sequence whose every adjacent pair is the
-    canonical encoding of the pair's own text is canonical.  The other half
-    — a canonical sequence has only canonical pairs — fails at a run of
-    spaces: the pretokenizer's ``" +"`` takes a whole run, so the run's last
-    space is a token of its own before a word or digit, while the same
-    pair alone decodes to one ``" ?[0-9]+"``-style chunk (DESIGN.md,
-    "canonical pair rule").  A non-canonical pair inside a canonical
-    sequence must be exactly that case: a left token made only of spaces
-    that follows a space.
+    """BPE canonicity is local: a sequence is canonical iff its first
+    token is canonical on its own and every later token passes
+    :meth:`~repro.tokenizers.bpe.BPETokenizer.may_follow` against the one
+    before — its pair is canonical, or the one before is made of spaces,
+    follows a space, and the token does not start with a space (DESIGN.md,
+    "canonical pair rule").  The space case is this repo's pretokenizer:
+    its ``" +"`` takes a whole run of spaces, so the run's last space is a
+    token of its own before a word or digit, while the same pair alone
+    decodes to one ``" ?[0-9]+"``-style chunk.  ``compile_canonical``'s
+    product accepts exactly the sequences the rule accepts, so these
+    properties pin it to ``is_canonical`` in both directions.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -260,24 +262,31 @@ class TestCanonicalPairRule:
         )
         merges = data.draw(st.integers(1, 40))
         tokenizer = train_bpe(lines, vocab_size=len(ALPHABET) + 1 + merges)
-        text = " ".join(lines)
-        start = data.draw(st.integers(0, len(text) - 1))
+        self._check_rule(data, tokenizer, " ".join(lines))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rule_decides_canonicity_on_the_environment_tokenizer(self, env, data):
+        lines = env.corpus.lines
+        self._check_rule(data, env.tokenizer, lines[data.draw(st.integers(0, len(lines) - 1))])
+
+    @staticmethod
+    def _check_rule(data, tokenizer, text):
+        """A random 2–14-character piece of *text*, canonically encoded or
+        randomly segmented: the rule holds on each prefix of the ids iff
+        ``is_canonical`` does."""
+        start = data.draw(st.integers(0, max(len(text) - 2, 0)))
         sub = text[start:start + data.draw(st.integers(2, 14))]
         if data.draw(st.booleans()):
             ids = tokenizer.encode(sub)
         else:
             ids = _random_segmentation(data, tokenizer, sub)
         tokens = [tokenizer.vocab.token_of(t) for t in ids]
-        bad_pairs = [
-            i for i, pair in enumerate(zip(ids, ids[1:])) if not tokenizer.is_canonical(pair)
-        ]
-        if not bad_pairs:
-            assert tokenizer.is_canonical(ids), tokens
-        elif tokenizer.is_canonical(ids):
-            for i in bad_pairs:
-                assert tokens[i].strip(" ") == "" and i > 0 and tokens[i - 1].endswith(" "), (
-                    tokens, i,
-                )
+        for end in range(len(ids) + 1):
+            head = ids[:end]
+            assert canonical_by_pair_rule(tokenizer, head) is tokenizer.is_canonical(head), (
+                tokens[:end]
+            )
 
     def test_space_run_counterexample(self):
         """The pinned counterexample: with the one merge ``" " + "1"``,
@@ -290,3 +299,5 @@ class TestCanonicalPairRule:
         assert [tokenizer.vocab.token_of(t) for t in ids] == [" 1", " ", " ", "1"]
         assert tokenizer.is_canonical(ids)
         assert not tokenizer.is_canonical(ids[2:])
+        assert canonical_by_pair_rule(tokenizer, ids)
+        assert not canonical_by_pair_rule(tokenizer, ids[2:])

@@ -15,14 +15,14 @@ import warnings
 
 import pytest
 
-from repro.core.api import search_many
+from repro.core.api import prepare, search_many
 from repro.core.compile_cache import (
     COMPILE_CACHE_VERSION,
     CompileCacheEntry,
     CompileDiskCache,
 )
 from repro.core.compiler import CompilationCache, GraphCompiler
-from repro.core.query import SearchQuery
+from repro.core.query import QueryTokenizationStrategy, SearchQuery
 from repro.core.scheduler import QueryScheduler
 
 from .conftest import build_model, build_tokenizer
@@ -127,13 +127,26 @@ class TestDiskRoundTrip:
         assert list(tmp_path.glob("*.tmp")) == []
         assert len(list(tmp_path.glob("*.relmc"))) == len(PATTERNS)
 
-    def test_distinct_options_get_distinct_entries(self, tok, tmp_path):
-        GraphCompiler(tok, disk_cache=tmp_path).compile(SearchQuery(PATTERNS[0]))
-        c2 = GraphCompiler(tok, disk_cache=tmp_path, enumeration_limit=7)
-        compiled = c2.compile(SearchQuery(PATTERNS[0]))
-        # enumeration_limit is part of the fingerprint: no false sharing.
-        assert compiled.metrics.source == "cold"
+    def test_distinct_options_get_distinct_entries(self, tok, lm, tmp_path):
+        """The tokenization strategy is part of the fingerprint: no false
+        sharing.  A cyclic canonical query's product, rows built on first
+        touch, round-trips through the disk with its tokenizer re-bound."""
+        canonical = SearchQuery(
+            "The [0-9]+", tokenization=QueryTokenizationStrategy.CANONICAL, sequence_length=6
+        )
+        GraphCompiler(tok, disk_cache=tmp_path).compile(SearchQuery(canonical.query_string.query_str))
+        cold = GraphCompiler(tok, disk_cache=tmp_path)
+        assert cold.compile(canonical).metrics.source == "cold"
         assert len(list(tmp_path.glob("*.relmc"))) == 2
+        warm = GraphCompiler(tok, disk_cache=tmp_path)
+        loaded = warm.compile(canonical)
+        assert loaded.metrics.source == "disk"
+        assert loaded.token_automaton.edges.tokenizer is tok
+        streams = []
+        for compiler in (GraphCompiler(tok), warm):
+            session = prepare(lm, tok, canonical, compiler=compiler, max_expansions=200)
+            streams.append([(m.tokens, m.logprob) for m in session])
+        assert streams[0] and streams[0] == streams[1]
 
 
 class TestCorruptionHandling:
@@ -177,7 +190,7 @@ class TestCorruptionHandling:
 
         from .reference import compile_all_tokens_eager
 
-        assert COMPILE_CACHE_VERSION == 2
+        assert COMPILE_CACHE_VERSION == 3
         monkeypatch.setattr(compile_cache, "COMPILE_CACHE_VERSION", 1)
         old = self.entry_path(tok, tmp_path)
         entry = pickle.loads(old.read_bytes())
@@ -193,6 +206,38 @@ class TestCorruptionHandling:
             warnings.simplefilter("error")
             assert c.compile(SearchQuery(PATTERNS[0])).metrics.source == "cold"
         assert (c.disk_cache.misses, c.disk_cache.invalid) == (1, 0)
+        assert old.exists() and len(list(tmp_path.glob("*.relmc"))) == 2
+
+    def test_version_2_canonical_entry_is_recompiled(self, tok, tmp_path, monkeypatch):
+        """Version 2 stored a large or cyclic canonical query as the bare
+        all-encodings automaton, which only the executor's deleted
+        canonicity prune kept to canonical paths.  Read now, it would
+        yield non-canonical matches; version 3 never opens it and
+        recompiles the canonical product."""
+        import repro.core.compile_cache as compile_cache
+
+        from .reference import compile_all_tokens_eager
+
+        query = SearchQuery("[0-9]+", tokenization=QueryTokenizationStrategy.CANONICAL)
+        monkeypatch.setattr(compile_cache, "COMPILE_CACHE_VERSION", 2)
+        GraphCompiler(tok, disk_cache=tmp_path).compile(query)
+        (old,) = tmp_path.glob("*.relmc")
+        entry = pickle.loads(old.read_bytes())
+        assert entry.version == 2
+        entry.token_automaton = compile_all_tokens_eager(
+            GraphCompiler(tok), entry.char_dfa, entry.prefix_closure
+        )
+        old.write_bytes(pickle.dumps(entry))
+        monkeypatch.undo()
+
+        c = GraphCompiler(tok, disk_cache=tmp_path)
+        compiled = c.compile(query)
+        assert compiled.metrics.source == "cold"
+        assert (c.disk_cache.misses, c.disk_cache.invalid) == (1, 0)
+        split = [tok.vocab.id_of(ch) for ch in "123"]
+        assert entry.token_automaton.accepts_tokens(split)
+        assert compiled.token_automaton.accepts_tokens(split) is (split == tok.encode("123"))
+        assert compiled.token_automaton.accepts_tokens(tok.encode("123"))
         assert old.exists() and len(list(tmp_path.glob("*.relmc"))) == 2
 
     def test_wrong_object_type_warns(self, tmp_path):
@@ -352,7 +397,8 @@ class TestTokenMinimization:
 
 class TestCompilationCacheBytes:
     def make(self, states, edges):
-        # A stand-in CompiledQuery: only num_states/num_edges are read.
+        # A stand-in CompiledQuery: only num_states/num_edges are read
+        # (through ``measured``, the automaton a product filters).
         class Auto:
             pass
 
@@ -363,6 +409,7 @@ class TestCompilationCacheBytes:
         auto = Auto()
         auto.num_states = states
         auto.num_edges = edges
+        auto.measured = auto
         c.token_automaton = auto
         return c
 

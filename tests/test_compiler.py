@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compiler import GraphCompiler, prefixes_of
+from repro.core.compiler import CanonicalRows, GraphCompiler, prefixes_of
 from repro.core.query import (
     QuerySearchStrategy,
     QueryString,
@@ -111,7 +111,7 @@ class TestCanonical:
         )
         compiled = compiler.compile(query)
         ta = compiled.token_automaton
-        assert not ta.dynamic_canonical
+        assert not isinstance(ta.edges, CanonicalRows)  # finite: built whole
         # Exactly two accepting paths: the canonical encodings.
         assert ta.accepts_tokens(tokenizer.encode("The cat"))
         assert ta.accepts_tokens(tokenizer.encode("The dog"))
@@ -127,19 +127,26 @@ class TestCanonical:
         ).token_automaton
         assert canonical.num_edges < all_enc.num_edges
 
-    def test_large_language_falls_back_to_dynamic(self, tokenizer):
-        compiler = GraphCompiler(tokenizer, enumeration_limit=10)
-        compiled = compiler.compile(
-            SearchQuery("[0-9]{4}", tokenization=QueryTokenizationStrategy.CANONICAL)
+    @pytest.mark.parametrize(
+        "pattern", ["[0-9]{5}", "[0-9]+"], ids=["100000_strings", "cyclic"]
+    )
+    def test_large_or_infinite_language_builds_rows_on_first_touch(self, tokenizer, pattern):
+        compiled = GraphCompiler(tokenizer).compile(
+            SearchQuery(pattern, tokenization=QueryTokenizationStrategy.CANONICAL)
         )
-        assert compiled.token_automaton.dynamic_canonical
-
-    def test_infinite_language_falls_back_to_dynamic(self, tokenizer):
-        compiler = GraphCompiler(tokenizer)
-        compiled = compiler.compile(
-            SearchQuery("[0-9]+", tokenization=QueryTokenizationStrategy.CANONICAL)
-        )
-        assert compiled.token_automaton.dynamic_canonical
+        ta = compiled.token_automaton
+        rows = ta.edges
+        assert isinstance(rows, CanonicalRows)
+        assert not rows._rows  # compiling (metrics included) built no product row
+        # The metrics describe the all-encodings automaton the product filters.
+        assert compiled.metrics.token_states == rows.base.num_states
+        assert compiled.metrics.token_edges == rows.base.num_edges
+        for text in ("12345", "90210", "55555"):
+            canonical = tokenizer.encode(text)
+            assert ta.accepts_tokens(canonical)
+            digits = [tokenizer.vocab.id_of(c) for c in text]
+            assert ta.accepts_tokens(digits) is (digits == canonical)
+        assert not compiled.is_empty
 
 
 class TestPrefixRegion:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.alphabet import ALPHABET
 from repro.core.compiler import GraphCompiler, prefixes_of
+from repro.core.preprocessors import LevenshteinPreprocessor
 from repro.core.query import QueryTokenizationStrategy, SearchQuery
-from repro.regex import compile_dfa
+from repro.regex import compile_dfa, escape
 from repro.tokenizers.bpe import train_bpe
 
 _TOK = train_bpe(
@@ -56,7 +58,6 @@ def test_canonical_automaton_is_exactly_canonical(words):
     automaton = compiler.compile(
         SearchQuery(pattern, tokenization=QueryTokenizationStrategy.CANONICAL)
     ).token_automaton
-    assert not automaton.dynamic_canonical
     paths = set(_all_paths(automaton))
     expected = {tuple(_TOK.encode(w)) for w in words}
     assert paths == expected
@@ -193,3 +194,80 @@ def test_lazy_rows_equal_eager_build(words, prefix_len):
     if isinstance(lazy.edges, TokenRows):
         assert lazy._minimal and eager.num_states == expected.num_states
         assert lazy.edges._walk is None  # forced by the iteration above
+
+
+#: A tokenizer whose merges cover space runs, digits and leading-space
+#: words, so the pair rule's space-run case shows in the properties below.
+_SPACE_TOK = train_bpe(
+    ["the cat  sat on  12 mats.", "a cat 1  12. the  mat", "  the cat", "1 12  1"] * 10,
+    vocab_size=len(ALPHABET) + 1 + 40,
+)
+_PIECES = ["the", "cat", " ", "  ", "   ", "a", "1", "12", ".", " mat"]
+_piece_words = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=3).map("".join)
+
+
+def _labelled_paths(automaton, max_depth):
+    """Accepting token paths up to *max_depth* tokens, each with the
+    prefix-live flags of the states it passes (a set)."""
+    out = set()
+    stack = [(automaton.start, (), ())]
+    while stack:
+        state, path, live = stack.pop()
+        if state in automaton.accepts:
+            out.add((path, live))
+        if len(path) < max_depth:
+            for tok, dst in automaton.successors(state).items():
+                stack.append((dst, path + (tok,), live + (dst in automaton.prefix_live,)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.lists(_piece_words, min_size=1, max_size=3, unique=True),
+    prefix_len=st.integers(0, 3),
+    edits=st.integers(0, 1),
+)
+def test_canonical_product_equals_enumerate_and_encode(words, prefix_len, edits):
+    """On small finite languages — space runs, an optional literal prefix,
+    optional edits — the canonical automaton ``compile()`` builds (the
+    product, trimmed and minimized) holds exactly the enumerate-and-encode
+    oracle's token paths, with the same prefix-live states along each."""
+    from .reference import reference_canonical_by_enumeration
+
+    pattern = "(" + "|".join(f"({escape(w)})" for w in words) + ")"
+    prefix = words[0][:prefix_len] or None
+    preprocessors = (LevenshteinPreprocessor(1),) if edits else ()
+    query = SearchQuery(
+        pattern,
+        prefix=escape(prefix) if prefix else None,
+        tokenization=QueryTokenizationStrategy.CANONICAL,
+        preprocessors=preprocessors,
+    )
+    compiled = GraphCompiler(_SPACE_TOK, cache=False).compile(query)
+    oracle = reference_canonical_by_enumeration(
+        _SPACE_TOK, compiled.char_dfa, compiled.prefix_closure
+    )
+    depth = max(len(s) for s in compiled.char_dfa.enumerate_strings())
+    assert _labelled_paths(compiled.token_automaton, depth) == _labelled_paths(oracle, depth)
+
+
+_cyclic = st.lists(_piece_words, min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=_cyclic, data=st.data())
+def test_cyclic_canonical_product_accepts_exactly_canonical_paths(words, data):
+    """On cyclic languages the product is built on first touch: every
+    accepted path of up to five tokens is a canonical encoding, and the
+    canonical encoding of a sampled language string is accepted."""
+    pattern = "(" + "|".join(f"({escape(w)})" for w in words) + ")+"
+    compiled = GraphCompiler(_SPACE_TOK, cache=False).compile(
+        SearchQuery(pattern, tokenization=QueryTokenizationStrategy.CANONICAL)
+    )
+    automaton = compiled.token_automaton
+    for path, _ in _labelled_paths(automaton, 5):
+        assert list(path) == _SPACE_TOK.encode(_SPACE_TOK.decode(path))
+        assert compiled.char_dfa.accepts_string(_SPACE_TOK.decode(path))
+    for _ in range(5):
+        text = "".join(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=6)))
+        assert automaton.accepts_tokens(_SPACE_TOK.encode(text)), text

@@ -15,6 +15,7 @@ from repro.core.query import (
 )
 from repro.lm.base import LanguageModel
 from tests.reference import reference_drive
+from tests.test_backend_differential import COMBOS
 
 
 class UniformModel(LanguageModel):
@@ -124,23 +125,30 @@ class TestDedupe:
         assert set(texts) == {"The cat"}
 
 
-class TestDynamicCanonical:
-    def test_dynamic_canonical_yields_only_canonical(self, model, tokenizer):
+class TestLazyCanonical:
+    def test_lazy_canonical_yields_only_canonical(self, model, tokenizer):
+        """A cyclic canonical query traverses product rows built on first
+        touch; every match is the canonical encoding of its text."""
         query = SearchQuery(
-            "[0-9]{2,3}",
+            "[0-9]+",
             tokenization=QueryTokenizationStrategy.CANONICAL,
+            sequence_length=4,
         )
-        # Force dynamic mode via a tiny enumeration limit.
-        from repro.core.compiler import GraphCompiler
+        from repro.core.compiler import CanonicalRows, GraphCompiler
         from repro.core.executor import Executor
 
-        compiler = GraphCompiler(tokenizer, enumeration_limit=5)
-        compiled = compiler.compile(query)
-        assert compiled.token_automaton.dynamic_canonical
+        compiled = GraphCompiler(tokenizer).compile(query)
+        assert isinstance(compiled.token_automaton.edges, CanonicalRows)
         executor = Executor(model, compiled, max_expansions=4000)
         results = list(reference_drive(executor))
         assert results
-        assert all(r.canonical for r in results)
+        assert all(tokenizer.is_canonical(r.tokens) for r in results)
+
+
+_CANONICAL_COMBOS = [
+    combo for combo in COMBOS
+    if combo[2].tokenization_strategy is QueryTokenizationStrategy.CANONICAL
+]
 
 
 class TestMatchResultCanonicalFlag:
@@ -165,6 +173,37 @@ class TestMatchResultCanonicalFlag:
         flags = [r.canonical for r in results]
         assert True in flags and False in flags
         assert flags == [tokenizer.is_canonical(r.tokens) for r in results]
+
+    @pytest.mark.parametrize(
+        "name,source,query",
+        _CANONICAL_COMBOS,
+        ids=[combo[0] for combo in _CANONICAL_COMBOS],
+    )
+    def test_canonical_query_flags_without_a_check(
+        self, model, tokenizer, env, name, source, query, monkeypatch
+    ):
+        """On a canonical query the flag is ``True`` without the chunk walk,
+        and equals ``is_canonical`` on every match of the grid's canonical
+        cases."""
+        from repro.tokenizers.bpe import BPETokenizer
+
+        m, tok = (model, tokenizer) if source == "tiny" else (env.model("small"), env.tokenizer)
+        # A first run memoises the pair checks the product makes, so the
+        # counted run below makes none: what it would count is the flag's.
+        list(prepare(m, tok, query, max_expansions=3000))
+        checks = []
+        original = BPETokenizer.is_canonical
+        monkeypatch.setattr(
+            BPETokenizer,
+            "is_canonical",
+            lambda self, ids, text=None: checks.append(1) or original(self, ids, text),
+        )
+        results = list(prepare(m, tok, query, max_expansions=3000))
+        monkeypatch.undo()
+        assert results
+        assert [r.canonical for r in results] == [True] * len(results)
+        assert [tok.is_canonical(r.tokens) for r in results] == [True] * len(results)
+        assert checks == []
 
 
 class TestBudgets:

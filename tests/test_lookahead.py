@@ -83,7 +83,7 @@ _tail = st.one_of(
     st.just("[a-d]{1,3}"),
     st.just("(cat|dog)s? [a-z]{1,2}"),
     st.just("[a-z]{1,2}( [a-z])?"),
-    st.just("(cat )+"),  # cyclic: CANONICAL compiles to dynamic pruning
+    st.just("(cat )+"),  # cyclic: CANONICAL builds product rows on first touch
 )
 _lead = st.sampled_from(["the ", "a ", "(the|a) "])
 

@@ -189,7 +189,6 @@ def assert_same_tokens(got: TokenAutomaton, want: TokenAutomaton) -> None:
     assert got.start == want.start
     assert got.accepts == want.accepts
     assert got.prefix_live == want.prefix_live
-    assert got.dynamic_canonical == want.dynamic_canonical
     assert ordered_rows(got.edges) == ordered_rows(want.edges)
 
 
@@ -320,14 +319,12 @@ class TestMinimalityProof:
         automaton, chars_are_tokens = proof_case(rng, n, acyclic)
         if not chars_are_tokens:
             assert not automaton._minimal
-        for dynamic_canonical in (False, True):  # as ``compile_canonical`` sets it
-            automaton.dynamic_canonical = dynamic_canonical
-            reference = reference_minimized_tokens(automaton)
-            if automaton._minimal:
-                assert automaton.minimized() is automaton
-                assert_same_tokens(automaton, reference)
-            else:
-                assert_same_tokens(automaton.minimized(), reference)
+        reference = reference_minimized_tokens(automaton)
+        if automaton._minimal:
+            assert automaton.minimized() is automaton
+            assert_same_tokens(automaton, reference)
+        else:
+            assert_same_tokens(automaton.minimized(), reference)
 
     def test_both_outcomes_occur(self):
         """The property above is not vacuous: the mark is set on some

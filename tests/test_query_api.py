@@ -177,7 +177,10 @@ REMOVED_KEYWORDS = {
     # A private cache is sized by ``logits_cache=LogitsCache(model, capacity=n)``;
     # the sampled-prefix length bound is a constant.
     "Executor": ("backend", "cache_size", "max_prefix_chars"),
-    "GraphCompiler": ("minimize_tokens",),
+    # Every canonical query compiles to one product automaton: there is no
+    # enumeration bound, and the executor has no canonicity mode.
+    "GraphCompiler": ("minimize_tokens", "enumeration_limit"),
+    "TokenAutomaton": ("dynamic_canonical",),
     "AutomatonArrays": ("dense_budget",),
     "SearchSession": _POOL_KNOBS + _KV_KNOBS + ("backend",),
     "prepare": _POOL_KNOBS + _KV_KNOBS + ("backend",),
@@ -240,7 +243,7 @@ class TestRemovedKeywords:
         to bind every keyword (executor kwargs bind at submit/compile)."""
         from repro.core.api import SearchSession, search_many
         from repro.core.arrays import AutomatonArrays
-        from repro.core.compiler import GraphCompiler
+        from repro.core.compiler import GraphCompiler, TokenAutomaton
         from repro.core.executor import Executor
         from repro.core.scheduler import QueryScheduler
         from repro.service import SchedulerService
@@ -259,6 +262,7 @@ class TestRemovedKeywords:
             "SimpleSearchQuery": lambda **kw: SimpleSearchQuery(QueryString("The cat"), **kw),
             "Executor": lambda **kw: Executor(model, compiled, **kw),
             "GraphCompiler": lambda **kw: GraphCompiler(tokenizer, **kw),
+            "TokenAutomaton": lambda **kw: TokenAutomaton(start=0, accepts=frozenset(), **kw),
             "AutomatonArrays": lambda **kw: AutomatonArrays({}, frozenset(), **kw),
             "SearchSession": lambda **kw: SearchSession(model, tokenizer, query, **kw),
             "prepare": lambda **kw: prepare(model, tokenizer, query, **kw),
@@ -294,7 +298,7 @@ class TestRemovedKeywords:
             ]
 
         assert len(named(Executor.__init__)) == 6
-        assert len(named(GraphCompiler.__init__)) == 4
+        assert len(named(GraphCompiler.__init__)) == 3
         assert named(SearchSession.__init__) == ["compiler"]
         assert len(named(search_many)) == 7
         assert len(named(QueryScheduler.__init__)) == 9

@@ -4,10 +4,11 @@ by table, and a top-k rule's threshold memoised per row.
 Each fast form is compared with the form it replaced, kept in
 :mod:`tests.reference` or still in ``src/`` as the slow path:
 
-* ``BPETokenizer.is_canonical`` / ``is_canonical_prefix`` equal the
-  re-encode forms (``ids == encode(decode(ids))``) on canonical
-  encodings, ``encode_noncanonical`` outputs, their prefixes and random id
-  sequences with specials spliced in;
+* ``BPETokenizer.is_canonical`` and the pair rule
+  (``BPETokenizer.may_follow``, token by token) equal the re-encode form
+  (``ids == encode(decode(ids))``) on canonical encodings,
+  ``encode_noncanonical`` outputs, their prefixes and random id sequences
+  with specials spliced in;
 * ``Vocabulary.decode`` equals the per-id loop;
 * :class:`~repro.lm.decoding.RowVerdicts` equals
   ``(scaled_logprobs, allowed_mask)`` on rows with threshold ties,
@@ -40,9 +41,9 @@ from repro.lm.decoding import DecodingPolicy, RowVerdicts
 from repro.lm.ngram import NGramModel
 from tests.conftest import TINY_CORPUS, build_tokenizer
 from tests.reference import (
+    canonical_by_pair_rule,
     reference_decode,
     reference_is_canonical,
-    reference_is_canonical_prefix,
 )
 
 _TOK = build_tokenizer()
@@ -58,7 +59,7 @@ def _assert_checks_agree(ids: Sequence[int]) -> None:
         want = reference_is_canonical(_TOK, head)
         assert _TOK.is_canonical(head) is want, head
         assert _TOK.is_canonical(tuple(head), _TOK.decode(head)) is want, head
-        assert _TOK.is_canonical_prefix(head) is reference_is_canonical_prefix(_TOK, head), head
+        assert canonical_by_pair_rule(_TOK, head) is want, head
 
 
 @settings(max_examples=150, deadline=None)
